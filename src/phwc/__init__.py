@@ -30,7 +30,6 @@ from .jet import (
     Var,
     VariableIndexOutOfRange,
     conj,
-    conj_jet,
     cos,
     differentiate,
     eval_jet2,
@@ -70,6 +69,7 @@ from .maps import (
     tension,
 )
 from .fstruct import (
+    FStencil,
     FStructurePoint,
     NotPHWCAtPoint,
     RankDeficiencyAmbiguous,
@@ -82,6 +82,7 @@ from .fstruct import (
     dphi_kernel_residual,
     f_field_of_map,
     f_holomorphy_residual,
+    f_stencil,
     fundamental_two_form,
     met_residual,
     nijenhuis_residual,
@@ -98,6 +99,7 @@ from .flow import (
     grid_to_smooth_map,
     run_flow,
     save_snapshot,
+    stable_dt_bound,
 )
 
 __version__ = "0.1.0"

@@ -35,6 +35,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .flow import (
     discrete_phwc_residual,
     run_flow,
     save_snapshot,
+    stable_dt_bound,
 )
 from .fstruct import (
     NotPHWCAtPoint,
@@ -55,6 +57,7 @@ from .fstruct import (
     dphi_kernel_residual,
     domega_12_residual,
     f_holomorphy_residual,
+    f_stencil,
     met_residual,
     nijenhuis_residual,
     parallel_residual,
@@ -275,6 +278,11 @@ def validate_manifest(raw: dict) -> None:
                                   "expected a list of grid sizes >= 4")
         if not isinstance(flow.get("dt"), (int, float)) or flow["dt"] <= 0:
             raise ValidationError("flow.dt", "must be a positive number")
+        bound = stable_dt_bound(grid)
+        if flow["dt"] >= bound:
+            raise ValidationError(
+                "flow.dt", f"{flow['dt']} violates the explicit Euler "
+                f"stability bound {bound:.3e} of this grid")
         initial = flow.get("initial")
         if not isinstance(initial, list) or len(initial) != cdim:
             raise ValidationError("flow.initial",
@@ -341,9 +349,27 @@ class _Context:
                     f"{kr:.3e} at the image of {list(p)}")
 
 
-def _run_one_check(ctx: _Context, name: str, point, entry: dict):
+class _PointChecks:
+    """One sample point of a manifest; the f-structure and its difference
+    stencil are built on first use and shared by every check there."""
+
+    def __init__(self, ctx: _Context, point):
+        self.ctx = ctx
+        self.point = point
+
+    @cached_property
+    def fp(self):
+        return associated_f_structure(self.ctx.phi, self.ctx.g, self.point)
+
+    @cached_property
+    def stencil(self):
+        return f_stencil(self.ctx.phi, self.ctx.g, self.point,
+                         h_step=self.ctx.h_step)
+
+
+def _run_one_check(at: _PointChecks, name: str):
     """Returns (value, extra) for a single check at a point."""
-    phi, g, h = ctx.phi, ctx.g, ctx.h
+    phi, g, h, point = at.ctx.phi, at.ctx.g, at.ctx.h, at.point
     if name == "phwc":
         return phwc_residual_coord(phi, g, point), {}
     if name == "isotropy":
@@ -360,21 +386,19 @@ def _run_one_check(ctx: _Context, name: str, point, entry: dict):
             + 1j * np.asarray(point, dtype=float)[1::2]
         return pluriharmonic_residual(phi, z), {}
     if name == "fstructure":
-        fp = associated_f_structure(phi, g, point)
-        extra = {"rank": fp.rank,
-                 "dphi_pzero": dphi_kernel_residual(phi, fp, point)}
-        return fp.algebra_residual(), extra
+        extra = {"rank": at.fp.rank,
+                 "dphi_pzero": dphi_kernel_residual(phi, at.fp, point)}
+        return at.fp.algebra_residual(), extra
     if name == "f_holomorphy":
-        fp = associated_f_structure(phi, g, point)
-        return f_holomorphy_residual(phi, fp, point), {}
+        return f_holomorphy_residual(phi, at.fp, point), {}
     if name == "nijenhuis":
-        return nijenhuis_residual(phi, g, point, h_step=ctx.h_step), {}
+        return nijenhuis_residual(at.stencil), {}
     if name == "parallel":
-        return parallel_residual(phi, g, point, h_step=ctx.h_step), {}
+        return parallel_residual(at.stencil), {}
     if name == "domega12":
-        return domega_12_residual(g, phi, point, h_step=ctx.h_step), {}
+        return domega_12_residual(at.stencil), {}
     if name == "met":
-        return met_residual(g, phi, point, h_step=ctx.h_step), {}
+        return met_residual(at.stencil), {}
     raise ValidationError("checks", f"unknown check {name!r}")
 
 
@@ -412,6 +436,7 @@ def run_checks(raw: dict, seed: int | None = None, count: int | None = None,
 
     records = []
     for p_idx, point in enumerate(points):
+        at = _PointChecks(ctx, point)
         for entry in entries:
             name = entry["name"]
             rec = {
@@ -422,7 +447,7 @@ def run_checks(raw: dict, seed: int | None = None, count: int | None = None,
                 "negate": entry["negate"],
             }
             try:
-                value, extra = _run_one_check(ctx, name, point, entry)
+                value, extra = _run_one_check(at, name)
             except (GeometryError, NotPHWCAtPoint, RankDeficiencyAmbiguous,
                     RankJumpOnStencil, DivisionNearZero,
                     VariableIndexOutOfRange) as err:

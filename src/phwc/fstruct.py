@@ -30,19 +30,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import HermitianMetricField, MetricField, christoffel_domain, kaehler_residual
-from .maps import SmoothMap, differential, phwc_residual_coord, tension
+from .maps import (SmoothMap, _coord_gram, differential, phwc_residual_coord,
+                   tension)
 
 __all__ = [
     "NotPHWCAtPoint",
     "RankDeficiencyAmbiguous",
     "RankJumpOnStencil",
     "FStructurePoint",
+    "FStencil",
     "TwoFormPoint",
     "associated_f_structure",
     "f_field_of_map",
     "constant_f_field",
     "f_holomorphy_residual",
     "dphi_kernel_residual",
+    "f_stencil",
     "nijenhuis_residual",
     "parallel_residual",
     "fundamental_two_form",
@@ -151,13 +154,12 @@ def associated_f_structure(phi: SmoothMap, g: MetricField, p,
     are dropped; norms inside [rank_tol/10, rank_tol] raise
     RankDeficiencyAmbiguous rather than silently deciding the rank.
     """
-    resid = phwc_residual_coord(phi, g, p)
+    gram, dphi, ginv = _coord_gram(phi, g, p)
+    resid = float(np.max(np.abs(gram)))
     if not resid <= phwc_gate:
         raise NotPHWCAtPoint(
             f"PHWC residual {resid:.3e} exceeds the gate {phwc_gate:.1e} at {p}")
     gm = g.matrix(p)
-    ginv = np.linalg.inv(gm)
-    dphi = differential(phi, p).dphi
     vectors = [ginv @ row for row in dphi]
     m = gm.shape[0]
 
@@ -208,12 +210,6 @@ def constant_f_field(F: np.ndarray, g: MetricField):
     return lambda x: FStructurePoint.from_matrix(F, g.matrix(x))
 
 
-def _as_field(source, g, rank_tol, phwc_gate):
-    if isinstance(source, SmoothMap):
-        return f_field_of_map(source, g, rank_tol, phwc_gate)
-    return source
-
-
 def f_holomorphy_residual(phi: SmoothMap, fp: FStructurePoint, p) -> float:
     """max | (dphi . F)^a_j - i (dphi)^a_j | on the holomorphic rows.
 
@@ -229,15 +225,44 @@ def dphi_kernel_residual(phi: SmoothMap, fp: FStructurePoint, p) -> float:
     return float(np.max(np.abs(dphi @ fp.Pzero)))
 
 
-def _stencil(field, p, h_step):
-    """Center and +/- h values of the field; ranks must agree."""
+@dataclass
+class FStencil:
+    """The F-field at p and at each p +/- h e_l, all of one rank.
+
+    plus[l] and minus[l] are the structures at p + h e_l and p - h e_l; every
+    stencil residual below reads its derivatives off this one set of
+    evaluations, and each point's metric off its FStructurePoint.gm.
+    """
+
+    g: MetricField
+    p: np.ndarray
+    h_step: float
+    center: FStructurePoint
+    plus: list
+    minus: list
+
+    def derivative(self, quantity):
+        """Central differences d_l quantity(fp), stacked along l."""
+        return np.array([(quantity(fp) - quantity(fm)) / (2 * self.h_step)
+                         for fp, fm in zip(self.plus, self.minus)])
+
+
+def f_stencil(source, g: MetricField, p,
+              h_step: float = H_STEP,
+              rank_tol: float = RANK_TOL,
+              phwc_gate: float = PHWC_GATE) -> FStencil:
+    """Evaluate the F-field of source once at p and at each p +/- h e_l.
+
+    source is a SmoothMap, whose associated f-structure is taken (rank_tol
+    and phwc_gate apply to it), or any field x -> FStructurePoint.  Raises
+    RankJumpOnStencil when the rank is not the same at every stencil point.
+    """
+    field = (f_field_of_map(source, g, rank_tol, phwc_gate)
+             if isinstance(source, SmoothMap) else source)
     p = np.asarray(p, dtype=float)
-    m = len(p)
     center = field(p)
     plus, minus = [], []
-    for l in range(m):
-        e = np.zeros(m)
-        e[l] = h_step
+    for e in h_step * np.eye(len(p)):
         plus.append(field(p + e))
         minus.append(field(p - e))
     ranks = {fp.rank for fp in plus + minus + [center]}
@@ -245,27 +270,18 @@ def _stencil(field, p, h_step):
         raise RankJumpOnStencil(
             f"f-structure rank takes values {sorted(ranks)} on the stencil "
             f"around {p}; derivatives are meaningless there")
-    return center, plus, minus
+    return FStencil(g=g, p=p, h_step=h_step, center=center, plus=plus,
+                    minus=minus)
 
 
-def _field_derivative(plus, minus, attr, h_step):
-    return np.array([(getattr(fp, attr) - getattr(fm, attr)) / (2 * h_step)
-                     for fp, fm in zip(plus, minus)])
-
-
-def nijenhuis_residual(source, g: MetricField, p,
-                       h_step: float = H_STEP,
-                       rank_tol: float = RANK_TOL,
-                       phwc_gate: float = PHWC_GATE) -> float:
+def nijenhuis_residual(st: FStencil) -> float:
     """max component of the Nijenhuis tensor of the F-field at p.
 
     N^k_ij = F^l_i d_l F^k_j - F^l_j d_l F^k_i - F^k_l (d_i F^l_j - d_j F^l_i),
     with the field derivatives taken by central differences.
     """
-    field_fn = _as_field(source, g, rank_tol, phwc_gate)
-    center, plus, minus = _stencil(field_fn, p, h_step)
-    f_mat = center.F
-    df = _field_derivative(plus, minus, "F", h_step)  # df[l, k, j] = d_l F^k_j
+    f_mat = st.center.F
+    df = st.derivative(lambda fp: fp.F)  # df[l, k, j] = d_l F^k_j
     term1 = np.einsum("li,lkj->kij", f_mat, df)
     term2 = np.einsum("lj,lki->kij", f_mat, df)
     curl = np.einsum("ilj->lij", df) - np.einsum("jli->lij", df)
@@ -273,17 +289,12 @@ def nijenhuis_residual(source, g: MetricField, p,
     return float(np.max(np.abs(term1 - term2 - term3)))
 
 
-def parallel_residual(source, g: MetricField, p,
-                      h_step: float = H_STEP,
-                      rank_tol: float = RANK_TOL,
-                      phwc_gate: float = PHWC_GATE) -> float:
+def parallel_residual(st: FStencil) -> float:
     """max component of the covariant derivative of the F-field at p:
     (nabla_i F)^k_j = d_i F^k_j + Gamma^k_il F^l_j - Gamma^l_ij F^k_l."""
-    field_fn = _as_field(source, g, rank_tol, phwc_gate)
-    center, plus, minus = _stencil(field_fn, p, h_step)
-    f_mat = center.F
-    df = _field_derivative(plus, minus, "F", h_step)
-    gamma = christoffel_domain(g, p).gamma
+    f_mat = st.center.F
+    df = st.derivative(lambda fp: fp.F)
+    gamma = christoffel_domain(st.g, st.p)
     nabla = (df
              + np.einsum("kil,lj->ikj", gamma, f_mat)
              - np.einsum("lij,kl->ikj", gamma, f_mat))
@@ -299,46 +310,21 @@ class TwoFormPoint:
     domega: np.ndarray   # (m, m, m) real fully antisymmetric
 
 
-def fundamental_two_form(g: MetricField, source, p,
-                         h_step: float = H_STEP,
-                         rank_tol: float = RANK_TOL,
-                         phwc_gate: float = PHWC_GATE) -> TwoFormPoint:
-    field_fn = _as_field(source, g, rank_tol, phwc_gate)
-    p = np.asarray(p, dtype=float)
-    m = len(p)
-    center = field_fn(p)
-
-    def omega_at(x, fp):
-        return g.matrix(x) @ fp.F
-
-    omega0 = center.gm @ center.F
-    domega_partials = np.empty((m, m, m))
-    ranks = {center.rank}
-    for l in range(m):
-        e = np.zeros(m)
-        e[l] = h_step
-        fp, fm = field_fn(p + e), field_fn(p - e)
-        ranks.update((fp.rank, fm.rank))
-        domega_partials[l] = (omega_at(p + e, fp) - omega_at(p - e, fm)) / (2 * h_step)
-    if len(ranks) != 1:
-        raise RankJumpOnStencil(
-            f"f-structure rank takes values {sorted(ranks)} on the stencil "
-            f"around {p}")
+def fundamental_two_form(st: FStencil) -> TwoFormPoint:
+    """omega and domega of the stencil's F-field at its center point."""
+    omega0 = st.center.gm @ st.center.F
+    domega_partials = st.derivative(lambda fp: fp.gm @ fp.F)
     domega = (domega_partials
               - np.einsum("jik->ijk", domega_partials)
               + np.einsum("kij->ijk", domega_partials))
     return TwoFormPoint(omega=omega0, domega=domega)
 
 
-def domega_12_residual(g: MetricField, source, p,
-                       h_step: float = H_STEP,
-                       rank_tol: float = RANK_TOL,
-                       phwc_gate: float = PHWC_GATE) -> float:
+def domega_12_residual(st: FStencil) -> float:
     """max |domega(u, v, w)| over u, v of one eigenspace type and w of a
     different type, the types taken from the projectors at the center point."""
-    field_fn = _as_field(source, g, rank_tol, phwc_gate)
-    center = field_fn(np.asarray(p, dtype=float))
-    two_form = fundamental_two_form(g, field_fn, p, h_step, rank_tol, phwc_gate)
+    center = st.center
+    two_form = fundamental_two_form(st)
     bases = {
         "+": center.basis_plus,
         "-": np.conj(center.basis_plus),
@@ -358,10 +344,7 @@ def domega_12_residual(g: MetricField, source, p,
     return worst
 
 
-def met_residual(g: MetricField, source, p,
-                 h_step: float = H_STEP,
-                 rank_tol: float = RANK_TOL,
-                 phwc_gate: float = PHWC_GATE) -> float:
+def met_residual(st: FStencil) -> float:
     """Defect of: covariant derivatives of +type covectors along the
     0-eigenspace stay inside the +/- covector types.
 
@@ -371,37 +354,17 @@ def met_residual(g: MetricField, source, p,
     nabla_{X_a} theta_b for a real basis X_a of ker F.  Vacuously zero when
     the structure has full rank.
     """
-    field_fn = _as_field(source, g, rank_tol, phwc_gate)
-    p = np.asarray(p, dtype=float)
-    m = len(p)
-    center = field_fn(p)
-    if center.rank == m:
+    center = st.center
+    if center.rank == center.m:
         return 0.0
     gm = center.gm
     ginv = np.linalg.inv(gm)
     # +type covectors are the lowerings of the -i tangent eigenspace
     thetas = gm @ np.conj(center.basis_plus)
+    dtheta = st.derivative(
+        lambda fp: fp.gm @ fp.Pminus @ np.linalg.inv(fp.gm) @ thetas)
 
-    def covector_projector(x, fp):
-        gx = g.matrix(x)
-        return gx @ fp.Pminus @ np.linalg.inv(gx)
-
-    dtheta = np.empty((m,) + thetas.shape, dtype=complex)
-    ranks = {center.rank}
-    for l in range(m):
-        e = np.zeros(m)
-        e[l] = h_step
-        fp, fm = field_fn(p + e), field_fn(p - e)
-        ranks.update((fp.rank, fm.rank))
-        sec_p = covector_projector(p + e, fp) @ thetas
-        sec_m = covector_projector(p - e, fm) @ thetas
-        dtheta[l] = (sec_p - sec_m) / (2 * h_step)
-    if len(ranks) != 1:
-        raise RankJumpOnStencil(
-            f"f-structure rank takes values {sorted(ranks)} on the stencil "
-            f"around {p}")
-
-    gamma = christoffel_domain(g, p).gamma
+    gamma = christoffel_domain(st.g, st.p)
     qzero = gm @ center.Pzero @ ginv
     worst = 0.0
     for x_vec in center.basis_zero.T:
@@ -474,8 +437,6 @@ def theorem_suite(samples, tol: SuiteTolerances | None = None) -> TheoremSuiteRe
     records = []
     report = TheoremSuiteReport(records=records)
     for sample in samples:
-        field_fn = f_field_of_map(sample.phi, sample.g, tol.rank_tol,
-                                  tol.phwc_gate)
         for point in np.atleast_2d(np.asarray(sample.points, dtype=float)):
             rec = SuiteRecord(sample=sample.name, point=list(point),
                               status="ok", reasons=[], residuals={})
@@ -491,16 +452,14 @@ def theorem_suite(samples, tol: SuiteTolerances | None = None) -> TheoremSuiteRe
                     continue
 
             try:
+                st = f_stencil(sample.phi, sample.g, point, tol.h_step,
+                               tol.rank_tol, tol.phwc_gate)
                 resid = {
                     "phwc": phwc_residual_coord(sample.phi, sample.g, point),
-                    "parallel": parallel_residual(field_fn, sample.g, point,
-                                                  tol.h_step, tol.rank_tol),
-                    "nijenhuis": nijenhuis_residual(field_fn, sample.g, point,
-                                                    tol.h_step, tol.rank_tol),
-                    "met": met_residual(sample.g, field_fn, point,
-                                        tol.h_step, tol.rank_tol),
-                    "domega12": domega_12_residual(sample.g, field_fn, point,
-                                                   tol.h_step, tol.rank_tol),
+                    "parallel": parallel_residual(st),
+                    "nijenhuis": nijenhuis_residual(st),
+                    "met": met_residual(st),
+                    "domega12": domega_12_residual(st),
                     "harmonic": tension(sample.phi, sample.g, sample.h,
                                         point).harmonic_residual,
                 }

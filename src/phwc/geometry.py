@@ -200,28 +200,9 @@ class HermitianMetricField:
                 for a in range(self.cdim)]
 
 
-class ChristoffelDomain:
-    """Gamma^k_ij of the domain metric at a point, symmetric in (i, j)."""
-
-    def __init__(self, gamma: np.ndarray):
-        self.gamma = gamma  # indexed [k, i, j]
-
-    def __getitem__(self, kij):
-        return self.gamma[kij]
-
-
-class ChristoffelKaehler:
-    """Gamma^a_{bc} of a Kaehler target at a point, symmetric in (b, c)."""
-
-    def __init__(self, gamma: np.ndarray):
-        self.gamma = gamma  # indexed [a, b, c]
-
-    def __getitem__(self, abc):
-        return self.gamma[abc]
-
-
-def christoffel_domain(g: MetricField, p) -> ChristoffelDomain:
-    """Levi-Civita symbols Gamma^k_ij = g^kl (d_i g_lj + d_j g_li - d_l g_ij)/2."""
+def christoffel_domain(g: MetricField, p) -> np.ndarray:
+    """Levi-Civita symbols Gamma^k_ij = g^kl (d_i g_lj + d_j g_li - d_l g_ij)/2,
+    indexed [k, i, j] and symmetric in (i, j)."""
     m = g.dim
     jets = g.jets(p)
     gm = np.empty((m, m))
@@ -235,12 +216,12 @@ def christoffel_domain(g: MetricField, p) -> ChristoffelDomain:
     ginv = _inverse_checked(gm, "domain metric")
     sym = (np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg)
            - np.einsum("lij->lij", dg))
-    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, sym)
-    return ChristoffelDomain(gamma)
+    return 0.5 * np.einsum("kl,lij->kij", ginv, sym)
 
 
-def christoffel_kaehler(h: HermitianMetricField, z) -> ChristoffelKaehler:
-    """Holomorphic symbols Gamma^a_{bc} = h^{a dbar} d_{z^b} h_{c dbar}.
+def christoffel_kaehler(h: HermitianMetricField, z) -> np.ndarray:
+    """Holomorphic symbols Gamma^a_{bc} = h^{a dbar} d_{z^b} h_{c dbar},
+    indexed [a, b, c].
 
     Valid for Kaehler metrics, where they are symmetric in (b, c); the raw
     formula is evaluated in whatever holomorphic coordinates the chart uses.
@@ -261,8 +242,7 @@ def christoffel_kaehler(h: HermitianMetricField, z) -> ChristoffelKaehler:
     if np.min(np.linalg.eigvalsh(0.5 * (hm + hm.conj().T))) <= SPD_EPS:
         raise MetricNotPD(f"target metric not positive definite at z={z}")
     hinv = _inverse_checked(hm, "target metric")  # hinv[d, a]: h_{c dbar} h^{dbar a}
-    gamma = np.einsum("bcd,da->abc", dh, hinv)
-    return ChristoffelKaehler(gamma)
+    return np.einsum("bcd,da->abc", dh, hinv)
 
 
 def kaehler_residual(h: HermitianMetricField, z) -> float:
@@ -286,7 +266,7 @@ def laplace_beltrami(f: Expr, g: MetricField, p) -> float:
     p = np.asarray(p, dtype=float)
     jf = eval_jet2(f, p)
     ginv = g.inverse(p)
-    gamma = christoffel_domain(g, p).gamma
+    gamma = christoffel_domain(g, p)
     hess = jf.hess
     corr = np.einsum("kij,k->ij", gamma, jf.grad)
     val = np.einsum("ij,ij->", ginv, hess - corr)

@@ -39,7 +39,6 @@ __all__ = [
     "re",
     "im",
     "eval_jet2",
-    "conj_jet",
     "parse_expr",
     "max_var_index",
     "differentiate",
@@ -124,6 +123,8 @@ class Jet2:
     def powi(self, n: int) -> "Jet2":
         if n == 0:
             return jet_const(1.0, self.m)
+        if n == 1:
+            return self  # the general rule below would form u**-1
         if n < 0:
             return self.reciprocal().powi(-n)
         u, g, h = self.value, self.grad, self.hess
@@ -431,11 +432,6 @@ def differentiate(e: Expr, i: int) -> Expr:
     if isinstance(e, (Conj, Re, Im)):
         return type(e)(differentiate(e.arg, i))
     raise TypeError(f"cannot differentiate node {type(e).__name__}")
-
-
-def conj_jet(j: Jet2) -> Jet2:
-    """Componentwise complex conjugate of a jet (an involution)."""
-    return j.conj()
 
 
 # ---------------------------------------------------------------------------

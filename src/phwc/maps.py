@@ -223,11 +223,11 @@ def tension(phi: SmoothMap, g: MetricField, h: HermitianMetricField,
         raise TargetNotKaehler("tension requires a Kaehler-flagged target")
     diff = differential(phi, p)
     ginv = g.inverse(p)
-    gamma_m = christoffel_domain(g, p).gamma
+    gamma_m = christoffel_domain(g, p)
     flat_part = np.einsum("ij,aij->a", ginv, diff.second) \
         - np.einsum("ij,kij,ak->a", ginv, gamma_m, diff.dphi)
     gram = diff.dphi @ ginv @ diff.dphi.T
-    gamma_n = christoffel_kaehler(h, phi.value(p)).gamma
+    gamma_n = christoffel_kaehler(h, phi.value(p))
     return TensionPoint(flat_part + np.einsum("abc,bc->a", gamma_n, gram))
 
 
@@ -265,7 +265,7 @@ def pluriharmonic_residual(f: SmoothMap, z,
         if not target.kaehler:
             raise TargetNotKaehler("target correction requires a Kaehler metric")
         w = f.value(x)
-        gamma = christoffel_kaehler(target, w).gamma
+        gamma = christoffel_kaehler(target, w)
         resid = resid + np.einsum("abc,bi,cj->aij", gamma, d_z, d_zbar)
     return float(np.max(np.abs(resid)))
 

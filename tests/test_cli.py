@@ -1,7 +1,10 @@
 import json
+import pathlib
 
+import numpy as np
 import pytest
 
+from phwc import fstruct
 from phwc.cli import (
     BUILTIN_MANIFESTS,
     ValidationError,
@@ -13,7 +16,9 @@ from phwc.cli import (
     summarize,
     verify_paper,
 )
-from phwc.jet import ParseError
+from phwc.geometry import MetricField
+from phwc.jet import ParseError, parse_expr
+from phwc.maps import SmoothMap
 
 
 def manifest_text(**overrides):
@@ -120,6 +125,53 @@ def test_operation_errors_recorded_not_fatal():
     assert all(not r["pass"] for r in fails)
     phwc_recs = [r for r in report["records"] if r["check"] == "phwc"]
     assert len(phwc_recs) == 5
+
+
+# example2's map stays PHWC under this metric while its F-field rotates
+VARYING_METRIC_R4 = [
+    ["1", "0", "0", "0"],
+    ["0", "1/(1 + 0.3*sin(x1))", "0", "0"],
+    ["0", "0", "1", "0"],
+    ["0", "0", "0", "1/(1 + 0.3*sin(x1))"],
+]
+
+
+def test_stencil_checks_equal_standalone_functions():
+    box = [[-2, 2]] * 4
+    raw = {
+        "domain": {"dim": 4, "metric": VARYING_METRIC_R4},
+        "target": {"cdim": 2, "hermitian": "flat", "kaehler": True},
+        "map": {"components": BUILTIN_MANIFESTS["example2"]["map"]
+                ["components"]},
+        "checks": ["nijenhuis", "parallel", "domega12", "met",
+                   "fstructure", "f_holomorphy"],
+        "sample": {"count": 3, "seed": 5, "box": box},
+    }
+    report = run_checks(parse_manifest(json.dumps(raw)))
+    assert len(report["records"]) == 18
+    phi = SmoothMap(4, 2, [parse_expr(c) for c in raw["map"]["components"]])
+    g = MetricField(4, [[parse_expr(e) for e in row]
+                        for row in VARYING_METRIC_R4])
+    standalone = {
+        "nijenhuis": fstruct.nijenhuis_residual,
+        "parallel": fstruct.parallel_residual,
+        "domega12": fstruct.domega_12_residual,
+        "met": fstruct.met_residual,
+    }
+    for rec in report["records"]:
+        point = np.array(rec["point"])
+        fp = fstruct.associated_f_structure(phi, g, point)
+        if rec["check"] == "fstructure":
+            want = fp.algebra_residual()
+            assert rec["extra"] == {
+                "rank": fp.rank,
+                "dphi_pzero": fstruct.dphi_kernel_residual(phi, fp, point)}
+        elif rec["check"] == "f_holomorphy":
+            want = fstruct.f_holomorphy_residual(phi, fp, point)
+        else:
+            st = fstruct.f_stencil(phi, g, point, h_step=4e-4)  # 1e-4 * box
+            want = standalone[rec["check"]](st)
+        assert rec["value"] == want
 
 
 def test_record_count_is_points_times_checks():
@@ -240,6 +292,18 @@ def test_flow_manifest(tmp_path):
     assert rec["pass"]
     assert rec["extra"]["final_energy"] <= rec["extra"]["initial_energy"]
     assert (tmp_path / "snap.txt").exists()
+
+
+def test_unstable_flow_dt_is_a_validation_error(tmp_path):
+    demo = pathlib.Path(__file__).parent.parent / "manifests/flow_demo.json"
+    raw = json.loads(demo.read_text())
+    raw["flow"]["dt"] = 0.5
+    with pytest.raises(ValidationError) as err:
+        parse_manifest(json.dumps(raw))
+    assert err.value.field == "flow.dt"
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps(raw))
+    assert main(["flow", str(path)]) == 2
 
 
 def test_sweep_uses_larger_sample(tmp_path):

@@ -14,6 +14,7 @@ from phwc.fstruct import (
     dphi_kernel_residual,
     f_field_of_map,
     f_holomorphy_residual,
+    f_stencil,
     fundamental_two_form,
     met_residual,
     nijenhuis_residual,
@@ -196,11 +197,11 @@ def test_f_holomorphy_of_random_composites():
 # --------------------------------------------------------------------------
 
 def test_nijenhuis_constant_fields():
-    assert nijenhuis_residual(EX1, G2, P2) <= 1e-10
+    assert nijenhuis_residual(f_stencil(EX1, G2, P2)) <= 1e-10
     j_std = np.array([[0., -1, 0, 0], [1, 0, 0, 0],
                       [0, 0, 0, -1], [0, 0, 1, 0]])
     field = constant_f_field(j_std, G4)
-    assert nijenhuis_residual(field, G4, P4) <= 1e-12
+    assert nijenhuis_residual(f_stencil(field, G4, P4)) <= 1e-12
 
 
 def test_nijenhuis_of_holomorphic_family():
@@ -209,8 +210,9 @@ def test_nijenhuis_of_holomorphic_family():
     psi = SmoothMap(6, 3, [catalog.zvar(0) ** 2, catalog.zvar(1),
                            catalog.zvar(2)])
     comp = compose(psi, EX1)
-    assert nijenhuis_residual(comp, G2, (0.7, 0.2)) <= 1e-6
-    assert nijenhuis_residual(comp, G2, (0.7, 0.2), h_step=0.5e-4) <= 1e-6
+    assert nijenhuis_residual(f_stencil(comp, G2, (0.7, 0.2))) <= 1e-6
+    assert nijenhuis_residual(
+        f_stencil(comp, G2, (0.7, 0.2), h_step=0.5e-4)) <= 1e-6
 
 
 def bracket_nijenhuis_oracle(field, p, h=1e-5):
@@ -248,18 +250,23 @@ def bracket_nijenhuis_oracle(field, p, h=1e-5):
 def test_nijenhuis_against_bracket_oracle():
     field = quaternionic_twist_field()
     for p in [np.array([0.3, 0.0, 0.0, 0.0]), np.array([-0.8, 1.0, 0.2, 0.5])]:
-        got = nijenhuis_residual(field, G4, p, h_step=1e-5)
+        got = nijenhuis_residual(f_stencil(field, G4, p, h_step=1e-5))
         want = bracket_nijenhuis_oracle(field, p)
         assert want > 0.1            # the twisted structure is not integrable
         assert abs(got - want) < 1e-6 * max(1.0, want)
 
 
-def test_rank_jump_detected():
+STENCIL_RESIDUALS = [nijenhuis_residual, parallel_residual,
+                     domega_12_residual, met_residual]
+
+
+@pytest.mark.parametrize("op", STENCIL_RESIDUALS, ids=lambda op: op.__name__)
+def test_rank_jump_detected(op):
     phi = SmoothMap(2, 1, [(Var(0) + Const(1j) * Var(1)) ** 2])
     with pytest.raises(RankJumpOnStencil):
-        nijenhuis_residual(phi, G2, (0.0, 0.0))
+        op(f_stencil(phi, G2, (0.0, 0.0)))
     # away from the branch point the field is clean
-    assert nijenhuis_residual(phi, G2, (0.6, 0.1)) <= 1e-6
+    assert op(f_stencil(phi, G2, (0.6, 0.1))) <= 1e-6
 
 
 # --------------------------------------------------------------------------
@@ -267,8 +274,8 @@ def test_rank_jump_detected():
 # --------------------------------------------------------------------------
 
 def test_parallel_constant_structures():
-    assert parallel_residual(EX1, G2, P2) <= 1e-10
-    assert parallel_residual(EX2, G4, P4) <= 1e-10
+    assert parallel_residual(f_stencil(EX1, G2, P2)) <= 1e-10
+    assert parallel_residual(f_stencil(EX2, G4, P4)) <= 1e-10
 
 
 def test_parallel_block_metric():
@@ -279,8 +286,8 @@ def test_parallel_block_metric():
                               Const(1.0) + Const(0.5) * Var(3) ** 2])
     phi = SmoothMap(4, 1, [Var(0) + Const(1j) * Var(1)])
     p = (0.4, -0.1, 0.8, 0.3)
-    assert parallel_residual(phi, g, p) <= 1e-9
-    assert nijenhuis_residual(phi, g, p) <= 1e-9
+    assert parallel_residual(f_stencil(phi, g, p)) <= 1e-9
+    assert nijenhuis_residual(f_stencil(phi, g, p)) <= 1e-9
     from phwc.geometry import HermitianMetricField
     from phwc.maps import tension
     t = tension(phi, g, HermitianMetricField.flat(1), p)
@@ -292,8 +299,8 @@ def test_parallel_implies_integrable_on_suite():
     for base, g in [(EX1, G2), (EX2, G4)]:
         for _ in range(5):
             p = rng.uniform(-1, 1, base.domain_dim)
-            par = parallel_residual(base, g, p)
-            nij = nijenhuis_residual(base, g, p)
+            par = parallel_residual(f_stencil(base, g, p))
+            nij = nijenhuis_residual(f_stencil(base, g, p))
             assert par <= 1e-8
             assert nij <= 100 * max(par, 1e-10)
 
@@ -301,7 +308,7 @@ def test_parallel_implies_integrable_on_suite():
 def test_parallel_nonzero_for_twisted_field():
     field = quaternionic_twist_field()
     # d F / d x1 has unit-size entries, so the defect is order one
-    assert parallel_residual(field, G4, (0.2, 0.0, 0.0, 0.0)) > 0.5
+    assert parallel_residual(f_stencil(field, G4, (0.2, 0.0, 0.0, 0.0))) > 0.5
 
 
 # --------------------------------------------------------------------------
@@ -309,7 +316,7 @@ def test_parallel_nonzero_for_twisted_field():
 # --------------------------------------------------------------------------
 
 def test_two_form_immersion():
-    tf = fundamental_two_form(G2, EX1, P2)
+    tf = fundamental_two_form(f_stencil(EX1, G2, P2))
     assert np.allclose(tf.omega, [[0, -1], [1, 0]])
     assert np.max(np.abs(tf.domega)) <= 1e-10
     assert np.allclose(tf.omega, -tf.omega.T)
@@ -320,14 +327,15 @@ def test_two_form_conformal_metric():
     # differencing stencil against the hand value
     g = MetricField.conformal(2, exp(Const(2.0) * Var(0)))
     p = (0.25, -0.4)
-    tf = fundamental_two_form(g, f_field_of_map(EX1, g), p)
+    tf = fundamental_two_form(f_stencil(f_field_of_map(EX1, g), g, p))
     assert np.isclose(tf.omega[0, 1], -np.exp(0.5))
     assert np.max(np.abs(tf.domega)) <= 1e-9
 
 
 def test_two_form_antisymmetries():
     g = varying_metric_r4()
-    tf = fundamental_two_form(g, EX2, (0.4, -0.2, 0.7, 0.1), h_step=1e-3)
+    tf = fundamental_two_form(
+        f_stencil(EX2, g, (0.4, -0.2, 0.7, 0.1), h_step=1e-3))
     assert np.allclose(tf.omega, -tf.omega.T, atol=1e-12)
     d = tf.domega
     assert np.allclose(d, -np.einsum("jik->ijk", d), atol=1e-9)
@@ -335,10 +343,11 @@ def test_two_form_antisymmetries():
 
 
 def test_domega12_constant_cases():
-    assert domega_12_residual(G4, EX2, P4) <= 1e-10
+    assert domega_12_residual(f_stencil(EX2, G4, P4)) <= 1e-10
     j_std = np.array([[0., -1, 0, 0], [1, 0, 0, 0],
                       [0, 0, 0, -1], [0, 0, 1, 0]])
-    assert domega_12_residual(G4, constant_f_field(j_std, G4), P4) <= 1e-12
+    field = constant_f_field(j_std, G4)
+    assert domega_12_residual(f_stencil(field, G4, P4)) <= 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -346,9 +355,11 @@ def test_domega12_constant_cases():
 # --------------------------------------------------------------------------
 
 def test_met_vacuous_cases():
-    assert met_residual(G4, EX2, P4) <= 1e-10       # flat, constant frames
+    # flat, constant frames
+    assert met_residual(f_stencil(EX2, G4, P4)) <= 1e-10
     fp_full = quaternionic_twist_field()
-    assert met_residual(G4, fp_full, (0.3, 0.0, 0.0, 0.0)) == 0.0  # rank 4
+    # rank 4
+    assert met_residual(f_stencil(fp_full, G4, (0.3, 0.0, 0.0, 0.0))) == 0.0
 
 
 def met_adapted_oracle(g, p, step=1e-6):
@@ -380,7 +391,7 @@ def test_met_block_metrics(perturb):
     g = MetricField.diagonal(entries)
     phi = SmoothMap(4, 1, [Var(0) + Const(1j) * Var(1)])
     p = (0.4, -0.1, 0.8, 0.3)
-    got = met_residual(g, phi, p)
+    got = met_residual(f_stencil(phi, g, p))
     oracle = met_adapted_oracle(g, p)
     if perturb:
         assert oracle > 1e-3 and got > 1e-3
@@ -395,17 +406,16 @@ def test_met_block_metrics(perturb):
 def test_stencil_consistency_under_halving():
     g = varying_metric_r4()
     p = np.array([0.4, -0.2, 0.7, 0.1])
-    for op in (nijenhuis_residual,):
-        r = [op(EX2, g, p, h_step=h) for h in (0.1, 0.05, 0.025)]
-        d1, d2 = abs(r[1] - r[0]), abs(r[2] - r[1])
-        assert d2 <= 0.6 * d1
+    st = {h: f_stencil(EX2, g, p, h_step=h) for h in (0.1, 0.05, 0.025)}
+    r = [nijenhuis_residual(st[h]) for h in (0.1, 0.05, 0.025)]
+    d1, d2 = abs(r[1] - r[0]), abs(r[2] - r[1])
+    assert d2 <= 0.6 * d1
     # parallel/met values converge rapidly; verify stability directly
-    for op in (lambda *a, **k: parallel_residual(*a, **k),):
-        r = [op(EX2, g, p, h_step=h) for h in (0.1, 0.05)]
-        assert abs(r[1] - r[0]) <= 1e-6 * max(1.0, r[0])
-    r = [met_residual(g, EX2, p, h_step=h) for h in (0.1, 0.05)]
+    r = [parallel_residual(st[h]) for h in (0.1, 0.05)]
+    assert abs(r[1] - r[0]) <= 1e-6 * max(1.0, r[0])
+    r = [met_residual(st[h]) for h in (0.1, 0.05)]
     assert abs(r[1] - r[0]) <= 1e-4 * max(1.0, r[0])
-    r = [domega_12_residual(g, EX2, p, h_step=h) for h in (0.1, 0.05)]
+    r = [domega_12_residual(st[h]) for h in (0.1, 0.05)]
     assert max(r) <= 1e-8 or abs(r[1] - r[0]) <= 0.6 * abs(r[0])
 
 
@@ -441,6 +451,24 @@ def test_theorem_suite_standard():
     ok = [r for r in report.records if r.status == "ok"]
     assert all(r.residuals["parallel"] <= 1e-8 for r in ok)
     assert all(r.residuals["harmonic"] <= 1e-6 for r in ok)
+
+
+def test_theorem_suite_builds_one_stencil_per_point(monkeypatch):
+    from phwc import fstruct
+    from phwc.geometry import HermitianMetricField
+
+    calls = []
+    build = fstruct.associated_f_structure
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(fstruct, "associated_f_structure", counted)
+    report = theorem_suite([SuiteSample(
+        "linear_c2", EX2, G4, HermitianMetricField.flat(2), [P4])])
+    assert report.checked == 1
+    assert len(calls) == 2 * 4 + 1   # center and p +/- h e_l, once each
 
 
 def test_theorem_suite_skips_non_phwc():

@@ -8,7 +8,6 @@ from phwc.jet import (
     ParseError,
     Var,
     VariableIndexOutOfRange,
-    conj_jet,
     eval_jet2,
     parse_expr,
 )
@@ -149,15 +148,15 @@ def test_real_expression_stays_real():
     assert j.value.imag == 0
     assert np.all(j.grad.imag == 0)
     assert np.all(j.hess.imag == 0)
-    assert conj_jet(j).value == j.value
+    assert j.conj().value == j.value
 
 
 def test_conj_jet():
     e = Var(0) + Const(1j) * Var(1)
     j = eval_jet2(e, (1.0, 2.0))
-    cj = conj_jet(j)
+    cj = j.conj()
     assert np.allclose(cj.grad, [1.0, -1j])
-    back = conj_jet(cj)
+    back = cj.conj()
     assert back.value == j.value and np.array_equal(back.grad, j.grad)
 
 
@@ -180,6 +179,34 @@ def test_negative_integer_power():
     assert np.isclose(j.value, 0.25)
     assert np.isclose(j.grad[0], -2 * 2.0 ** -3)
     assert np.isclose(j.hess[0, 0], 6 * 2.0 ** -4)
+
+
+# exact jets of x1^n at x1 = 0: value, gradient, Hessian
+ZERO_BASE_POWERS = {
+    0: (1.0, 0.0, 0.0),
+    1: (0.0, 1.0, 0.0),
+    2: (0.0, 0.0, 2.0),
+    3: (0.0, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("n", range(-2, 4))
+def test_integer_power_at_zero_base(n):
+    e = Var(0) ** n
+    if n < 0:
+        with pytest.raises(DivisionNearZero):
+            eval_jet2(e, (0.0,))
+        return
+    j = eval_jet2(e, (0.0,))
+    value, grad, hess = ZERO_BASE_POWERS[n]
+    assert j.value == value
+    assert j.grad[0] == grad
+    assert j.hess[0, 0] == hess
+
+
+def test_parsed_first_power_at_zero():
+    j = eval_jet2(parse_expr("x1^1"), [0.0])
+    assert j.value == 0.0 and j.grad[0] == 1.0 and j.hess[0, 0] == 0.0
 
 
 # --------------------------------------------------------------------------
