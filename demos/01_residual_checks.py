@@ -16,6 +16,7 @@ import numpy as np
 from phwc import (
     HermitianMetricField,
     MetricField,
+    PointData,
     hwc_report,
     isotropy_residual,
     phwc_residual_commutator,
@@ -35,11 +36,12 @@ for name, phi, g, h, box in [
     print(f"== {name}")
     points = sample_points(rng, 5, box)
     for p in points:
-        coord = phwc_residual_coord(phi, g, p)
-        iso = isotropy_residual(phi, g, p)
-        comm = phwc_residual_commutator(phi, g, h, p)
-        rep = hwc_report(phi, g, h, p)
-        tau = tension(phi, g, h, p).harmonic_residual
+        pd = PointData(phi, g, p, h)   # phi, g and h evaluated once at p
+        coord = phwc_residual_coord(pd)
+        iso = isotropy_residual(pd)
+        comm = phwc_residual_commutator(pd)
+        rep = hwc_report(pd)
+        tau = tension(pd).harmonic_residual
         print(f"  p={np.array2string(p, precision=2):>28}  "
               f"phwc={coord:.1e} isotropy={iso:.1e} commutator={comm:.1e}  "
               f"hwc defect={rep.defect:.2f} (lambda^2={rep.lambda_sq:.2f})  "
@@ -53,7 +55,7 @@ from phwc import SmoothMap, var
 
 chart = SmoothMap(2, 2, [var(0), var(1)])
 p = (0.3, 0.7)
+pd = PointData(chart, MetricField.euclidean(2), p)
 print("== chart map (x1, x2) into C^2")
-print(f"  phwc residual at {p}: "
-      f"{phwc_residual_coord(chart, MetricField.euclidean(2), p):.3f} "
+print(f"  phwc residual at {p}: {phwc_residual_coord(pd):.3f} "
       "(nonzero: the map is not PHWC)")

@@ -14,6 +14,7 @@ import numpy as np
 from phwc import (
     HermitianMetricField,
     MetricField,
+    PointData,
     SmoothMap,
     compose,
     conj,
@@ -45,7 +46,8 @@ for _ in range(10):
         comp = pulled.components[0]
         worst_lap = max(worst_lap,
                         abs(laplace_beltrami(re(comp), g2, p)))
-        worst_defect = max(worst_defect, hwc_report(pulled, g2, h1, p).defect)
+        worst_defect = max(worst_defect,
+                           hwc_report(PointData(pulled, g2, p, h1)).defect)
 print(f"  max |Laplacian| of re(f o phi): {worst_lap:.2e}")
 print(f"  max HWC defect of f o phi:      {worst_defect:.2e}  "
       "(pullbacks are full harmonic morphisms)\n")
@@ -59,15 +61,16 @@ hk = HermitianMetricField.flat(2)
 zs = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
 print(f"  holomorphy residual of psi (reported alongside the composite): "
       f"{holomorphy_residual(psi, zs):.2e}")
-worst = max(max(phwc_residual_coord(comp, g2, p),
-                tension(comp, g2, hk, p).harmonic_residual)
-            for p in sample_points(rng, 50, [[-1, 1]] * 2))
+worst = 0.0
+for p in sample_points(rng, 50, [[-1, 1]] * 2):
+    pd = PointData(comp, g2, p, hk)
+    worst = max(worst, phwc_residual_coord(pd), tension(pd).harmonic_residual)
 print(f"  psi o phi stays a pseudo harmonic morphism: worst residual "
       f"{worst:.2e}\n")
 
 print("== and with a non-holomorphic map, for contrast")
 bad = compose(SmoothMap(6, 1, [zvar(0) + conj(zvar(0))]), phi)
-vals = [phwc_residual_coord(bad, g2, p)
+vals = [phwc_residual_coord(PointData(bad, g2, p))
         for p in sample_points(rng, 5, [[-1, 1]] * 2)]
 print(f"  (w1 + conj w1) o phi: PHWC residual {min(vals):.2f} at every "
       "sampled point -- the hypothesis matters")

@@ -14,6 +14,7 @@ import numpy as np
 
 from phwc import (
     MetricField,
+    PointData,
     SmoothMap,
     associated_f_structure,
     dphi_kernel_residual,
@@ -31,19 +32,21 @@ from phwc.jet import Const
 print("== the immersion R^2 -> C^3")
 phi, g = immersion_r2_c3(), MetricField.euclidean(2)
 p = (0.4, -0.3)
-fp = associated_f_structure(phi, g, p)
+pd = PointData(phi, g, p)   # phi's jets and g evaluated once, shared below
+fp = associated_f_structure(pd)
 print(f"  rank {fp.rank}, F =\n{fp.F}")
 print(f"  algebra residual      {fp.algebra_residual():.2e}")
-print(f"  f-holomorphy residual {f_holomorphy_residual(phi, fp, p):.2e}\n")
+print(f"  f-holomorphy residual {f_holomorphy_residual(pd, fp):.2e}\n")
 
 print("== the linear map R^4 -> C^2 (nontrivial 0-eigenspace)")
 phi4, g4 = linear_r4_c2(), MetricField.euclidean(4)
 p4 = (1.0, 0.5, -0.2, 0.8)
-fp4 = associated_f_structure(phi4, g4, p4)
+pd4 = PointData(phi4, g4, p4)
+fp4 = associated_f_structure(pd4)
 print(f"  rank {fp4.rank} on R^4: the kernel of F has real dimension "
       f"{4 - fp4.rank}")
 print(f"  dphi kills the 0-eigenspace: |dphi Pzero| = "
-      f"{dphi_kernel_residual(phi4, fp4, p4):.2e}")
+      f"{dphi_kernel_residual(pd4, fp4):.2e}")
 st4 = f_stencil(phi4, g4, p4)   # F at p4 and at p4 +/- h e_l, built once
 print(f"  parallel residual  {parallel_residual(st4):.2e}")
 print(f"  nijenhuis residual {nijenhuis_residual(st4):.2e}\n")

@@ -16,6 +16,7 @@ from phwc import (
     GridMap,
     HermitianMetricField,
     MetricField,
+    PointData,
     dirichlet_energy,
     discrete_phwc_residual,
     grid_to_smooth_map,
@@ -55,7 +56,7 @@ print(f"  discrete PHWC residual of the limit: "
       f"{discrete_phwc_residual(final):.2e}")
 smooth = grid_to_smooth_map(final)
 g2 = MetricField.euclidean(2)
-worst = max(tension(smooth, g2, flat, rng.uniform(0, 2 * np.pi, 2))
+worst = max(tension(PointData(smooth, g2, rng.uniform(0, 2 * np.pi, 2), flat))
             .harmonic_residual for _ in range(10))
 print(f"  smooth tension of the trigonometric interpolant at random "
       f"points: {worst:.2e} (within 10x stop_tol)")

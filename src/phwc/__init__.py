@@ -10,8 +10,9 @@ The layers, bottom up:
   Wirtinger views used everywhere complex derivatives appear;
 - ``geometry``: metric fields on the domain and the target chart,
   Christoffel symbols, the Kaehler closedness residual, Laplace-Beltrami;
-- ``maps``: smooth maps and the pointwise residuals (three equivalent PHWC
-  forms, horizontal weak conformality fit, tension, pluriharmonicity,
+- ``maps``: smooth maps, the per-point inputs ``PointData`` (phi's jets,
+  g, g^-1 and h at phi(p), each evaluated once) and the pointwise residuals
+  that read them (three equivalent PHWC forms, horizontal weak conformality fit, tension, pluriharmonicity,
   composition with +/-holomorphic maps);
 - ``fstruct``: the associated f-structure, its algebra, Nijenhuis and
   parallelism defects, the fundamental 2-form conditions, and the theorem
@@ -55,6 +56,7 @@ from .geometry import (
 from .maps import (
     DimensionMismatch,
     HWCReport,
+    PointData,
     SmoothMap,
     TensionPoint,
     antiholomorphy_residual,

@@ -43,6 +43,7 @@ from . import __version__, catalog, jet
 from .flow import (
     FlowConfig,
     GridMap,
+    StepSizeUnderflow,
     discrete_phwc_residual,
     run_flow,
     save_snapshot,
@@ -70,8 +71,9 @@ from .geometry import (
     kaehler_residual,
     laplace_beltrami,
 )
-from .jet import DivisionNearZero, ParseError, VariableIndexOutOfRange
+from .jet import ParseError, VariableIndexOutOfRange
 from .maps import (
+    PointData,
     SmoothMap,
     compose,
     hwc_report,
@@ -129,6 +131,14 @@ BUILTIN_MANIFESTS = {
         "sample": {"count": 100, "seed": 11, "box": [[-2, 2]] * 4},
     },
 }
+
+
+# Errors of one operation at one point (or of one flow run): recorded on the
+# record with pass = false, never fatal.  ArithmeticError covers
+# DivisionNearZero, OverflowError and ZeroDivisionError.
+OPERATION_ERRORS = (GeometryError, NotPHWCAtPoint, RankDeficiencyAmbiguous,
+                    RankJumpOnStencil, ArithmeticError, np.linalg.LinAlgError,
+                    VariableIndexOutOfRange, StepSizeUnderflow)
 
 
 class ValidationError(ValueError):
@@ -336,61 +346,62 @@ class _Context:
         self.box = np.asarray(box, dtype=float)
         self.h_step = 1e-4 * float(np.max(self.box[:, 1] - self.box[:, 0]))
 
-    def verify_kaehler_claim(self, points) -> None:
-        """Gate manifests that claim a Kaehler target on sampled images."""
+    def verify_kaehler_claim(self, ats) -> None:
+        """Gate manifests that claim a Kaehler target on sampled images; a
+        point where the gate cannot be evaluated is left to its checks."""
         if not self.h.kaehler or self.raw["target"].get("hermitian") == "flat":
             return
-        for p in points[:10]:
-            kr = kaehler_residual(self.h, self.phi.value(p))
+        for at in ats[:10]:
+            try:
+                kr = kaehler_residual(self.h, at.diff.value)
+            except OPERATION_ERRORS:
+                continue
             if kr > 1e-10:
                 raise ValidationError(
                     "target.kaehler",
                     f"metric claims Kaehler but the closedness residual is "
-                    f"{kr:.3e} at the image of {list(p)}")
+                    f"{kr:.3e} at the image of {list(at.p)}")
 
 
-class _PointChecks:
-    """One sample point of a manifest; the f-structure and its difference
-    stencil are built on first use and shared by every check there."""
+class _PointChecks(PointData):
+    """The PointData of one sample point of a manifest; the f-structure and
+    its difference stencil are also built on first use and shared by every
+    check there."""
 
     def __init__(self, ctx: _Context, point):
-        self.ctx = ctx
-        self.point = point
+        super().__init__(ctx.phi, ctx.g, point, ctx.h)
+        self.h_step = ctx.h_step
 
     @cached_property
     def fp(self):
-        return associated_f_structure(self.ctx.phi, self.ctx.g, self.point)
+        return associated_f_structure(self)
 
     @cached_property
     def stencil(self):
-        return f_stencil(self.ctx.phi, self.ctx.g, self.point,
-                         h_step=self.ctx.h_step)
+        return f_stencil(self.phi, self.g, self.p, h_step=self.h_step)
 
 
 def _run_one_check(at: _PointChecks, name: str):
     """Returns (value, extra) for a single check at a point."""
-    phi, g, h, point = at.ctx.phi, at.ctx.g, at.ctx.h, at.point
     if name == "phwc":
-        return phwc_residual_coord(phi, g, point), {}
+        return phwc_residual_coord(at), {}
     if name == "isotropy":
-        return isotropy_residual(phi, g, point), {}
+        return isotropy_residual(at), {}
     if name == "commutator":
-        return phwc_residual_commutator(phi, g, h, point), {}
+        return phwc_residual_commutator(at), {}
     if name == "hwc":
-        rep = hwc_report(phi, g, h, point)
+        rep = hwc_report(at)
         return rep.defect, {"lambda_sq": rep.lambda_sq}
     if name == "tension":
-        return tension(phi, g, h, point).harmonic_residual, {}
+        return tension(at).harmonic_residual, {}
     if name == "pluriharmonic":
-        z = np.asarray(point, dtype=float)[0::2] \
-            + 1j * np.asarray(point, dtype=float)[1::2]
-        return pluriharmonic_residual(phi, z), {}
+        return pluriharmonic_residual(at.phi, at.p[0::2] + 1j * at.p[1::2]), {}
     if name == "fstructure":
         extra = {"rank": at.fp.rank,
-                 "dphi_pzero": dphi_kernel_residual(phi, at.fp, point)}
+                 "dphi_pzero": dphi_kernel_residual(at, at.fp)}
         return at.fp.algebra_residual(), extra
     if name == "f_holomorphy":
-        return f_holomorphy_residual(phi, at.fp, point), {}
+        return f_holomorphy_residual(at, at.fp), {}
     if name == "nijenhuis":
         return nijenhuis_residual(at.stencil), {}
     if name == "parallel":
@@ -430,27 +441,25 @@ def run_checks(raw: dict, seed: int | None = None, count: int | None = None,
     use_seed = sample.get("seed", 0) if seed is None else seed
     use_count = sample.get("count", 0) if count is None else count
     rng = np.random.default_rng(use_seed)
-    points = catalog.sample_points(rng, use_count, ctx.box)
-    ctx.verify_kaehler_claim(points)
+    ats = [_PointChecks(ctx, point)
+           for point in catalog.sample_points(rng, use_count, ctx.box)]
+    ctx.verify_kaehler_claim(ats)
     entries = _check_entries(raw, tol_overrides)
 
     records = []
-    for p_idx, point in enumerate(points):
-        at = _PointChecks(ctx, point)
+    for p_idx, at in enumerate(ats):
         for entry in entries:
             name = entry["name"]
             rec = {
                 "point_index": p_idx,
-                "point": [float(x) for x in point],
+                "point": [float(x) for x in at.p],
                 "check": name,
                 "tol": entry["tol"],
                 "negate": entry["negate"],
             }
             try:
                 value, extra = _run_one_check(at, name)
-            except (GeometryError, NotPHWCAtPoint, RankDeficiencyAmbiguous,
-                    RankJumpOnStencil, DivisionNearZero,
-                    VariableIndexOutOfRange) as err:
+            except OPERATION_ERRORS as err:
                 rec["error"] = f"{type(err).__name__}: {err}"
                 rec["pass"] = False
                 records.append(rec)
@@ -567,10 +576,18 @@ def run_flow_manifest(raw: dict) -> dict:
     axes = [np.arange(N) * (2 * np.pi / N) for N in grid]
     coords = np.meshgrid(*axes, indexing="ij")
     values = np.empty(tuple(grid) + (len(exprs),), dtype=complex)
-    for idx in np.ndindex(*grid):
-        point = [float(coords[i][idx]) for i in range(len(grid))]
-        for a, e in enumerate(exprs):
-            values[idx + (a,)] = jet.eval_jet2(e, point).value
+    try:
+        with np.errstate(all="ignore"):   # non-finite values are caught below
+            for idx in np.ndindex(*grid):
+                point = [float(coords[i][idx]) for i in range(len(grid))]
+                for a, e in enumerate(exprs):
+                    values[idx + (a,)] = jet.eval_jet2(e, point).value
+    except ArithmeticError as err:
+        raise ValidationError("flow.initial", f"{type(err).__name__} at grid "
+                              f"node {list(idx)}: {err}") from err
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("flow.initial",
+                              "values are not finite at every grid node")
     u0 = GridMap(values)
     cfg = FlowConfig(
         dt=float(flow_block["dt"]),
@@ -578,25 +595,26 @@ def run_flow_manifest(raw: dict) -> dict:
         stop_tol=float(flow_block.get("stop_tol", 1e-6)),
         energy_backtrack=bool(flow_block.get("energy_backtrack", True)),
     )
-    final, trace = run_flow(u0, ctx.h, cfg)
-    if "snapshot" in flow_block:
-        save_snapshot(final, flow_block["snapshot"])
-    converged = trace[-1][2] < cfg.stop_tol
-    records = [{
-        "point": None,
-        "check": "flow",
-        "value": trace[-1][2],
-        "tol": cfg.stop_tol,
-        "negate": False,
-        "pass": bool(converged),
-        "extra": {
-            "steps": trace[-1][0],
-            "initial_energy": trace[0][1],
-            "final_energy": trace[-1][1],
-            "phwc_residual": discrete_phwc_residual(final),
-        },
-    }]
-    return _assemble_report(raw, raw.get("sample", {}).get("seed", 0), records)
+    rec = {"point": None, "check": "flow", "tol": cfg.stop_tol,
+           "negate": False}
+    try:
+        final, trace = run_flow(u0, ctx.h, cfg)
+    except OPERATION_ERRORS as err:
+        rec.update({"error": f"{type(err).__name__}: {err}", "pass": False})
+    else:
+        if "snapshot" in flow_block:
+            save_snapshot(final, flow_block["snapshot"])
+        rec.update({
+            "value": trace[-1][2],
+            "pass": bool(trace[-1][2] < cfg.stop_tol),
+            "extra": {
+                "steps": trace[-1][0],
+                "initial_energy": trace[0][1],
+                "final_energy": trace[-1][1],
+                "phwc_residual": discrete_phwc_residual(final),
+            },
+        })
+    return _assemble_report(raw, raw.get("sample", {}).get("seed", 0), [rec])
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +663,8 @@ def verify_paper(seed: int = 42) -> dict:
             for part in (jet.re(pulled.components[0]),
                          jet.im(pulled.components[0])):
                 worst_lap = max(worst_lap, abs(laplace_beltrami(part, g2, p)))
-            worst_hwc = max(worst_hwc, hwc_report(pulled, g2, h1, p).defect)
+            worst_hwc = max(worst_hwc,
+                            hwc_report(PointData(pulled, g2, p, h1)).defect)
             worst_pluri_lap = max(worst_pluri_lap, abs(
                 laplace_beltrami(pulled_r.components[0], g2, p)))
     records.append(_suite_record("pullback_holomorphic_laplacian",
@@ -662,15 +681,15 @@ def verify_paper(seed: int = 42) -> dict:
         comp = compose(psi, base)
         hk = HermitianMetricField.flat(2)
         for p in catalog.sample_points(rng, 50, [[-1, 1]] * base.domain_dim):
-            worst_phwc = max(worst_phwc, phwc_residual_coord(comp, g, p))
-            worst_tension = max(worst_tension,
-                                tension(comp, g, hk, p).harmonic_residual)
+            pd = PointData(comp, g, p, hk)
+            worst_phwc = max(worst_phwc, phwc_residual_coord(pd))
+            worst_tension = max(worst_tension, tension(pd).harmonic_residual)
     records.append(_suite_record("composition_phwc", worst_phwc, 1e-10))
     records.append(_suite_record("composition_tension", worst_tension, 1e-9))
 
     control = compose(SmoothMap(6, 1, [catalog.zvar(0)
                                        + jet.conj(catalog.zvar(0))]), ex1)
-    control_val = min(phwc_residual_coord(control, g2, p)
+    control_val = min(phwc_residual_coord(PointData(control, g2, p))
                       for p in catalog.sample_points(rng, 10, [[-1, 1]] * 2))
     records.append(_suite_record("composition_nonholomorphic_control",
                                  control_val, 1e-3, negate=True))
@@ -694,10 +713,10 @@ def verify_paper(seed: int = 42) -> dict:
             phi = catalog.random_polynomial_map(rng, m, n)
             g = catalog.random_polynomial_metric(rng, m)
             h = HermitianMetricField.flat(n)
-        p = rng.uniform(-1, 1, phi.domain_dim)
-        coord = phwc_residual_coord(phi, g, p)
-        iso = isotropy_residual(phi, g, p)
-        comm = phwc_residual_commutator(phi, g, h, p)
+        pd = PointData(phi, g, rng.uniform(-1, 1, phi.domain_dim), h)
+        coord = phwc_residual_coord(pd)
+        iso = isotropy_residual(pd)
+        comm = phwc_residual_commutator(pd)
         gap = max(gap, abs(coord - iso))
         if (coord <= 1e-10) != (comm <= 1e-8):
             iff_violations += 1

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import HermitianMetricField, MetricField, christoffel_domain, kaehler_residual
-from .maps import (SmoothMap, _coord_gram, differential, phwc_residual_coord,
-                   tension)
+from .maps import PointData, SmoothMap, phwc_residual_coord, tension
 
 __all__ = [
     "NotPHWCAtPoint",
@@ -141,7 +140,7 @@ def _column_space(a: np.ndarray, k: int) -> np.ndarray:
     return u[:, :k]
 
 
-def associated_f_structure(phi: SmoothMap, g: MetricField, p,
+def associated_f_structure(pd: PointData,
                            rank_tol: float = RANK_TOL,
                            phwc_gate: float = PHWC_GATE) -> FStructurePoint:
     """Build F at p from the isotropic span of the raised differentials.
@@ -154,13 +153,13 @@ def associated_f_structure(phi: SmoothMap, g: MetricField, p,
     are dropped; norms inside [rank_tol/10, rank_tol] raise
     RankDeficiencyAmbiguous rather than silently deciding the rank.
     """
-    gram, dphi, ginv = _coord_gram(phi, g, p)
-    resid = float(np.max(np.abs(gram)))
+    p = pd.p
+    resid = phwc_residual_coord(pd)
     if not resid <= phwc_gate:
         raise NotPHWCAtPoint(
             f"PHWC residual {resid:.3e} exceeds the gate {phwc_gate:.1e} at {p}")
-    gm = g.matrix(p)
-    vectors = [ginv @ row for row in dphi]
+    gm = pd.gm
+    vectors = [pd.ginv @ row for row in pd.diff.dphi]
     m = gm.shape[0]
 
     def hnorm(x):
@@ -202,7 +201,8 @@ def f_field_of_map(phi: SmoothMap, g: MetricField,
                    rank_tol: float = RANK_TOL,
                    phwc_gate: float = PHWC_GATE):
     """Pointwise F-field of a map, for the stencil operations below."""
-    return lambda x: associated_f_structure(phi, g, x, rank_tol, phwc_gate)
+    return lambda x: associated_f_structure(PointData(phi, g, x), rank_tol,
+                                            phwc_gate)
 
 
 def constant_f_field(F: np.ndarray, g: MetricField):
@@ -210,19 +210,18 @@ def constant_f_field(F: np.ndarray, g: MetricField):
     return lambda x: FStructurePoint.from_matrix(F, g.matrix(x))
 
 
-def f_holomorphy_residual(phi: SmoothMap, fp: FStructurePoint, p) -> float:
+def f_holomorphy_residual(pd: PointData, fp: FStructurePoint) -> float:
     """max | (dphi . F)^a_j - i (dphi)^a_j | on the holomorphic rows.
 
     Zero means dphi intertwines F with the complex structure of the chart.
     """
-    dphi = differential(phi, p).dphi
+    dphi = pd.diff.dphi
     return float(np.max(np.abs(dphi @ fp.F - 1j * dphi)))
 
 
-def dphi_kernel_residual(phi: SmoothMap, fp: FStructurePoint, p) -> float:
+def dphi_kernel_residual(pd: PointData, fp: FStructurePoint) -> float:
     """max | dphi . Pzero |: the differential must kill the 0-eigenspace."""
-    dphi = differential(phi, p).dphi
-    return float(np.max(np.abs(dphi @ fp.Pzero)))
+    return float(np.max(np.abs(pd.diff.dphi @ fp.Pzero)))
 
 
 @dataclass
@@ -442,8 +441,9 @@ def theorem_suite(samples, tol: SuiteTolerances | None = None) -> TheoremSuiteRe
                               status="ok", reasons=[], residuals={})
             records.append(rec)
 
+            pd = PointData(sample.phi, sample.g, point, sample.h)
             if sample.h.kaehler:
-                kr = kaehler_residual(sample.h, sample.phi.value(point))
+                kr = kaehler_residual(sample.h, pd.diff.value)
                 rec.residuals["kaehler"] = kr
                 if kr > tol.kaehler_tol:
                     rec.status = "counterexample"
@@ -455,13 +455,12 @@ def theorem_suite(samples, tol: SuiteTolerances | None = None) -> TheoremSuiteRe
                 st = f_stencil(sample.phi, sample.g, point, tol.h_step,
                                tol.rank_tol, tol.phwc_gate)
                 resid = {
-                    "phwc": phwc_residual_coord(sample.phi, sample.g, point),
+                    "phwc": phwc_residual_coord(pd),
                     "parallel": parallel_residual(st),
                     "nijenhuis": nijenhuis_residual(st),
                     "met": met_residual(st),
                     "domega12": domega_12_residual(st),
-                    "harmonic": tension(sample.phi, sample.g, sample.h,
-                                        point).harmonic_residual,
+                    "harmonic": tension(pd).harmonic_residual,
                 }
             except (NotPHWCAtPoint, RankDeficiencyAmbiguous,
                     RankJumpOnStencil) as err:

@@ -66,6 +66,21 @@ def _inverse_checked(g: np.ndarray, what: str) -> np.ndarray:
     return ginv
 
 
+def _check_spd(gm: np.ndarray, p) -> None:
+    if np.min(np.linalg.eigvalsh(gm)) <= SPD_EPS:
+        raise MetricNotSPD(f"domain metric not SPD at {p}")
+
+
+def _check_hermitian_pd(hm: np.ndarray, z) -> None:
+    """Raise MetricNotPD unless hm is Hermitian (to round-off) and its
+    Hermitian part positive definite."""
+    scale = max(1.0, np.max(np.abs(hm)))
+    if np.max(np.abs(hm - hm.conj().T)) > 1e-10 * scale:
+        raise MetricNotPD(f"target metric is not Hermitian at z={z}")
+    if np.min(np.linalg.eigvalsh(0.5 * (hm + hm.conj().T))) <= SPD_EPS:
+        raise MetricNotPD(f"target metric not positive definite at z={z}")
+
+
 class MetricField:
     """Riemannian metric g_ij(x) on R^m given by expressions.
 
@@ -108,8 +123,7 @@ class MetricField:
                 if abs(v.imag) > 1e-12 * max(1.0, abs(v)):
                     raise MetricNotSPD(f"g_{i+1}{j+1} is not real at {p}")
                 g[i, j] = g[j, i] = v.real
-        if np.min(np.linalg.eigvalsh(g)) <= SPD_EPS:
-            raise MetricNotSPD(f"domain metric not SPD at {p}")
+        _check_spd(g, p)
         return g
 
     def inverse(self, p) -> np.ndarray:
@@ -183,21 +197,22 @@ class HermitianMetricField:
         for a in range(self.cdim):
             for b in range(self.cdim):
                 h[a, b] = eval_jet2(self.components[a][b], x).value
-        scale = max(1.0, np.max(np.abs(h)))
-        if np.max(np.abs(h - h.conj().T)) > 1e-10 * scale:
-            raise MetricNotPD(f"target metric is not Hermitian at z={z}")
-        h = 0.5 * (h + h.conj().T)
-        if np.min(np.linalg.eigvalsh(h)) <= SPD_EPS:
-            raise MetricNotPD(f"target metric not positive definite at z={z}")
-        return h
-
-    def inverse(self, z) -> np.ndarray:
-        return _inverse_checked(self.matrix(z), "target metric")
+        _check_hermitian_pd(h, z)
+        return 0.5 * (h + h.conj().T)
 
     def jets(self, z):
         x = self.real_coords(z)
         return [[eval_jet2(self.components[a][b], x) for b in range(self.cdim)]
                 for a in range(self.cdim)]
+
+
+def _hermitian_jets(h: HermitianMetricField, z):
+    """h(z) and dh[b, c, d] = d_{z^b} h_{c dbar} from one jet pass."""
+    jets = h.jets(z)
+    hm = np.array([[j.value for j in row] for row in jets], dtype=complex)
+    dh = np.array([[[jet.dz(j, b) for j in row] for row in jets]
+                   for b in range(h.cdim)], dtype=complex)
+    return hm, dh
 
 
 def christoffel_domain(g: MetricField, p) -> np.ndarray:
@@ -211,8 +226,7 @@ def christoffel_domain(g: MetricField, p) -> np.ndarray:
         for j in range(m):
             gm[i, j] = jets[i][j].value.real
             dg[:, i, j] = jets[i][j].grad.real
-    if np.min(np.linalg.eigvalsh(gm)) <= SPD_EPS:
-        raise MetricNotSPD(f"domain metric not SPD at {np.asarray(p)}")
+    _check_spd(gm, np.asarray(p))
     ginv = _inverse_checked(gm, "domain metric")
     sym = (np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg)
            - np.einsum("lij->lij", dg))
@@ -226,21 +240,8 @@ def christoffel_kaehler(h: HermitianMetricField, z) -> np.ndarray:
     Valid for Kaehler metrics, where they are symmetric in (b, c); the raw
     formula is evaluated in whatever holomorphic coordinates the chart uses.
     """
-    n = h.cdim
-    jets = h.jets(z)
-    hm = np.empty((n, n), dtype=complex)
-    dh = np.empty((n, n, n), dtype=complex)  # dh[b, c, d] = d_{z^b} h_{c dbar}
-    for c in range(n):
-        for d in range(n):
-            j = jets[c][d]
-            hm[c, d] = j.value
-            for b in range(n):
-                dh[b, c, d] = jet.dz(j, b)
-    scale = max(1.0, np.max(np.abs(hm)))
-    if np.max(np.abs(hm - hm.conj().T)) > 1e-10 * scale:
-        raise MetricNotPD(f"target metric is not Hermitian at z={z}")
-    if np.min(np.linalg.eigvalsh(0.5 * (hm + hm.conj().T))) <= SPD_EPS:
-        raise MetricNotPD(f"target metric not positive definite at z={z}")
+    hm, dh = _hermitian_jets(h, z)
+    _check_hermitian_pd(hm, z)
     hinv = _inverse_checked(hm, "target metric")  # hinv[d, a]: h_{c dbar} h^{dbar a}
     return np.einsum("bcd,da->abc", dh, hinv)
 
@@ -251,13 +252,7 @@ def kaehler_residual(h: HermitianMetricField, z) -> float:
     Zero exactly when the associated 2-form is closed, i.e. the metric is
     Kaehler on the chart.
     """
-    n = h.cdim
-    jets = h.jets(z)
-    dh = np.empty((n, n, n), dtype=complex)
-    for b in range(n):
-        for c in range(n):
-            for a in range(n):
-                dh[a, b, c] = jet.dz(jets[b][c], a)
+    _, dh = _hermitian_jets(h, z)
     return float(np.max(np.abs(dh - np.einsum("abc->bac", dh))))
 
 

@@ -20,6 +20,7 @@ embarrassingly parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .geometry import (
     MetricField,
     SourceNotKaehler,
     TargetNotKaehler,
+    _inverse_checked,
     christoffel_domain,
     christoffel_kaehler,
 )
@@ -38,6 +40,7 @@ __all__ = [
     "DimensionMismatch",
     "SmoothMap",
     "DifferentialPoint",
+    "PointData",
     "HWCReport",
     "TensionPoint",
     "differential",
@@ -79,88 +82,88 @@ class SmoothMap:
 
 @dataclass
 class DifferentialPoint:
-    """First and second partials of the components at a point."""
+    """Value, first and second partials of the components at a point."""
 
+    value: np.ndarray   # (n,) complex, phi(p)
     dphi: np.ndarray    # (n, m) complex, dphi[a, i] = d phi^a / d x^i
     second: np.ndarray  # (n, m, m) complex, symmetric in the last two slots
 
 
 def differential(phi: SmoothMap, p) -> DifferentialPoint:
     js = phi.jets(p)
-    dphi = np.array([j.grad for j in js])
-    second = np.array([j.hess for j in js])
-    return DifferentialPoint(dphi, second)
+    return DifferentialPoint(np.array([j.value for j in js]),
+                             np.array([j.grad for j in js]),
+                             np.array([j.hess for j in js]))
 
 
-def _coord_gram(phi: SmoothMap, g: MetricField, p):
-    """(2,0) Gram matrix M_ab = g^ij d_i phi^a d_j phi^b and the jets."""
-    ginv = g.inverse(p)
-    dphi = differential(phi, p).dphi
-    return dphi @ ginv @ dphi.T, dphi, ginv
+class PointData:
+    """phi, g and (optionally) the target metric h at one point p.
+
+    Each attribute is evaluated on first use and then shared by every
+    residual that reads it: one jet pass of phi, one domain metric matrix and
+    its checked inverse, the Gram matrix, and h at phi(p).  An attribute that
+    fails raises in the residuals that read it and nowhere else.
+    """
+
+    def __init__(self, phi: SmoothMap, g: MetricField, p,
+                 h: HermitianMetricField | None = None):
+        self.phi, self.g, self.h = phi, g, h
+        self.p = np.asarray(p, dtype=float)
+
+    @cached_property
+    def diff(self) -> DifferentialPoint:
+        return differential(self.phi, self.p)
+
+    @cached_property
+    def gm(self) -> np.ndarray:
+        return self.g.matrix(self.p)
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        return _inverse_checked(self.gm, "domain metric")
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """(2,0) Gram matrix M_ab = g^ij d_i phi^a d_j phi^b."""
+        ginv, dphi = self.ginv, self.diff.dphi
+        return dphi @ ginv @ dphi.T
+
+    @cached_property
+    def hm(self) -> np.ndarray:
+        return self.h.matrix(self.diff.value)
 
 
-def phwc_residual_coord(phi: SmoothMap, g: MetricField, p) -> float:
+def phwc_residual_coord(pd: PointData) -> float:
     """max_{a,b} | g^ij d_i phi^a d_j phi^b |; zero exactly on PHWC maps."""
-    gram, _, _ = _coord_gram(phi, g, p)
-    return float(np.max(np.abs(gram)))
+    return float(np.max(np.abs(pd.gram)))
 
 
-def isotropy_residual(phi: SmoothMap, g: MetricField, p) -> float:
+def isotropy_residual(pd: PointData) -> float:
     """Isotropy of V = span{(dphi)*(dz^a)} under the dual metric g*.
 
     Computes g(v_a, v_b) for the raised vectors v_a = g^{-1} dphi^a, which is
     the same Gram matrix as :func:`phwc_residual_coord` assembled through a
     different contraction path.
     """
-    gm = g.matrix(p)
-    ginv = np.linalg.inv(gm)
-    dphi = differential(phi, p).dphi
-    v = ginv @ dphi.T                      # columns are the raised covectors
-    gram = v.T @ gm @ v
+    v = pd.ginv @ pd.diff.dphi.T           # columns are the raised covectors
+    gram = v.T @ pd.gm @ v
     return float(np.max(np.abs(gram)))
 
 
-def _complexified_transfer(phi: SmoothMap, p):
-    """dphi on the complexified frames: rows (d/dz^a) then (d/dzbar^a)."""
-    dphi = differential(phi, p).dphi
-    return np.vstack([dphi, np.conj(dphi)])
-
-
-def _target_bilinear(h: HermitianMetricField, z):
-    """Complex-bilinear metric block matrix on (d_a, d_abar)."""
-    hm = h.matrix(z)
-    n = h.cdim
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, n:] = 0.5 * hm
-    out[n:, :n] = 0.5 * hm.T
-    return out
-
-
-def _target_dual(h: HermitianMetricField, z):
-    """Dual-metric coefficients h^{AB} on the frame (dz^a, dzbar^a)."""
-    hinv = h.inverse(z)
-    n = h.cdim
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, n:] = 2.0 * hinv.T
-    out[n:, :n] = 2.0 * hinv
-    return out
-
-
-def phwc_residual_commutator(phi: SmoothMap, g: MetricField,
-                             h: HermitianMetricField, p) -> float:
+def phwc_residual_commutator(pd: PointData) -> float:
     """Frobenius norm of [dphi o (dphi)*, J] on the complexified target.
 
     The adjoint is taken with respect to g on the domain and the bilinear
     extension of the target metric; J acts as +i / -i on the (1,0) / (0,1)
     parts.
     """
-    gm = g.matrix(p)
-    ginv = np.linalg.inv(gm)
-    z = phi.value(p)
-    d = _complexified_transfer(phi, p)
-    gc = _target_bilinear(h, z)
+    ginv = pd.ginv
+    d = np.vstack([pd.diff.dphi, np.conj(pd.diff.dphi)])  # rows d/dz, d/dzbar
+    n = pd.h.cdim
+    gc = np.zeros((2 * n, 2 * n), dtype=complex)
+    gc[:n, n:] = 0.5 * pd.hm
+    gc[n:, :n] = 0.5 * pd.hm.T
     p_op = d @ ginv @ d.T @ gc
-    n = h.cdim
     jmat = np.diag(np.concatenate([1j * np.ones(n), -1j * np.ones(n)]))
     comm = p_op @ jmat - jmat @ p_op
     return float(np.linalg.norm(comm))
@@ -180,13 +183,16 @@ class HWCReport:
     defect: float
 
 
-def hwc_report(phi: SmoothMap, g: MetricField, h: HermitianMetricField,
-               p) -> HWCReport:
-    gm = g.matrix(p)
-    ginv = np.linalg.inv(gm)
-    d = _complexified_transfer(phi, p)
+def hwc_report(pd: PointData) -> HWCReport:
+    ginv = pd.ginv
+    d = np.vstack([pd.diff.dphi, np.conj(pd.diff.dphi)])  # rows d/dz, d/dzbar
     s = d @ ginv @ d.T
-    t = _target_dual(h, phi.value(p))
+    # dual-metric coefficients h^{AB} on the frame (dz^a, dzbar^a)
+    hinv = _inverse_checked(pd.hm, "target metric")
+    n = pd.h.cdim
+    t = np.zeros((2 * n, 2 * n), dtype=complex)
+    t[:n, n:] = 2.0 * hinv.T
+    t[n:, :n] = 2.0 * hinv
     tt = float(np.real(np.sum(t * np.conj(t))))
     lam = float(np.real(np.sum(s * np.conj(t)))) / tt
     lam = max(lam, 0.0)
@@ -212,28 +218,25 @@ class TensionPoint:
         return out
 
 
-def tension(phi: SmoothMap, g: MetricField, h: HermitianMetricField,
-            p) -> TensionPoint:
+def tension(pd: PointData) -> TensionPoint:
     """tau^a = g^ij (d2_ij phi^a - Gamma^k_ij d_k phi^a) + Gamma^a_bc M_bc.
 
     The target symbols are the holomorphic Christoffels of a Kaehler metric;
     M is the (2,0) Gram matrix, so the correction term dies on PHWC maps.
     """
-    if not h.kaehler:
+    if not pd.h.kaehler:
         raise TargetNotKaehler("tension requires a Kaehler-flagged target")
-    diff = differential(phi, p)
-    ginv = g.inverse(p)
-    gamma_m = christoffel_domain(g, p)
+    diff, ginv = pd.diff, pd.ginv
+    gamma_m = christoffel_domain(pd.g, pd.p)
     flat_part = np.einsum("ij,aij->a", ginv, diff.second) \
         - np.einsum("ij,kij,ak->a", ginv, gamma_m, diff.dphi)
-    gram = diff.dphi @ ginv @ diff.dphi.T
-    gamma_n = christoffel_kaehler(h, phi.value(p))
-    return TensionPoint(flat_part + np.einsum("abc,bc->a", gamma_n, gram))
+    gamma_n = christoffel_kaehler(pd.h, diff.value)
+    return TensionPoint(flat_part + np.einsum("abc,bc->a", gamma_n, pd.gram))
 
 
 def _wirtinger_table(phi: SmoothMap, x):
-    """First Wirtinger derivatives dz/dzbar and mixed Hessians of a map
-    whose domain is the real chart of C^{m/2}."""
+    """Values, first Wirtinger derivatives dz/dzbar and mixed Hessians of a
+    map whose domain is the real chart of C^{m/2}."""
     if phi.domain_dim % 2:
         raise DimensionMismatch("source chart needs an even real dimension")
     n = phi.domain_dim // 2
@@ -242,7 +245,7 @@ def _wirtinger_table(phi: SmoothMap, x):
     d_zbar = np.array([[jet.dzbar(j, a) for a in range(n)] for j in js])
     mixed = np.array([[[jet.d2_z_zbar(j, a, b) for b in range(n)]
                        for a in range(n)] for j in js])
-    return d_z, d_zbar, mixed
+    return np.array([j.value for j in js]), d_z, d_zbar, mixed
 
 
 def pluriharmonic_residual(f: SmoothMap, z,
@@ -259,12 +262,11 @@ def pluriharmonic_residual(f: SmoothMap, z,
         raise SourceNotKaehler(
             "pluriharmonicity needs a Kaehler structure on the source chart")
     x = HermitianMetricField.real_coords(z)
-    d_z, d_zbar, mixed = _wirtinger_table(f, x)
+    w, d_z, d_zbar, mixed = _wirtinger_table(f, x)
     resid = mixed.copy()
     if target is not None:
         if not target.kaehler:
             raise TargetNotKaehler("target correction requires a Kaehler metric")
-        w = f.value(x)
         gamma = christoffel_kaehler(target, w)
         resid = resid + np.einsum("abc,bi,cj->aij", gamma, d_z, d_zbar)
     return float(np.max(np.abs(resid)))
@@ -293,12 +295,12 @@ def holomorphy_residual(psi: SmoothMap, z) -> float:
     """max |d psi^a / dzbar^b| at a chart point; zero iff psi is holomorphic
     to first order there."""
     x = HermitianMetricField.real_coords(z)
-    _, d_zbar, _ = _wirtinger_table(psi, x)
+    _, _, d_zbar, _ = _wirtinger_table(psi, x)
     return float(np.max(np.abs(d_zbar)))
 
 
 def antiholomorphy_residual(psi: SmoothMap, z) -> float:
     """max |d psi^a / dz^b| at a chart point."""
     x = HermitianMetricField.real_coords(z)
-    d_z, _, _ = _wirtinger_table(psi, x)
+    _, d_z, _, _ = _wirtinger_table(psi, x)
     return float(np.max(np.abs(d_z)))

@@ -23,6 +23,7 @@ from phwc.fstruct import (
 from phwc.geometry import HermitianMetricField, MetricField, laplace_beltrami
 from phwc.jet import Const, DivisionNearZero, eval_jet2, im, re
 from phwc.maps import (
+    PointData,
     SmoothMap,
     compose,
     differential,
@@ -66,10 +67,10 @@ def principal_angle(a, b):
 def test_criterion_1_immersion_example():
     rng = np.random.default_rng(101)
     points = catalog.sample_points(rng, 100, [[-2, 2]] * 2)
-    worst_phwc = max(phwc_residual_coord(EX1, G2, p) for p in points)
-    worst_tension = max(tension(EX1, G2, H3, p).harmonic_residual
-                        for p in points)
-    min_defect = min(hwc_report(EX1, G2, H3, p).defect for p in points)
+    pds = [PointData(EX1, G2, p, H3) for p in points]
+    worst_phwc = max(phwc_residual_coord(pd) for pd in pds)
+    worst_tension = max(tension(pd).harmonic_residual for pd in pds)
+    min_defect = min(hwc_report(pd).defect for pd in pds)
     verdict(1, "R^2 -> C^3 immersion: PHWC<=1e-12, tension<=1e-12, "
                "HWC defect>0.5 at 100 points",
             worst_phwc <= 1e-12 and worst_tension <= 1e-12
@@ -79,16 +80,16 @@ def test_criterion_1_immersion_example():
 def test_criterion_2_linear_r4_example():
     rng = np.random.default_rng(102)
     points = catalog.sample_points(rng, 100, [[-2, 2]] * 4)
-    worst_phwc = max(phwc_residual_coord(EX2, G4, p) for p in points)
-    worst_tension = max(tension(EX2, G4, H2, p).harmonic_residual
-                        for p in points)
-    min_defect = min(hwc_report(EX2, G4, H2, p).defect for p in points)
+    pds = [PointData(EX2, G4, p, H2) for p in points]
+    worst_phwc = max(phwc_residual_coord(pd) for pd in pds)
+    worst_tension = max(tension(pd).harmonic_residual for pd in pds)
+    min_defect = min(hwc_report(pd).defect for pd in pds)
     ranks = set()
     worst_kernel = 0.0
-    for p in points:
-        fp = associated_f_structure(EX2, G4, p)
+    for pd in pds:
+        fp = associated_f_structure(pd)
         ranks.add(fp.rank)
-        worst_kernel = max(worst_kernel, dphi_kernel_residual(EX2, fp, p))
+        worst_kernel = max(worst_kernel, dphi_kernel_residual(pd, fp))
     verdict(2, "R^4 -> C^2 linear map: PHWC<=1e-12, tension<=1e-12, "
                "HWC defect>=1, rank 2, |dphi Pzero|<=1e-10 at 100 points",
             worst_phwc <= 1e-12 and worst_tension <= 1e-12
@@ -121,9 +122,10 @@ def test_criterion_3_phwc_equivalence():
     worst_gap = 0.0
     iff_ok = True
     for phi, g, h, p in _random_triples(rng, 200):
-        coord = phwc_residual_coord(phi, g, p)
-        iso = isotropy_residual(phi, g, p)
-        comm = phwc_residual_commutator(phi, g, h, p)
+        pd = PointData(phi, g, p, h)
+        coord = phwc_residual_coord(pd)
+        iso = isotropy_residual(pd)
+        comm = phwc_residual_commutator(pd)
         worst_gap = max(worst_gap, abs(coord - iso))
         if (coord <= 1e-10) != (comm <= 1e-8):
             iff_ok = False
@@ -142,14 +144,14 @@ def test_criterion_4_composition_suite():
         psi = catalog.random_holomorphic_map(rng, nin, 2)
         comp = compose(psi, base)
         for p in catalog.sample_points(rng, 50, [[-1, 1]] * base.domain_dim):
-            worst_phwc = max(worst_phwc, phwc_residual_coord(comp, g, p))
-            worst_tension = max(worst_tension,
-                                tension(comp, g, H2, p).harmonic_residual)
+            pd = PointData(comp, g, p, H2)
+            worst_phwc = max(worst_phwc, phwc_residual_coord(pd))
+            worst_tension = max(worst_tension, tension(pd).harmonic_residual)
     # non-holomorphic control: w1 + conj(w1) through the immersion
     from phwc.jet import conj as jconj
     control = compose(SmoothMap(6, 1, [catalog.zvar(0) + jconj(catalog.zvar(0))]),
                       EX1)
-    control_min = min(phwc_residual_coord(control, G2, p)
+    control_min = min(phwc_residual_coord(PointData(control, G2, p))
                       for p in catalog.sample_points(rng, 20, [[-1, 1]] * 2))
     verdict(4, "20 holomorphic composites: PHWC<=1e-10, tension<=1e-9 at 50 "
                "points each; non-holomorphic control PHWC>1e-3",
@@ -166,7 +168,8 @@ def test_criterion_5_pullback_suite():
         for p in catalog.sample_points(rng, 50, [[-1, 1]] * 2):
             for part in (re(pulled.components[0]), im(pulled.components[0])):
                 worst_lap = max(worst_lap, abs(laplace_beltrami(part, G2, p)))
-            worst_hwc = max(worst_hwc, hwc_report(pulled, G2, H1, p).defect)
+            worst_hwc = max(worst_hwc,
+                            hwc_report(PointData(pulled, G2, p, H1)).defect)
     worst_pluri = 0.0
     for _ in range(20):
         f = SmoothMap(6, 1, [re(catalog.holomorphic_polynomial(rng, 3))
@@ -193,7 +196,7 @@ def test_criterion_6_f_structure_algebra():
     for phi, g in cases:
         for _ in range(4):
             p = rng.uniform(-1, 1, phi.domain_dim)
-            fp = associated_f_structure(phi, g, p)
+            fp = associated_f_structure(PointData(phi, g, p))
             worst_algebra = max(worst_algebra, fp.algebra_residual())
             gm = g.matrix(p)
             w, vecs = np.linalg.eig(fp.F)
@@ -292,8 +295,8 @@ def test_criterion_9_flow():
                                  FlowConfig(dt=2e-2, max_steps=20000,
                                             stop_tol=stop_tol))
     smooth = grid_to_smooth_map(converged)
-    worst = max(tension(smooth, G2, H1, rng.uniform(0, 2 * np.pi, 2))
-                .harmonic_residual for _ in range(20))
+    worst = max(tension(PointData(smooth, G2, rng.uniform(0, 2 * np.pi, 2),
+                                  H1)).harmonic_residual for _ in range(20))
     verdict(9, "flow: energy exponent -2 +/- 5%, monotone energy, converged "
                "map harmonic within 10*stop_tol",
             exponent_ok and monotone_ok and trace2[-1][2] < stop_tol

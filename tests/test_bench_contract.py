@@ -1,0 +1,47 @@
+"""The benchmark's tracer wraps phwc functions by name (bench/tracer.py,
+BOUNDARIES); a rename in the package must fail here rather than in a traced
+benchmark run."""
+
+import importlib
+import importlib.util
+import pathlib
+
+import pytest
+
+import phwc
+import phwc.cli  # noqa: F401  (the package does not import cli or catalog)
+
+TRACER = pathlib.Path(__file__).parent.parent / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("phwc_bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = load_tracer()
+
+
+@pytest.mark.parametrize("name", [f"{layer}.{qual}"
+                                  for layer, names in tracer.BOUNDARIES.items()
+                                  for qual in names])
+def test_boundary_resolves(name):
+    layer, qual = name.split(".", 1)
+    module = getattr(phwc, layer)
+    if "." in qual:
+        cls_name, meth = qual.split(".")
+        assert meth in vars(getattr(module, cls_name))
+    else:
+        assert callable(getattr(module, qual))
+
+
+def test_layers_and_skip_reasons_resolve():
+    for layer in tracer.LAYERS:
+        assert importlib.import_module(f"phwc.{layer}") is getattr(phwc, layer)
+    for layer in tracer.WHOLE_LAYERS:
+        module = getattr(phwc, layer)
+        assert all(callable(getattr(module, n)) for n in module.__all__)
+    for reason in tracer.SKIP_REASONS:
+        assert issubclass(getattr(phwc.fstruct, reason), Exception)

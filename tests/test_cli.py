@@ -18,7 +18,7 @@ from phwc.cli import (
 )
 from phwc.geometry import MetricField
 from phwc.jet import ParseError, parse_expr
-from phwc.maps import SmoothMap
+from phwc.maps import PointData, SmoothMap
 
 
 def manifest_text(**overrides):
@@ -127,6 +127,58 @@ def test_operation_errors_recorded_not_fatal():
     assert len(phwc_recs) == 5
 
 
+@pytest.mark.parametrize("hermitian", ["flat", [["1 + re(x1)^2"]]])
+def test_arithmetic_errors_recorded_not_fatal(tmp_path, hermitian):
+    # x1^2000 overflows complex exponentiation on this box; a non-flat
+    # Kaehler target also runs the Kaehler gate on the images first
+    text = manifest_text(map={"components": ["x1^2000"]},
+                         target={"cdim": 1, "hermitian": hermitian,
+                                 "kaehler": True},
+                         sample={"count": 3, "seed": 1,
+                                 "box": [[5, 6], [5, 6]]})
+    report = run_checks(parse_manifest(text))
+    assert len(report["records"]) == 3 * 2
+    assert all(not r["pass"] and r["error"].startswith("OverflowError")
+               for r in report["records"])
+    path = tmp_path / "overflow.json"
+    path.write_text(text)
+    assert main(["check", str(path), "--out", str(tmp_path / "r.json")]) == 1
+
+
+def test_run_checks_evaluates_phi_and_g_once_per_point(monkeypatch):
+    calls = {"jets": [], "value": [], "matrix": []}
+    for cls, name in ((SmoothMap, "jets"), (SmoothMap, "value"),
+                      (MetricField, "matrix")):
+        def counted(self, p, _orig=getattr(cls, name), _name=name):
+            calls[_name].append(tuple(p))
+            return _orig(self, p)
+        monkeypatch.setattr(cls, name, counted)
+    raw = parse_manifest(json.dumps(BUILTIN_MANIFESTS["example1"]))
+    report = run_checks(raw, count=4)
+    assert len(report["records"]) == 4 * 7
+    assert all(rec["pass"] for rec in report["records"])
+    points = [tuple(rec["point"]) for rec in report["records"][::7]]
+    assert sorted(calls["jets"]) == sorted(points)
+    assert sorted(calls["matrix"]) == sorted(points)
+    assert calls["value"] == []
+
+
+def test_target_not_pd_fails_only_the_checks_that_read_h():
+    # h = 1 - re(z)^2 is negative on the image re(z) in [1.5, 2] of this box
+    raw = parse_manifest(manifest_text(
+        target={"cdim": 1, "hermitian": [["1 - re(x1)^2"]], "kaehler": True},
+        checks=["phwc", "isotropy", "tension", "hwc", "commutator"],
+        sample={"count": 3, "seed": 2, "box": [[1.5, 2], [-1, 1]]}))
+    report = run_checks(raw)
+    for rec in report["records"]:
+        if rec["check"] in ("phwc", "isotropy"):
+            assert rec["pass"] and rec["value"] <= 1e-12
+        else:
+            assert not rec["pass"]
+            assert rec["error"].startswith(
+                "MetricNotPD: target metric not positive definite")
+
+
 # example2's map stays PHWC under this metric while its F-field rotates
 VARYING_METRIC_R4 = [
     ["1", "0", "0", "0"],
@@ -160,14 +212,15 @@ def test_stencil_checks_equal_standalone_functions():
     }
     for rec in report["records"]:
         point = np.array(rec["point"])
-        fp = fstruct.associated_f_structure(phi, g, point)
+        pd = PointData(phi, g, point)
+        fp = fstruct.associated_f_structure(pd)
         if rec["check"] == "fstructure":
             want = fp.algebra_residual()
             assert rec["extra"] == {
                 "rank": fp.rank,
-                "dphi_pzero": fstruct.dphi_kernel_residual(phi, fp, point)}
+                "dphi_pzero": fstruct.dphi_kernel_residual(pd, fp)}
         elif rec["check"] == "f_holomorphy":
-            want = fstruct.f_holomorphy_residual(phi, fp, point)
+            want = fstruct.f_holomorphy_residual(pd, fp)
         else:
             st = fstruct.f_stencil(phi, g, point, h_step=4e-4)  # 1e-4 * box
             want = standalone[rec["check"]](st)
@@ -292,6 +345,43 @@ def test_flow_manifest(tmp_path):
     assert rec["pass"]
     assert rec["extra"]["final_energy"] <= rec["extra"]["initial_energy"]
     assert (tmp_path / "snap.txt").exists()
+
+
+def flow_manifest(hermitian, initial):
+    return {
+        "domain": {"dim": 2, "metric": "euclidean"},
+        "target": {"cdim": 1, "hermitian": hermitian, "kaehler": True},
+        "map": {"components": ["x1"]},
+        "flow": {"grid": [8, 8], "dt": 0.01, "initial": [initial]},
+    }
+
+
+@pytest.mark.parametrize("hermitian, initial, error", [
+    ([["1/re(x1)"]], "sin(x1)", "DivisionNearZero"),
+    ([["1 - re(x1)^2"]], "2*sin(x1)", "MetricNotPD"),
+])
+def test_flow_operation_error_is_a_failed_record(tmp_path, hermitian,
+                                                 initial, error):
+    raw = flow_manifest(hermitian, initial)
+    report = run_flow_manifest(parse_manifest(json.dumps(raw)))
+    (rec,) = report["records"]
+    assert rec["check"] == "flow" and not rec["pass"]
+    assert rec["error"].startswith(f"{error}: ")
+    assert "value" not in rec
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(raw))
+    assert main(["flow", str(path), "--out", str(tmp_path / "r.json")]) == 1
+
+
+@pytest.mark.parametrize("initial", ["exp(800*sin(x1))", "1/sin(x1)"])
+def test_non_finite_flow_initial_is_a_validation_error(tmp_path, initial):
+    raw = flow_manifest("flat", initial)
+    with pytest.raises(ValidationError) as err:
+        run_flow_manifest(parse_manifest(json.dumps(raw)))
+    assert err.value.field == "flow.initial"
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(raw))
+    assert main(["flow", str(path)]) == 2
 
 
 def test_unstable_flow_dt_is_a_validation_error(tmp_path):

@@ -13,7 +13,7 @@ from phwc.flow import (
 )
 from phwc.geometry import HermitianMetricField, MetricField, TargetNotKaehler
 from phwc.jet import Const, Var
-from phwc.maps import tension
+from phwc.maps import PointData, tension
 
 FLAT1 = HermitianMetricField.flat(1)
 
@@ -191,7 +191,7 @@ def test_flow_converges_and_interpolant_is_harmonic():
     g2 = MetricField.euclidean(2)
     for _ in range(20):
         p = rng.uniform(0, 2 * np.pi, 2)
-        t = tension(smooth, g2, FLAT1, p)
+        t = tension(PointData(smooth, g2, p, FLAT1))
         assert t.harmonic_residual <= 10 * stop_tol
     # the limit of a flat-target flow satisfies the PHWC gram check too
     assert discrete_phwc_residual(final) < 1e-8

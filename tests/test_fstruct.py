@@ -23,7 +23,7 @@ from phwc.fstruct import (
 )
 from phwc.geometry import MetricField
 from phwc.jet import Const, Var, exp, sin
-from phwc.maps import SmoothMap, compose, differential
+from phwc.maps import PointData, SmoothMap, compose, differential
 
 EX1 = catalog.immersion_r2_c3()
 EX2 = catalog.linear_r4_c2()
@@ -93,7 +93,7 @@ def quaternionic_twist_field():
 # --------------------------------------------------------------------------
 
 def test_immersion_structure():
-    fp = associated_f_structure(EX1, G2, P2)
+    fp = associated_f_structure(PointData(EX1, G2, P2))
     assert fp.rank == 2
     assert np.allclose(fp.F, [[0, -1], [1, 0]])
     assert np.allclose(fp.F @ fp.F, -np.eye(2))
@@ -107,14 +107,14 @@ def test_immersion_structure():
 def test_constant_map_structure():
     phi = SmoothMap(3, 2, [Const(1.0 + 2j), Const(0.5)])
     g3 = MetricField.euclidean(3)
-    fp = associated_f_structure(phi, g3, (0.1, 0.2, 0.3))
+    fp = associated_f_structure(PointData(phi, g3, (0.1, 0.2, 0.3)))
     assert fp.rank == 0
     assert np.max(np.abs(fp.F)) == 0.0
     assert np.allclose(fp.Pzero, np.eye(3))
 
 
 def test_linear_r4_structure():
-    fp = associated_f_structure(EX2, G4, P4)
+    fp = associated_f_structure(PointData(EX2, G4, P4))
     assert fp.rank == 2
     assert fp.basis_zero.shape == (4, 2)
     # oracle: the differential itself has complex rank 1
@@ -125,17 +125,17 @@ def test_linear_r4_structure():
 def test_gate_rejects_non_phwc_maps():
     phi = SmoothMap(2, 2, [Var(0), Var(1)])
     with pytest.raises(NotPHWCAtPoint):
-        associated_f_structure(phi, G2, (0.5, 0.5))
+        associated_f_structure(PointData(phi, G2, (0.5, 0.5)))
 
 
 def test_ambiguous_rank_is_flagged():
     z = Var(0) + Const(1j) * Var(1)
     phi = SmoothMap(2, 1, [Const(5e-9) * z])
     with pytest.raises(RankDeficiencyAmbiguous):
-        associated_f_structure(phi, G2, (0.3, 0.4))
+        associated_f_structure(PointData(phi, G2, (0.3, 0.4)))
     # well below the band the direction is simply dropped
     tiny = SmoothMap(2, 1, [Const(1e-12) * z])
-    assert associated_f_structure(tiny, G2, (0.3, 0.4)).rank == 0
+    assert associated_f_structure(PointData(tiny, G2, (0.3, 0.4))).rank == 0
 
 
 def test_algebra_residuals_across_random_suite():
@@ -145,7 +145,7 @@ def test_algebra_residuals_across_random_suite():
         psi = catalog.random_holomorphic_map(rng, base.target_cdim, 2)
         comp = compose(psi, base)
         p = rng.uniform(-1, 1, base.domain_dim)
-        fp = associated_f_structure(comp, g, p)
+        fp = associated_f_structure(PointData(comp, g, p))
         assert fp.algebra_residual() <= 1e-10
         assert np.max(np.abs(np.imag(fp.F))) == 0.0
 
@@ -158,7 +158,7 @@ def test_bijection_roundtrip():
     for base, g in [(EX1, G2), (EX2, G4)]:
         for _ in range(5):
             p = rng.uniform(-1, 1, base.domain_dim)
-            fp = associated_f_structure(base, g, p)
+            fp = associated_f_structure(PointData(base, g, p))
             v = raised_span(base, g, p)
             w, vecs = np.linalg.eig(fp.F)
             ker_plus = vecs[:, np.abs(w - 1j) < 1e-8]
@@ -174,11 +174,13 @@ def test_bijection_roundtrip():
 # --------------------------------------------------------------------------
 
 def test_f_holomorphy_of_builtin_maps():
-    fp1 = associated_f_structure(EX1, G2, P2)
-    assert f_holomorphy_residual(EX1, fp1, P2) <= 1e-12
-    fp2 = associated_f_structure(EX2, G4, P4)
-    assert f_holomorphy_residual(EX2, fp2, P4) <= 1e-12
-    assert dphi_kernel_residual(EX2, fp2, P4) <= 1e-12
+    pd1 = PointData(EX1, G2, P2)
+    fp1 = associated_f_structure(pd1)
+    assert f_holomorphy_residual(pd1, fp1) <= 1e-12
+    pd2 = PointData(EX2, G4, P4)
+    fp2 = associated_f_structure(pd2)
+    assert f_holomorphy_residual(pd2, fp2) <= 1e-12
+    assert dphi_kernel_residual(pd2, fp2) <= 1e-12
 
 
 def test_f_holomorphy_of_random_composites():
@@ -187,9 +189,10 @@ def test_f_holomorphy_of_random_composites():
         psi = catalog.random_holomorphic_map(rng, 3, 2)
         comp = compose(psi, EX1)
         p = rng.uniform(-1, 1, 2)
-        fp = associated_f_structure(comp, G2, p)
-        assert f_holomorphy_residual(comp, fp, p) <= 1e-9
-        assert dphi_kernel_residual(comp, fp, p) <= 1e-9
+        pd = PointData(comp, G2, p)
+        fp = associated_f_structure(pd)
+        assert f_holomorphy_residual(pd, fp) <= 1e-9
+        assert dphi_kernel_residual(pd, fp) <= 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -290,7 +293,7 @@ def test_parallel_block_metric():
     assert nijenhuis_residual(f_stencil(phi, g, p)) <= 1e-9
     from phwc.geometry import HermitianMetricField
     from phwc.maps import tension
-    t = tension(phi, g, HermitianMetricField.flat(1), p)
+    t = tension(PointData(phi, g, p, HermitianMetricField.flat(1)))
     assert t.harmonic_residual <= 1e-10
 
 
@@ -461,7 +464,7 @@ def test_theorem_suite_builds_one_stencil_per_point(monkeypatch):
     build = fstruct.associated_f_structure
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[0].p)
         return build(*args, **kwargs)
 
     monkeypatch.setattr(fstruct, "associated_f_structure", counted)

@@ -11,6 +11,7 @@ from phwc.geometry import (
 from phwc.jet import Const, Var, conj, eval_jet2, im, re, sin, cos
 from phwc.maps import (
     DimensionMismatch,
+    PointData,
     SmoothMap,
     antiholomorphy_residual,
     compose,
@@ -30,6 +31,7 @@ G2 = MetricField.euclidean(2)
 G4 = MetricField.euclidean(4)
 H3 = HermitianMetricField.flat(3)
 H2 = HermitianMetricField.flat(2)
+H1 = HermitianMetricField.flat(1)
 
 
 def test_differential_of_builtin_maps():
@@ -54,16 +56,18 @@ def test_differential_constant_map():
 def test_phwc_residual_builtin_maps():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        assert phwc_residual_coord(EX1, G2, rng.uniform(-2, 2, 2)) < 1e-14
-        assert phwc_residual_coord(EX2, G4, rng.uniform(-2, 2, 4)) < 1e-14
+        p2, p4 = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 4)
+        assert phwc_residual_coord(PointData(EX1, G2, p2)) < 1e-14
+        assert phwc_residual_coord(PointData(EX2, G4, p4)) < 1e-14
 
 
 def test_phwc_residual_identity_chart_map():
     # (x1, x2) as a map into C^2 is as far from PHWC as it gets: the (1,1)
     # Gram entry is g^ij d phi^1 d phi^1 = 1.
     phi = SmoothMap(2, 2, [Var(0), Var(1)])
-    assert np.isclose(phwc_residual_coord(phi, G2, (0.2, 0.7)), 1.0)
-    assert phwc_residual_commutator(phi, G2, H2, (0.2, 0.7)) > 0
+    pd = PointData(phi, G2, (0.2, 0.7), H2)
+    assert np.isclose(phwc_residual_coord(pd), 1.0)
+    assert phwc_residual_commutator(pd) > 0
 
 
 def test_isotropy_equals_coordinate_residual():
@@ -74,8 +78,9 @@ def test_isotropy_equals_coordinate_residual():
         phi = catalog.random_polynomial_map(rng, m, n)
         g = catalog.random_polynomial_metric(rng, m)
         p = rng.uniform(-1, 1, m)
-        a = phwc_residual_coord(phi, g, p)
-        b = isotropy_residual(phi, g, p)
+        pd = PointData(phi, g, p)
+        a = phwc_residual_coord(pd)
+        b = isotropy_residual(pd)
         assert abs(a - b) <= 1e-12 * max(1.0, a)
 
 
@@ -88,8 +93,9 @@ def test_commutator_vanishes_iff_coordinate_does():
         else:
             phi = catalog.random_polynomial_map(rng, 2, 2)
             g, h, p = G2, H2, rng.uniform(-1, 1, 2)
-        c = phwc_residual_coord(phi, g, p)
-        k = phwc_residual_commutator(phi, g, h, p)
+        pd = PointData(phi, g, p, h)
+        c = phwc_residual_coord(pd)
+        k = phwc_residual_commutator(pd)
         if c < 1e-10:
             assert k < 1e-8
         else:
@@ -101,7 +107,8 @@ def test_commutator_vanishes_iff_coordinate_does():
 def test_commutator_for_holomorphic_plane_map():
     phi = SmoothMap(2, 1, [(Var(0) + Const(1j) * Var(1)) ** 3])
     for p in [(0.5, -0.3), (1.0, 2.0)]:
-        assert phwc_residual_commutator(phi, G2, HermitianMetricField.flat(1), p) < 1e-12
+        pd = PointData(phi, G2, p, HermitianMetricField.flat(1))
+        assert phwc_residual_commutator(pd) < 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -110,25 +117,25 @@ def test_commutator_for_holomorphic_plane_map():
 
 def test_hwc_linear_conformal_map():
     phi = SmoothMap(2, 1, [Const(2.0) * (Var(0) + Const(1j) * Var(1))])
-    rep = hwc_report(phi, G2, HermitianMetricField.flat(1), (0.3, 0.4))
+    rep = hwc_report(PointData(phi, G2, (0.3, 0.4), H1))
     assert np.isclose(rep.lambda_sq, 4.0)
     assert rep.defect <= 1e-12
 
 
 def test_hwc_defect_of_builtin_maps():
     # the immersion into C^3: defect sqrt(48); the linear R^4 map: defect 8
-    rep1 = hwc_report(EX1, G2, H3, (0.1, 0.2))
+    rep1 = hwc_report(PointData(EX1, G2, (0.1, 0.2), H3))
     assert rep1.defect > 0.5
     assert np.isclose(rep1.defect, np.sqrt(48.0))
     assert np.isclose(rep1.lambda_sq, 1.0)
-    rep2 = hwc_report(EX2, G4, H2, (1.0, -1.0, 0.5, 2.0))
+    rep2 = hwc_report(PointData(EX2, G4, (1.0, -1.0, 0.5, 2.0), H2))
     assert rep2.defect >= 1.0
     assert np.isclose(rep2.defect, 8.0)
 
 
 def test_hwc_zero_differential_point():
     phi = SmoothMap(2, 1, [(Var(0) ** 2 + Var(1) ** 2) * Const(1.0)])
-    rep = hwc_report(phi, G2, HermitianMetricField.flat(1), (0.0, 0.0))
+    rep = hwc_report(PointData(phi, G2, (0.0, 0.0), H1))
     assert rep.lambda_sq == 0.0 and rep.defect <= 1e-15
 
 
@@ -138,9 +145,10 @@ def test_hwc_implies_phwc_threshold():
         f = catalog.holomorphic_polynomial(rng, 1, max_degree=3)
         phi = SmoothMap(2, 1, [f])
         p = rng.uniform(-1, 1, 2)
-        rep = hwc_report(phi, G2, HermitianMetricField.flat(1), p)
+        pd = PointData(phi, G2, p, H1)
+        rep = hwc_report(pd)
         if rep.defect <= 1e-10:
-            assert phwc_residual_coord(phi, G2, p) <= 1e-8
+            assert phwc_residual_coord(pd) <= 1e-8
 
 
 def test_hwc_phwc_equivalence_on_line_targets():
@@ -153,8 +161,9 @@ def test_hwc_phwc_equivalence_on_line_targets():
         else:
             phi = catalog.random_polynomial_map(rng, 2, 1)
         p = rng.uniform(-1, 1, 2)
-        coord = phwc_residual_coord(phi, G2, p)
-        defect = hwc_report(phi, G2, HermitianMetricField.flat(1), p).defect
+        pd = PointData(phi, G2, p, H1)
+        coord = phwc_residual_coord(pd)
+        defect = hwc_report(pd).defect
         if coord <= 1e-10:
             assert defect <= 1e-8
             seen_pass = True
@@ -173,16 +182,28 @@ def test_hwc_phwc_equivalence_on_line_targets():
 def test_tension_of_builtin_maps_vanishes():
     rng = np.random.default_rng(5)
     for _ in range(10):
-        t1 = tension(EX1, G2, H3, rng.uniform(-2, 2, 2))
+        t1 = tension(PointData(EX1, G2, rng.uniform(-2, 2, 2), H3))
         assert t1.harmonic_residual < 1e-13
-        t2 = tension(EX2, G4, H2, rng.uniform(-2, 2, 4))
+        t2 = tension(PointData(EX2, G4, rng.uniform(-2, 2, 4), H2))
         assert t2.harmonic_residual < 1e-13
+
+
+def test_tension_evaluates_phi_once(monkeypatch):
+    calls = []
+    for name in ("jets", "value"):
+        def counted(self, p, _orig=getattr(SmoothMap, name), _name=name):
+            calls.append(_name)
+            return _orig(self, p)
+        monkeypatch.setattr(SmoothMap, name, counted)
+    t = tension(PointData(EX1, G2, (0.3, -0.2), H3))
+    assert t.harmonic_residual < 1e-13
+    assert calls == ["jets"]
 
 
 def test_tension_coordinate_laplacian():
     # |x|^2 as a map R^2 -> C has tau = 4
     phi = SmoothMap(2, 1, [Var(0) ** 2 + Var(1) ** 2])
-    t = tension(phi, G2, HermitianMetricField.flat(1), (0.3, 0.8))
+    t = tension(PointData(phi, G2, (0.3, 0.8), H1))
     assert np.isclose(t.tau[0], 4.0)
     assert np.isclose(t.harmonic_residual, 4.0)
 
@@ -196,7 +217,7 @@ def test_tension_holomorphic_into_curved_target():
     # z^2 into the curved line target: the Gram factor (2z)^2 + (2iz)^2 = 0
     # kills the Christoffel term, so tau = 0 termwise.
     phi = SmoothMap(2, 1, [(Var(0) + Const(1j) * Var(1)) ** 2])
-    t = tension(phi, G2, fubini_study_like(), (1.0, 0.0))
+    t = tension(PointData(phi, G2, (1.0, 0.0), fubini_study_like()))
     assert t.harmonic_residual < 1e-13
 
 
@@ -207,20 +228,20 @@ def test_tension_reparametrized_geodesic():
     phi = SmoothMap(1, 1, [sin(Var(0)) / cos(Var(0))])
     g1 = MetricField.euclidean(1)
     for x in [0.0, 0.4, -0.9, 1.2]:
-        t = tension(phi, g1, fubini_study_like(), (x,))
+        t = tension(PointData(phi, g1, (x,), fubini_study_like()))
         assert t.harmonic_residual < 1e-10
 
 
 def test_tension_requires_kaehler_flag():
     h = catalog.non_kaehler_hermitian_c2()
     with pytest.raises(TargetNotKaehler):
-        tension(EX2, G4, h, (0.0, 0.0, 0.0, 0.0))
+        tension(PointData(EX2, G4, (0.0, 0.0, 0.0, 0.0), h))
 
 
 def test_tension_real_reconstruction():
     phi = catalog.random_polynomial_map(np.random.default_rng(6), 3, 2)
     g = catalog.random_polynomial_metric(np.random.default_rng(7), 3)
-    t = tension(phi, g, H2, (0.1, 0.2, -0.3))
+    t = tension(PointData(phi, g, (0.1, 0.2, -0.3), H2))
     v = t.real_components()
     assert v.dtype == float and len(v) == 4
 
@@ -261,7 +282,7 @@ def test_compose_holomorphic_keeps_phwc():
     rng = np.random.default_rng(10)
     for _ in range(100):
         p = rng.uniform(-2, 2, 2)
-        assert phwc_residual_coord(comp, G2, p) < 1e-12
+        assert phwc_residual_coord(PointData(comp, G2, p)) < 1e-12
 
 
 def test_compose_antiholomorphic_keeps_phwc():
@@ -269,13 +290,14 @@ def test_compose_antiholomorphic_keeps_phwc():
     comp = compose(psi, EX1)
     rng = np.random.default_rng(11)
     for _ in range(20):
-        assert phwc_residual_coord(comp, G2, rng.uniform(-2, 2, 2)) < 1e-13
+        p = rng.uniform(-2, 2, 2)
+        assert phwc_residual_coord(PointData(comp, G2, p)) < 1e-13
 
 
 def test_compose_non_holomorphic_breaks_phwc():
     psi = SmoothMap(6, 1, [catalog.zvar(0) + conj(catalog.zvar(0))])
     comp = compose(psi, EX1)
-    assert phwc_residual_coord(comp, G2, (0.5, 0.5)) > 1e-3
+    assert phwc_residual_coord(PointData(comp, G2, (0.5, 0.5))) > 1e-3
 
 
 def test_compose_dimension_check():
@@ -310,7 +332,7 @@ def test_pullback_holomorphic_functions_through_immersion():
                 assert abs(laplace_beltrami(part, G2, p)) < 1e-9
             # harmonic-morphism strengthening: the pulled-back function is
             # itself horizontally weakly conformal
-            assert hwc_report(pulled, G2, h1, p).defect < 1e-9
+            assert hwc_report(PointData(pulled, G2, p, h1)).defect < 1e-9
 
 
 def test_pullback_pluriharmonic_functions_through_immersion():
@@ -336,8 +358,9 @@ def test_composition_closure_tension():
             hk = HermitianMetricField.flat(2)
             for _ in range(5):
                 p = rng.uniform(-1, 1, base.domain_dim)
-                assert phwc_residual_coord(comp, g, p) <= 1e-10
-                assert tension(comp, g, hk, p).harmonic_residual <= 1e-9
+                pd = PointData(comp, g, p, hk)
+                assert phwc_residual_coord(pd) <= 1e-10
+                assert tension(pd).harmonic_residual <= 1e-9
 
 
 def test_chain_rule_identity():
@@ -354,7 +377,7 @@ def test_chain_rule_identity():
         lhs = (laplace_beltrami(re(pulled.components[0]), G2, p)
                + 1j * laplace_beltrami(im(pulled.components[0]), G2, p))
 
-        tau = tension(phi, G2, H2, p).tau
+        tau = tension(PointData(phi, G2, p, H2)).tau
         x = HermitianMetricField.real_coords(phi.value(p))
         jf = eval_jet2(f.components[0], x)
         from phwc.jet import dz, dzbar, d2_z_z, d2_z_zbar, d2_zbar_zbar
