@@ -66,6 +66,12 @@ def _inverse_checked(g: np.ndarray, what: str) -> np.ndarray:
     return ginv
 
 
+def _real_component(v: complex, i: int, j: int, p) -> float:
+    if abs(v.imag) > 1e-12 * max(1.0, abs(v)):
+        raise MetricNotSPD(f"g_{i+1}{j+1} is not real at {p}")
+    return v.real
+
+
 def _check_spd(gm: np.ndarray, p) -> None:
     if np.min(np.linalg.eigvalsh(gm)) <= SPD_EPS:
         raise MetricNotSPD(f"domain metric not SPD at {p}")
@@ -119,10 +125,8 @@ class MetricField:
         g = np.empty((self.dim, self.dim))
         for i in range(self.dim):
             for j in range(i, self.dim):
-                v = eval_jet2(self.components[i][j], p).value
-                if abs(v.imag) > 1e-12 * max(1.0, abs(v)):
-                    raise MetricNotSPD(f"g_{i+1}{j+1} is not real at {p}")
-                g[i, j] = g[j, i] = v.real
+                g[i, j] = g[j, i] = _real_component(
+                    eval_jet2(self.components[i][j], p).value, i, j, p)
         _check_spd(g, p)
         return g
 
@@ -130,10 +134,14 @@ class MetricField:
         return _inverse_checked(self.matrix(p), "domain metric")
 
     def jets(self, p):
-        """Grid of jets of the components (for metric derivatives)."""
+        """Grid of jets of the components (for metric derivatives); the
+        mirrored entries (j, i) share the jet of (i, j)."""
         p = np.asarray(p, dtype=float)
-        return [[eval_jet2(self.components[i][j], p) for j in range(self.dim)]
-                for i in range(self.dim)]
+        grid = [[None] * self.dim for _ in range(self.dim)]
+        for i in range(self.dim):
+            for j in range(i, self.dim):
+                grid[i][j] = grid[j][i] = eval_jet2(self.components[i][j], p)
+        return grid
 
 
 class HermitianMetricField:
@@ -215,22 +223,29 @@ def _hermitian_jets(h: HermitianMetricField, z):
     return hm, dh
 
 
-def christoffel_domain(g: MetricField, p) -> np.ndarray:
-    """Levi-Civita symbols Gamma^k_ij = g^kl (d_i g_lj + d_j g_li - d_l g_ij)/2,
-    indexed [k, i, j] and symmetric in (i, j)."""
+def _inverse_and_christoffel(g: MetricField, p):
+    """g(p)^-1 and the Levi-Civita symbols from one jet pass of g, with the
+    checks of MetricField.matrix and MetricField.inverse."""
+    p = np.asarray(p, dtype=float)
     m = g.dim
     jets = g.jets(p)
     gm = np.empty((m, m))
     dg = np.empty((m, m, m))  # dg[l, i, j] = d_l g_ij
     for i in range(m):
-        for j in range(m):
-            gm[i, j] = jets[i][j].value.real
-            dg[:, i, j] = jets[i][j].grad.real
-    _check_spd(gm, np.asarray(p))
+        for j in range(i, m):
+            gm[i, j] = gm[j, i] = _real_component(jets[i][j].value, i, j, p)
+            dg[:, i, j] = dg[:, j, i] = jets[i][j].grad.real
+    _check_spd(gm, p)
     ginv = _inverse_checked(gm, "domain metric")
     sym = (np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg)
            - np.einsum("lij->lij", dg))
-    return 0.5 * np.einsum("kl,lij->kij", ginv, sym)
+    return ginv, 0.5 * np.einsum("kl,lij->kij", ginv, sym)
+
+
+def christoffel_domain(g: MetricField, p) -> np.ndarray:
+    """Levi-Civita symbols Gamma^k_ij = g^kl (d_i g_lj + d_j g_li - d_l g_ij)/2,
+    indexed [k, i, j] and symmetric in (i, j)."""
+    return _inverse_and_christoffel(g, p)[1]
 
 
 def christoffel_kaehler(h: HermitianMetricField, z) -> np.ndarray:
@@ -260,8 +275,7 @@ def laplace_beltrami(f: Expr, g: MetricField, p) -> float:
     """Laplace-Beltrami of a real scalar: g^ij (d2_ij f - Gamma^k_ij d_k f)."""
     p = np.asarray(p, dtype=float)
     jf = eval_jet2(f, p)
-    ginv = g.inverse(p)
-    gamma = christoffel_domain(g, p)
+    ginv, gamma = _inverse_and_christoffel(g, p)
     hess = jf.hess
     corr = np.einsum("kij,k->ij", gamma, jf.grad)
     val = np.einsum("ij,ij->", ginv, hess - corr)

@@ -11,12 +11,17 @@ coordinate z^a occupies the real variables (2a, 2a+1) = (re z^a, im z^a).
 
 ``conj``, ``re`` and ``im`` are primitive nodes rather than rewrites because
 holomorphic and antiholomorphic components must stay distinguishable.
-Evaluation is pure and stateless; expression trees can be shared freely
-between threads.
+
+Trees may share subtrees (map composition substitutes one ``re(phi^a)`` node
+at every occurrence).  One :func:`eval_jet2` call evaluates each node object
+once and reuses its jet wherever the node occurs again; nothing is kept
+between calls, so evaluation is pure and expression trees can be shared
+freely between threads.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,13 +79,14 @@ class ParseError(ValueError):
 # Jets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Jet2:
     """Value, gradient and Hessian of a scalar at a point of R^m.
 
     The Hessian is symmetric by construction: every arithmetic rule below
     only ever adds symmetric matrices (symmetrised outer products), so
     ``hess[i, j] == hess[j, i]`` holds exactly, not just to round-off.
+    Jets are never mutated: one jet may stand for several tree nodes.
     """
 
     value: complex
@@ -183,9 +189,10 @@ def jet_var(i: int, p: np.ndarray) -> Jet2:
 # ---------------------------------------------------------------------------
 
 class Expr:
-    """Base class; subclasses implement ``jet`` against a point of R^m."""
+    """Base class; subclasses implement ``jet(at)``, reading the point as
+    ``at.p`` and the jet of a child node as ``at(child)``."""
 
-    def jet(self, p: np.ndarray) -> Jet2:
+    def jet(self, at: "_Evaluation") -> Jet2:
         raise NotImplementedError
 
     # operator sugar so maps and metrics read like formulas
@@ -214,7 +221,7 @@ class Expr:
         return Div(as_expr(other), self)
 
     def __pow__(self, n):
-        return Pow(self, int(n))
+        return Pow(self, n)
 
     def __neg__(self):
         return Sub(Const(0.0), self)
@@ -236,8 +243,8 @@ class Const(Expr):
     def __init__(self, value):
         self.value = complex(value)
 
-    def jet(self, p):
-        return jet_const(self.value, len(p))
+    def jet(self, at):
+        return jet_const(self.value, len(at.p))
 
     def substitute(self, mapping):
         return self
@@ -252,8 +259,8 @@ class Var(Expr):
             raise VariableIndexOutOfRange(f"negative variable index {index}")
         self.index = index
 
-    def jet(self, p):
-        return jet_var(self.index, p)
+    def jet(self, at):
+        return jet_var(self.index, at.p)
 
     def substitute(self, mapping):
         return mapping.get(self.index, self)
@@ -273,32 +280,41 @@ class _Binary(Expr):
 
 
 class Add(_Binary):
-    def jet(self, p):
-        return self.left.jet(p) + self.right.jet(p)
+    def jet(self, at):
+        return at(self.left) + at(self.right)
 
 
 class Sub(_Binary):
-    def jet(self, p):
-        return self.left.jet(p) - self.right.jet(p)
+    def jet(self, at):
+        return at(self.left) - at(self.right)
 
 
 class Mul(_Binary):
-    def jet(self, p):
-        return self.left.jet(p) * self.right.jet(p)
+    def jet(self, at):
+        a, b = at(self.left), at(self.right)
+        # a constant factor has zero derivatives: its product-rule terms vanish
+        if type(self.left) is Const:
+            return Jet2(a.value * b.value, a.value * b.grad, a.value * b.hess)
+        if type(self.right) is Const:
+            return Jet2(a.value * b.value, b.value * a.grad, b.value * a.hess)
+        return a * b
 
 
 class Div(_Binary):
-    def jet(self, p):
-        return self.left.jet(p) / self.right.jet(p)
+    def jet(self, at):
+        return at(self.left) / at(self.right)
 
 
 class Pow(Expr):
     def __init__(self, base: Expr, n: int):
+        if not (isinstance(n, numbers.Integral)
+                or isinstance(n, float) and n.is_integer()):
+            raise TypeError(f"only integer powers are supported, got {n!r}")
         self.base = base
         self.n = int(n)
 
-    def jet(self, p):
-        return self.base.jet(p).powi(self.n)
+    def jet(self, at):
+        return at(self.base).powi(self.n)
 
     def substitute(self, mapping):
         return Pow(self.base.substitute(mapping), self.n)
@@ -310,8 +326,8 @@ class _Unary(Expr):
     def __init__(self, arg: Expr):
         self.arg = arg
 
-    def jet(self, p):
-        return getattr(self.arg.jet(p), self._method)()
+    def jet(self, at):
+        return getattr(at(self.arg), self._method)()
 
     def substitute(self, mapping):
         return type(self)(self.arg.substitute(mapping))
@@ -377,10 +393,27 @@ def im(e) -> Expr:
 I = Const(1j)
 
 
+class _Evaluation:
+    """One evaluation: the point and the jet of every node evaluated so far,
+    keyed by node identity.  The tree outlives the evaluation, so no id is
+    reused while the memo exists."""
+
+    __slots__ = ("p", "memo")
+
+    def __init__(self, p: np.ndarray):
+        self.p = p
+        self.memo: dict[int, Jet2] = {}
+
+    def __call__(self, node: Expr) -> Jet2:
+        j = self.memo.get(id(node))
+        if j is None:
+            j = self.memo[id(node)] = node.jet(self)
+        return j
+
+
 def eval_jet2(e: Expr, p) -> Jet2:
     """Value, gradient and Hessian of ``e`` at the real point ``p``."""
-    p = np.asarray(p, dtype=float)
-    return e.jet(p)
+    return _Evaluation(np.asarray(p, dtype=float))(e)
 
 
 def max_var_index(e: Expr) -> int:

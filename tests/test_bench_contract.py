@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
 
 import phwc
@@ -45,3 +46,28 @@ def test_layers_and_skip_reasons_resolve():
         assert all(callable(getattr(module, n)) for n in module.__all__)
     for reason in tracer.SKIP_REASONS:
         assert issubclass(getattr(phwc.fstruct, reason), Exception)
+
+
+def distinct_nodes(e, seen):
+    if id(e) not in seen:
+        seen.add(id(e))
+        for child in vars(e).values():
+            if isinstance(child, phwc.jet.Expr):
+                distinct_nodes(child, seen)
+    return seen
+
+
+def test_node_counter_sees_each_distinct_node_once():
+    rng = np.random.default_rng(5)
+    psi = phwc.catalog.random_holomorphic_map(rng, 3, 1)
+    comp = phwc.maps.compose(psi, phwc.catalog.immersion_r2_c3()).components[0]
+    t = tracer.Tracer(phwc)
+    t.install()
+    try:
+        t.op(lambda: phwc.jet.eval_jet2(comp, (0.3, -0.7)))
+    finally:
+        t.uninstall()
+    counts = t.counts()
+    assert counts["jet.eval_jet2.calls"] == 1
+    assert counts["jet.node_evals"] == len(distinct_nodes(comp, set()))
+    assert counts["jet.node_repeats"] == 0

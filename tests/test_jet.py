@@ -209,6 +209,109 @@ def test_parsed_first_power_at_zero():
     assert j.value == 0.0 and j.grad[0] == 1.0 and j.hess[0, 0] == 0.0
 
 
+@pytest.mark.parametrize("n", [0.5, 2.9])
+def test_non_integer_power_is_rejected(n):
+    # x1 ** 0.5 at 4 used to read 1 (x1^0) and x1 ** 2.9 at 2 read 4 (x1^2)
+    with pytest.raises(TypeError, match="integer powers"):
+        jet.var(0) ** n
+
+
+def test_integral_float_power_is_accepted():
+    assert eval_jet2(jet.var(0) ** 2.0, [3.0]).value == 9.0
+
+
+# --------------------------------------------------------------------------
+# shared subtrees: each node object is evaluated once per call
+# --------------------------------------------------------------------------
+
+def tree_nodes(e):
+    """Every node occurrence in the tree; a shared node occurs repeatedly."""
+    yield e
+    for child in vars(e).values():
+        if isinstance(child, jet.Expr):
+            yield from tree_nodes(child)
+
+
+def count_node_evals(monkeypatch):
+    """Ids of the nodes whose ``jet`` runs, in call order."""
+    calls = []
+    pending = [jet.Expr]
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if "jet" in vars(cls):
+            def counted(node, at, _orig=vars(cls)["jet"]):
+                calls.append(id(node))
+                return _orig(node, at)
+            monkeypatch.setattr(cls, "jet", counted)
+    return calls
+
+
+def subtree():
+    return (jet.sin(Var(0)) * Var(1) - Const(0.5 - 0.25j) * Var(0) ** 3
+            + Var(1))
+
+
+def every_node_tree(sub):
+    """A tree with every node type in which ``sub()`` occurs five times."""
+    return (jet.cos(sub()) * sub() ** 2
+            + jet.exp(jet.conj(sub()) / (Const(2.5) + jet.cos(Var(0))))
+            - jet.re(sub()) * jet.im(sub()) + Const(1j) * Var(1))
+
+
+def composite_component():
+    from phwc import catalog
+    from phwc.maps import compose
+
+    rng = np.random.default_rng(5)
+    psi = catalog.random_holomorphic_map(rng, 3, 1)
+    return compose(psi, catalog.immersion_r2_c3()).components[0]
+
+
+def test_shared_subtree_equals_rebuilt_tree_exactly():
+    s = subtree()
+    shared = every_node_tree(lambda: s)
+    rebuilt = every_node_tree(subtree)
+    nodes = list(tree_nodes(rebuilt))
+    assert len({id(n) for n in nodes}) == len(nodes)   # nothing to reuse
+    assert len({id(n) for n in tree_nodes(shared)}) < len(nodes)
+    assert {type(n) for n in nodes} == {
+        jet.Const, jet.Var, jet.Add, jet.Sub, jet.Mul, jet.Div, jet.Pow,
+        jet.Sin, jet.Cos, jet.Exp, jet.Conj, jet.Re, jet.Im}
+    for p in [(0.3, -0.7), (1.1, 0.4)]:
+        a, b = eval_jet2(shared, p), eval_jet2(rebuilt, p)
+        assert a.value == b.value
+        assert np.array_equal(a.grad, b.grad)
+        assert np.array_equal(a.hess, b.hess)
+
+
+def test_composite_evaluates_each_node_once(monkeypatch):
+    comp = composite_component()
+    nodes = [id(n) for n in tree_nodes(comp)]
+    assert len(set(nodes)) < len(nodes)   # compose shares re/im(phi^a)
+    calls = count_node_evals(monkeypatch)
+    eval_jet2(comp, (0.3, -0.7))
+    assert sorted(calls) == sorted(set(nodes))
+    calls.clear()
+    eval_jet2(comp, (0.3, -0.7))          # nothing is kept between calls
+    assert sorted(calls) == sorted(set(nodes))
+
+
+def test_division_error_in_shared_denominator_leaves_no_state():
+    def tree(den):
+        return Var(1) / den() + jet.sin(Var(1) / den()) * den()
+
+    d = Var(0) - Const(1.0)
+    shared = tree(lambda: d)
+    with pytest.raises(DivisionNearZero):
+        eval_jet2(shared, (1.0, 2.0))
+    a = eval_jet2(shared, (3.0, 2.0))
+    b = eval_jet2(tree(lambda: Var(0) - Const(1.0)), (3.0, 2.0))
+    assert a.value == b.value
+    assert np.array_equal(a.grad, b.grad)
+    assert np.array_equal(a.hess, b.hess)
+
+
 # --------------------------------------------------------------------------
 # grammar
 # --------------------------------------------------------------------------
