@@ -43,11 +43,10 @@ for _ in range(10):
     f = SmoothMap(6, 1, [holomorphic_polynomial(rng, 3)])
     pulled = compose(f, phi)
     for p in sample_points(rng, 20, [[-1, 1]] * 2):
-        comp = pulled.components[0]
+        pd = PointData(pulled, g2, p, h1)   # g and its Christoffels once
         worst_lap = max(worst_lap,
-                        abs(laplace_beltrami(re(comp), g2, p)))
-        worst_defect = max(worst_defect,
-                           hwc_report(PointData(pulled, g2, p, h1)).defect)
+                        abs(laplace_beltrami(re(pulled.components[0]), pd)))
+        worst_defect = max(worst_defect, hwc_report(pd).defect)
 print(f"  max |Laplacian| of re(f o phi): {worst_lap:.2e}")
 print(f"  max HWC defect of f o phi:      {worst_defect:.2e}  "
       "(pullbacks are full harmonic morphisms)\n")

@@ -47,7 +47,7 @@ print(f"  rank {fp4.rank} on R^4: the kernel of F has real dimension "
       f"{4 - fp4.rank}")
 print(f"  dphi kills the 0-eigenspace: |dphi Pzero| = "
       f"{dphi_kernel_residual(pd4, fp4):.2e}")
-st4 = f_stencil(phi4, g4, p4)   # F at p4 and at p4 +/- h e_l, built once
+st4 = f_stencil(pd4)   # F at p4 and at p4 +/- h e_l, built once
 print(f"  parallel residual  {parallel_residual(st4):.2e}")
 print(f"  nijenhuis residual {nijenhuis_residual(st4):.2e}\n")
 
@@ -57,7 +57,7 @@ g_block = MetricField.diagonal([Const(1.0), Const(1.0),
                                 Const(1.0) + Const(0.5) * var(3) ** 2])
 phi_line = SmoothMap(4, 1, [var(0) + Const(1j) * var(1)])
 p = (0.4, -0.1, 0.8, 0.3)
-st = f_stencil(phi_line, g_block, p)
+st = f_stencil(PointData(phi_line, g_block, p))
 print(f"  parallel residual {parallel_residual(st):.2e}, "
       f"met residual {met_residual(st):.2e}")
 
@@ -65,13 +65,15 @@ print("== ... while a cross-term dependence breaks the mixed condition")
 g_bad = MetricField.diagonal([Const(1.0), Const(1.0),
                               Const(1.0) + var(2) ** 2 + Const(0.2) * var(0),
                               Const(1.0) + Const(0.5) * var(3) ** 2])
-print(f"  met residual {met_residual(f_stencil(phi_line, g_bad, p)):.2e}\n")
+st_bad = f_stencil(PointData(phi_line, g_bad, p))
+print(f"  met residual {met_residual(st_bad):.2e}\n")
 
 print("== fundamental 2-form under a conformal rescale")
 from phwc.jet import exp
 
 g_conf = MetricField.conformal(2, exp(Const(2.0) * var(0)))
-tf = fundamental_two_form(f_stencil(immersion_r2_c3(), g_conf, (0.25, 0.1)))
+tf = fundamental_two_form(
+    f_stencil(PointData(immersion_r2_c3(), g_conf, (0.25, 0.1))))
 print(f"  omega_12 = {tf.omega[0, 1]:+.4f} (= -e^(2 x1)); "
       f"max |domega| = {np.max(np.abs(tf.domega)):.2e} "
       "(3-forms vanish on R^2)")

@@ -8,11 +8,12 @@ The layers, bottom up:
 
 - ``jet``: expression trees and second-order forward-mode jets, plus the
   Wirtinger views used everywhere complex derivatives appear;
-- ``geometry``: metric fields on the domain and the target chart,
-  Christoffel symbols, the Kaehler closedness residual, Laplace-Beltrami;
-- ``maps``: smooth maps, the per-point inputs ``PointData`` (phi's jets,
-  g, g^-1 and h at phi(p), each evaluated once) and the pointwise residuals
-  that read them (three equivalent PHWC forms, horizontal weak conformality fit, tension, pluriharmonicity,
+- ``geometry``: metric fields on the domain and the target chart, g, g^-1
+  and Christoffel symbols at a point from one jet pass (``MetricPoint``),
+  the Kaehler closedness residual, Laplace-Beltrami;
+- ``maps``: smooth maps, the per-point inputs ``PointData`` (a
+  ``MetricPoint`` plus phi's jets and h at phi(p), each evaluated once) and
+  the pointwise residuals that read them (three equivalent PHWC forms, horizontal weak conformality fit, tension, pluriharmonicity,
   composition with +/-holomorphic maps);
 - ``fstruct``: the associated f-structure, its algebra, Nijenhuis and
   parallelism defects, the fundamental 2-form conditions, and the theorem
@@ -46,6 +47,7 @@ from .geometry import (
     MetricField,
     MetricNotPD,
     MetricNotSPD,
+    MetricPoint,
     SourceNotKaehler,
     TargetNotKaehler,
     christoffel_domain,

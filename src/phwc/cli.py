@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from functools import cached_property
 
@@ -153,6 +154,16 @@ class ValidationError(ValueError):
 # manifest parsing and validation
 # ---------------------------------------------------------------------------
 
+def _finite_number(x) -> bool:
+    """A JSON number (not a bool) with a finite float value."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:         # an integer beyond the float range
+        return False
+
+
 def _parse_expression(text, field: str, max_vars: int):
     if not isinstance(text, str):
         raise ValidationError(field, "expected an expression string")
@@ -270,9 +281,13 @@ def validate_manifest(raw: dict) -> None:
     box = sample.get("box", [[-1.0, 1.0]] * dim)
     if (not isinstance(box, list) or len(box) != dim
             or any(not isinstance(iv, list) or len(iv) != 2
-                   or not iv[0] < iv[1] for iv in box)):
+                   or not all(_finite_number(x) for x in iv)
+                   or not iv[0] < iv[1]
+                   or not math.isfinite(float(iv[1]) - float(iv[0]))
+                   for iv in box)):
         raise ValidationError("sample.box",
-                              f"expected {dim} intervals [lo, hi] with lo < hi")
+                              f"expected {dim} intervals [lo, hi] of finite "
+                              "numbers with lo < hi and a finite width")
     if checks and count == 0:
         raise ValidationError("sample.count",
                               "checks are requested but no points are sampled")
@@ -286,7 +301,7 @@ def validate_manifest(raw: dict) -> None:
                 or any(not isinstance(N, int) or N < 4 for N in grid)):
             raise ValidationError("flow.grid",
                                   "expected a list of grid sizes >= 4")
-        if not isinstance(flow.get("dt"), (int, float)) or flow["dt"] <= 0:
+        if not _finite_number(flow.get("dt")) or flow["dt"] <= 0:
             raise ValidationError("flow.dt", "must be a positive number")
         bound = stable_dt_bound(grid)
         if flow["dt"] >= bound:
@@ -299,6 +314,18 @@ def validate_manifest(raw: dict) -> None:
                                   f"expected {cdim} expression strings")
         for a, comp in enumerate(initial):
             _parse_expression(comp, f"flow.initial[{a}]", len(grid))
+        max_steps = flow.get("max_steps", 2000)
+        if (isinstance(max_steps, bool) or not isinstance(max_steps, int)
+                or max_steps < 1):
+            raise ValidationError("flow.max_steps", "must be a positive integer")
+        stop_tol = flow.get("stop_tol", 1e-6)
+        if not _finite_number(stop_tol) or stop_tol <= 0:
+            raise ValidationError("flow.stop_tol",
+                                  "must be a positive finite number")
+        if not isinstance(flow.get("energy_backtrack", True), bool):
+            raise ValidationError("flow.energy_backtrack", "must be a boolean")
+        if not isinstance(flow.get("snapshot", ""), str):
+            raise ValidationError("flow.snapshot", "must be a file path string")
 
 
 def _load_manifest_arg(arg: str) -> dict:
@@ -378,7 +405,7 @@ class _PointChecks(PointData):
 
     @cached_property
     def stencil(self):
-        return f_stencil(self.phi, self.g, self.p, h_step=self.h_step)
+        return f_stencil(self, h_step=self.h_step)
 
 
 def _run_one_check(at: _PointChecks, name: str):
@@ -603,7 +630,12 @@ def run_flow_manifest(raw: dict) -> dict:
         rec.update({"error": f"{type(err).__name__}: {err}", "pass": False})
     else:
         if "snapshot" in flow_block:
-            save_snapshot(final, flow_block["snapshot"])
+            try:
+                save_snapshot(final, flow_block["snapshot"])
+            except OSError as err:
+                raise ValidationError(
+                    "flow.snapshot", f"cannot write {flow_block['snapshot']!r}"
+                    f": {err.strerror}") from err
         rec.update({
             "value": trace[-1][2],
             "pass": bool(trace[-1][2] < cfg.stop_tol),
@@ -660,13 +692,13 @@ def verify_paper(seed: int = 42) -> dict:
                               * jet.Const(rng.uniform(-1, 1))])
         pulled_r = compose(fr, ex1)
         for p in catalog.sample_points(rng, 50, [[-1, 1]] * 2):
+            pd = PointData(pulled, g2, p, h1)
             for part in (jet.re(pulled.components[0]),
                          jet.im(pulled.components[0])):
-                worst_lap = max(worst_lap, abs(laplace_beltrami(part, g2, p)))
-            worst_hwc = max(worst_hwc,
-                            hwc_report(PointData(pulled, g2, p, h1)).defect)
+                worst_lap = max(worst_lap, abs(laplace_beltrami(part, pd)))
+            worst_hwc = max(worst_hwc, hwc_report(pd).defect)
             worst_pluri_lap = max(worst_pluri_lap, abs(
-                laplace_beltrami(pulled_r.components[0], g2, p)))
+                laplace_beltrami(pulled_r.components[0], pd)))
     records.append(_suite_record("pullback_holomorphic_laplacian",
                                  worst_lap, 1e-9))
     records.append(_suite_record("pullback_holomorphic_hwc", worst_hwc, 1e-9))
@@ -755,16 +787,7 @@ def verify_paper(seed: int = 42) -> dict:
 
     meta = {"bundle": "verify-paper", "seed": seed,
             "examples": ["example1", "example2"]}
-    return {
-        "schema": SCHEMA_VERSION,
-        "provenance": {
-            "manifest_sha256": _manifest_hash(meta),
-            "seed": seed,
-            "tool_version": __version__,
-        },
-        "records": records,
-        "summaries": summarize(records),
-    }
+    return _assemble_report(meta, seed, records)
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +802,11 @@ def _parse_tol_overrides(pairs):
         name, _, value = pair.partition("=")
         if name not in CHECK_NAMES:
             raise ValidationError("--tol", f"unknown check {name!r}")
-        out[name] = float(value)
+        try:
+            out[name] = float(value)
+        except ValueError:
+            raise ValidationError(
+                "--tol", f"{name}: {value!r} is not a number") from None
     return out
 
 

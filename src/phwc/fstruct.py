@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HermitianMetricField, MetricField, christoffel_domain, kaehler_residual
+from .geometry import (HermitianMetricField, MetricField, MetricPoint,
+                       _inverse_checked, kaehler_residual)
 from .maps import PointData, SmoothMap, phwc_residual_coord, tension
 
 __all__ = [
@@ -228,13 +229,13 @@ def dphi_kernel_residual(pd: PointData, fp: FStructurePoint) -> float:
 class FStencil:
     """The F-field at p and at each p +/- h e_l, all of one rank.
 
-    plus[l] and minus[l] are the structures at p + h e_l and p - h e_l; every
-    stencil residual below reads its derivatives off this one set of
-    evaluations, and each point's metric off its FStructurePoint.gm.
+    at is the metric at the center p, plus[l] and minus[l] the structures at
+    p + h e_l and p - h e_l; every stencil residual below reads its
+    derivatives off this one set of evaluations, and each point's metric off
+    its FStructurePoint.gm.
     """
 
-    g: MetricField
-    p: np.ndarray
+    at: MetricPoint
     h_step: float
     center: FStructurePoint
     plus: list
@@ -246,30 +247,33 @@ class FStencil:
                          for fp, fm in zip(self.plus, self.minus)])
 
 
-def f_stencil(source, g: MetricField, p,
+def f_stencil(source, g: MetricField | None = None, p=None, *,
               h_step: float = H_STEP,
               rank_tol: float = RANK_TOL,
               phwc_gate: float = PHWC_GATE) -> FStencil:
-    """Evaluate the F-field of source once at p and at each p +/- h e_l.
+    """Evaluate an F-field once at a center p and at each p +/- h e_l.
 
-    source is a SmoothMap, whose associated f-structure is taken (rank_tol
-    and phwc_gate apply to it), or any field x -> FStructurePoint.  Raises
+    f_stencil(pd, ...) takes the associated f-structure of pd.phi (rank_tol
+    and phwc_gate apply to it) with pd itself as the center;
+    f_stencil(field, g, p, ...) any field x -> FStructurePoint.  Raises
     RankJumpOnStencil when the rank is not the same at every stencil point.
     """
-    field = (f_field_of_map(source, g, rank_tol, phwc_gate)
-             if isinstance(source, SmoothMap) else source)
-    p = np.asarray(p, dtype=float)
-    center = field(p)
+    if isinstance(source, PointData):
+        at, center = source, associated_f_structure(source, rank_tol, phwc_gate)
+        field = f_field_of_map(at.phi, at.g, rank_tol, phwc_gate)
+    else:
+        at, field = MetricPoint(g, p), source
+        center = field(at.p)
     plus, minus = [], []
-    for e in h_step * np.eye(len(p)):
-        plus.append(field(p + e))
-        minus.append(field(p - e))
+    for e in h_step * np.eye(len(at.p)):
+        plus.append(field(at.p + e))
+        minus.append(field(at.p - e))
     ranks = {fp.rank for fp in plus + minus + [center]}
     if len(ranks) != 1:
         raise RankJumpOnStencil(
             f"f-structure rank takes values {sorted(ranks)} on the stencil "
-            f"around {p}; derivatives are meaningless there")
-    return FStencil(g=g, p=p, h_step=h_step, center=center, plus=plus,
+            f"around {at.p}; derivatives are meaningless there")
+    return FStencil(at=at, h_step=h_step, center=center, plus=plus,
                     minus=minus)
 
 
@@ -293,7 +297,7 @@ def parallel_residual(st: FStencil) -> float:
     (nabla_i F)^k_j = d_i F^k_j + Gamma^k_il F^l_j - Gamma^l_ij F^k_l."""
     f_mat = st.center.F
     df = st.derivative(lambda fp: fp.F)
-    gamma = christoffel_domain(st.g, st.p)
+    gamma = st.at.gamma
     nabla = (df
              + np.einsum("kil,lj->ikj", gamma, f_mat)
              - np.einsum("lij,kl->ikj", gamma, f_mat))
@@ -356,14 +360,13 @@ def met_residual(st: FStencil) -> float:
     center = st.center
     if center.rank == center.m:
         return 0.0
-    gm = center.gm
-    ginv = np.linalg.inv(gm)
+    gm, ginv = center.gm, st.at.ginv
     # +type covectors are the lowerings of the -i tangent eigenspace
     thetas = gm @ np.conj(center.basis_plus)
-    dtheta = st.derivative(
-        lambda fp: fp.gm @ fp.Pminus @ np.linalg.inv(fp.gm) @ thetas)
+    dtheta = st.derivative(lambda fp: fp.gm @ fp.Pminus @ _inverse_checked(
+        fp.gm, "domain metric") @ thetas)
 
-    gamma = christoffel_domain(st.g, st.p)
+    gamma = st.at.gamma
     qzero = gm @ center.Pzero @ ginv
     worst = 0.0
     for x_vec in center.basis_zero.T:
@@ -452,8 +455,8 @@ def theorem_suite(samples, tol: SuiteTolerances | None = None) -> TheoremSuiteRe
                     continue
 
             try:
-                st = f_stencil(sample.phi, sample.g, point, tol.h_step,
-                               tol.rank_tol, tol.phwc_gate)
+                st = f_stencil(pd, h_step=tol.h_step, rank_tol=tol.rank_tol,
+                               phwc_gate=tol.phwc_gate)
                 resid = {
                     "phwc": phwc_residual_coord(pd),
                     "parallel": parallel_residual(st),

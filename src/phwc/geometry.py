@@ -14,6 +14,8 @@ meaningless.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import jet
@@ -27,6 +29,7 @@ __all__ = [
     "SourceNotKaehler",
     "SPD_EPS",
     "MetricField",
+    "MetricPoint",
     "HermitianMetricField",
     "christoffel_domain",
     "christoffel_kaehler",
@@ -121,17 +124,7 @@ class MetricField:
 
     def matrix(self, p) -> np.ndarray:
         """g(p) as a real SPD matrix; raises MetricNotSPD otherwise."""
-        p = np.asarray(p, dtype=float)
-        g = np.empty((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                g[i, j] = g[j, i] = _real_component(
-                    eval_jet2(self.components[i][j], p).value, i, j, p)
-        _check_spd(g, p)
-        return g
-
-    def inverse(self, p) -> np.ndarray:
-        return _inverse_checked(self.matrix(p), "domain metric")
+        return MetricPoint(self, p).gm
 
     def jets(self, p):
         """Grid of jets of the components (for metric derivatives); the
@@ -142,6 +135,40 @@ class MetricField:
             for j in range(i, self.dim):
                 grid[i][j] = grid[j][i] = eval_jet2(self.components[i][j], p)
         return grid
+
+
+class MetricPoint:
+    """g at one point p from one jet pass of its components: the checked
+    matrix gm, its checked inverse ginv and the Levi-Civita symbols gamma,
+    each computed on first use; one that fails raises in its readers only."""
+
+    def __init__(self, g: MetricField, p):
+        self.g, self.p = g, np.asarray(p, dtype=float)
+
+    @cached_property
+    def _jets(self):
+        return self.g.jets(self.p)
+
+    @cached_property
+    def gm(self) -> np.ndarray:
+        gm = np.array([[_real_component(e.value, i, j, self.p)
+                        for j, e in enumerate(row)]
+                       for i, row in enumerate(self._jets)])
+        _check_spd(gm, self.p)
+        return gm
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        return _inverse_checked(self.gm, "domain metric")
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Levi-Civita symbols, indexed [k, i, j]; see christoffel_domain."""
+        dg = np.array([[e.grad.real for e in row] for row in self._jets])
+        dg = np.ascontiguousarray(dg.transpose(2, 0, 1))  # d_l g_ij at [l, i, j]
+        sym = (np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg)
+               - np.einsum("lij->lij", dg))
+        return 0.5 * np.einsum("kl,lij->kij", self.ginv, sym)
 
 
 class HermitianMetricField:
@@ -223,29 +250,10 @@ def _hermitian_jets(h: HermitianMetricField, z):
     return hm, dh
 
 
-def _inverse_and_christoffel(g: MetricField, p):
-    """g(p)^-1 and the Levi-Civita symbols from one jet pass of g, with the
-    checks of MetricField.matrix and MetricField.inverse."""
-    p = np.asarray(p, dtype=float)
-    m = g.dim
-    jets = g.jets(p)
-    gm = np.empty((m, m))
-    dg = np.empty((m, m, m))  # dg[l, i, j] = d_l g_ij
-    for i in range(m):
-        for j in range(i, m):
-            gm[i, j] = gm[j, i] = _real_component(jets[i][j].value, i, j, p)
-            dg[:, i, j] = dg[:, j, i] = jets[i][j].grad.real
-    _check_spd(gm, p)
-    ginv = _inverse_checked(gm, "domain metric")
-    sym = (np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg)
-           - np.einsum("lij->lij", dg))
-    return ginv, 0.5 * np.einsum("kl,lij->kij", ginv, sym)
-
-
 def christoffel_domain(g: MetricField, p) -> np.ndarray:
     """Levi-Civita symbols Gamma^k_ij = g^kl (d_i g_lj + d_j g_li - d_l g_ij)/2,
     indexed [k, i, j] and symmetric in (i, j)."""
-    return _inverse_and_christoffel(g, p)[1]
+    return MetricPoint(g, p).gamma
 
 
 def christoffel_kaehler(h: HermitianMetricField, z) -> np.ndarray:
@@ -271,12 +279,8 @@ def kaehler_residual(h: HermitianMetricField, z) -> float:
     return float(np.max(np.abs(dh - np.einsum("abc->bac", dh))))
 
 
-def laplace_beltrami(f: Expr, g: MetricField, p) -> float:
-    """Laplace-Beltrami of a real scalar: g^ij (d2_ij f - Gamma^k_ij d_k f)."""
-    p = np.asarray(p, dtype=float)
-    jf = eval_jet2(f, p)
-    ginv, gamma = _inverse_and_christoffel(g, p)
-    hess = jf.hess
-    corr = np.einsum("kij,k->ij", gamma, jf.grad)
-    val = np.einsum("ij,ij->", ginv, hess - corr)
-    return float(val.real)
+def laplace_beltrami(f: Expr, at: MetricPoint) -> float:
+    """Laplace-Beltrami g^ij (d2_ij f - Gamma^k_ij d_k f) of a real scalar."""
+    jf = eval_jet2(f, at.p)
+    corr = np.einsum("kij,k->ij", at.gamma, jf.grad)
+    return float(np.einsum("ij,ij->", at.ginv, jf.hess - corr).real)

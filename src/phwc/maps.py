@@ -28,10 +28,10 @@ from . import jet
 from .geometry import (
     HermitianMetricField,
     MetricField,
+    MetricPoint,
     SourceNotKaehler,
     TargetNotKaehler,
     _inverse_checked,
-    christoffel_domain,
     christoffel_kaehler,
 )
 from .jet import Expr, Jet2, as_expr, eval_jet2
@@ -96,37 +96,27 @@ def differential(phi: SmoothMap, p) -> DifferentialPoint:
                              np.array([j.hess for j in js]))
 
 
-class PointData:
+class PointData(MetricPoint):
     """phi, g and (optionally) the target metric h at one point p.
 
-    Each attribute is evaluated on first use and then shared by every
-    residual that reads it: one jet pass of phi, one domain metric matrix and
-    its checked inverse, the Gram matrix, and h at phi(p).  An attribute that
-    fails raises in the residuals that read it and nowhere else.
+    The MetricPoint of g at p plus one jet pass of phi, the Gram matrix and
+    h at phi(p).  Each attribute is evaluated on first use and then shared by
+    every residual that reads it; one that fails raises in those only.
     """
 
     def __init__(self, phi: SmoothMap, g: MetricField, p,
                  h: HermitianMetricField | None = None):
-        self.phi, self.g, self.h = phi, g, h
-        self.p = np.asarray(p, dtype=float)
+        super().__init__(g, p)
+        self.phi, self.h = phi, h
 
     @cached_property
     def diff(self) -> DifferentialPoint:
         return differential(self.phi, self.p)
 
     @cached_property
-    def gm(self) -> np.ndarray:
-        return self.g.matrix(self.p)
-
-    @cached_property
-    def ginv(self) -> np.ndarray:
-        return _inverse_checked(self.gm, "domain metric")
-
-    @cached_property
     def gram(self) -> np.ndarray:
         """(2,0) Gram matrix M_ab = g^ij d_i phi^a d_j phi^b."""
-        ginv, dphi = self.ginv, self.diff.dphi
-        return dphi @ ginv @ dphi.T
+        return self.diff.dphi @ self.ginv @ self.diff.dphi.T
 
     @cached_property
     def hm(self) -> np.ndarray:
@@ -227,9 +217,8 @@ def tension(pd: PointData) -> TensionPoint:
     if not pd.h.kaehler:
         raise TargetNotKaehler("tension requires a Kaehler-flagged target")
     diff, ginv = pd.diff, pd.ginv
-    gamma_m = christoffel_domain(pd.g, pd.p)
     flat_part = np.einsum("ij,aij->a", ginv, diff.second) \
-        - np.einsum("ij,kij,ak->a", ginv, gamma_m, diff.dphi)
+        - np.einsum("ij,kij,ak->a", ginv, pd.gamma, diff.dphi)
     gamma_n = christoffel_kaehler(pd.h, diff.value)
     return TensionPoint(flat_part + np.einsum("abc,bc->a", gamma_n, pd.gram))
 

@@ -20,7 +20,12 @@ from phwc.fstruct import (
     dphi_kernel_residual,
     theorem_suite,
 )
-from phwc.geometry import HermitianMetricField, MetricField, laplace_beltrami
+from phwc.geometry import (
+    HermitianMetricField,
+    MetricField,
+    MetricPoint,
+    laplace_beltrami,
+)
 from phwc.jet import Const, DivisionNearZero, eval_jet2, im, re
 from phwc.maps import (
     PointData,
@@ -166,10 +171,10 @@ def test_criterion_5_pullback_suite():
         f = SmoothMap(6, 1, [catalog.holomorphic_polynomial(rng, 3)])
         pulled = compose(f, EX1)
         for p in catalog.sample_points(rng, 50, [[-1, 1]] * 2):
+            pd = PointData(pulled, G2, p, H1)
             for part in (re(pulled.components[0]), im(pulled.components[0])):
-                worst_lap = max(worst_lap, abs(laplace_beltrami(part, G2, p)))
-            worst_hwc = max(worst_hwc,
-                            hwc_report(PointData(pulled, G2, p, H1)).defect)
+                worst_lap = max(worst_lap, abs(laplace_beltrami(part, pd)))
+            worst_hwc = max(worst_hwc, hwc_report(pd).defect)
     worst_pluri = 0.0
     for _ in range(20):
         f = SmoothMap(6, 1, [re(catalog.holomorphic_polynomial(rng, 3))
@@ -177,8 +182,8 @@ def test_criterion_5_pullback_suite():
                              * re(catalog.holomorphic_polynomial(rng, 3))])
         pulled = compose(f, EX1)
         for p in catalog.sample_points(rng, 50, [[-1, 1]] * 2):
-            worst_pluri = max(worst_pluri,
-                              abs(laplace_beltrami(pulled.components[0], G2, p)))
+            worst_pluri = max(worst_pluri, abs(laplace_beltrami(
+                pulled.components[0], MetricPoint(G2, p))))
     verdict(5, "pullbacks through the immersion: |Laplacian|<=1e-9 for 20 "
                "holomorphic and 20 pluriharmonic functions; holomorphic "
                "pullbacks have HWC defect<=1e-9",

@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from phwc import fstruct
+from phwc import cli, fstruct, geometry, maps
 from phwc.cli import (
     BUILTIN_MANIFESTS,
     ValidationError,
@@ -146,21 +146,32 @@ def test_arithmetic_errors_recorded_not_fatal(tmp_path, hermitian):
 
 
 def test_run_checks_evaluates_phi_and_g_once_per_point(monkeypatch):
-    calls = {"jets": [], "value": [], "matrix": []}
+    calls = {}
     for cls, name in ((SmoothMap, "jets"), (SmoothMap, "value"),
-                      (MetricField, "matrix")):
-        def counted(self, p, _orig=getattr(cls, name), _name=name):
-            calls[_name].append(tuple(p))
+                      (MetricField, "jets"), (MetricField, "matrix")):
+        key = f"{cls.__name__}.{name}"
+        calls[key] = []
+
+        def counted(self, p, _orig=getattr(cls, name), _key=key):
+            calls[_key].append(tuple(p))
             return _orig(self, p)
         monkeypatch.setattr(cls, name, counted)
+    calls["christoffel_domain"] = []
+    for module in (geometry, maps, fstruct, cli):
+        if hasattr(module, "christoffel_domain"):
+            monkeypatch.setattr(module, "christoffel_domain",
+                                lambda g, p: calls["christoffel_domain"]
+                                .append(tuple(p)))
     raw = parse_manifest(json.dumps(BUILTIN_MANIFESTS["example1"]))
     report = run_checks(raw, count=4)
     assert len(report["records"]) == 4 * 7
     assert all(rec["pass"] for rec in report["records"])
     points = [tuple(rec["point"]) for rec in report["records"][::7]]
-    assert sorted(calls["jets"]) == sorted(points)
-    assert sorted(calls["matrix"]) == sorted(points)
-    assert calls["value"] == []
+    assert sorted(calls["SmoothMap.jets"]) == sorted(points)
+    assert sorted(calls["MetricField.jets"]) == sorted(points)
+    assert calls["SmoothMap.value"] == []
+    assert calls["MetricField.matrix"] == []
+    assert calls["christoffel_domain"] == []
 
 
 def test_target_not_pd_fails_only_the_checks_that_read_h():
@@ -222,7 +233,7 @@ def test_stencil_checks_equal_standalone_functions():
         elif rec["check"] == "f_holomorphy":
             want = fstruct.f_holomorphy_residual(pd, fp)
         else:
-            st = fstruct.f_stencil(phi, g, point, h_step=4e-4)  # 1e-4 * box
+            st = fstruct.f_stencil(pd, h_step=4e-4)  # 1e-4 * box
             want = standalone[rec["check"]](st)
         assert rec["value"] == want
 
@@ -394,6 +405,34 @@ def test_unstable_flow_dt_is_a_validation_error(tmp_path):
     path = tmp_path / "unstable.json"
     path.write_text(json.dumps(raw))
     assert main(["flow", str(path)]) == 2
+
+
+@pytest.mark.parametrize("field, block, value, args", [
+    ("flow.max_steps", "flow", "x", []),
+    ("flow.stop_tol", "flow", None, []),
+    ("flow.energy_backtrack", "flow", "no", []),
+    ("flow.snapshot", "flow", 1, []),
+    ("flow.snapshot", "flow", "<tmp_path>", []),   # a directory
+    ("sample.box", "sample", [["a", "b"], [0, 1]], []),
+    ("sample.box", "sample", [[0, 1e400], [0, 1]], []),
+    ("sample.box", "sample", [[-1.7e308, 1.7e308], [0, 1]], []),
+    ("--tol", None, None, ["--tol", "phwc=abc"]),
+])
+def test_invalid_field_exits_2_and_names_it(tmp_path, capsys, field, block,
+                                            value, args):
+    if block == "flow":
+        raw = flow_manifest("flat", "sin(x1)")
+        raw["flow"]["max_steps"] = 5
+    else:
+        raw = json.loads(manifest_text())
+    if block is not None:
+        key = field.split(".")[1]
+        raw[block][key] = str(tmp_path) if value == "<tmp_path>" else value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(raw))
+    command = "flow" if block == "flow" else "check"
+    assert main([command, str(path), *args]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
 def test_sweep_uses_larger_sample(tmp_path):

@@ -200,7 +200,7 @@ def test_f_holomorphy_of_random_composites():
 # --------------------------------------------------------------------------
 
 def test_nijenhuis_constant_fields():
-    assert nijenhuis_residual(f_stencil(EX1, G2, P2)) <= 1e-10
+    assert nijenhuis_residual(f_stencil(PointData(EX1, G2, P2))) <= 1e-10
     j_std = np.array([[0., -1, 0, 0], [1, 0, 0, 0],
                       [0, 0, 0, -1], [0, 0, 1, 0]])
     field = constant_f_field(j_std, G4)
@@ -213,9 +213,9 @@ def test_nijenhuis_of_holomorphic_family():
     psi = SmoothMap(6, 3, [catalog.zvar(0) ** 2, catalog.zvar(1),
                            catalog.zvar(2)])
     comp = compose(psi, EX1)
-    assert nijenhuis_residual(f_stencil(comp, G2, (0.7, 0.2))) <= 1e-6
-    assert nijenhuis_residual(
-        f_stencil(comp, G2, (0.7, 0.2), h_step=0.5e-4)) <= 1e-6
+    pd = PointData(comp, G2, (0.7, 0.2))
+    assert nijenhuis_residual(f_stencil(pd)) <= 1e-6
+    assert nijenhuis_residual(f_stencil(pd, h_step=0.5e-4)) <= 1e-6
 
 
 def bracket_nijenhuis_oracle(field, p, h=1e-5):
@@ -267,9 +267,9 @@ STENCIL_RESIDUALS = [nijenhuis_residual, parallel_residual,
 def test_rank_jump_detected(op):
     phi = SmoothMap(2, 1, [(Var(0) + Const(1j) * Var(1)) ** 2])
     with pytest.raises(RankJumpOnStencil):
-        op(f_stencil(phi, G2, (0.0, 0.0)))
+        op(f_stencil(PointData(phi, G2, (0.0, 0.0))))
     # away from the branch point the field is clean
-    assert op(f_stencil(phi, G2, (0.6, 0.1))) <= 1e-6
+    assert op(f_stencil(PointData(phi, G2, (0.6, 0.1)))) <= 1e-6
 
 
 # --------------------------------------------------------------------------
@@ -277,8 +277,8 @@ def test_rank_jump_detected(op):
 # --------------------------------------------------------------------------
 
 def test_parallel_constant_structures():
-    assert parallel_residual(f_stencil(EX1, G2, P2)) <= 1e-10
-    assert parallel_residual(f_stencil(EX2, G4, P4)) <= 1e-10
+    assert parallel_residual(f_stencil(PointData(EX1, G2, P2))) <= 1e-10
+    assert parallel_residual(f_stencil(PointData(EX2, G4, P4))) <= 1e-10
 
 
 def test_parallel_block_metric():
@@ -289,8 +289,8 @@ def test_parallel_block_metric():
                               Const(1.0) + Const(0.5) * Var(3) ** 2])
     phi = SmoothMap(4, 1, [Var(0) + Const(1j) * Var(1)])
     p = (0.4, -0.1, 0.8, 0.3)
-    assert parallel_residual(f_stencil(phi, g, p)) <= 1e-9
-    assert nijenhuis_residual(f_stencil(phi, g, p)) <= 1e-9
+    assert parallel_residual(f_stencil(PointData(phi, g, p))) <= 1e-9
+    assert nijenhuis_residual(f_stencil(PointData(phi, g, p))) <= 1e-9
     from phwc.geometry import HermitianMetricField
     from phwc.maps import tension
     t = tension(PointData(phi, g, p, HermitianMetricField.flat(1)))
@@ -302,8 +302,8 @@ def test_parallel_implies_integrable_on_suite():
     for base, g in [(EX1, G2), (EX2, G4)]:
         for _ in range(5):
             p = rng.uniform(-1, 1, base.domain_dim)
-            par = parallel_residual(f_stencil(base, g, p))
-            nij = nijenhuis_residual(f_stencil(base, g, p))
+            par = parallel_residual(f_stencil(PointData(base, g, p)))
+            nij = nijenhuis_residual(f_stencil(PointData(base, g, p)))
             assert par <= 1e-8
             assert nij <= 100 * max(par, 1e-10)
 
@@ -319,7 +319,7 @@ def test_parallel_nonzero_for_twisted_field():
 # --------------------------------------------------------------------------
 
 def test_two_form_immersion():
-    tf = fundamental_two_form(f_stencil(EX1, G2, P2))
+    tf = fundamental_two_form(f_stencil(PointData(EX1, G2, P2)))
     assert np.allclose(tf.omega, [[0, -1], [1, 0]])
     assert np.max(np.abs(tf.domega)) <= 1e-10
     assert np.allclose(tf.omega, -tf.omega.T)
@@ -338,7 +338,7 @@ def test_two_form_conformal_metric():
 def test_two_form_antisymmetries():
     g = varying_metric_r4()
     tf = fundamental_two_form(
-        f_stencil(EX2, g, (0.4, -0.2, 0.7, 0.1), h_step=1e-3))
+        f_stencil(PointData(EX2, g, (0.4, -0.2, 0.7, 0.1)), h_step=1e-3))
     assert np.allclose(tf.omega, -tf.omega.T, atol=1e-12)
     d = tf.domega
     assert np.allclose(d, -np.einsum("jik->ijk", d), atol=1e-9)
@@ -346,7 +346,7 @@ def test_two_form_antisymmetries():
 
 
 def test_domega12_constant_cases():
-    assert domega_12_residual(f_stencil(EX2, G4, P4)) <= 1e-10
+    assert domega_12_residual(f_stencil(PointData(EX2, G4, P4))) <= 1e-10
     j_std = np.array([[0., -1, 0, 0], [1, 0, 0, 0],
                       [0, 0, 0, -1], [0, 0, 1, 0]])
     field = constant_f_field(j_std, G4)
@@ -359,7 +359,7 @@ def test_domega12_constant_cases():
 
 def test_met_vacuous_cases():
     # flat, constant frames
-    assert met_residual(f_stencil(EX2, G4, P4)) <= 1e-10
+    assert met_residual(f_stencil(PointData(EX2, G4, P4))) <= 1e-10
     fp_full = quaternionic_twist_field()
     # rank 4
     assert met_residual(f_stencil(fp_full, G4, (0.3, 0.0, 0.0, 0.0))) == 0.0
@@ -394,7 +394,7 @@ def test_met_block_metrics(perturb):
     g = MetricField.diagonal(entries)
     phi = SmoothMap(4, 1, [Var(0) + Const(1j) * Var(1)])
     p = (0.4, -0.1, 0.8, 0.3)
-    got = met_residual(f_stencil(phi, g, p))
+    got = met_residual(f_stencil(PointData(phi, g, p)))
     oracle = met_adapted_oracle(g, p)
     if perturb:
         assert oracle > 1e-3 and got > 1e-3
@@ -409,7 +409,8 @@ def test_met_block_metrics(perturb):
 def test_stencil_consistency_under_halving():
     g = varying_metric_r4()
     p = np.array([0.4, -0.2, 0.7, 0.1])
-    st = {h: f_stencil(EX2, g, p, h_step=h) for h in (0.1, 0.05, 0.025)}
+    st = {h: f_stencil(PointData(EX2, g, p), h_step=h)
+          for h in (0.1, 0.05, 0.025)}
     r = [nijenhuis_residual(st[h]) for h in (0.1, 0.05, 0.025)]
     d1, d2 = abs(r[1] - r[0]), abs(r[2] - r[1])
     assert d2 <= 0.6 * d1
@@ -472,6 +473,33 @@ def test_theorem_suite_builds_one_stencil_per_point(monkeypatch):
         "linear_c2", EX2, G4, HermitianMetricField.flat(2), [P4])])
     assert report.checked == 1
     assert len(calls) == 2 * 4 + 1   # center and p +/- h e_l, once each
+
+
+def test_theorem_suite_evaluates_g_once_per_point(monkeypatch):
+    from phwc.geometry import HermitianMetricField
+
+    jets, centers = [], []
+    g_jets, pd_init = MetricField.jets, PointData.__init__
+    points = [P4, (0.2, -0.7, 1.1, 0.4)]
+
+    def counted_jets(self, p):
+        jets.append(tuple(p))
+        return g_jets(self, p)
+
+    def counted_init(self, *args, **kwargs):
+        pd_init(self, *args, **kwargs)
+        if any(np.array_equal(self.p, q) for q in points):
+            centers.append(tuple(self.p))
+
+    monkeypatch.setattr(MetricField, "jets", counted_jets)
+    monkeypatch.setattr(PointData, "__init__", counted_init)
+    report = theorem_suite([SuiteSample(
+        "linear_c2", EX2, G4, HermitianMetricField.flat(2), points)])
+    assert report.checked == 2
+    # one jet pass of g at each center and at each p +/- h e_l
+    assert len(jets) == len(set(jets)) == 2 * (2 * 4 + 1)
+    # kaehler, phwc, tension and the stencil center share one PointData
+    assert sorted(centers) == sorted(tuple(map(float, q)) for q in points)
 
 
 def test_theorem_suite_skips_non_phwc():

@@ -6,6 +6,7 @@ from phwc.geometry import (
     MetricField,
     MetricNotPD,
     MetricNotSPD,
+    MetricPoint,
     christoffel_domain,
     christoffel_kaehler,
     kaehler_residual,
@@ -107,7 +108,8 @@ def test_inverse_identity_check():
     rng = np.random.default_rng(9)
     g = random_polynomial_metric(rng, 3)
     p = (0.1, -0.4, 0.9)
-    assert np.max(np.abs(g.matrix(p) @ g.inverse(p) - np.eye(3))) <= 1e-12
+    at = MetricPoint(g, p)
+    assert np.max(np.abs(g.matrix(p) @ at.ginv - np.eye(3))) <= 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -264,12 +266,13 @@ def fd_laplacian_flat(f, p, step=1e-4):
 def test_laplacian_harmonic_polynomial():
     g = MetricField.euclidean(2)
     f = Var(0) ** 2 - Var(1) ** 2
-    assert abs(laplace_beltrami(f, g, (0.7, -0.4))) < 1e-12
+    assert abs(laplace_beltrami(f, MetricPoint(g, (0.7, -0.4)))) < 1e-12
 
 
 def test_laplacian_x_squared():
     g = MetricField.euclidean(2)
-    assert np.isclose(laplace_beltrami(Var(0) ** 2, g, (1.3, 2.0)), 2.0)
+    at = MetricPoint(g, (1.3, 2.0))
+    assert np.isclose(laplace_beltrami(Var(0) ** 2, at), 2.0)
 
 
 def test_laplacian_real_part_of_cube():
@@ -278,7 +281,7 @@ def test_laplacian_real_part_of_cube():
     rng = np.random.default_rng(13)
     for _ in range(50):
         p = rng.uniform(-2, 2, size=2)
-        assert abs(laplace_beltrami(f, g, p)) < 1e-11
+        assert abs(laplace_beltrami(f, MetricPoint(g, p))) < 1e-11
         assert abs(fd_laplacian_flat(f, p)) < 1e-5
 
 
@@ -287,7 +290,7 @@ def test_laplacian_flat_equals_coordinate_laplacian():
     f = parse_expr("sin(x1)*x2^2 + exp(x3)")
     p = (0.3, 1.1, -0.2)
     want = (-np.sin(0.3) * 1.1**2) + 2 * np.sin(0.3) + np.exp(-0.2)
-    assert np.isclose(laplace_beltrami(f, g, p), want)
+    assert np.isclose(laplace_beltrami(f, MetricPoint(g, p)), want)
 
 
 def test_laplacian_respects_metric():
@@ -296,4 +299,5 @@ def test_laplacian_respects_metric():
     g = MetricField.conformal(2, exp(Const(2.0) * Var(0)))
     f = Var(0) ** 2
     p = (0.5, 0.2)
-    assert np.isclose(laplace_beltrami(f, g, p), np.exp(-1.0) * 2.0)
+    assert np.isclose(laplace_beltrami(f, MetricPoint(g, p)),
+                      np.exp(-1.0) * 2.0)

@@ -5,6 +5,7 @@ from phwc import catalog
 from phwc.geometry import (
     HermitianMetricField,
     MetricField,
+    MetricPoint,
     TargetNotKaehler,
     laplace_beltrami,
 )
@@ -327,12 +328,12 @@ def test_pullback_holomorphic_functions_through_immersion():
         f = SmoothMap(6, 1, [catalog.holomorphic_polynomial(rng, 3)])
         pulled = compose(f, EX1)
         for _ in range(5):
-            p = rng.uniform(-1, 1, 2)
+            pd = PointData(pulled, G2, rng.uniform(-1, 1, 2), h1)
             for part in (re(pulled.components[0]), im(pulled.components[0])):
-                assert abs(laplace_beltrami(part, G2, p)) < 1e-9
+                assert abs(laplace_beltrami(part, pd)) < 1e-9
             # harmonic-morphism strengthening: the pulled-back function is
             # itself horizontally weakly conformal
-            assert hwc_report(PointData(pulled, G2, p, h1)).defect < 1e-9
+            assert hwc_report(pd).defect < 1e-9
 
 
 def test_pullback_pluriharmonic_functions_through_immersion():
@@ -345,8 +346,8 @@ def test_pullback_pluriharmonic_functions_through_immersion():
             f, rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)) < 1e-10
         pulled = compose(f, EX1)
         for _ in range(5):
-            p = rng.uniform(-1, 1, 2)
-            assert abs(laplace_beltrami(pulled.components[0], G2, p)) < 1e-9
+            at = MetricPoint(G2, rng.uniform(-1, 1, 2))
+            assert abs(laplace_beltrami(pulled.components[0], at)) < 1e-9
 
 
 def test_composition_closure_tension():
@@ -374,8 +375,9 @@ def test_chain_rule_identity():
         pulled = compose(f, phi)
         p = rng.uniform(-0.8, 0.8, 2)
 
-        lhs = (laplace_beltrami(re(pulled.components[0]), G2, p)
-               + 1j * laplace_beltrami(im(pulled.components[0]), G2, p))
+        at = MetricPoint(G2, p)
+        lhs = (laplace_beltrami(re(pulled.components[0]), at)
+               + 1j * laplace_beltrami(im(pulled.components[0]), at))
 
         tau = tension(PointData(phi, G2, p, H2)).tau
         x = HermitianMetricField.real_coords(phi.value(p))
