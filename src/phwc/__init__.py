@@ -8,11 +8,11 @@ The layers, bottom up:
 
 - ``jet``: expression trees and second-order forward-mode jets, plus the
   Wirtinger views used everywhere complex derivatives appear;
-- ``geometry``: metric fields on the domain and the target chart, g, g^-1
-  and Christoffel symbols at a point from one jet pass (``MetricPoint``),
-  the Kaehler closedness residual, Laplace-Beltrami;
+- ``geometry``: metric fields; g, g^-1, Gamma and Laplace-Beltrami at a point
+  from one jet pass (``MetricPoint``), h, h^-1, Gamma and the Kaehler residual
+  from one pass of h (``HermitianPoint``);
 - ``maps``: smooth maps, the per-point inputs ``PointData`` (a
-  ``MetricPoint`` plus phi's jets and h at phi(p), each evaluated once) and
+  ``MetricPoint`` plus phi's jets and the ``HermitianPoint`` at phi(p)) and
   the pointwise residuals that read them (three equivalent PHWC forms, horizontal weak conformality fit, tension, pluriharmonicity,
   composition with +/-holomorphic maps);
 - ``fstruct``: the associated f-structure, its algebra, Nijenhuis and
@@ -44,6 +44,7 @@ from .jet import (
 )
 from .geometry import (
     HermitianMetricField,
+    HermitianPoint,
     MetricField,
     MetricNotPD,
     MetricNotSPD,

@@ -69,7 +69,6 @@ from .geometry import (
     GeometryError,
     HermitianMetricField,
     MetricField,
-    kaehler_residual,
     laplace_beltrami,
 )
 from .jet import ParseError, VariableIndexOutOfRange
@@ -154,6 +153,11 @@ class ValidationError(ValueError):
 # manifest parsing and validation
 # ---------------------------------------------------------------------------
 
+def _integer(x) -> bool:
+    """A JSON integer, not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _finite_number(x) -> bool:
     """A JSON number (not a bool) with a finite float value."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
@@ -210,7 +214,7 @@ def validate_manifest(raw: dict) -> None:
     if not isinstance(domain, dict) or "dim" not in domain:
         raise ValidationError("domain", "missing object with a 'dim' field")
     dim = domain["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _integer(dim) or dim < 1:
         raise ValidationError("domain.dim", "must be a positive integer")
     metric = domain.get("metric", "euclidean")
     if isinstance(metric, str):
@@ -225,7 +229,7 @@ def validate_manifest(raw: dict) -> None:
     if not isinstance(target, dict) or "cdim" not in target:
         raise ValidationError("target", "missing object with a 'cdim' field")
     cdim = target["cdim"]
-    if not isinstance(cdim, int) or cdim < 1:
+    if not _integer(cdim) or cdim < 1:
         raise ValidationError("target.cdim", "must be a positive integer")
     hermitian = target.get("hermitian", "flat")
     if isinstance(hermitian, str):
@@ -263,8 +267,9 @@ def validate_manifest(raw: dict) -> None:
                 f"checks[{idx}]", "pluriharmonic needs an even-dimensional "
                 "domain chart")
         if isinstance(entry, dict):
-            if "tol" in entry and not isinstance(entry["tol"], (int, float)):
-                raise ValidationError(f"checks[{idx}].tol", "must be a number")
+            if "tol" in entry and not _finite_number(entry["tol"]):
+                raise ValidationError(f"checks[{idx}].tol",
+                                      "must be a finite number")
             if "negate" in entry and not isinstance(entry["negate"], bool):
                 raise ValidationError(f"checks[{idx}].negate",
                                       "must be a boolean")
@@ -273,11 +278,14 @@ def validate_manifest(raw: dict) -> None:
     if not isinstance(sample, dict):
         raise ValidationError("sample", "must be an object")
     count = sample.get("count", 0)
-    if not isinstance(count, int) or count < 0:
+    if not _integer(count) or count < 0:
         raise ValidationError("sample.count", "must be a non-negative integer")
-    if count > 0 and not isinstance(sample.get("seed"), int):
+    seed = sample.get("seed")
+    if count > 0 and seed is None:
         raise ValidationError("sample.seed",
                               "a seed is mandatory when count > 0")
+    if seed is not None and (not _integer(seed) or seed < 0):
+        raise ValidationError("sample.seed", "must be a non-negative integer")
     box = sample.get("box", [[-1.0, 1.0]] * dim)
     if (not isinstance(box, list) or len(box) != dim
             or any(not isinstance(iv, list) or len(iv) != 2
@@ -315,8 +323,7 @@ def validate_manifest(raw: dict) -> None:
         for a, comp in enumerate(initial):
             _parse_expression(comp, f"flow.initial[{a}]", len(grid))
         max_steps = flow.get("max_steps", 2000)
-        if (isinstance(max_steps, bool) or not isinstance(max_steps, int)
-                or max_steps < 1):
+        if not _integer(max_steps) or max_steps < 1:
             raise ValidationError("flow.max_steps", "must be a positive integer")
         stop_tol = flow.get("stop_tol", 1e-6)
         if not _finite_number(stop_tol) or stop_tol <= 0:
@@ -380,7 +387,7 @@ class _Context:
             return
         for at in ats[:10]:
             try:
-                kr = kaehler_residual(self.h, at.diff.value)
+                kr = at.target.kaehler
             except OPERATION_ERRORS:
                 continue
             if kr > 1e-10:
@@ -693,9 +700,8 @@ def verify_paper(seed: int = 42) -> dict:
         pulled_r = compose(fr, ex1)
         for p in catalog.sample_points(rng, 50, [[-1, 1]] * 2):
             pd = PointData(pulled, g2, p, h1)
-            for part in (jet.re(pulled.components[0]),
-                         jet.im(pulled.components[0])):
-                worst_lap = max(worst_lap, abs(laplace_beltrami(part, pd)))
+            lap = pd.laplacian(pd.diff.dphi[0], pd.diff.second[0])
+            worst_lap = max(worst_lap, abs(lap.real), abs(lap.imag))
             worst_hwc = max(worst_hwc, hwc_report(pd).defect)
             worst_pluri_lap = max(worst_pluri_lap, abs(
                 laplace_beltrami(pulled_r.components[0], pd)))
@@ -803,10 +809,13 @@ def _parse_tol_overrides(pairs):
         if name not in CHECK_NAMES:
             raise ValidationError("--tol", f"unknown check {name!r}")
         try:
-            out[name] = float(value)
+            tol = float(value)
         except ValueError:
+            tol = math.nan
+        if not math.isfinite(tol):
             raise ValidationError(
-                "--tol", f"{name}: {value!r} is not a number") from None
+                "--tol", f"{name}: {value!r} is not a finite number")
+        out[name] = tol
     return out
 
 
@@ -860,6 +869,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        for flag in ("seed", "points"):
+            if (getattr(args, flag, None) or 0) < 0:
+                raise ValidationError(f"--{flag}", "must not be negative")
         if args.command in ("check", "sweep"):
             raw = _load_manifest_arg(args.manifest)
             count = args.points

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (HermitianMetricField, MetricField, MetricPoint,
-                       _inverse_checked, kaehler_residual)
+                       _inverse_checked)
 from .maps import PointData, SmoothMap, phwc_residual_coord, tension
 
 __all__ = [
@@ -446,7 +446,7 @@ def theorem_suite(samples, tol: SuiteTolerances | None = None) -> TheoremSuiteRe
 
             pd = PointData(sample.phi, sample.g, point, sample.h)
             if sample.h.kaehler:
-                kr = kaehler_residual(sample.h, pd.diff.value)
+                kr = pd.target.kaehler
                 rec.residuals["kaehler"] = kr
                 if kr > tol.kaehler_tol:
                     rec.status = "counterexample"

@@ -3,9 +3,10 @@
 The domain carries a Riemannian metric given by an m x m grid of real-valued
 expressions g_ij(x); the target is a single holomorphic chart of C^n with a
 Hermitian component grid h_{a bbar}(z) written in the interleaved real
-coordinates (re z^1, im z^1, ..., re z^n, im z^n).  Both metric types are
-immutable and all operations are pure, so point sweeps can run concurrently
-over shared fields.
+coordinates (re z^1, im z^1, ..., re z^n, im z^n).  At a point, MetricPoint
+holds g, g^-1, Gamma and Laplace-Beltrami from one jet pass of g, and
+HermitianPoint holds h, h^-1, its symbols and Kaehler residual from one of h.
+Fields are immutable and all operations pure, so sweeps can run concurrently.
 
 Points where positivity fails abort with an error instead of being
 regularised: a residual computed through a repaired metric would be
@@ -31,6 +32,7 @@ __all__ = [
     "MetricField",
     "MetricPoint",
     "HermitianMetricField",
+    "HermitianPoint",
     "christoffel_domain",
     "christoffel_kaehler",
     "kaehler_residual",
@@ -170,6 +172,12 @@ class MetricPoint:
                - np.einsum("lij->lij", dg))
         return 0.5 * np.einsum("kl,lij->kij", self.ginv, sym)
 
+    def laplacian(self, grad, hess):
+        """Laplace-Beltrami g^ij (hess_ij - Gamma^k_ij grad_k) of the jets
+        grad (..., m), hess (..., m, m) of a scalar or of map components."""
+        corr = np.einsum("kij,...k->...ij", self.gamma, grad)
+        return np.einsum("ij,...ij->...", self.ginv, hess - corr)
+
 
 class HermitianMetricField:
     """Hermitian metric h_{a bbar}(z) on a chart of C^n.
@@ -227,13 +235,7 @@ class HermitianMetricField:
 
     def matrix(self, z) -> np.ndarray:
         """h(z) as a Hermitian PD matrix; raises MetricNotPD otherwise."""
-        x = self.real_coords(z)
-        h = np.empty((self.cdim, self.cdim), dtype=complex)
-        for a in range(self.cdim):
-            for b in range(self.cdim):
-                h[a, b] = eval_jet2(self.components[a][b], x).value
-        _check_hermitian_pd(h, z)
-        return 0.5 * (h + h.conj().T)
+        return HermitianPoint(self, z).hm
 
     def jets(self, z):
         x = self.real_coords(z)
@@ -241,13 +243,37 @@ class HermitianMetricField:
                 for a in range(self.cdim)]
 
 
-def _hermitian_jets(h: HermitianMetricField, z):
-    """h(z) and dh[b, c, d] = d_{z^b} h_{c dbar} from one jet pass."""
-    jets = h.jets(z)
-    hm = np.array([[j.value for j in row] for row in jets], dtype=complex)
-    dh = np.array([[[jet.dz(j, b) for j in row] for row in jets]
-                   for b in range(h.cdim)], dtype=complex)
-    return hm, dh
+class HermitianPoint:
+    """h at z from one jet pass, made on construction, and from it the checked
+    symmetrised hm, checked hinv, dh[b, c, d] = d_{z^b} h_{c dbar}, gamma
+    (christoffel_kaehler) and kaehler (kaehler_residual), each on first use;
+    one that fails raises in its readers only."""
+
+    def __init__(self, h: HermitianMetricField, z):
+        self.h, self.z, self._jets = h, z, h.jets(z)
+
+    @cached_property
+    def hm(self) -> np.ndarray:
+        hm = np.array([[j.value for j in r] for r in self._jets], complex)
+        _check_hermitian_pd(hm, self.z)
+        return 0.5 * (hm + hm.conj().T)
+
+    @cached_property
+    def hinv(self) -> np.ndarray:
+        return _inverse_checked(self.hm, "target metric")
+
+    @cached_property
+    def dh(self) -> np.ndarray:
+        return np.array([[[jet.dz(j, b) for j in row] for row in self._jets]
+                         for b in range(self.h.cdim)], dtype=complex)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return np.einsum("bcd,da->abc", self.dh, self.hinv)
+
+    @cached_property
+    def kaehler(self) -> float:
+        return float(np.max(np.abs(self.dh - np.einsum("abc->bac", self.dh))))
 
 
 def christoffel_domain(g: MetricField, p) -> np.ndarray:
@@ -263,10 +289,7 @@ def christoffel_kaehler(h: HermitianMetricField, z) -> np.ndarray:
     Valid for Kaehler metrics, where they are symmetric in (b, c); the raw
     formula is evaluated in whatever holomorphic coordinates the chart uses.
     """
-    hm, dh = _hermitian_jets(h, z)
-    _check_hermitian_pd(hm, z)
-    hinv = _inverse_checked(hm, "target metric")  # hinv[d, a]: h_{c dbar} h^{dbar a}
-    return np.einsum("bcd,da->abc", dh, hinv)
+    return HermitianPoint(h, z).gamma
 
 
 def kaehler_residual(h: HermitianMetricField, z) -> float:
@@ -275,12 +298,10 @@ def kaehler_residual(h: HermitianMetricField, z) -> float:
     Zero exactly when the associated 2-form is closed, i.e. the metric is
     Kaehler on the chart.
     """
-    _, dh = _hermitian_jets(h, z)
-    return float(np.max(np.abs(dh - np.einsum("abc->bac", dh))))
+    return HermitianPoint(h, z).kaehler
 
 
 def laplace_beltrami(f: Expr, at: MetricPoint) -> float:
     """Laplace-Beltrami g^ij (d2_ij f - Gamma^k_ij d_k f) of a real scalar."""
     jf = eval_jet2(f, at.p)
-    corr = np.einsum("kij,k->ij", at.gamma, jf.grad)
-    return float(np.einsum("ij,ij->", at.ginv, jf.hess - corr).real)
+    return float(at.laplacian(jf.grad, jf.hess).real)

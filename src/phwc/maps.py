@@ -27,11 +27,11 @@ import numpy as np
 from . import jet
 from .geometry import (
     HermitianMetricField,
+    HermitianPoint,
     MetricField,
     MetricPoint,
     SourceNotKaehler,
     TargetNotKaehler,
-    _inverse_checked,
     christoffel_kaehler,
 )
 from .jet import Expr, Jet2, as_expr, eval_jet2
@@ -100,8 +100,9 @@ class PointData(MetricPoint):
     """phi, g and (optionally) the target metric h at one point p.
 
     The MetricPoint of g at p plus one jet pass of phi, the Gram matrix and
-    h at phi(p).  Each attribute is evaluated on first use and then shared by
-    every residual that reads it; one that fails raises in those only.
+    the HermitianPoint of h at phi(p).  Each attribute is evaluated on first
+    use and then shared by every residual that reads it; one that fails
+    raises in those only.
     """
 
     def __init__(self, phi: SmoothMap, g: MetricField, p,
@@ -119,8 +120,8 @@ class PointData(MetricPoint):
         return self.diff.dphi @ self.ginv @ self.diff.dphi.T
 
     @cached_property
-    def hm(self) -> np.ndarray:
-        return self.h.matrix(self.diff.value)
+    def target(self) -> HermitianPoint:
+        return HermitianPoint(self.h, self.diff.value)
 
 
 def phwc_residual_coord(pd: PointData) -> float:
@@ -151,8 +152,8 @@ def phwc_residual_commutator(pd: PointData) -> float:
     d = np.vstack([pd.diff.dphi, np.conj(pd.diff.dphi)])  # rows d/dz, d/dzbar
     n = pd.h.cdim
     gc = np.zeros((2 * n, 2 * n), dtype=complex)
-    gc[:n, n:] = 0.5 * pd.hm
-    gc[n:, :n] = 0.5 * pd.hm.T
+    gc[:n, n:] = 0.5 * pd.target.hm
+    gc[n:, :n] = 0.5 * pd.target.hm.T
     p_op = d @ ginv @ d.T @ gc
     jmat = np.diag(np.concatenate([1j * np.ones(n), -1j * np.ones(n)]))
     comm = p_op @ jmat - jmat @ p_op
@@ -178,11 +179,10 @@ def hwc_report(pd: PointData) -> HWCReport:
     d = np.vstack([pd.diff.dphi, np.conj(pd.diff.dphi)])  # rows d/dz, d/dzbar
     s = d @ ginv @ d.T
     # dual-metric coefficients h^{AB} on the frame (dz^a, dzbar^a)
-    hinv = _inverse_checked(pd.hm, "target metric")
     n = pd.h.cdim
     t = np.zeros((2 * n, 2 * n), dtype=complex)
-    t[:n, n:] = 2.0 * hinv.T
-    t[n:, :n] = 2.0 * hinv
+    t[:n, n:] = 2.0 * pd.target.hinv.T
+    t[n:, :n] = 2.0 * pd.target.hinv
     tt = float(np.real(np.sum(t * np.conj(t))))
     lam = float(np.real(np.sum(s * np.conj(t)))) / tt
     lam = max(lam, 0.0)
@@ -216,11 +216,8 @@ def tension(pd: PointData) -> TensionPoint:
     """
     if not pd.h.kaehler:
         raise TargetNotKaehler("tension requires a Kaehler-flagged target")
-    diff, ginv = pd.diff, pd.ginv
-    flat_part = np.einsum("ij,aij->a", ginv, diff.second) \
-        - np.einsum("ij,kij,ak->a", ginv, pd.gamma, diff.dphi)
-    gamma_n = christoffel_kaehler(pd.h, diff.value)
-    return TensionPoint(flat_part + np.einsum("abc,bc->a", gamma_n, pd.gram))
+    return TensionPoint(pd.laplacian(pd.diff.dphi, pd.diff.second)
+                        + np.einsum("abc,bc->a", pd.target.gamma, pd.gram))
 
 
 def _wirtinger_table(phi: SmoothMap, x):

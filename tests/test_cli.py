@@ -1,10 +1,11 @@
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
-from phwc import cli, fstruct, geometry, maps
+from phwc import catalog, cli, fstruct, geometry, maps
 from phwc.cli import (
     BUILTIN_MANIFESTS,
     ValidationError,
@@ -16,7 +17,8 @@ from phwc.cli import (
     summarize,
     verify_paper,
 )
-from phwc.geometry import MetricField
+from phwc.fstruct import SuiteSample, theorem_suite
+from phwc.geometry import HermitianMetricField, MetricField
 from phwc.jet import ParseError, parse_expr
 from phwc.maps import PointData, SmoothMap
 
@@ -172,6 +174,69 @@ def test_run_checks_evaluates_phi_and_g_once_per_point(monkeypatch):
     assert calls["SmoothMap.value"] == []
     assert calls["MetricField.matrix"] == []
     assert calls["christoffel_domain"] == []
+
+
+@pytest.fixture
+def h_passes(monkeypatch):
+    """Records each jet pass of a Hermitian metric, and each call of the
+    readers that would make a pass of their own."""
+    jets, bypasses = [], []
+    h_jets = HermitianMetricField.jets
+
+    def counted_jets(self, z):
+        jets.append(tuple(z))
+        return h_jets(self, z)
+
+    def bypass(name, orig):
+        def counted(*args):
+            bypasses.append(name)
+            return orig(*args)
+        return counted
+
+    monkeypatch.setattr(HermitianMetricField, "jets", counted_jets)
+    monkeypatch.setattr(HermitianMetricField, "matrix", bypass(
+        "matrix", HermitianMetricField.matrix))
+    for module in (geometry, maps, fstruct, cli):
+        for name in ("christoffel_kaehler", "kaehler_residual"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    bypass(name, getattr(module, name)))
+    return jets, bypasses
+
+
+def test_run_checks_evaluates_curved_h_once_per_point(h_passes):
+    # h_{a abar} = 1 + |z^a|^2 comes from the potential
+    # sum_a |z^a|^2 + |z^a|^4 / 4: Kaehler, curved, so tension reads Gamma
+    raw = parse_manifest(manifest_text(
+        domain={"dim": 4, "metric": "euclidean"},
+        target={"cdim": 2, "hermitian": [["1 + x1^2 + x2^2", "0"],
+                                         ["0", "1 + x3^2 + x4^2"]],
+                "kaehler": True},
+        map={"components": ["x1 + i*x2", "x3 + i*x4"]},
+        checks=["commutator", "hwc", "tension"],
+        sample={"count": 4, "seed": 5, "box": [[-1, 1]] * 4}))
+    report = run_checks(raw)
+    assert len(report["records"]) == 4 * 3
+    assert all("value" in rec for rec in report["records"])
+    assert all(rec["pass"] for rec in report["records"]
+               if rec["check"] != "hwc")
+    jets, bypasses = h_passes
+    # the Kaehler gate, commutator, hwc and tension share one pass of h
+    assert len(jets) == len(set(jets)) == 4
+    assert bypasses == []
+
+
+def test_theorem_suite_evaluates_curved_h_once_per_point(h_passes):
+    h = catalog.random_kaehler_metric(np.random.default_rng(3), 2)
+    report = theorem_suite([SuiteSample(
+        "linear_c2_curved", catalog.linear_r4_c2(), MetricField.euclidean(4),
+        h, [(1.0, 2.0, 0.5, -1.0), (0.2, -0.7, 1.1, 0.4)])])
+    assert report.checked == 2
+    assert all(r.residuals["kaehler"] <= 1e-10 for r in report.records)
+    jets, bypasses = h_passes
+    # the Kaehler gate and tension share one pass of h per checked point
+    assert len(jets) == len(set(jets)) == 2
+    assert bypasses == []
 
 
 def test_target_not_pd_fails_only_the_checks_that_read_h():
@@ -417,6 +482,18 @@ def test_unstable_flow_dt_is_a_validation_error(tmp_path):
     ("sample.box", "sample", [[0, 1e400], [0, 1]], []),
     ("sample.box", "sample", [[-1.7e308, 1.7e308], [0, 1]], []),
     ("--tol", None, None, ["--tol", "phwc=abc"]),
+    ("--tol", None, None, ["--tol", "phwc=nan"]),
+    ("--tol", None, None, ["--tol", "phwc=inf"]),
+    ("--seed", None, None, ["--seed", "-1"]),
+    ("--points", None, None, ["--points", "-3"]),
+    ("checks[0].tol", "checks", math.nan, []),
+    ("checks[0].tol", "checks", math.inf, []),
+    ("checks[0].tol", "checks", True, []),
+    ("sample.seed", "sample", True, []),
+    ("sample.seed", "sample", -1, []),
+    ("sample.count", "sample", True, []),
+    ("domain.dim", "domain", True, []),
+    ("target.cdim", "target", True, []),
 ])
 def test_invalid_field_exits_2_and_names_it(tmp_path, capsys, field, block,
                                             value, args):
@@ -425,7 +502,9 @@ def test_invalid_field_exits_2_and_names_it(tmp_path, capsys, field, block,
         raw["flow"]["max_steps"] = 5
     else:
         raw = json.loads(manifest_text())
-    if block is not None:
+    if block == "checks":
+        raw["checks"][0] = {"name": "phwc", "tol": value}
+    elif block is not None:
         key = field.split(".")[1]
         raw[block][key] = str(tmp_path) if value == "<tmp_path>" else value
     path = tmp_path / "manifest.json"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phwc import catalog
 from phwc.geometry import (
     HermitianMetricField,
     MetricField,
@@ -13,6 +14,7 @@ from phwc.geometry import (
     laplace_beltrami,
 )
 from phwc.jet import Const, Var, conj, eval_jet2, exp, parse_expr, re
+from phwc.maps import PointData, differential, tension
 
 
 def fd_christoffel(g, p, step=1e-5):
@@ -301,3 +303,39 @@ def test_laplacian_respects_metric():
     p = (0.5, 0.2)
     assert np.isclose(laplace_beltrami(f, MetricPoint(g, p)),
                       np.exp(-1.0) * 2.0)
+
+
+def divergence_form_laplacian(g, grad, p, step=1e-4):
+    """Oracle: |g|^{-1/2} d_i (|g|^{1/2} g^ij d_j f) by central differences
+    of g.matrix; grad(q) is the exact (n, m) or (m,) gradient at q."""
+    p = np.asarray(p, dtype=float)
+
+    def flux(q):
+        gm = g.matrix(q)
+        return np.sqrt(np.linalg.det(gm)) * np.linalg.solve(gm, grad(q).T)
+
+    total = 0.0
+    for i in range(len(p)):
+        e = np.zeros(len(p))
+        e[i] = step
+        total = total + (flux(p + e)[i] - flux(p - e)[i]) / (2 * step)
+    return total / np.sqrt(np.linalg.det(g.matrix(p)))
+
+
+def test_laplacian_matches_divergence_form():
+    rng = np.random.default_rng(17)
+    for _ in range(8):
+        m = int(rng.integers(2, 5))
+        g = catalog.random_polynomial_metric(rng, m)
+        phi = catalog.random_polynomial_map(rng, m, 2)
+        f = re(phi.components[0])
+        p = rng.uniform(-1, 1, m)
+        want = divergence_form_laplacian(
+            g, lambda q: eval_jet2(f, q).grad.real, p)
+        got = laplace_beltrami(f, MetricPoint(g, p))
+        assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
+        # into a flat target the tension is the Laplacian of each component
+        want = divergence_form_laplacian(
+            g, lambda q: differential(phi, q).dphi, p)
+        got = tension(PointData(phi, g, p, HermitianMetricField.flat(2))).tau
+        assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, *np.abs(want))
