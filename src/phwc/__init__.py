@@ -6,15 +6,16 @@ Dirichlet-energy gradient flow that produces numerically harmonic maps.
 
 The layers, bottom up:
 
-- ``jet``: expression trees and second-order forward-mode jets, plus the
-  Wirtinger views used everywhere complex derivatives appear;
+- ``jet``: expression trees and second-order forward-mode jets, plus
+  ``wirtinger``, the one array view that every complex derivative reads;
 - ``geometry``: metric fields; g, g^-1, Gamma and Laplace-Beltrami at a point
   from one jet pass (``MetricPoint``), h, h^-1, Gamma and the Kaehler residual
   from one pass of h (``HermitianPoint``);
 - ``maps``: smooth maps, the per-point inputs ``PointData`` (a
   ``MetricPoint`` plus phi's jets and the ``HermitianPoint`` at phi(p)) and
-  the pointwise residuals that read them (three equivalent PHWC forms, horizontal weak conformality fit, tension, pluriharmonicity,
-  composition with +/-holomorphic maps);
+  the pointwise residuals that read them (three equivalent PHWC forms,
+  horizontal weak conformality fit, tension, pluriharmonicity), and
+  composition with +/-holomorphic maps;
 - ``fstruct``: the associated f-structure, its algebra, Nijenhuis and
   parallelism defects, the fundamental 2-form conditions, and the theorem
   implication harness;
@@ -49,7 +50,6 @@ from .geometry import (
     MetricNotPD,
     MetricNotSPD,
     MetricPoint,
-    SourceNotKaehler,
     TargetNotKaehler,
     christoffel_domain,
     christoffel_kaehler,

@@ -344,6 +344,28 @@ def _load_manifest_arg(arg: str) -> dict:
         return parse_manifest(fh.read())
 
 
+def _load_report(path: str) -> dict:
+    """A stored JSON report, with the fields every record must carry."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        report = json.loads(data)
+    except ValueError as err:        # not JSON, or not decodable text
+        raise ValidationError(path, f"not a JSON report: {err}") from err
+    if not isinstance(report, dict) or not isinstance(report.get("records"),
+                                                      list):
+        raise ValidationError("records", "a report needs a list of records")
+    for idx, rec in enumerate(report["records"]):
+        for key, kind in (("check", str), ("tol", (int, float)),
+                          ("pass", bool)):
+            if not isinstance(rec, dict) or not isinstance(rec.get(key), kind):
+                raise ValidationError(f"records[{idx}].{key}",
+                                      "missing or of the wrong type")
+    if not isinstance(report.get("summaries"), list):
+        raise ValidationError("summaries", "a report needs a list of summaries")
+    return report
+
+
 def _manifest_hash(raw: dict) -> str:
     blob = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -429,7 +451,7 @@ def _run_one_check(at: _PointChecks, name: str):
     if name == "tension":
         return tension(at).harmonic_residual, {}
     if name == "pluriharmonic":
-        return pluriharmonic_residual(at.phi, at.p[0::2] + 1j * at.p[1::2]), {}
+        return pluriharmonic_residual(at), {}
     if name == "fstructure":
         extra = {"rank": at.fp.rank,
                  "dphi_pzero": dphi_kernel_residual(at, at.fp)}
@@ -884,8 +906,7 @@ def main(argv=None) -> int:
         elif args.command == "verify-paper":
             report = verify_paper(seed=args.seed)
         elif args.command == "report":
-            with open(args.path) as fh:
-                report = json.load(fh)
+            report = _load_report(args.path)
             _write_output(emit_report(report, args.format), args.out)
             return 0
         else:  # pragma: no cover

@@ -113,17 +113,10 @@ def _laplacian(u: GridMap):
     return lap
 
 
-def _constant_matrix(h: HermitianMetricField):
-    """The metric matrix when every component is a literal, else None."""
-    if all(isinstance(e, Const) for row in h.components for e in row):
-        return h.matrix(np.zeros(h.cdim, dtype=complex))
-    return None
-
-
 def dirichlet_energy(u: GridMap, h: HermitianMetricField) -> float:
     """E = 1/2 sum_nodes sum_i h_{a bbar}(u) d_i u^a conj(d_i u^b) * cellvol."""
     grads = _gradients(u)
-    hm = _constant_matrix(h)
+    hm = h.constant_matrix
     if hm is not None:
         density = sum(np.einsum("ab,...a,...b->...", hm, g, np.conj(g))
                       for g in grads)
@@ -143,8 +136,7 @@ def discrete_tension(u: GridMap, h: HermitianMetricField) -> np.ndarray:
     if not h.kaehler:
         raise TargetNotKaehler("the flow needs a Kaehler-flagged target")
     tau = _laplacian(u)
-    hm = _constant_matrix(h)
-    if hm is not None and np.allclose(hm, hm[0, 0] * np.eye(h.cdim)):
+    if h.constant_matrix is not None:
         return tau  # constant metric, vanishing symbols
     grads = _gradients(u)
     gram = sum(np.einsum("...b,...c->...bc", g, g) for g in grads)

@@ -91,6 +91,7 @@ class FStructurePoint:
     Pzero: np.ndarray      # (m, m) complex (real-valued)
     rank: int
     gm: np.ndarray         # metric matrix at the point
+    ginv: np.ndarray       # its checked inverse
     basis_plus: np.ndarray   # (m, k) columns spanning the +i eigenspace
     basis_zero: np.ndarray   # (m, m-rank) real columns spanning ker F
 
@@ -129,9 +130,10 @@ class FStructurePoint:
         k = int(round(np.trace(pplus).real))
         basis_plus = _column_space(pplus, k)
         basis_zero = _column_space(np.real(pzero), m - 2 * k).real
+        gm = np.asarray(gm, dtype=float)
         return cls(F=F, Pplus=pplus, Pminus=pminus, Pzero=pzero, rank=2 * k,
-                   gm=np.asarray(gm, dtype=float), basis_plus=basis_plus,
-                   basis_zero=basis_zero)
+                   gm=gm, ginv=_inverse_checked(gm, "domain metric"),
+                   basis_plus=basis_plus, basis_zero=basis_zero)
 
 
 def _column_space(a: np.ndarray, k: int) -> np.ndarray:
@@ -194,7 +196,8 @@ def associated_f_structure(pd: PointData,
     f_mat = 2.0 * np.imag(pminus)          # equals real(i (P+ - P-)) exactly
     basis_zero = _column_space(np.real(pzero), m - 2 * k).real
     return FStructurePoint(F=f_mat, Pplus=pplus, Pminus=pminus, Pzero=pzero,
-                           rank=2 * k, gm=gm, basis_plus=np.conj(emat),
+                           rank=2 * k, gm=gm, ginv=pd.ginv,
+                           basis_plus=np.conj(emat),
                            basis_zero=basis_zero)
 
 
@@ -232,7 +235,7 @@ class FStencil:
     at is the metric at the center p, plus[l] and minus[l] the structures at
     p + h e_l and p - h e_l; every stencil residual below reads its
     derivatives off this one set of evaluations, and each point's metric off
-    its FStructurePoint.gm.
+    its FStructurePoint.gm and .ginv.
     """
 
     at: MetricPoint
@@ -360,11 +363,10 @@ def met_residual(st: FStencil) -> float:
     center = st.center
     if center.rank == center.m:
         return 0.0
-    gm, ginv = center.gm, st.at.ginv
+    gm, ginv = center.gm, center.ginv
     # +type covectors are the lowerings of the -i tangent eigenspace
     thetas = gm @ np.conj(center.basis_plus)
-    dtheta = st.derivative(lambda fp: fp.gm @ fp.Pminus @ _inverse_checked(
-        fp.gm, "domain metric") @ thetas)
+    dtheta = st.derivative(lambda fp: fp.gm @ fp.Pminus @ fp.ginv @ thetas)
 
     gamma = st.at.gamma
     qzero = gm @ center.Pzero @ ginv

@@ -27,7 +27,6 @@ __all__ = [
     "MetricNotSPD",
     "MetricNotPD",
     "TargetNotKaehler",
-    "SourceNotKaehler",
     "SPD_EPS",
     "MetricField",
     "MetricPoint",
@@ -57,10 +56,6 @@ class MetricNotPD(GeometryError):
 
 class TargetNotKaehler(GeometryError):
     """Operation requires the target metric's Kaehler flag."""
-
-
-class SourceNotKaehler(GeometryError):
-    """Operation requires a Kaehler structure on the source chart."""
 
 
 def _inverse_checked(g: np.ndarray, what: str) -> np.ndarray:
@@ -237,6 +232,14 @@ class HermitianMetricField:
         """h(z) as a Hermitian PD matrix; raises MetricNotPD otherwise."""
         return HermitianPoint(self, z).hm
 
+    @cached_property
+    def constant_matrix(self) -> np.ndarray | None:
+        """The checked matrix, built once, when every component is a
+        literal; None otherwise.  A constant metric has zero symbols."""
+        if all(isinstance(e, Const) for row in self.components for e in row):
+            return self.matrix(np.zeros(self.cdim, dtype=complex))
+        return None
+
     def jets(self, z):
         x = self.real_coords(z)
         return [[eval_jet2(self.components[a][b], x) for b in range(self.cdim)]
@@ -264,8 +267,9 @@ class HermitianPoint:
 
     @cached_property
     def dh(self) -> np.ndarray:
-        return np.array([[[jet.dz(j, b) for j in row] for row in self._jets]
-                         for b in range(self.h.cdim)], dtype=complex)
+        grads = np.array([[j.grad for j in row] for row in self._jets])
+        d_z = jet.wirtinger(grads)[..., :self.h.cdim]     # [c, d, b]
+        return np.ascontiguousarray(np.moveaxis(d_z, -1, 0))
 
     @cached_property
     def gamma(self) -> np.ndarray:

@@ -5,9 +5,10 @@ Expressions are immutable trees over real/complex literals, real variables
 non-analytic primitives ``conj``, ``re``, ``im``.  Evaluating an expression at
 a point of R^m produces a :class:`Jet2`: the value together with the exact
 gradient and Hessian with respect to the real coordinates.  Complex-analytic
-derivatives (Wirtinger derivatives) are recovered from the real jets by the
-helpers at the bottom of the module; real pairs are interleaved, so the chart
-coordinate z^a occupies the real variables (2a, 2a+1) = (re z^a, im z^a).
+derivatives (Wirtinger derivatives) are recovered from arrays of real
+derivatives by :func:`wirtinger` at the bottom of the module; real pairs are
+interleaved, so the chart coordinate z^a occupies the real variables
+(2a, 2a+1) = (re z^a, im z^a).
 
 ``conj``, ``re`` and ``im`` are primitive nodes rather than rewrites because
 holomorphic and antiholomorphic components must stay distinguishable.
@@ -47,11 +48,7 @@ __all__ = [
     "parse_expr",
     "max_var_index",
     "differentiate",
-    "dz",
-    "dzbar",
-    "d2_z_zbar",
-    "d2_z_z",
-    "d2_zbar_zbar",
+    "wirtinger",
 ]
 
 # Division guard: operands with modulus below this abort instead of
@@ -614,34 +611,24 @@ def parse_expr(text: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Wirtinger views of real jets.  Chart coordinate z^a lives in the real
-# variables (2a, 2a+1); d/dz = (d/dx - i d/dy)/2, d/dzbar = (d/dx + i d/dy)/2.
+# Wirtinger view of real derivatives.
 # ---------------------------------------------------------------------------
 
-def dz(j: Jet2, a: int) -> complex:
-    return 0.5 * (j.grad[2 * a] - 1j * j.grad[2 * a + 1])
+def wirtinger(d) -> np.ndarray:
+    """d/dz and d/dzbar parts of real partials in the interleaved chart
+    variables.
 
-
-def dzbar(j: Jet2, a: int) -> complex:
-    return 0.5 * (j.grad[2 * a] + 1j * j.grad[2 * a + 1])
-
-
-def d2_z_zbar(j: Jet2, a: int, b: int) -> complex:
-    """Mixed Wirtinger Hessian d^2/dz^a dzbar^b."""
-    h = j.hess
-    return 0.25 * (h[2 * a, 2 * b] + 1j * h[2 * a, 2 * b + 1]
-                   - 1j * h[2 * a + 1, 2 * b] + h[2 * a + 1, 2 * b + 1])
-
-
-def d2_z_z(j: Jet2, a: int, b: int) -> complex:
-    """Holomorphic Wirtinger Hessian d^2/dz^a dz^b."""
-    h = j.hess
-    return 0.25 * (h[2 * a, 2 * b] - 1j * h[2 * a, 2 * b + 1]
-                   - 1j * h[2 * a + 1, 2 * b] - h[2 * a + 1, 2 * b + 1])
-
-
-def d2_zbar_zbar(j: Jet2, a: int, b: int) -> complex:
-    """Antiholomorphic Wirtinger Hessian d^2/dzbar^a dzbar^b."""
-    h = j.hess
-    return 0.25 * (h[2 * a, 2 * b] + 1j * h[2 * a, 2 * b + 1]
-                   + 1j * h[2 * a + 1, 2 * b] - h[2 * a + 1, 2 * b + 1])
+    ``d[..., 2a]`` and ``d[..., 2a+1]`` are the partials along re z^a and
+    im z^a, over any leading axes.  The result keeps the leading axes; its
+    last axis is the complexified frame (d/dz^1 .. d/dz^n, d/dzbar^1 ..
+    d/dzbar^n), with d/dz = (d/dx - i d/dy)/2 and d/dzbar = (d/dx + i d/dy)/2.
+    Applied twice it gives second derivatives: for a Hessian ``hess`` in the
+    real variables, ``wirtinger(np.swapaxes(wirtinger(hess), -1, -2))`` is
+    d^2/dZ^A dZ^B indexed [..., A, B] in that frame.
+    """
+    d = np.asarray(d)
+    if d.shape[-1] % 2:
+        raise ValueError("a complex chart needs an even real dimension")
+    dx, dy = d[..., 0::2], d[..., 1::2]
+    return np.concatenate([0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)],
+                          axis=-1)

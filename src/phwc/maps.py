@@ -30,9 +30,7 @@ from .geometry import (
     HermitianPoint,
     MetricField,
     MetricPoint,
-    SourceNotKaehler,
     TargetNotKaehler,
-    christoffel_kaehler,
 )
 from .jet import Expr, Jet2, as_expr, eval_jet2
 
@@ -220,41 +218,24 @@ def tension(pd: PointData) -> TensionPoint:
                         + np.einsum("abc,bc->a", pd.target.gamma, pd.gram))
 
 
-def _wirtinger_table(phi: SmoothMap, x):
-    """Values, first Wirtinger derivatives dz/dzbar and mixed Hessians of a
-    map whose domain is the real chart of C^{m/2}."""
-    if phi.domain_dim % 2:
-        raise DimensionMismatch("source chart needs an even real dimension")
-    n = phi.domain_dim // 2
-    js = phi.jets(x)
-    d_z = np.array([[jet.dz(j, a) for a in range(n)] for j in js])
-    d_zbar = np.array([[jet.dzbar(j, a) for a in range(n)] for j in js])
-    mixed = np.array([[[jet.d2_z_zbar(j, a, b) for b in range(n)]
-                       for a in range(n)] for j in js])
-    return np.array([j.value for j in js]), d_z, d_zbar, mixed
+def pluriharmonic_residual(pd: PointData) -> float:
+    """max over components and (a, b) of | d2 phi / dz^a dzbar^b + correction |.
 
-
-def pluriharmonic_residual(f: SmoothMap, z,
-                           source: HermitianMetricField | None = None,
-                           target: HermitianMetricField | None = None) -> float:
-    """max over components and (a, b) of | d2 f / dz^a dzbar^b + correction |.
-
-    ``f`` is a map defined on the real chart of C^k (interleaved coordinates);
-    ``z`` is a chart point.  On a Kaehler source the mixed Hessian is already
-    tensorial, so no source symbols enter.  For a flat target the correction
-    is absent; a Kaehler target contributes Gamma^a_bc df^b df^cbar.
+    phi is defined on the real chart of C^k (interleaved coordinates) and p
+    is a chart point.  On a Kaehler source the mixed Hessian is already
+    tensorial, so g and its symbols do not enter.  Without a target metric
+    (pd.h is None) the correction is absent; a Kaehler target contributes
+    Gamma^c_de d phi^d/dz^a d phi^e/dzbar^b, read from pd.target.
     """
-    if source is not None and not source.kaehler:
-        raise SourceNotKaehler(
-            "pluriharmonicity needs a Kaehler structure on the source chart")
-    x = HermitianMetricField.real_coords(z)
-    w, d_z, d_zbar, mixed = _wirtinger_table(f, x)
-    resid = mixed.copy()
-    if target is not None:
-        if not target.kaehler:
+    k = pd.phi.domain_dim // 2
+    hess = jet.wirtinger(np.swapaxes(jet.wirtinger(pd.diff.second), -1, -2))
+    resid = hess[:, k:, :k]        # d2 phi^c / dzbar^b dz^a at [c, b, a]
+    if pd.h is not None:
+        if not pd.h.kaehler:
             raise TargetNotKaehler("target correction requires a Kaehler metric")
-        gamma = christoffel_kaehler(target, w)
-        resid = resid + np.einsum("abc,bi,cj->aij", gamma, d_z, d_zbar)
+        d = jet.wirtinger(pd.diff.dphi)
+        resid = resid + np.einsum("cde,da,eb->cba", pd.target.gamma,
+                                  d[:, :k], d[:, k:])
     return float(np.max(np.abs(resid)))
 
 
@@ -281,12 +262,12 @@ def holomorphy_residual(psi: SmoothMap, z) -> float:
     """max |d psi^a / dzbar^b| at a chart point; zero iff psi is holomorphic
     to first order there."""
     x = HermitianMetricField.real_coords(z)
-    _, _, d_zbar, _ = _wirtinger_table(psi, x)
-    return float(np.max(np.abs(d_zbar)))
+    d = jet.wirtinger(differential(psi, x).dphi)
+    return float(np.max(np.abs(d[:, psi.domain_dim // 2:])))
 
 
 def antiholomorphy_residual(psi: SmoothMap, z) -> float:
     """max |d psi^a / dz^b| at a chart point."""
     x = HermitianMetricField.real_coords(z)
-    _, d_z, _, _ = _wirtinger_table(psi, x)
-    return float(np.max(np.abs(d_z)))
+    d = jet.wirtinger(differential(psi, x).dphi)
+    return float(np.max(np.abs(d[:, :psi.domain_dim // 2])))

@@ -22,6 +22,8 @@ from phwc.geometry import HermitianMetricField, MetricField
 from phwc.jet import ParseError, parse_expr
 from phwc.maps import PointData, SmoothMap
 
+MANIFESTS = pathlib.Path(__file__).resolve().parent.parent / "manifests"
+
 
 def manifest_text(**overrides):
     raw = {
@@ -204,7 +206,7 @@ def h_passes(monkeypatch):
     return jets, bypasses
 
 
-def test_run_checks_evaluates_curved_h_once_per_point(h_passes):
+def test_run_checks_evaluates_curved_h_once_per_point(h_passes, monkeypatch):
     # h_{a abar} = 1 + |z^a|^2 comes from the potential
     # sum_a |z^a|^2 + |z^a|^4 / 4: Kaehler, curved, so tension reads Gamma
     raw = parse_manifest(manifest_text(
@@ -213,17 +215,50 @@ def test_run_checks_evaluates_curved_h_once_per_point(h_passes):
                                          ["0", "1 + x3^2 + x4^2"]],
                 "kaehler": True},
         map={"components": ["x1 + i*x2", "x3 + i*x4"]},
-        checks=["commutator", "hwc", "tension"],
+        checks=["commutator", "hwc", "tension", "pluriharmonic"],
         sample={"count": 4, "seed": 5, "box": [[-1, 1]] * 4}))
+    phi_passes = []
+    phi_jets = SmoothMap.jets
+
+    def counted_phi_jets(self, p):
+        phi_passes.append(tuple(p))
+        return phi_jets(self, p)
+
+    monkeypatch.setattr(SmoothMap, "jets", counted_phi_jets)
     report = run_checks(raw)
-    assert len(report["records"]) == 4 * 3
+    assert len(report["records"]) == 4 * 4
     assert all("value" in rec for rec in report["records"])
     assert all(rec["pass"] for rec in report["records"]
                if rec["check"] != "hwc")
     jets, bypasses = h_passes
-    # the Kaehler gate, commutator, hwc and tension share one pass of h
+    # the Kaehler gate and every check share one pass of h and one of phi
     assert len(jets) == len(set(jets)) == 4
+    assert len(phi_passes) == len(set(phi_passes)) == 4
     assert bypasses == []
+
+
+def test_pluriharmonic_check_reads_the_curved_target():
+    # phi = z + zbar/2 into h = 1 + |w|^2: the only term left is
+    # Gamma(w) dphi/dz dphi/dzbar, of modulus 0.5 |w| / (1 + |w|^2)
+    raw = parse_manifest((MANIFESTS / "curved_target.json").read_text())
+    raw["checks"] = ["pluriharmonic"]
+    report = run_checks(raw)
+    assert len(report["records"]) == 3
+    for rec in report["records"]:
+        x1, x2 = rec["point"]
+        w = abs(complex(1.5 * x1, 0.5 * x2))
+        assert rec["value"] == pytest.approx(0.5 * w / (1 + w ** 2),
+                                             rel=1e-14)
+        assert not rec["pass"]
+
+
+def test_pluriharmonic_check_needs_the_kaehler_flag():
+    raw = parse_manifest(manifest_text(
+        target={"cdim": 1, "hermitian": [["1 + x1^2 + x2^2"]]},
+        checks=["pluriharmonic"]))
+    for rec in run_checks(raw)["records"]:
+        assert not rec["pass"]
+        assert rec["error"].startswith("TargetNotKaehler")
 
 
 def test_theorem_suite_evaluates_curved_h_once_per_point(h_passes):
@@ -243,7 +278,8 @@ def test_target_not_pd_fails_only_the_checks_that_read_h():
     # h = 1 - re(z)^2 is negative on the image re(z) in [1.5, 2] of this box
     raw = parse_manifest(manifest_text(
         target={"cdim": 1, "hermitian": [["1 - re(x1)^2"]], "kaehler": True},
-        checks=["phwc", "isotropy", "tension", "hwc", "commutator"],
+        checks=["phwc", "isotropy", "tension", "hwc", "commutator",
+                "pluriharmonic"],
         sample={"count": 3, "seed": 2, "box": [[1.5, 2], [-1, 1]]}))
     report = run_checks(raw)
     for rec in report["records"]:
@@ -395,6 +431,30 @@ def test_main_exit_codes(tmp_path):
     assert main(["check", str(failing), "--out", str(tmp_path / "r.json")]) == 1
 
 
+@pytest.mark.parametrize("text, field", [
+    ("{not json", "not a JSON report"),
+    (b"\xff\xfe{", "not a JSON report"),
+    ('{"schema": 1}', "records"),
+    ('{"records": [{"check": "phwc", "pass": true}], "summaries": []}',
+     "records[0].tol"),
+    ('{"records": [{"tol": 1.0, "pass": true}], "summaries": []}',
+     "records[0].check"),
+    ('{"records": [{"check": "phwc", "tol": 1.0}], "summaries": []}',
+     "records[0].pass"),
+    ('{"records": []}', "summaries"),
+])
+def test_main_report_of_a_malformed_file_exits_2(tmp_path, capsys, text,
+                                                 field):
+    bad = tmp_path / "bad.json"
+    if isinstance(text, bytes):
+        bad.write_bytes(text)
+    else:
+        bad.write_text(text)
+    assert main(["report", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
 def test_main_report_roundtrip(tmp_path, capsys):
     out = tmp_path / "rep.json"
     assert main(["check", "example1", "--out", str(out)]) == 0
@@ -461,8 +521,7 @@ def test_non_finite_flow_initial_is_a_validation_error(tmp_path, initial):
 
 
 def test_unstable_flow_dt_is_a_validation_error(tmp_path):
-    demo = pathlib.Path(__file__).parent.parent / "manifests/flow_demo.json"
-    raw = json.loads(demo.read_text())
+    raw = json.loads((MANIFESTS / "flow_demo.json").read_text())
     raw["flow"]["dt"] = 0.5
     with pytest.raises(ValidationError) as err:
         parse_manifest(json.dumps(raw))

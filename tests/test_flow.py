@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phwc import flow
 from phwc.flow import (
     FlowConfig,
     GridMap,
@@ -16,6 +17,7 @@ from phwc.jet import Const, Var
 from phwc.maps import PointData, tension
 
 FLAT1 = HermitianMetricField.flat(1)
+FLAT2 = HermitianMetricField.flat(2)
 
 
 def single_mode(dims, k=(1, 0)):
@@ -77,6 +79,17 @@ def test_tension_equals_five_point_laplacian_flat():
     assert np.array_equal(tau, lap)
 
 
+def test_tension_of_constant_target_is_the_laplacian(monkeypatch):
+    # a constant metric has zero symbols, also when it is not a multiple of
+    # the identity: no per-node symbol is evaluated
+    h = HermitianMetricField(2, [[Const(1.0), Const(0.0)],
+                                 [Const(0.0), Const(2.0)]], kaehler=True)
+    monkeypatch.setattr(flow, "christoffel_kaehler", None)
+    u = GridMap.from_function((8, 8), lambda x, y: np.stack(
+        [np.exp(1j * x), np.sin(y) + 0j], axis=-1))
+    assert np.array_equal(discrete_tension(u, h), discrete_tension(u, FLAT2))
+
+
 def test_tension_requires_kaehler():
     h = HermitianMetricField(1, [[Const(1.0) + Var(0) ** 2]], kaehler=False)
     with pytest.raises(TargetNotKaehler):
@@ -119,6 +132,22 @@ def test_flow_constant_is_fixed_point():
     final, trace = run_flow(u0, FLAT1, FlowConfig(dt=1e-3, max_steps=50))
     assert np.array_equal(final.values, u0.values)
     assert len(trace) == 1 and trace[0][2] == 0.0
+
+
+@pytest.mark.parametrize("max_steps", [5, 40])
+def test_flat_flow_builds_the_target_matrix_once(monkeypatch, max_steps):
+    passes = []
+    h_jets = HermitianMetricField.jets
+
+    def counted_jets(self, z):
+        passes.append(tuple(z))
+        return h_jets(self, z)
+
+    monkeypatch.setattr(HermitianMetricField, "jets", counted_jets)
+    _, trace = run_flow(single_mode((8, 8)), HermitianMetricField.flat(1),
+                        FlowConfig(dt=1e-3, max_steps=max_steps, stop_tol=0.0))
+    assert len(trace) == max_steps + 1
+    assert len(passes) == 1
 
 
 def test_flow_rejects_unstable_dt():

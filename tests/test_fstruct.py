@@ -402,6 +402,26 @@ def test_met_block_metrics(perturb):
         assert oracle <= 1e-8 and got <= 1e-8
 
 
+def test_met_reads_each_stencil_points_inverse(monkeypatch):
+    # every FStructurePoint keeps the checked g^-1 of the PointData it was
+    # built from, so met_residual inverts no metric of its own
+    g = MetricField.diagonal([Const(1.0), Const(1.0),
+                              Const(1.0) + Const(0.2) * Var(0),
+                              Const(1.0) + Const(0.2) * Var(3) ** 2])
+    phi = SmoothMap(4, 1, [Var(0) + Const(1j) * Var(1)])
+    st = f_stencil(PointData(phi, g, (0.4, -0.1, 0.8, 0.3)))
+    inversions = []
+    inv = np.linalg.inv
+
+    def counted_inv(a):
+        inversions.append(a)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    assert met_residual(st) > 1e-3
+    assert inversions == []
+
+
 # --------------------------------------------------------------------------
 # stencil consistency
 # --------------------------------------------------------------------------

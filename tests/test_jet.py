@@ -352,17 +352,19 @@ def test_parse_scientific_number():
 
 
 # --------------------------------------------------------------------------
-# Wirtinger helpers
+# Wirtinger view
 # --------------------------------------------------------------------------
 
 def test_wirtinger_derivatives_of_z_and_zbar():
     z = Var(0) + Const(1j) * Var(1)
     j = eval_jet2(z, (0.3, 0.4))
-    assert np.isclose(jet.dz(j, 0), 1.0)
-    assert np.isclose(jet.dzbar(j, 0), 0.0)
+    d_z, d_zbar = jet.wirtinger(j.grad)
+    assert np.isclose(d_z, 1.0)
+    assert np.isclose(d_zbar, 0.0)
     jc = eval_jet2(jet.conj(z), (0.3, 0.4))
-    assert np.isclose(jet.dz(jc, 0), 0.0)
-    assert np.isclose(jet.dzbar(jc, 0), 1.0)
+    d_z, d_zbar = jet.wirtinger(jc.grad)
+    assert np.isclose(d_z, 0.0)
+    assert np.isclose(d_zbar, 1.0)
 
 
 def test_wirtinger_mixed_hessian_of_modulus_squared():
@@ -370,8 +372,23 @@ def test_wirtinger_mixed_hessian_of_modulus_squared():
     z = Var(0) + Const(1j) * Var(1)
     e = z * jet.conj(z)
     j = eval_jet2(e, (0.7, -0.2))
-    assert np.isclose(jet.d2_z_zbar(j, 0, 0), 1.0)
-    assert np.isclose(jet.d2_z_z(j, 0, 0), 0.0)
+    hess = jet.wirtinger(np.swapaxes(jet.wirtinger(j.hess), -1, -2))
+    assert np.allclose(hess, [[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_wirtinger_keeps_leading_axes():
+    # rows z^2 w and conj(z) w on C^2: each row's frame is (dz, dw, dzbar, dwbar)
+    z = Var(0) + Const(1j) * Var(1)
+    w = Var(2) + Const(1j) * Var(3)
+    x = (0.3, -0.5, 1.2, 0.4)
+    zv, wv = complex(0.3, -0.5), complex(1.2, 0.4)
+    grads = np.array([eval_jet2(e, x).grad
+                      for e in (z ** 2 * w, jet.conj(z) * w)])
+    assert np.allclose(jet.wirtinger(grads),
+                       [[2 * zv * wv, zv ** 2, 0, 0],
+                        [0, np.conj(zv), wv, 0]])
+    with pytest.raises(ValueError):
+        jet.wirtinger(np.zeros(3))
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from phwc.geometry import (
     TargetNotKaehler,
     laplace_beltrami,
 )
-from phwc.jet import Const, Var, conj, eval_jet2, im, re, sin, cos
+from phwc.jet import Const, Var, conj, eval_jet2, im, re, sin, cos, wirtinger
 from phwc.maps import (
     DimensionMismatch,
     PointData,
@@ -251,17 +251,24 @@ def test_tension_real_reconstruction():
 # pluriharmonicity
 # --------------------------------------------------------------------------
 
+def pluriharmonic_at(f, z, h=None):
+    """pluriharmonic_residual of f at the chart point z, Euclidean source."""
+    x = HermitianMetricField.real_coords(z)
+    return pluriharmonic_residual(
+        PointData(f, MetricField.euclidean(len(x)), x, h))
+
+
 def test_pluriharmonic_real_part_of_holomorphic():
     f = SmoothMap(4, 1, [re(catalog.zvar(0) ** 3)])
     rng = np.random.default_rng(8)
     for _ in range(10):
         z = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
-        assert pluriharmonic_residual(f, z) < 1e-13
+        assert pluriharmonic_at(f, z) < 1e-13
 
 
 def test_pluriharmonic_modulus_squared():
     f = SmoothMap(2, 1, [catalog.zvar(0) * conj(catalog.zvar(0))])
-    assert np.isclose(pluriharmonic_residual(f, np.array([0.3 + 0.4j])), 1.0)
+    assert np.isclose(pluriharmonic_at(f, np.array([0.3 + 0.4j])), 1.0)
 
 
 def test_pluriharmonic_product_of_real_parts():
@@ -269,7 +276,37 @@ def test_pluriharmonic_product_of_real_parts():
     rng = np.random.default_rng(9)
     for _ in range(5):
         z = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
-        assert np.isclose(pluriharmonic_residual(f, z), 0.25)
+        assert np.isclose(pluriharmonic_at(f, z), 0.25)
+
+
+# h = 1 + |w|^2 on C^1 (potential |w|^2 + |w|^4/4): Gamma = conj(w)/(1 + |w|^2)
+CURVED_H1 = HermitianMetricField(1, [[Var(0) ** 2 + Var(1) ** 2 + 1.0]],
+                                 kaehler=True)
+
+
+def test_pluriharmonic_curved_target_hand_value():
+    # f = z + conj(z)/2 has df/dz = 1, df/dzbar = 1/2 and no Hessian, so
+    # only the target term Gamma(f) * 1 * 1/2 remains
+    z0 = catalog.zvar(0)
+    f = SmoothMap(2, 1, [z0 + Const(0.5) * conj(z0)])
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        z = np.array([rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)])
+        w = abs(z[0] + 0.5 * np.conj(z[0]))
+        assert pluriharmonic_at(f, z) == 0.0
+        assert pluriharmonic_at(f, z, H1) == 0.0
+        assert np.isclose(pluriharmonic_at(f, z, CURVED_H1),
+                          0.5 * w / (1 + w ** 2), rtol=1e-14, atol=0)
+    # a holomorphic map is pluriharmonic into any Kaehler target
+    g = SmoothMap(2, 1, [z0 ** 2 + z0])
+    assert pluriharmonic_at(g, np.array([0.4 - 0.3j]), CURVED_H1) < 1e-14
+
+
+def test_pluriharmonic_requires_kaehler_target():
+    forged = HermitianMetricField(1, [[Var(0) ** 2 + 1.0]])
+    f = SmoothMap(2, 1, [catalog.zvar(0)])
+    with pytest.raises(TargetNotKaehler):
+        pluriharmonic_at(f, np.array([0.2 + 0.1j]), forged)
 
 
 # --------------------------------------------------------------------------
@@ -342,7 +379,7 @@ def test_pullback_pluriharmonic_functions_through_immersion():
         fa = catalog.holomorphic_polynomial(rng, 3)
         fb = catalog.holomorphic_polynomial(rng, 3)
         f = SmoothMap(6, 1, [re(fa) + Const(rng.uniform(-1, 1)) * re(fb)])
-        assert pluriharmonic_residual(
+        assert pluriharmonic_at(
             f, rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)) < 1e-10
         pulled = compose(f, EX1)
         for _ in range(5):
@@ -382,19 +419,12 @@ def test_chain_rule_identity():
         tau = tension(PointData(phi, G2, p, H2)).tau
         x = HermitianMetricField.real_coords(phi.value(p))
         jf = eval_jet2(f.components[0], x)
-        from phwc.jet import dz, dzbar, d2_z_z, d2_z_zbar, d2_zbar_zbar
 
         n = 2
-        df_term = sum(dz(jf, a) * tau[a] + dzbar(jf, a) * np.conj(tau[a])
-                      for a in range(n))
+        d = wirtinger(jf.grad)
+        df_term = d[:n] @ tau + d[n:] @ np.conj(tau)
         dphi = differential(phi, p).dphi
         dphi_full = np.vstack([dphi, np.conj(dphi)])
-        hess = np.empty((2 * n, 2 * n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                hess[a, b] = d2_z_z(jf, a, b)
-                hess[a, n + b] = d2_z_zbar(jf, a, b)
-                hess[n + a, n + b] = d2_zbar_zbar(jf, a, b)
-                hess[n + a, b] = d2_z_zbar(jf, b, a)
+        hess = wirtinger(wirtinger(jf.hess).T)
         trace_term = np.einsum("AB,Ai,Bi->", hess, dphi_full, dphi_full)
         assert abs(lhs - (df_term + trace_term)) < 1e-9
