@@ -6,13 +6,15 @@ Dirichlet-energy gradient flow that produces numerically harmonic maps.
 
 The layers, bottom up:
 
-- ``jet``: expression trees and second-order forward-mode jets, plus
-  ``wirtinger``, the one array view that every complex derivative reads;
+- ``jet``: expression trees and second-order forward-mode jets at a point
+  or, in one pass, at a set of points, plus ``wirtinger``, the one array
+  view that every complex derivative reads;
 - ``geometry``: metric fields; g, g^-1, Gamma and Laplace-Beltrami at a point
   from one jet pass (``MetricPoint``), h, h^-1, Gamma and the Kaehler residual
   from one pass of h (``HermitianPoint``);
 - ``maps``: smooth maps, the per-point inputs ``PointData`` (a
-  ``MetricPoint`` plus phi's jets and the ``HermitianPoint`` at phi(p)) and
+  ``MetricPoint`` plus phi's jets and the ``HermitianPoint`` at phi(p)),
+  which ``share_pass`` fills for a set of points from one pass each, and
   the pointwise residuals that read them (three equivalent PHWC forms,
   horizontal weak conformality fit, tension, pluriharmonicity), and
   composition with +/-holomorphic maps;
@@ -53,6 +55,7 @@ from .geometry import (
     TargetNotKaehler,
     christoffel_domain,
     christoffel_kaehler,
+    hermitian_points,
     kaehler_residual,
     laplace_beltrami,
 )
@@ -71,6 +74,7 @@ from .maps import (
     phwc_residual_commutator,
     phwc_residual_coord,
     pluriharmonic_residual,
+    share_pass,
     tension,
 )
 from .fstruct import (

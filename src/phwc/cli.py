@@ -65,12 +65,7 @@ from .fstruct import (
     parallel_residual,
     theorem_suite,
 )
-from .geometry import (
-    GeometryError,
-    HermitianMetricField,
-    MetricField,
-    laplace_beltrami,
-)
+from .geometry import GeometryError, HermitianMetricField, MetricField
 from .jet import ParseError, VariableIndexOutOfRange
 from .maps import (
     PointData,
@@ -81,6 +76,7 @@ from .maps import (
     phwc_residual_commutator,
     phwc_residual_coord,
     pluriharmonic_residual,
+    share_pass,
     tension,
 )
 
@@ -158,14 +154,20 @@ def _integer(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _finite_number(x) -> bool:
-    """A JSON number (not a bool) with a finite float value."""
+def _number(x) -> bool:
+    """A JSON number (not a bool) within the float range."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         return False
     try:
-        return math.isfinite(x)
+        float(x)
     except OverflowError:         # an integer beyond the float range
         return False
+    return True
+
+
+def _finite_number(x) -> bool:
+    """A JSON number (not a bool) with a finite float value."""
+    return _number(x) and math.isfinite(x)
 
 
 def _parse_expression(text, field: str, max_vars: int):
@@ -340,12 +342,45 @@ def _load_manifest_arg(arg: str) -> dict:
         raw = json.loads(json.dumps(BUILTIN_MANIFESTS[arg]))
         validate_manifest(raw)
         return raw
-    with open(arg) as fh:
-        return parse_manifest(fh.read())
+    try:
+        with open(arg, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        raise ValidationError(arg, "not a UTF-8 text manifest: "
+                                   f"{err.reason} at byte {err.start}") from err
+    return parse_manifest(text)
+
+
+# The fields of a stored report that emit_report reads, as
+# name: (required, test of the value).
+_RECORD_FIELDS = {
+    "check": (True, lambda v: isinstance(v, str)),
+    "tol": (True, _number),
+    "pass": (True, lambda v: isinstance(v, bool)),
+    "value": (False, _number),
+    "point": (False, lambda v: v is None
+              or isinstance(v, list) and all(map(_number, v))),
+    "extra": (False, lambda v: isinstance(v, dict)),
+}
+_SUMMARY_FIELDS = {
+    "check": (True, lambda v: isinstance(v, str)),
+    "count": (True, _integer),
+    "failures": (True, _integer),
+    "max": (True, lambda v: v is None or _number(v)),
+}
+
+
+def _check_fields(entries: list, name: str, fields: dict) -> None:
+    for idx, entry in enumerate(entries):
+        for key, (required, ok) in fields.items():
+            if not isinstance(entry, dict) or (
+                    not ok(entry[key]) if key in entry else required):
+                raise ValidationError(f"{name}[{idx}].{key}",
+                                      "missing or of the wrong type")
 
 
 def _load_report(path: str) -> dict:
-    """A stored JSON report, with the fields every record must carry."""
+    """A stored JSON report whose fields emit_report reads are checked."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -355,14 +390,12 @@ def _load_report(path: str) -> dict:
     if not isinstance(report, dict) or not isinstance(report.get("records"),
                                                       list):
         raise ValidationError("records", "a report needs a list of records")
-    for idx, rec in enumerate(report["records"]):
-        for key, kind in (("check", str), ("tol", (int, float)),
-                          ("pass", bool)):
-            if not isinstance(rec, dict) or not isinstance(rec.get(key), kind):
-                raise ValidationError(f"records[{idx}].{key}",
-                                      "missing or of the wrong type")
+    if not isinstance(report.get("provenance", {}), dict):
+        raise ValidationError("provenance", "must be an object")
+    _check_fields(report["records"], "records", _RECORD_FIELDS)
     if not isinstance(report.get("summaries"), list):
         raise ValidationError("summaries", "a report needs a list of summaries")
+    _check_fields(report["summaries"], "summaries", _SUMMARY_FIELDS)
     return report
 
 
@@ -499,6 +532,7 @@ def run_checks(raw: dict, seed: int | None = None, count: int | None = None,
     rng = np.random.default_rng(use_seed)
     ats = [_PointChecks(ctx, point)
            for point in catalog.sample_points(rng, use_count, ctx.box)]
+    share_pass(ats)
     ctx.verify_kaehler_claim(ats)
     entries = _check_entries(raw, tol_overrides)
 
@@ -622,6 +656,14 @@ def emit_report(report: dict, fmt: str = "json") -> bytes:
 # flow subcommand
 # ---------------------------------------------------------------------------
 
+def _initial_value(initial_map: SmoothMap, points, idx) -> np.ndarray:
+    try:
+        return initial_map.value(points[idx])
+    except ArithmeticError as err:
+        raise ValidationError("flow.initial", f"{type(err).__name__} at grid "
+                              f"node {list(idx)}: {err}") from err
+
+
 def run_flow_manifest(raw: dict) -> dict:
     ctx = _Context(raw)
     flow_block = raw.get("flow")
@@ -629,18 +671,16 @@ def run_flow_manifest(raw: dict) -> dict:
         raise ValidationError("flow", "manifest has no flow block")
     grid = tuple(flow_block["grid"])
     exprs = [jet.parse_expr(c) for c in flow_block["initial"]]
+    initial_map = SmoothMap(len(grid), len(exprs), exprs)
     axes = [np.arange(N) * (2 * np.pi / N) for N in grid]
-    coords = np.meshgrid(*axes, indexing="ij")
-    values = np.empty(tuple(grid) + (len(exprs),), dtype=complex)
-    try:
-        with np.errstate(all="ignore"):   # non-finite values are caught below
-            for idx in np.ndindex(*grid):
-                point = [float(coords[i][idx]) for i in range(len(grid))]
-                for a, e in enumerate(exprs):
-                    values[idx + (a,)] = jet.eval_jet2(e, point).value
-    except ArithmeticError as err:
-        raise ValidationError("flow.initial", f"{type(err).__name__} at grid "
-                              f"node {list(idx)}: {err}") from err
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), -1)
+    with np.errstate(all="ignore"):   # non-finite values are caught below
+        try:
+            values = initial_map.value(points.reshape(-1, len(grid)))
+        except ArithmeticError:   # node by node, to name the node that fails
+            values = np.array([_initial_value(initial_map, points, idx)
+                               for idx in np.ndindex(*grid)])
+    values = values.reshape(tuple(grid) + (len(exprs),))
     if not np.all(np.isfinite(values)):
         raise ValidationError("flow.initial",
                               "values are not finite at every grid node")
@@ -720,13 +760,14 @@ def verify_paper(seed: int = 42) -> dict:
                               + jet.re(catalog.holomorphic_polynomial(rng, 3))
                               * jet.Const(rng.uniform(-1, 1))])
         pulled_r = compose(fr, ex1)
-        for p in catalog.sample_points(rng, 50, [[-1, 1]] * 2):
-            pd = PointData(pulled, g2, p, h1)
+        pds = [PointData(pulled, g2, p, h1)
+               for p in catalog.sample_points(rng, 50, [[-1, 1]] * 2)]
+        for pd, dr in zip(pds, share_pass(pds, pulled_r.components)):
             lap = pd.laplacian(pd.diff.dphi[0], pd.diff.second[0])
             worst_lap = max(worst_lap, abs(lap.real), abs(lap.imag))
             worst_hwc = max(worst_hwc, hwc_report(pd).defect)
-            worst_pluri_lap = max(worst_pluri_lap, abs(
-                laplace_beltrami(pulled_r.components[0], pd)))
+            worst_pluri_lap = max(worst_pluri_lap, abs(float(
+                pd.laplacian(dr.dphi[0], dr.second[0]).real)))
     records.append(_suite_record("pullback_holomorphic_laplacian",
                                  worst_lap, 1e-9))
     records.append(_suite_record("pullback_holomorphic_hwc", worst_hwc, 1e-9))
@@ -740,8 +781,10 @@ def verify_paper(seed: int = 42) -> dict:
         psi = catalog.random_holomorphic_map(rng, nin, 2)
         comp = compose(psi, base)
         hk = HermitianMetricField.flat(2)
-        for p in catalog.sample_points(rng, 50, [[-1, 1]] * base.domain_dim):
-            pd = PointData(comp, g, p, hk)
+        pds = [PointData(comp, g, p, hk) for p
+               in catalog.sample_points(rng, 50, [[-1, 1]] * base.domain_dim)]
+        share_pass(pds)
+        for pd in pds:
             worst_phwc = max(worst_phwc, phwc_residual_coord(pd))
             worst_tension = max(worst_tension, tension(pd).harmonic_residual)
     records.append(_suite_record("composition_phwc", worst_phwc, 1e-10))
@@ -749,8 +792,10 @@ def verify_paper(seed: int = 42) -> dict:
 
     control = compose(SmoothMap(6, 1, [catalog.zvar(0)
                                        + jet.conj(catalog.zvar(0))]), ex1)
-    control_val = min(phwc_residual_coord(PointData(control, g2, p))
-                      for p in catalog.sample_points(rng, 10, [[-1, 1]] * 2))
+    pds = [PointData(control, g2, p)
+           for p in catalog.sample_points(rng, 10, [[-1, 1]] * 2)]
+    share_pass(pds)
+    control_val = min(phwc_residual_coord(pd) for pd in pds)
     records.append(_suite_record("composition_nonholomorphic_control",
                                  control_val, 1e-3, negate=True))
 
@@ -914,7 +959,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
+    except OSError as err:             # the message names the path
         print(f"error: {err}", file=sys.stderr)
         return 2
 

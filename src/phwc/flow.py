@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HermitianMetricField, TargetNotKaehler, christoffel_kaehler
+from .geometry import HermitianMetricField, TargetNotKaehler, hermitian_points
 from .jet import Const, Expr, Var, exp as jexp
 from .maps import SmoothMap
 
@@ -113,6 +113,12 @@ def _laplacian(u: GridMap):
     return lap
 
 
+def _targets(u: GridMap, h: HermitianMetricField):
+    """h at every node's value, in C order, from one jet pass; the checks,
+    inverse and symbols stay per node."""
+    return hermitian_points(h, u.values.reshape(-1, u.n))
+
+
 def dirichlet_energy(u: GridMap, h: HermitianMetricField) -> float:
     """E = 1/2 sum_nodes sum_i h_{a bbar}(u) d_i u^a conj(d_i u^b) * cellvol."""
     grads = _gradients(u)
@@ -122,8 +128,8 @@ def dirichlet_energy(u: GridMap, h: HermitianMetricField) -> float:
                       for g in grads)
     else:
         density = np.zeros(u.dims, dtype=complex)
-        for idx in np.ndindex(*u.dims):
-            hmat = h.matrix(u.values[idx])
+        for idx, target in zip(np.ndindex(*u.dims), _targets(u, h)):
+            hmat = target.hm
             density[idx] = sum(g[idx] @ hmat @ np.conj(g[idx]) for g in grads)
     return float(0.5 * np.sum(density.real) * u.cell_volume)
 
@@ -140,9 +146,8 @@ def discrete_tension(u: GridMap, h: HermitianMetricField) -> np.ndarray:
         return tau  # constant metric, vanishing symbols
     grads = _gradients(u)
     gram = sum(np.einsum("...b,...c->...bc", g, g) for g in grads)
-    for idx in np.ndindex(*u.dims):
-        gamma = christoffel_kaehler(h, u.values[idx])
-        tau[idx] += np.einsum("abc,bc->a", gamma, gram[idx])
+    for idx, target in zip(np.ndindex(*u.dims), _targets(u, h)):
+        tau[idx] += np.einsum("abc,bc->a", target.gamma, gram[idx])
     return tau
 
 

@@ -31,7 +31,8 @@ import numpy as np
 
 from .geometry import (HermitianMetricField, MetricField, MetricPoint,
                        _inverse_checked)
-from .maps import PointData, SmoothMap, phwc_residual_coord, tension
+from .maps import (PointData, SmoothMap, phwc_residual_coord, share_pass,
+                   tension)
 
 __all__ = [
     "NotPHWCAtPoint",
@@ -250,6 +251,11 @@ class FStencil:
                          for fp, fm in zip(self.plus, self.minus)])
 
 
+def _around(p: np.ndarray, h_step: float) -> list:
+    """p + h e_1, p - h e_1, p + h e_2, ..."""
+    return [q for e in h_step * np.eye(len(p)) for q in (p + e, p - e)]
+
+
 def f_stencil(source, g: MetricField | None = None, p=None, *,
               h_step: float = H_STEP,
               rank_tol: float = RANK_TOL,
@@ -257,20 +263,21 @@ def f_stencil(source, g: MetricField | None = None, p=None, *,
     """Evaluate an F-field once at a center p and at each p +/- h e_l.
 
     f_stencil(pd, ...) takes the associated f-structure of pd.phi (rank_tol
-    and phwc_gate apply to it) with pd itself as the center;
-    f_stencil(field, g, p, ...) any field x -> FStructurePoint.  Raises
-    RankJumpOnStencil when the rank is not the same at every stencil point.
+    and phwc_gate apply to it) with pd itself as the center, and evaluates
+    phi and g at the 2m other points in one pass; f_stencil(field, g, p,
+    ...) any field x -> FStructurePoint.  Raises RankJumpOnStencil when the
+    rank is not the same at every stencil point.
     """
     if isinstance(source, PointData):
         at, center = source, associated_f_structure(source, rank_tol, phwc_gate)
-        field = f_field_of_map(at.phi, at.g, rank_tol, phwc_gate)
+        pds = [PointData(at.phi, at.g, q) for q in _around(at.p, h_step)]
+        share_pass(pds)
+        around = [associated_f_structure(pd, rank_tol, phwc_gate) for pd in pds]
     else:
-        at, field = MetricPoint(g, p), source
-        center = field(at.p)
-    plus, minus = [], []
-    for e in h_step * np.eye(len(at.p)):
-        plus.append(field(at.p + e))
-        minus.append(field(at.p - e))
+        at = MetricPoint(g, p)
+        center = source(at.p)
+        around = [source(q) for q in _around(at.p, h_step)]
+    plus, minus = around[0::2], around[1::2]
     ranks = {fp.rank for fp in plus + minus + [center]}
     if len(ranks) != 1:
         raise RankJumpOnStencil(
@@ -441,12 +448,14 @@ def theorem_suite(samples, tol: SuiteTolerances | None = None) -> TheoremSuiteRe
     records = []
     report = TheoremSuiteReport(records=records)
     for sample in samples:
-        for point in np.atleast_2d(np.asarray(sample.points, dtype=float)):
-            rec = SuiteRecord(sample=sample.name, point=list(point),
+        pds = [PointData(sample.phi, sample.g, point, sample.h) for point
+               in np.atleast_2d(np.asarray(sample.points, dtype=float))]
+        share_pass(pds)
+        for pd in pds:
+            rec = SuiteRecord(sample=sample.name, point=list(pd.p),
                               status="ok", reasons=[], residuals={})
             records.append(rec)
 
-            pd = PointData(sample.phi, sample.g, point, sample.h)
             if sample.h.kaehler:
                 kr = pd.target.kaehler
                 rec.residuals["kaehler"] = kr

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jet
-from .jet import Const, Expr, as_expr, eval_jet2
+from .jet import Const, Expr, VariableIndexOutOfRange, as_expr, eval_jet2
 
 __all__ = [
     "GeometryError",
@@ -32,6 +32,7 @@ __all__ = [
     "MetricPoint",
     "HermitianMetricField",
     "HermitianPoint",
+    "hermitian_points",
     "christoffel_domain",
     "christoffel_kaehler",
     "kaehler_residual",
@@ -40,6 +41,11 @@ __all__ = [
 
 # Smallest admissible eigenvalue for a metric at a queried point.
 SPD_EPS = 1e-10
+
+# Errors a jet pass raises at a point.  A pass over a set of points that
+# raises one leaves each point to make its own pass on first use, so the
+# error lands on the points where it occurs, with the message it has there.
+PASS_ERRORS = (ArithmeticError, VariableIndexOutOfRange)
 
 
 class GeometryError(ValueError):
@@ -66,10 +72,14 @@ def _inverse_checked(g: np.ndarray, what: str) -> np.ndarray:
     return ginv
 
 
-def _real_component(v: complex, i: int, j: int, p) -> float:
-    if abs(v.imag) > 1e-12 * max(1.0, abs(v)):
+def _real_part(values: np.ndarray, p) -> np.ndarray:
+    """The real matrix of g's component values; raises MetricNotSPD naming
+    the first entry (row by row) that is not real."""
+    bad = np.abs(values.imag) > 1e-12 * np.maximum(1.0, np.abs(values))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
         raise MetricNotSPD(f"g_{i+1}{j+1} is not real at {p}")
-    return v.real
+    return values.real.copy()
 
 
 def _check_spd(gm: np.ndarray, p) -> None:
@@ -124,33 +134,55 @@ class MetricField:
         return MetricPoint(self, p).gm
 
     def jets(self, p):
-        """Grid of jets of the components (for metric derivatives); the
-        mirrored entries (j, i) share the jet of (i, j)."""
-        p = np.asarray(p, dtype=float)
-        grid = [[None] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                grid[i][j] = grid[j][i] = eval_jet2(self.components[i][j], p)
-        return grid
+        """Grid of jets of the components at p (m,) or at each row of p
+        (N, m), from one pass; the mirrored entries (j, i) share the jet of
+        (i, j)."""
+        upper = [(i, j) for i in range(self.dim) for j in range(i, self.dim)]
+        jets = dict(zip(upper, eval_jet2(
+            [self.components[i][j] for i, j in upper], p)))
+        return [[jets[min(i, j), max(i, j)] for j in range(self.dim)]
+                for i in range(self.dim)]
+
+
+def _grid_arrays(grid):
+    """Values [..., i, j] and gradients [..., i, j, l] of an n x n grid of
+    jets."""
+    n = len(grid)
+    values = np.stack([j.value for row in grid for j in row], -1)
+    grads = np.stack([j.grad for row in grid for j in row], -2)
+    return (values.reshape(values.shape[:-1] + (n, n)),
+            grads.reshape(grads.shape[:-2] + (n, n, grads.shape[-1])))
+
+
+def _share(objects, evaluate, points) -> None:
+    """Give each object its slice, as ``_jets``, of one pass
+    ``evaluate(points)`` over all their points; a pass that raises one of
+    PASS_ERRORS gives none, and each object evaluates alone on first use."""
+    try:
+        arrays = evaluate(np.asarray(points))
+    except PASS_ERRORS:
+        return
+    for obj, jets in zip(objects, zip(*arrays)):
+        obj._jets = jets
 
 
 class MetricPoint:
     """g at one point p from one jet pass of its components: the checked
     matrix gm, its checked inverse ginv and the Levi-Civita symbols gamma,
-    each computed on first use; one that fails raises in its readers only."""
+    each computed on first use; one that fails raises in its readers only.
+    The pass may be a slice of one over a set of points (see
+    maps.share_pass)."""
 
     def __init__(self, g: MetricField, p):
         self.g, self.p = g, np.asarray(p, dtype=float)
 
     @cached_property
     def _jets(self):
-        return self.g.jets(self.p)
+        return _grid_arrays(self.g.jets(self.p))
 
     @cached_property
     def gm(self) -> np.ndarray:
-        gm = np.array([[_real_component(e.value, i, j, self.p)
-                        for j, e in enumerate(row)]
-                       for i, row in enumerate(self._jets)])
+        gm = _real_part(self._jets[0], self.p)
         _check_spd(gm, self.p)
         return gm
 
@@ -161,8 +193,8 @@ class MetricPoint:
     @cached_property
     def gamma(self) -> np.ndarray:
         """Levi-Civita symbols, indexed [k, i, j]; see christoffel_domain."""
-        dg = np.array([[e.grad.real for e in row] for row in self._jets])
-        dg = np.ascontiguousarray(dg.transpose(2, 0, 1))  # d_l g_ij at [l, i, j]
+        # d_l g_ij at [l, i, j]
+        dg = np.ascontiguousarray(self._jets[1].real.transpose(2, 0, 1))
         sym = (np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg)
                - np.einsum("lij->lij", dg))
         return 0.5 * np.einsum("kl,lij->kij", self.ginv, sym)
@@ -221,11 +253,12 @@ class HermitianMetricField:
 
     @staticmethod
     def real_coords(z) -> np.ndarray:
-        """Interleave a complex chart point into real coordinates."""
+        """Interleave complex chart points (..., n) into real coordinates
+        (..., 2n)."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        x = np.empty(2 * len(z))
-        x[0::2] = z.real
-        x[1::2] = z.imag
+        x = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
+        x[..., 0::2] = z.real
+        x[..., 1::2] = z.imag
         return x
 
     def matrix(self, z) -> np.ndarray:
@@ -241,23 +274,30 @@ class HermitianMetricField:
         return None
 
     def jets(self, z):
-        x = self.real_coords(z)
-        return [[eval_jet2(self.components[a][b], x) for b in range(self.cdim)]
+        """Grid of jets of the components at the chart point z (n,) or at
+        each row of z (N, n), from one pass."""
+        flat = eval_jet2([e for row in self.components for e in row],
+                         self.real_coords(z))
+        return [flat[a * self.cdim:(a + 1) * self.cdim]
                 for a in range(self.cdim)]
 
 
 class HermitianPoint:
-    """h at z from one jet pass, made on construction, and from it the checked
-    symmetrised hm, checked hinv, dh[b, c, d] = d_{z^b} h_{c dbar}, gamma
+    """h at z from one jet pass, and from it the checked symmetrised hm,
+    checked hinv, dh[b, c, d] = d_{z^b} h_{c dbar}, gamma
     (christoffel_kaehler) and kaehler (kaehler_residual), each on first use;
     one that fails raises in its readers only."""
 
     def __init__(self, h: HermitianMetricField, z):
-        self.h, self.z, self._jets = h, z, h.jets(z)
+        self.h, self.z = h, z
+
+    @cached_property
+    def _jets(self):
+        return _grid_arrays(self.h.jets(self.z))
 
     @cached_property
     def hm(self) -> np.ndarray:
-        hm = np.array([[j.value for j in r] for r in self._jets], complex)
+        hm = self._jets[0]
         _check_hermitian_pd(hm, self.z)
         return 0.5 * (hm + hm.conj().T)
 
@@ -267,8 +307,7 @@ class HermitianPoint:
 
     @cached_property
     def dh(self) -> np.ndarray:
-        grads = np.array([[j.grad for j in row] for row in self._jets])
-        d_z = jet.wirtinger(grads)[..., :self.h.cdim]     # [c, d, b]
+        d_z = jet.wirtinger(self._jets[1])[..., :self.h.cdim]     # [c, d, b]
         return np.ascontiguousarray(np.moveaxis(d_z, -1, 0))
 
     @cached_property
@@ -278,6 +317,14 @@ class HermitianPoint:
     @cached_property
     def kaehler(self) -> float:
         return float(np.max(np.abs(self.dh - np.einsum("abc->bac", self.dh))))
+
+
+def hermitian_points(h: HermitianMetricField, zs) -> list[HermitianPoint]:
+    """HermitianPoint of h at each chart point of zs (N, n), all from one
+    jet pass when it succeeds."""
+    points = [HermitianPoint(h, z) for z in zs]
+    _share(points, lambda z: _grid_arrays(h.jets(z)), zs)
+    return points
 
 
 def christoffel_domain(g: MetricField, p) -> np.ndarray:

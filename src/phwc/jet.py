@@ -3,18 +3,22 @@
 Expressions are immutable trees over real/complex literals, real variables
 ``x1 .. xm``, arithmetic, integer powers, ``sin``, ``cos``, ``exp`` and the
 non-analytic primitives ``conj``, ``re``, ``im``.  Evaluating an expression at
-a point of R^m produces a :class:`Jet2`: the value together with the exact
-gradient and Hessian with respect to the real coordinates.  Complex-analytic
-derivatives (Wirtinger derivatives) are recovered from arrays of real
-derivatives by :func:`wirtinger` at the bottom of the module; real pairs are
-interleaved, so the chart coordinate z^a occupies the real variables
+a point of R^m, or at N points in one pass, produces a :class:`Jet2`: the
+value together with the exact gradient and Hessian with respect to the real
+coordinates.  A pass over N points walks the tree once, with every array
+carrying a leading point axis, and gives at each point exactly what
+evaluating that point alone gives.  Complex-analytic derivatives
+(Wirtinger derivatives) are recovered from arrays of real derivatives by
+:func:`wirtinger` at the bottom of the module; real pairs are interleaved,
+so the chart coordinate z^a occupies the real variables
 (2a, 2a+1) = (re z^a, im z^a).
 
 ``conj``, ``re`` and ``im`` are primitive nodes rather than rewrites because
 holomorphic and antiholomorphic components must stay distinguishable.
 
 Trees may share subtrees (map composition substitutes one ``re(phi^a)`` node
-at every occurrence).  One :func:`eval_jet2` call evaluates each node object
+at every occurrence, and the entries of a metric share their factors).  One
+:func:`eval_jet2` call, of one tree or of several, evaluates each node object
 once and reuses its jet wherever the node occurs again; nothing is kept
 between calls, so evaluation is pure and expression trees can be shared
 freely between threads.
@@ -24,6 +28,8 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 
 import numpy as np
 
@@ -78,107 +84,146 @@ class ParseError(ValueError):
 
 @dataclass(slots=True)
 class Jet2:
-    """Value, gradient and Hessian of a scalar at a point of R^m.
+    """Values, gradients and Hessians of a scalar at N points of R^m.
 
-    The Hessian is symmetric by construction: every arithmetic rule below
-    only ever adds symmetric matrices (symmetrised outer products), so
-    ``hess[i, j] == hess[j, i]`` holds exactly, not just to round-off.
+    value (N,), grad (N, m) and hess (N, m, m), complex; a jet of one point
+    given as an array of shape (m,) has no point axis.  The Hessian is
+    symmetric by construction: every rule below only ever adds symmetrised
+    outer products, so ``hess[..., i, j] == hess[..., j, i]`` holds exactly.
     Jets are never mutated: one jet may stand for several tree nodes.
     """
 
-    value: complex
-    grad: np.ndarray   # shape (m,), complex
-    hess: np.ndarray   # shape (m, m), complex
-
-    @property
-    def m(self) -> int:
-        return self.grad.shape[0]
-
-    def __add__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.value + other.value, self.grad + other.grad,
-                    self.hess + other.hess)
-
-    def __sub__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.value - other.value, self.grad - other.grad,
-                    self.hess - other.hess)
-
-    def __mul__(self, other: "Jet2") -> "Jet2":
-        cross = np.outer(self.grad, other.grad)
-        return Jet2(
-            self.value * other.value,
-            self.value * other.grad + other.value * self.grad,
-            self.value * other.hess + other.value * self.hess
-            + cross + cross.T,
-        )
-
-    def reciprocal(self) -> "Jet2":
-        if abs(self.value) < DIV_EPS:
-            raise DivisionNearZero(
-                f"division by operand with modulus {abs(self.value):.3e}")
-        w = 1.0 / self.value
-        outer = np.outer(self.grad, self.grad)
-        return Jet2(w, -w * w * self.grad,
-                    -w * w * self.hess + 2.0 * w ** 3 * outer)
-
-    def __truediv__(self, other: "Jet2") -> "Jet2":
-        return self * other.reciprocal()
-
-    def powi(self, n: int) -> "Jet2":
-        if n == 0:
-            return jet_const(1.0, self.m)
-        if n == 1:
-            return self  # the general rule below would form u**-1
-        if n < 0:
-            return self.reciprocal().powi(-n)
-        u, g, h = self.value, self.grad, self.hess
-        outer = np.outer(g, g)
-        return Jet2(u ** n,
-                    n * u ** (n - 1) * g,
-                    n * (n - 1) * u ** (n - 2) * outer + n * u ** (n - 1) * h)
-
-    def _unary(self, f, df, d2f) -> "Jet2":
-        outer = np.outer(self.grad, self.grad)
-        return Jet2(f, df * self.grad, d2f * outer + df * self.hess)
-
-    def sin(self) -> "Jet2":
-        s, c = np.sin(self.value), np.cos(self.value)
-        return self._unary(s, c, -s)
-
-    def cos(self) -> "Jet2":
-        s, c = np.sin(self.value), np.cos(self.value)
-        return self._unary(c, -s, -c)
-
-    def exp(self) -> "Jet2":
-        e = np.exp(self.value)
-        return self._unary(e, e, e)
+    value: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
 
     def conj(self) -> "Jet2":
         # Differentiation variables are real, so conjugation commutes with
         # every partial derivative.
         return Jet2(np.conj(self.value), np.conj(self.grad), np.conj(self.hess))
 
-    def real(self) -> "Jet2":
-        return Jet2(complex(self.value.real), self.grad.real.astype(complex),
-                    self.hess.real.astype(complex))
 
-    def imag(self) -> "Jet2":
-        return Jet2(complex(self.value.imag), self.grad.imag.astype(complex),
-                    self.hess.imag.astype(complex))
+class _Jet:
+    """The jet of one node inside an evaluation.
+
+    ``value`` is (N,), or a scalar on a constant node; ``grad`` (N, m) is
+    None on a constant node and ``hess`` (N, m, m) None wherever the
+    Hessian vanishes identically (constants and affine nodes).
+
+    Values are what scalar arithmetic at each point gives, bit for bit:
+    Python complex numbers, except that ``sin``, ``cos``, ``exp`` and
+    ``conj`` give numpy complex128 scalars, as ``np.sin(z)`` does, and so
+    does arithmetic on those.  ``py`` says which of the two a value is;
+    they multiply alike but divide and take powers differently.  Gradient
+    and Hessian terms are numpy broadcasts over the points, which round
+    like the scalar-times-array products of scalar code.
+    """
+
+    __slots__ = ("value", "grad", "hess", "py")
+
+    def __init__(self, value, grad=None, hess=None, py=True):
+        self.value, self.grad, self.hess, self.py = value, grad, hess, py
 
 
-def jet_const(c, m: int) -> Jet2:
-    return Jet2(complex(c), np.zeros(m, dtype=complex),
-                np.zeros((m, m), dtype=complex))
+def _pointwise(op, *values):
+    """op on values (scalars or (N,) arrays), point by point in Python
+    complex arithmetic; numpy's vectorised complex arithmetic rounds
+    products and quotients differently."""
+    if all(type(v) is not np.ndarray for v in values):
+        return op(*values)
+    columns = [v.tolist() if type(v) is np.ndarray else repeat(v)
+               for v in values]
+    return np.array([op(*args) for args in zip(*columns)], dtype=complex)
 
 
-def jet_var(i: int, p: np.ndarray) -> Jet2:
-    m = len(p)
-    if not 0 <= i < m:
-        raise VariableIndexOutOfRange(
-            f"variable x{i + 1} but the point has dimension {m}")
-    g = np.zeros(m, dtype=complex)
-    g[i] = 1.0
-    return Jet2(complex(p[i]), g, np.zeros((m, m), dtype=complex))
+def _inverse(v, py: bool):
+    """1 / v: CPython's division on Python complex values, numpy's (which
+    equals its scalar division) on complex128 ones."""
+    return _pointwise(lambda x: 1.0 / x, v) if py else 1.0 / v
+
+
+def _power(u, n: int, py: bool):
+    """u ** n for n >= 0: CPython's power on Python complex values (it
+    raises OverflowError), numpy's ufunc (which equals its scalar power)
+    on complex128 ones."""
+    return _pointwise(lambda x: x ** n, u) if py else np.power(u, n)
+
+
+def _col(v, k: int):
+    """v with k trailing axes, to scale gradients (k = 1) or Hessians (2)."""
+    return v.reshape(v.shape + (1,) * k) if type(v) is np.ndarray else v
+
+
+def _scaled(v, a, k: int):
+    return None if a is None else _col(v, k) * a
+
+
+def _outer(a, b):
+    return None if a is None or b is None else a[:, :, None] * b[:, None, :]
+
+
+def _total(*terms):
+    """Left-to-right sum of the terms that are present (None is zero)."""
+    out = None
+    for t in terms:
+        if t is not None:
+            out = t if out is None else out + t
+    return out
+
+
+def _minus(a, b):
+    return a if b is None else -b if a is None else a - b
+
+
+def _chain(j: _Jet, f, df, d2f) -> _Jet:
+    """The jet of f(u) from f(u), f'(u) and f''(u) at the values u of j."""
+    if j.grad is None:
+        return _Jet(f, py=False)
+    cross = _outer(j.grad, j.grad)
+    return _Jet(f, _col(df, 1) * j.grad,
+                _total(_col(d2f, 2) * cross, _scaled(df, j.hess, 2)), False)
+
+
+def _reciprocal(j: _Jet) -> _Jet:
+    modulus = np.atleast_1d(np.abs(j.value))
+    small = modulus < DIV_EPS
+    if small.any():
+        raise DivisionNearZero("division by operand with modulus "
+                               f"{modulus[small][0]:.3e}")
+    w = _inverse(j.value, j.py)
+    if j.grad is None:
+        return _Jet(w, py=j.py)
+    ww = _pointwise(mul, -w, w)
+    cube = _pointwise(mul, 2.0, _power(w, 3, j.py))
+    return _Jet(w, _col(ww, 1) * j.grad,
+                _total(_scaled(ww, j.hess, 2),
+                       _col(cube, 2) * _outer(j.grad, j.grad)), j.py)
+
+
+def _product(a: _Jet, b: _Jet) -> _Jet:
+    cross = _outer(a.grad, b.grad)
+    return _Jet(_pointwise(mul, a.value, b.value),
+                _total(_scaled(a.value, b.grad, 1), _scaled(b.value, a.grad, 1)),
+                _total(_scaled(a.value, b.hess, 2), _scaled(b.value, a.hess, 2),
+                       cross, None if cross is None else cross.swapaxes(1, 2)),
+                a.py and b.py)
+
+
+def _powi(j: _Jet, n: int) -> _Jet:
+    if n == 0:
+        return _Jet(complex(1.0))
+    if n == 1:
+        return j  # the general rule below would form u**-1
+    if n < 0:
+        return _powi(_reciprocal(j), -n)
+    value = _power(j.value, n, j.py)
+    if j.grad is None:
+        return _Jet(value, py=j.py)
+    first = _pointwise(mul, n, _power(j.value, n - 1, j.py))
+    second = _pointwise(mul, n * (n - 1), _power(j.value, n - 2, j.py))
+    return _Jet(value, _col(first, 1) * j.grad,
+                _total(_col(second, 2) * _outer(j.grad, j.grad),
+                       _scaled(first, j.hess, 2)), j.py)
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +231,10 @@ def jet_var(i: int, p: np.ndarray) -> Jet2:
 # ---------------------------------------------------------------------------
 
 class Expr:
-    """Base class; subclasses implement ``jet(at)``, reading the point as
-    ``at.p`` and the jet of a child node as ``at(child)``."""
+    """Base class; subclasses implement ``jet(at)``, reading the points as
+    ``at.p`` (N, m) and the jet of a child node as ``at(child)``."""
 
-    def jet(self, at: "_Evaluation") -> Jet2:
+    def jet(self, at: "_Evaluation") -> _Jet:
         raise NotImplementedError
 
     # operator sugar so maps and metrics read like formulas
@@ -241,7 +286,7 @@ class Const(Expr):
         self.value = complex(value)
 
     def jet(self, at):
-        return jet_const(self.value, len(at.p))
+        return _Jet(self.value)
 
     def substitute(self, mapping):
         return self
@@ -257,7 +302,13 @@ class Var(Expr):
         self.index = index
 
     def jet(self, at):
-        return jet_var(self.index, at.p)
+        n, m = at.p.shape
+        if self.index >= m:
+            raise VariableIndexOutOfRange(
+                f"variable x{self.index + 1} but the point has dimension {m}")
+        grad = np.zeros((n, m), dtype=complex)
+        grad[:, self.index] = 1.0
+        return _Jet(at.p[:, self.index].astype(complex), grad)
 
     def substitute(self, mapping):
         return mapping.get(self.index, self)
@@ -278,28 +329,26 @@ class _Binary(Expr):
 
 class Add(_Binary):
     def jet(self, at):
-        return at(self.left) + at(self.right)
+        a, b = at(self.left), at(self.right)
+        return _Jet(a.value + b.value, _total(a.grad, b.grad),
+                    _total(a.hess, b.hess), a.py and b.py)
 
 
 class Sub(_Binary):
     def jet(self, at):
-        return at(self.left) - at(self.right)
+        a, b = at(self.left), at(self.right)
+        return _Jet(a.value - b.value, _minus(a.grad, b.grad),
+                    _minus(a.hess, b.hess), a.py and b.py)
 
 
 class Mul(_Binary):
     def jet(self, at):
-        a, b = at(self.left), at(self.right)
-        # a constant factor has zero derivatives: its product-rule terms vanish
-        if type(self.left) is Const:
-            return Jet2(a.value * b.value, a.value * b.grad, a.value * b.hess)
-        if type(self.right) is Const:
-            return Jet2(a.value * b.value, b.value * a.grad, b.value * a.hess)
-        return a * b
+        return _product(at(self.left), at(self.right))
 
 
 class Div(_Binary):
     def jet(self, at):
-        return at(self.left) / at(self.right)
+        return _product(at(self.left), _reciprocal(at(self.right)))
 
 
 class Pow(Expr):
@@ -311,47 +360,66 @@ class Pow(Expr):
         self.n = int(n)
 
     def jet(self, at):
-        return at(self.base).powi(self.n)
+        return _powi(at(self.base), self.n)
 
     def substitute(self, mapping):
         return Pow(self.base.substitute(mapping), self.n)
 
 
 class _Unary(Expr):
-    _method: str
-
     def __init__(self, arg: Expr):
         self.arg = arg
 
     def jet(self, at):
-        return getattr(at(self.arg), self._method)()
+        return self._rule(at(self.arg))
 
     def substitute(self, mapping):
         return type(self)(self.arg.substitute(mapping))
 
 
 class Sin(_Unary):
-    _method = "sin"
+    @staticmethod
+    def _rule(j):
+        s, c = np.sin(j.value), np.cos(j.value)
+        return _chain(j, s, c, -s)
 
 
 class Cos(_Unary):
-    _method = "cos"
+    @staticmethod
+    def _rule(j):
+        s, c = np.sin(j.value), np.cos(j.value)
+        return _chain(j, c, -s, -c)
 
 
 class Exp(_Unary):
-    _method = "exp"
+    @staticmethod
+    def _rule(j):
+        e = np.exp(j.value)
+        return _chain(j, e, e, e)
+
+
+def _linear(f, py: bool):
+    """The rule of a real-linear f: the variables are real, so f commutes
+    with every partial derivative and acts on value, grad and hess alike."""
+    return staticmethod(lambda j: _Jet(
+        f(j.value), *(None if a is None else f(a) for a in (j.grad, j.hess)),
+        py=py))
+
+
+def _as_complex(x):
+    return x.astype(complex) if type(x) is np.ndarray else complex(x)
 
 
 class Conj(_Unary):
-    _method = "conj"
+    _rule = _linear(np.conj, False)
 
 
 class Re(_Unary):
-    _method = "real"
+    _rule = _linear(lambda x: _as_complex(x.real), True)
 
 
 class Im(_Unary):
-    _method = "imag"
+    _rule = _linear(lambda x: _as_complex(x.imag), True)
 
 
 def var(i: int) -> Expr:
@@ -391,26 +459,49 @@ I = Const(1j)
 
 
 class _Evaluation:
-    """One evaluation: the point and the jet of every node evaluated so far,
-    keyed by node identity.  The tree outlives the evaluation, so no id is
-    reused while the memo exists."""
+    """One evaluation: the points (N, m) and the jet of every node evaluated
+    so far, keyed by node identity.  The trees outlive the evaluation, so no
+    id is reused while the memo exists."""
 
     __slots__ = ("p", "memo")
 
     def __init__(self, p: np.ndarray):
         self.p = p
-        self.memo: dict[int, Jet2] = {}
+        self.memo: dict[int, _Jet] = {}
 
-    def __call__(self, node: Expr) -> Jet2:
+    def __call__(self, node: Expr) -> _Jet:
         j = self.memo.get(id(node))
         if j is None:
             j = self.memo[id(node)] = node.jet(self)
         return j
 
+    def result(self, j: _Jet) -> Jet2:
+        """The jet of a root, with a constant value and every vanishing
+        derivative spelled out as arrays."""
+        n, m = self.p.shape
+        return Jet2(j.value if type(j.value) is np.ndarray
+                    else np.full(n, j.value, complex),
+                    np.zeros((n, m), complex) if j.grad is None else j.grad,
+                    np.zeros((n, m, m), complex) if j.hess is None else j.hess)
 
-def eval_jet2(e: Expr, p) -> Jet2:
-    """Value, gradient and Hessian of ``e`` at the real point ``p``."""
-    return _Evaluation(np.asarray(p, dtype=float))(e)
+
+def eval_jet2(e, p):
+    """Value, gradient and Hessian of ``e`` at the real points ``p``.
+
+    ``p`` is one point (m,) or N points (N, m); the jet has no point axis in
+    the first case.  ``e`` is an expression, or a list of expressions that
+    share one memo (a subtree they share is evaluated once) and give a list
+    of jets.  Every value, gradient and Hessian equals, bit for bit, that of
+    the same expression evaluated at its point alone; an error at any point
+    raises for the whole call.
+    """
+    p = np.asarray(p, dtype=float)
+    at = _Evaluation(p.reshape(-1, p.shape[-1]))
+    jets = [at.result(at(root))
+            for root in ([e] if isinstance(e, Expr) else e)]
+    if p.ndim == 1:
+        jets = [Jet2(j.value[0], j.grad[0], j.hess[0]) for j in jets]
+    return jets[0] if isinstance(e, Expr) else jets
 
 
 def max_var_index(e: Expr) -> int:

@@ -26,11 +26,15 @@ import numpy as np
 
 from . import jet
 from .geometry import (
+    PASS_ERRORS,
     HermitianMetricField,
     HermitianPoint,
     MetricField,
     MetricPoint,
     TargetNotKaehler,
+    _grid_arrays,
+    _share,
+    hermitian_points,
 )
 from .jet import Expr, Jet2, as_expr, eval_jet2
 
@@ -39,6 +43,7 @@ __all__ = [
     "SmoothMap",
     "DifferentialPoint",
     "PointData",
+    "share_pass",
     "HWCReport",
     "TensionPoint",
     "differential",
@@ -70,17 +75,19 @@ class SmoothMap:
         self.components = [as_expr(c) for c in components]
 
     def value(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        return np.array([eval_jet2(c, p).value for c in self.components])
+        """phi at p (m,), or at each row of p (N, m) as (N, n)."""
+        return np.stack([j.value for j in eval_jet2(self.components, p)], -1)
 
     def jets(self, p) -> list[Jet2]:
-        p = np.asarray(p, dtype=float)
-        return [eval_jet2(c, p) for c in self.components]
+        """Jets of the components at p (m,) or at each row of p (N, m),
+        from one pass."""
+        return eval_jet2(self.components, p)
 
 
 @dataclass
 class DifferentialPoint:
-    """Value, first and second partials of the components at a point."""
+    """Value, first and second partials of the components at a point, or
+    with a leading point axis at a set of points."""
 
     value: np.ndarray   # (n,) complex, phi(p)
     dphi: np.ndarray    # (n, m) complex, dphi[a, i] = d phi^a / d x^i
@@ -89,9 +96,9 @@ class DifferentialPoint:
 
 def differential(phi: SmoothMap, p) -> DifferentialPoint:
     js = phi.jets(p)
-    return DifferentialPoint(np.array([j.value for j in js]),
-                             np.array([j.grad for j in js]),
-                             np.array([j.hess for j in js]))
+    return DifferentialPoint(np.stack([j.value for j in js], -1),
+                             np.stack([j.grad for j in js], -2),
+                             np.stack([j.hess for j in js], -3))
 
 
 class PointData(MetricPoint):
@@ -120,6 +127,38 @@ class PointData(MetricPoint):
     @cached_property
     def target(self) -> HermitianPoint:
         return HermitianPoint(self.h, self.diff.value)
+
+
+def share_pass(pds: list[PointData], extra=()) -> list[DifferentialPoint]:
+    """Evaluate phi and g of pds, point data of one phi and g, in one jet
+    pass each over all their points, and give each point its slice.
+
+    h, if given, is evaluated at every phi(p) in one pass too; its checks,
+    inverse and symbols stay per point.  The expressions of extra, in phi's
+    variables, share phi's pass; their DifferentialPoint at each point is
+    returned.  A pass that raises an error at some point gives no slices:
+    each point then evaluates alone on first use, as a lone PointData does,
+    so an error lands on the points where it occurs.
+    """
+    if not pds:
+        return []
+    phi, points = pds[0].phi, np.array([pd.p for pd in pds])
+    _share(pds, lambda p: _grid_arrays(pds[0].g.jets(p)), points)
+    n = phi.target_cdim
+    both = SmoothMap(phi.domain_dim, n + len(extra), [*phi.components, *extra])
+    try:
+        d = differential(both, points)
+    except PASS_ERRORS:
+        alone = SmoothMap(phi.domain_dim, len(extra), list(extra))
+        return [differential(alone, pd.p) for pd in pds] if extra else []
+    for k, pd in enumerate(pds):
+        pd.diff = DifferentialPoint(d.value[k, :n], d.dphi[k, :n],
+                                    d.second[k, :n])
+    if pds[0].h is not None:
+        for pd, target in zip(pds, hermitian_points(pds[0].h, d.value[:, :n])):
+            pd.target = target
+    return [DifferentialPoint(d.value[k, n:], d.dphi[k, n:], d.second[k, n:])
+            for k in range(len(pds))] if extra else []
 
 
 def phwc_residual_coord(pd: PointData) -> float:

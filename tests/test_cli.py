@@ -20,7 +20,7 @@ from phwc.cli import (
 from phwc.fstruct import SuiteSample, theorem_suite
 from phwc.geometry import HermitianMetricField, MetricField
 from phwc.jet import ParseError, parse_expr
-from phwc.maps import PointData, SmoothMap
+from phwc.maps import PointData, SmoothMap, phwc_residual_coord, tension
 
 MANIFESTS = pathlib.Path(__file__).resolve().parent.parent / "manifests"
 
@@ -149,6 +149,66 @@ def test_arithmetic_errors_recorded_not_fatal(tmp_path, hermitian):
     assert main(["check", str(path), "--out", str(tmp_path / "r.json")]) == 1
 
 
+def lone_point_outcome(phi, g, p):
+    """(phwc, tension) at p from PointData evaluated there alone, or the
+    record error it raises."""
+    pd = PointData(phi, g, p, HermitianMetricField.flat(1))
+    try:
+        return phwc_residual_coord(pd), tension(pd).harmonic_residual
+    except ArithmeticError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@pytest.mark.parametrize("component, metric", [
+    ("1/(x1 - {c}) + i*x2", "1"),                         # DivisionNearZero
+    ("(x2/(x1 - {c} + 0.00000000001))^30 + i*x2", "1"),   # OverflowError
+    ("x1 + i*x2", "1 + 1/(x1 - {c})^2"),                  # in g's pass
+])
+def test_arithmetic_error_at_one_point_stays_on_its_records(component,
+                                                            metric):
+    # the sample is evaluated in one pass per map and metric; an error at
+    # sample point 3 must neither fail the others nor change what its
+    # records say
+    box = [[0.5, 1.5], [0.5, 1.5]]
+    points = catalog.sample_points(np.random.default_rng(4), 8, box)
+    c = repr(float(points[3][0]))
+    grid = [[metric.format(c=c), "0"], ["0", "1"]]
+    text = component.format(c=c)
+    raw = parse_manifest(manifest_text(
+        domain={"dim": 2, "metric": grid}, map={"components": [text]},
+        checks=["phwc", "tension"],
+        sample={"count": 8, "seed": 4, "box": box}))
+    phi = SmoothMap(2, 1, [parse_expr(text)])
+    g = MetricField(2, [[parse_expr(e) for e in row] for row in grid])
+    outcomes = [lone_point_outcome(phi, g, p) for p in points]
+    assert [isinstance(o, str) for o in outcomes] == [k == 3 for k in range(8)]
+    for rec in run_checks(raw)["records"]:
+        want = outcomes[rec["point_index"]]
+        if isinstance(want, str):
+            assert rec["error"] == want and not rec["pass"]
+        else:
+            assert rec["value"] == want[("phwc", "tension").index(rec["check"])]
+
+
+def test_verify_paper_loops_make_one_pass_per_point_set(monkeypatch):
+    sizes = []
+    orig = geometry.eval_jet2
+
+    def counted(e, p):
+        sizes.append(len(p) if np.ndim(p) == 2 else 1)
+        return orig(e, p)
+
+    for module in (geometry, maps):
+        monkeypatch.setattr(module, "eval_jet2", counted)
+    verify_paper(seed=42)
+    # 20 pulled-back and 20 composed maps at 50 points each: one pass of
+    # phi (with the pulled-back pluriharmonic function), one of g and one of
+    # h per map; single points come only from the 200 maps of the
+    # equivalence sweep, each one pass of phi, g and h
+    assert sizes.count(50) == 2 * 20 * 3
+    assert sizes.count(1) == 200 * 3
+
+
 def test_run_checks_evaluates_phi_and_g_once_per_point(monkeypatch):
     calls = {}
     for cls, name in ((SmoothMap, "jets"), (SmoothMap, "value"),
@@ -157,7 +217,7 @@ def test_run_checks_evaluates_phi_and_g_once_per_point(monkeypatch):
         calls[key] = []
 
         def counted(self, p, _orig=getattr(cls, name), _key=key):
-            calls[_key].append(tuple(p))
+            calls[_key].append(np.atleast_2d(p))
             return _orig(self, p)
         monkeypatch.setattr(cls, name, counted)
     calls["christoffel_domain"] = []
@@ -171,8 +231,10 @@ def test_run_checks_evaluates_phi_and_g_once_per_point(monkeypatch):
     assert len(report["records"]) == 4 * 7
     assert all(rec["pass"] for rec in report["records"])
     points = [tuple(rec["point"]) for rec in report["records"][::7]]
-    assert sorted(calls["SmoothMap.jets"]) == sorted(points)
-    assert sorted(calls["MetricField.jets"]) == sorted(points)
+    # one pass of phi and one of g, each over every sample point once
+    for key in ("SmoothMap.jets", "MetricField.jets"):
+        (batch,) = calls[key]
+        assert [tuple(q) for q in batch] == points
     assert calls["SmoothMap.value"] == []
     assert calls["MetricField.matrix"] == []
     assert calls["christoffel_domain"] == []
@@ -180,13 +242,14 @@ def test_run_checks_evaluates_phi_and_g_once_per_point(monkeypatch):
 
 @pytest.fixture
 def h_passes(monkeypatch):
-    """Records each jet pass of a Hermitian metric, and each call of the
-    readers that would make a pass of their own."""
+    """Records the chart points (N, n) of each jet pass of a Hermitian
+    metric, and each call of the readers that would make a pass of their
+    own."""
     jets, bypasses = [], []
     h_jets = HermitianMetricField.jets
 
     def counted_jets(self, z):
-        jets.append(tuple(z))
+        jets.append(np.atleast_2d(z))
         return h_jets(self, z)
 
     def bypass(name, orig):
@@ -221,7 +284,7 @@ def test_run_checks_evaluates_curved_h_once_per_point(h_passes, monkeypatch):
     phi_jets = SmoothMap.jets
 
     def counted_phi_jets(self, p):
-        phi_passes.append(tuple(p))
+        phi_passes.append(np.atleast_2d(p))
         return phi_jets(self, p)
 
     monkeypatch.setattr(SmoothMap, "jets", counted_phi_jets)
@@ -231,9 +294,11 @@ def test_run_checks_evaluates_curved_h_once_per_point(h_passes, monkeypatch):
     assert all(rec["pass"] for rec in report["records"]
                if rec["check"] != "hwc")
     jets, bypasses = h_passes
-    # the Kaehler gate and every check share one pass of h and one of phi
-    assert len(jets) == len(set(jets)) == 4
-    assert len(phi_passes) == len(set(phi_passes)) == 4
+    # the Kaehler gate and every check share one pass of phi over the whole
+    # sample and one of h over the images of its points
+    for passes in (phi_passes, jets):
+        (batch,) = passes
+        assert len({tuple(q) for q in batch}) == len(batch) == 4
     assert bypasses == []
 
 
@@ -269,8 +334,10 @@ def test_theorem_suite_evaluates_curved_h_once_per_point(h_passes):
     assert report.checked == 2
     assert all(r.residuals["kaehler"] <= 1e-10 for r in report.records)
     jets, bypasses = h_passes
-    # the Kaehler gate and tension share one pass of h per checked point
-    assert len(jets) == len(set(jets)) == 2
+    # the Kaehler gate and tension share one pass of h over the images of
+    # the checked points
+    (batch,) = jets
+    assert len({tuple(q) for q in batch}) == len(batch) == 2
     assert bypasses == []
 
 
@@ -442,6 +509,26 @@ def test_main_exit_codes(tmp_path):
     ('{"records": [{"check": "phwc", "tol": 1.0}], "summaries": []}',
      "records[0].pass"),
     ('{"records": []}', "summaries"),
+    ('{"records": [], "summaries": [], "provenance": []}', "provenance"),
+    ('{"records": [{"check": "phwc", "tol": 1.0, "pass": true, "value": "x"}],'
+     ' "summaries": []}', "records[0].value"),
+    ('{"records": [{"check": "phwc", "tol": 1.0, "pass": true, "value": 1'
+     + "0" * 400 + '}], "summaries": []}', "records[0].value"),
+    ('{"records": [{"check": "phwc", "tol": true, "pass": true}],'
+     ' "summaries": []}', "records[0].tol"),
+    ('{"records": [{"check": "phwc", "tol": 1.0, "pass": true, "point": "x"}],'
+     ' "summaries": []}', "records[0].point"),
+    ('{"records": [{"check": "phwc", "tol": 1.0, "pass": true,'
+     ' "point": [1, "a"]}], "summaries": []}', "records[0].point"),
+    ('{"records": [{"check": "phwc", "tol": 1.0, "pass": true, "extra": []}],'
+     ' "summaries": []}', "records[0].extra"),
+    ('{"records": [], "summaries": [3]}', "summaries[0].check"),
+    ('{"records": [], "summaries": [{"check": "phwc", "count": 1,'
+     ' "failures": 0}]}', "summaries[0].max"),
+    ('{"records": [], "summaries": [{"check": "phwc", "count": 1,'
+     ' "failures": 0, "max": "x"}]}', "summaries[0].max"),
+    ('{"records": [], "summaries": [{"check": "phwc", "count": "1",'
+     ' "failures": 0, "max": null}]}', "summaries[0].count"),
 ])
 def test_main_report_of_a_malformed_file_exits_2(tmp_path, capsys, text,
                                                  field):
@@ -453,6 +540,20 @@ def test_main_report_of_a_malformed_file_exits_2(tmp_path, capsys, text,
     assert main(["report", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("command", ["check", "sweep", "flow", "report"])
+@pytest.mark.parametrize("kind", ["binary", "directory", "missing"])
+def test_unreadable_path_exits_2_and_names_it(tmp_path, capsys, command,
+                                              kind):
+    path = tmp_path / "manifest.json"
+    if kind == "binary":
+        path.write_bytes(b'{"domain": "\xff\xfe"}')
+    elif kind == "directory":
+        path.mkdir()
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
 
 
 def test_main_report_roundtrip(tmp_path, capsys):

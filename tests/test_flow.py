@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phwc import flow
+from phwc import catalog, flow
 from phwc.flow import (
     FlowConfig,
     GridMap,
@@ -12,7 +12,8 @@ from phwc.flow import (
     run_flow,
     save_snapshot,
 )
-from phwc.geometry import HermitianMetricField, MetricField, TargetNotKaehler
+from phwc.geometry import (HermitianMetricField, MetricField, TargetNotKaehler,
+                           christoffel_kaehler)
 from phwc.jet import Const, Var
 from phwc.maps import PointData, tension
 
@@ -81,10 +82,10 @@ def test_tension_equals_five_point_laplacian_flat():
 
 def test_tension_of_constant_target_is_the_laplacian(monkeypatch):
     # a constant metric has zero symbols, also when it is not a multiple of
-    # the identity: no per-node symbol is evaluated
+    # the identity: no per-node metric or symbol is evaluated
     h = HermitianMetricField(2, [[Const(1.0), Const(0.0)],
                                  [Const(0.0), Const(2.0)]], kaehler=True)
-    monkeypatch.setattr(flow, "christoffel_kaehler", None)
+    monkeypatch.setattr(flow, "hermitian_points", None)
     u = GridMap.from_function((8, 8), lambda x, y: np.stack(
         [np.exp(1j * x), np.sin(y) + 0j], axis=-1))
     assert np.array_equal(discrete_tension(u, h), discrete_tension(u, FLAT2))
@@ -94,6 +95,27 @@ def test_tension_requires_kaehler():
     h = HermitianMetricField(1, [[Const(1.0) + Var(0) ** 2]], kaehler=False)
     with pytest.raises(TargetNotKaehler):
         discrete_tension(single_mode((8, 8)), h)
+
+
+def test_curved_kernels_equal_the_per_node_evaluation():
+    # one pass of h over all nodes; each node's matrix and symbols must be
+    # bit-equal to evaluating h at that node alone
+    h = catalog.random_kaehler_metric(np.random.default_rng(12), 2)
+    u = GridMap.from_function((16, 16), lambda x, y: np.stack(
+        [0.4 * np.exp(1j * x) + 0.1j * np.sin(y),
+         0.3 * np.cos(x + y) - 0.2j * np.exp(1j * y)], axis=-1))
+    grads = flow._gradients(u)
+    density = np.zeros(u.dims, dtype=complex)
+    tau = flow._laplacian(u)
+    gram = sum(np.einsum("...b,...c->...bc", g, g) for g in grads)
+    for idx in np.ndindex(*u.dims):
+        hmat = h.matrix(u.values[idx])
+        density[idx] = sum(g[idx] @ hmat @ np.conj(g[idx]) for g in grads)
+        tau[idx] += np.einsum("abc,bc->a", christoffel_kaehler(
+            h, u.values[idx]), gram[idx])
+    energy = float(0.5 * np.sum(density.real) * u.cell_volume)
+    assert dirichlet_energy(u, h) == energy
+    assert discrete_tension(u, h).tobytes() == tau.tobytes()
 
 
 def fs_like_target():

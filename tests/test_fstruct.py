@@ -503,7 +503,7 @@ def test_theorem_suite_evaluates_g_once_per_point(monkeypatch):
     points = [P4, (0.2, -0.7, 1.1, 0.4)]
 
     def counted_jets(self, p):
-        jets.append(tuple(p))
+        jets.append(np.atleast_2d(p))
         return g_jets(self, p)
 
     def counted_init(self, *args, **kwargs):
@@ -516,8 +516,11 @@ def test_theorem_suite_evaluates_g_once_per_point(monkeypatch):
     report = theorem_suite([SuiteSample(
         "linear_c2", EX2, G4, HermitianMetricField.flat(2), points)])
     assert report.checked == 2
-    # one jet pass of g at each center and at each p +/- h e_l
-    assert len(jets) == len(set(jets)) == 2 * (2 * 4 + 1)
+    # one jet pass of g over the sample points and one over each center's
+    # p +/- h e_l, which together cover every point once
+    assert len(jets) == 1 + len(points)
+    rows = [tuple(q) for batch in jets for q in batch]
+    assert len(rows) == len(set(rows)) == 2 * (2 * 4 + 1)
     # kaehler, phwc, tension and the stencil center share one PointData
     assert sorted(centers) == sorted(tuple(map(float, q)) for q in points)
 

@@ -417,3 +417,104 @@ def test_symbolic_derivative_hand_cases():
     assert np.isclose(d1, np.sin(0.4) * 4.0)
     dconj = jet.differentiate(jet.conj(Var(0) + Const(1j) * Var(1)), 1)
     assert np.isclose(eval_jet2(dconj, (0.0, 0.0)).value, -1j)
+
+
+# --------------------------------------------------------------------------
+# point sets: a pass over N points equals N passes of one point, bit for bit
+# --------------------------------------------------------------------------
+
+def assert_bit_equal(a, b):
+    for x, y in ((a.value, b.value), (a.grad, b.grad), (a.hess, b.hess)):
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def assert_batch_is_pointwise(exprs, points):
+    batch = eval_jet2(exprs, points)
+    assert all(j.value.shape == (len(points),) for j in batch)
+    for k, p in enumerate(points):
+        for b, alone in zip(batch, eval_jet2(exprs, p)):
+            assert_bit_equal(jet.Jet2(b.value[k], b.grad[k], b.hess[k]), alone)
+
+
+def catalog_families(rng):
+    from phwc import catalog
+    from phwc.maps import compose
+
+    ex1, ex2 = catalog.immersion_r2_c3(), catalog.linear_r4_c2()
+    for idx in range(4):
+        base, nin = (ex1, 3) if idx % 2 == 0 else (ex2, 2)
+        yield compose(catalog.random_holomorphic_map(rng, nin, 2),
+                      base).components, base.domain_dim
+    for m in (2, 3, 4):
+        yield catalog.random_polynomial_map(rng, m, 3).components, m
+        g = catalog.random_polynomial_metric(rng, m)
+        yield [e for row in g.components for e in row], m
+    for n in (1, 2):
+        h = catalog.random_kaehler_metric(rng, n)
+        yield [e for row in h.components for e in row], 2 * n
+    h = catalog.non_kaehler_hermitian_c2()
+    yield [e for row in h.components for e in row], 4
+
+
+def test_batch_equals_pointwise_on_catalog_families():
+    rng = np.random.default_rng(8)
+    for exprs, m in catalog_families(rng):
+        assert_batch_is_pointwise(exprs, rng.uniform(-1, 1, (20, m)))
+
+
+def test_batch_equals_pointwise_on_every_node_type():
+    s = subtree()
+    trees = [every_node_tree(lambda: s), every_node_tree(subtree),
+             parse_expr("(x1 + i*x2)^-3 + 1/(x1 - 3) - conj(exp(x2))^4"),
+             parse_expr("x1^101 - i*x2^150 + (x1 + i*x2)^-120"),
+             parse_expr("exp(i*x1)^130 + sin(x2)^-101")]
+    rng = np.random.default_rng(9)
+    assert_batch_is_pointwise(trees, rng.uniform(0.2, 1.0, (25, 2)))
+
+
+def test_constant_roots_get_a_point_axis():
+    j = eval_jet2([Const(2.0), jet.conj(Const(1j)) * Const(3.0)],
+                  np.zeros((4, 2)))
+    assert [x.value.tolist() for x in j] == [[2.0] * 4, [-3j] * 4]
+    assert all(x.grad.shape == (4, 2) and x.hess.shape == (4, 2, 2)
+               and not x.grad.any() and not x.hess.any() for x in j)
+
+
+def test_values_round_as_python_complex_arithmetic():
+    # literals, variables, re/im: Python complex; after exp: numpy complex128
+    z = Var(0) + Const(1j) * Var(1)
+    rng = np.random.default_rng(10)
+    for x, y in rng.uniform(-2, 2, (200, 2)):
+        zc = complex(x, y)
+        cases = [(z * Const(0.3 - 1.7j), zc * (0.3 - 1.7j)),
+                 (z ** 5, zc ** 5), (z ** 101, zc ** 101),
+                 (Const(1.0) / z, 1.0 / zc), (z ** -3, (1.0 / zc) ** 3),
+                 (jet.exp(z) ** 7, np.exp(zc) ** 7),
+                 (Const(1.0) / jet.exp(z), 1.0 / np.exp(zc))]
+        for e, want in cases:
+            got = eval_jet2(e, np.array([[x, y], [y, x]])).value[0]
+            assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+
+
+def python_power_overflows(x, n):
+    try:
+        complex(x) ** n
+    except OverflowError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("n", [7, 150, 2000])
+def test_power_overflows_where_python_complex_does(n):
+    # n <= 100 is CPython's square-and-multiply, larger n its polar form
+    xs = [0.5, 1.2, 1.5, 3.0, 1e50, -1e60]
+    for x in xs:
+        if python_power_overflows(x, n):
+            with pytest.raises(OverflowError, match="complex exponentiation"):
+                eval_jet2(Var(0) ** n, [x])
+        else:
+            eval_jet2(Var(0) ** n, [x])
+    assert any(python_power_overflows(x, n) for x in xs)
+    with pytest.raises(OverflowError):
+        eval_jet2(Var(0) ** n, np.array(xs)[:, None])
