@@ -9,15 +9,19 @@ The layers, bottom up:
 - ``jet``: expression trees and second-order forward-mode jets at a point
   or, in one pass, at a set of points, plus ``wirtinger``, the one array
   view that every complex derivative reads;
-- ``geometry``: metric fields; g, g^-1, Gamma and Laplace-Beltrami at a point
-  from one jet pass (``MetricPoint``), h, h^-1, Gamma and the Kaehler residual
-  from one pass of h (``HermitianPoint``);
-- ``maps``: smooth maps, the per-point inputs ``PointData`` (a
-  ``MetricPoint`` plus phi's jets and the ``HermitianPoint`` at phi(p)),
-  which ``share_pass`` fills for a set of points from one pass each, and
-  the pointwise residuals that read them (three equivalent PHWC forms,
-  horizontal weak conformality fit, tension, pluriharmonicity), and
-  composition with +/-holomorphic maps;
+- ``geometry``: metric fields; g, g^-1, Gamma and Laplace-Beltrami from one
+  jet pass (``MetricPoint``), h, h^-1, Gamma and the Kaehler residual from
+  one pass of h (``HermitianPoint``), at one point or, with a leading point
+  axis, at a set of points, each quantity checked, inverted and contracted
+  in one numpy call; a target of literals is checked once per field and
+  makes no pass;
+- ``maps``: smooth maps, the point inputs ``PointData`` (a ``MetricPoint``
+  plus phi's jets, the Gram matrix and the ``HermitianPoint`` at phi(p)),
+  whose rows ``share_pass`` gives each point of a set from one
+  ``PointData`` over all of them, and the residuals that read them (three
+  equivalent PHWC forms, horizontal weak conformality fit, tension,
+  pluriharmonicity; the coordinate form, the fit and tension also over a
+  point axis), and composition with +/-holomorphic maps;
 - ``fstruct``: the associated f-structure, its algebra, Nijenhuis and
   parallelism defects, the fundamental 2-form conditions, and the theorem
   implication harness;

@@ -71,6 +71,7 @@ from .maps import (
     PointData,
     SmoothMap,
     compose,
+    differential,
     hwc_report,
     isotropy_residual,
     phwc_residual_commutator,
@@ -379,13 +380,21 @@ def _check_fields(entries: list, name: str, fields: dict) -> None:
                                       "missing or of the wrong type")
 
 
+def _finite_float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text} is not a finite number")
+    return x
+
+
 def _load_report(path: str) -> dict:
     """A stored JSON report whose fields emit_report reads are checked."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        report = json.loads(data)
-    except ValueError as err:        # not JSON, or not decodable text
+        report = json.loads(data, parse_float=_finite_float,
+                            parse_constant=_finite_float)
+    except ValueError as err:        # not JSON, not decodable text, or NaN
         raise ValidationError(path, f"not a JSON report: {err}") from err
     if not isinstance(report, dict) or not isinstance(report.get("records"),
                                                       list):
@@ -518,12 +527,21 @@ def _check_entries(raw: dict, tol_overrides: dict | None):
     return entries
 
 
+def _check_finite(name: str, value, extra: dict) -> None:
+    """Raise FloatingPointError when a residual, or a number recorded with
+    it, is not finite: it overflowed, and a report holds finite numbers."""
+    for key, v in (("residual", value), *extra.items()):
+        if isinstance(v, float) and not math.isfinite(v):
+            raise FloatingPointError(f"{name} {key} is {v}")
+
+
 def run_checks(raw: dict, seed: int | None = None, count: int | None = None,
                tol_overrides: dict | None = None) -> dict:
     """Execute every requested check at seeded sample points.
 
-    Operation errors at individual points are recorded on the offending
-    record (pass = false) and never abort the sweep.
+    Operation errors at individual points, a residual that is not finite
+    among them, are recorded on the offending record (pass = false) and
+    never abort the sweep.
     """
     ctx = _Context(raw)
     sample = raw.get("sample", {"count": 0})
@@ -549,6 +567,7 @@ def run_checks(raw: dict, seed: int | None = None, count: int | None = None,
             }
             try:
                 value, extra = _run_one_check(at, name)
+                _check_finite(name, value, extra)
             except OPERATION_ERRORS as err:
                 rec["error"] = f"{type(err).__name__}: {err}"
                 rec["pass"] = False
@@ -585,9 +604,16 @@ def summarize(records: list) -> list:
             "count": len(recs),
             "failures": sum(1 for r in recs if not r["pass"]),
             "max": max(values) if values else None,
-            "mean": sum(values) / len(values) if values else None,
+            "mean": _mean(values) if values else None,
         })
     return out
+
+
+def _mean(values: list) -> float:
+    mean = sum(values) / len(values)
+    # finite values whose sum overflows still have a finite mean
+    return mean if math.isfinite(mean) else sum(v / len(values)
+                                                 for v in values)
 
 
 def _assemble_report(raw: dict, seed, records: list) -> dict:
@@ -612,10 +638,12 @@ def report_passed(report: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 def emit_report(report: dict, fmt: str = "json") -> bytes:
-    """Serialize a report; 'json' has stable key order, 'table' is aligned
-    text.  Both contain every record."""
+    """Serialize a report; 'json' has stable key order and raises
+    ValueError on a number that is not finite, 'table' is aligned text.
+    Both contain every record."""
     if fmt == "json":
-        return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+        return (json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+                + "\n").encode()
     if fmt != "table":
         raise ValueError(f"unknown format {fmt!r}")
     lines = []
@@ -695,6 +723,13 @@ def run_flow_manifest(raw: dict) -> dict:
            "negate": False}
     try:
         final, trace = run_flow(u0, ctx.h, cfg)
+        extra = {
+            "steps": trace[-1][0],
+            "initial_energy": trace[0][1],
+            "final_energy": trace[-1][1],
+            "phwc_residual": discrete_phwc_residual(final),
+        }
+        _check_finite("flow", trace[-1][2], extra)
     except OPERATION_ERRORS as err:
         rec.update({"error": f"{type(err).__name__}: {err}", "pass": False})
     else:
@@ -705,16 +740,8 @@ def run_flow_manifest(raw: dict) -> dict:
                 raise ValidationError(
                     "flow.snapshot", f"cannot write {flow_block['snapshot']!r}"
                     f": {err.strerror}") from err
-        rec.update({
-            "value": trace[-1][2],
-            "pass": bool(trace[-1][2] < cfg.stop_tol),
-            "extra": {
-                "steps": trace[-1][0],
-                "initial_energy": trace[0][1],
-                "final_energy": trace[-1][1],
-                "phwc_residual": discrete_phwc_residual(final),
-            },
-        })
+        rec.update({"value": trace[-1][2],
+                    "pass": bool(trace[-1][2] < cfg.stop_tol), "extra": extra})
     return _assemble_report(raw, raw.get("sample", {}).get("seed", 0), [rec])
 
 
@@ -760,14 +787,18 @@ def verify_paper(seed: int = 42) -> dict:
                               + jet.re(catalog.holomorphic_polynomial(rng, 3))
                               * jet.Const(rng.uniform(-1, 1))])
         pulled_r = compose(fr, ex1)
-        pds = [PointData(pulled, g2, p, h1)
-               for p in catalog.sample_points(rng, 50, [[-1, 1]] * 2)]
-        for pd, dr in zip(pds, share_pass(pds, pulled_r.components)):
-            lap = pd.laplacian(pd.diff.dphi[0], pd.diff.second[0])
-            worst_lap = max(worst_lap, abs(lap.real), abs(lap.imag))
-            worst_hwc = max(worst_hwc, hwc_report(pd).defect)
-            worst_pluri_lap = max(worst_pluri_lap, abs(float(
-                pd.laplacian(dr.dphi[0], dr.second[0]).real)))
+        pd = PointData(pulled, g2,
+                       catalog.sample_points(rng, 50, [[-1, 1]] * 2), h1)
+        # phi and the pluriharmonic function share one pass of their jets
+        both = differential(SmoothMap(2, 2, [*pulled.components,
+                                             *pulled_r.components]), pd.p)
+        pd.diff, dr = both[:, :1], both[:, 1:]
+        lap = pd.laplacian(pd.diff.dphi[:, 0], pd.diff.second[:, 0])
+        worst_lap = max(worst_lap, np.max(np.abs(lap.real)),
+                        np.max(np.abs(lap.imag)))
+        worst_hwc = max(worst_hwc, np.max(hwc_report(pd).defect))
+        worst_pluri_lap = max(worst_pluri_lap, np.max(np.abs(
+            pd.laplacian(dr.dphi[:, 0], dr.second[:, 0]).real)))
     records.append(_suite_record("pullback_holomorphic_laplacian",
                                  worst_lap, 1e-9))
     records.append(_suite_record("pullback_holomorphic_hwc", worst_hwc, 1e-9))
@@ -781,21 +812,18 @@ def verify_paper(seed: int = 42) -> dict:
         psi = catalog.random_holomorphic_map(rng, nin, 2)
         comp = compose(psi, base)
         hk = HermitianMetricField.flat(2)
-        pds = [PointData(comp, g, p, hk) for p
-               in catalog.sample_points(rng, 50, [[-1, 1]] * base.domain_dim)]
-        share_pass(pds)
-        for pd in pds:
-            worst_phwc = max(worst_phwc, phwc_residual_coord(pd))
-            worst_tension = max(worst_tension, tension(pd).harmonic_residual)
+        pd = PointData(comp, g, catalog.sample_points(
+            rng, 50, [[-1, 1]] * base.domain_dim), hk)
+        worst_phwc = max(worst_phwc, np.max(phwc_residual_coord(pd)))
+        worst_tension = max(worst_tension,
+                            np.max(tension(pd).harmonic_residual))
     records.append(_suite_record("composition_phwc", worst_phwc, 1e-10))
     records.append(_suite_record("composition_tension", worst_tension, 1e-9))
 
     control = compose(SmoothMap(6, 1, [catalog.zvar(0)
                                        + jet.conj(catalog.zvar(0))]), ex1)
-    pds = [PointData(control, g2, p)
-           for p in catalog.sample_points(rng, 10, [[-1, 1]] * 2)]
-    share_pass(pds)
-    control_val = min(phwc_residual_coord(pd) for pd in pds)
+    control_val = np.min(phwc_residual_coord(PointData(
+        control, g2, catalog.sample_points(rng, 10, [[-1, 1]] * 2))))
     records.append(_suite_record("composition_nonholomorphic_control",
                                  control_val, 1e-3, negate=True))
 
@@ -952,19 +980,16 @@ def main(argv=None) -> int:
             report = verify_paper(seed=args.seed)
         elif args.command == "report":
             report = _load_report(args.path)
-            _write_output(emit_report(report, args.format), args.out)
-            return 0
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
+        _write_output(emit_report(report, args.format), args.out)
     except (ParseError, ValidationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:             # the message names the path
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-    _write_output(emit_report(report, args.format), args.out)
-    return 0 if report_passed(report) else 1
+    return 0 if args.command == "report" or report_passed(report) else 1
 
 
 if __name__ == "__main__":

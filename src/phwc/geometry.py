@@ -6,6 +6,9 @@ Hermitian component grid h_{a bbar}(z) written in the interleaved real
 coordinates (re z^1, im z^1, ..., re z^n, im z^n).  At a point, MetricPoint
 holds g, g^-1, Gamma and Laplace-Beltrami from one jet pass of g, and
 HermitianPoint holds h, h^-1, its symbols and Kaehler residual from one of h.
+Given a set of points (N, m) they hold the same with a leading point axis,
+each checked, inverted and contracted in one numpy call; a target whose
+components are all literals is checked and inverted once per field.
 Fields are immutable and all operations pure, so sweeps can run concurrently.
 
 Points where positivity fails abort with an error instead of being
@@ -42,9 +45,7 @@ __all__ = [
 # Smallest admissible eigenvalue for a metric at a queried point.
 SPD_EPS = 1e-10
 
-# Errors a jet pass raises at a point.  A pass over a set of points that
-# raises one leaves each point to make its own pass on first use, so the
-# error lands on the points where it occurs, with the message it has there.
+# Errors a jet pass raises at a point.
 PASS_ERRORS = (ArithmeticError, VariableIndexOutOfRange)
 
 
@@ -64,9 +65,28 @@ class TargetNotKaehler(GeometryError):
     """Operation requires the target metric's Kaehler flag."""
 
 
+# Errors a quantity computed over a set of points raises at some point; see
+# _share_rows.
+SET_ERRORS = (GeometryError, np.linalg.LinAlgError, *PASS_ERRORS)
+
+
+def _per_point(x):
+    """x as a float at one point; over a point axis, the array of them."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _at(bad, p):
+    """p at one point; over a point axis, the row of p at the first point
+    where bad holds."""
+    return p if np.ndim(bad) == 0 else np.asarray(p)[np.argmax(bad)]
+
+
 def _inverse_checked(g: np.ndarray, what: str) -> np.ndarray:
+    """g^-1 of g (n, n), or of each matrix of g (..., n, n), each checked
+    against g g^-1 = Id."""
     ginv = np.linalg.inv(g)
-    if np.max(np.abs(g @ ginv - np.eye(len(g)))) > 1e-12:
+    err = np.max(np.abs(g @ ginv - np.eye(g.shape[-1])), axis=(-2, -1))
+    if np.any(err > 1e-12):
         raise GeometryError(f"{what} inverse failed the g*g^-1 = Id check; "
                             "the matrix is too ill-conditioned")
     return ginv
@@ -74,27 +94,36 @@ def _inverse_checked(g: np.ndarray, what: str) -> np.ndarray:
 
 def _real_part(values: np.ndarray, p) -> np.ndarray:
     """The real matrix of g's component values; raises MetricNotSPD naming
-    the first entry (row by row) that is not real."""
+    the first entry (row by row, at the first point) that is not real."""
     bad = np.abs(values.imag) > 1e-12 * np.maximum(1.0, np.abs(values))
     if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise MetricNotSPD(f"g_{i+1}{j+1} is not real at {p}")
+        *k, i, j = np.argwhere(bad)[0]
+        raise MetricNotSPD(f"g_{i+1}{j+1} is not real at {p[tuple(k)]}")
     return values.real.copy()
 
 
 def _check_spd(gm: np.ndarray, p) -> None:
-    if np.min(np.linalg.eigvalsh(gm)) <= SPD_EPS:
-        raise MetricNotSPD(f"domain metric not SPD at {p}")
+    bad = np.min(np.linalg.eigvalsh(gm), axis=-1) <= SPD_EPS
+    if np.any(bad):
+        raise MetricNotSPD(f"domain metric not SPD at {_at(bad, p)}")
 
 
-def _check_hermitian_pd(hm: np.ndarray, z) -> None:
-    """Raise MetricNotPD unless hm is Hermitian (to round-off) and its
-    Hermitian part positive definite."""
-    scale = max(1.0, np.max(np.abs(hm)))
-    if np.max(np.abs(hm - hm.conj().T)) > 1e-10 * scale:
-        raise MetricNotPD(f"target metric is not Hermitian at z={z}")
-    if np.min(np.linalg.eigvalsh(0.5 * (hm + hm.conj().T))) <= SPD_EPS:
-        raise MetricNotPD(f"target metric not positive definite at z={z}")
+def _check_hermitian_pd(hm: np.ndarray, z) -> np.ndarray:
+    """Raise MetricNotPD, naming the first z where it fails, unless hm (n, n)
+    or each matrix of hm (..., n, n) is Hermitian (to round-off) and its
+    Hermitian part positive definite; returns the Hermitian part."""
+    hmh = np.swapaxes(hm.conj(), -1, -2)
+    size = np.max(np.abs(hm), axis=(-2, -1))
+    scale = np.where(size > 1.0, size, 1.0)
+    bad = np.max(np.abs(hm - hmh), axis=(-2, -1)) > 1e-10 * scale
+    if np.any(bad):
+        raise MetricNotPD(f"target metric is not Hermitian at z={_at(bad, z)}")
+    herm = 0.5 * (hm + hmh)
+    bad = np.min(np.linalg.eigvalsh(herm), axis=-1) <= SPD_EPS
+    if np.any(bad):
+        raise MetricNotPD(
+            f"target metric not positive definite at z={_at(bad, z)}")
+    return herm
 
 
 class MetricField:
@@ -154,23 +183,41 @@ def _grid_arrays(grid):
             grads.reshape(grads.shape[:-2] + (n, n, grads.shape[-1])))
 
 
-def _share(objects, evaluate, points) -> None:
-    """Give each object its slice, as ``_jets``, of one pass
-    ``evaluate(points)`` over all their points; a pass that raises one of
-    PASS_ERRORS gives none, and each object evaluates alone on first use."""
-    try:
-        arrays = evaluate(np.asarray(points))
-    except PASS_ERRORS:
-        return
-    for obj, jets in zip(objects, zip(*arrays)):
-        obj._jets = jets
+def _row(value, k):
+    """Row k of a quantity computed over a set of points."""
+    if type(value) is tuple:
+        return tuple(a[k] for a in value)
+    return _per_point(value[k]) if isinstance(value, np.ndarray) else value[k]
+
+
+def _share_rows(whole, parts, names) -> None:
+    """Give each of parts, the lone objects of the points of whole in order,
+    its row of each quantity of names that whole computes over the set, and
+    of whole's jets once made.  A quantity whose computation raises one of
+    SET_ERRORS at some point gives no rows: each part computes it alone on
+    first use, so the error lands on the points where it occurs, with the
+    type and message it has there.  The names read one jet pass, so a pass
+    that fails ends the set's work."""
+    for name in names:
+        try:
+            getattr(whole, name)
+        except PASS_ERRORS:
+            break
+        except SET_ERRORS:
+            pass
+    for name in ("_jets", *names):
+        if name in vars(whole):
+            value = vars(whole)[name]
+            for k, part in enumerate(parts):
+                vars(part)[name] = _row(value, k)
 
 
 class MetricPoint:
-    """g at one point p from one jet pass of its components: the checked
-    matrix gm, its checked inverse ginv and the Levi-Civita symbols gamma,
-    each computed on first use; one that fails raises in its readers only.
-    The pass may be a slice of one over a set of points (see
+    """g at a point p (m,), or at each point of a set p (N, m) with a
+    leading point axis on every quantity, from one jet pass of its
+    components: the checked matrix gm, its checked inverse ginv and the
+    Levi-Civita symbols gamma, each computed on first use; one that fails
+    raises in its readers only.  A lone point may hold rows of a set (see
     maps.share_pass)."""
 
     def __init__(self, g: MetricField, p):
@@ -192,18 +239,21 @@ class MetricPoint:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        """Levi-Civita symbols, indexed [k, i, j]; see christoffel_domain."""
-        # d_l g_ij at [l, i, j]
-        dg = np.ascontiguousarray(self._jets[1].real.transpose(2, 0, 1))
-        sym = (np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg)
-               - np.einsum("lij->lij", dg))
-        return 0.5 * np.einsum("kl,lij->kij", self.ginv, sym)
+        """Levi-Civita symbols, indexed [..., k, i, j]; see
+        christoffel_domain."""
+        # d_l g_ij at [..., l, i, j]
+        dg = np.ascontiguousarray(np.moveaxis(self._jets[1].real, -1, -3))
+        sym = (np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg)
+               - np.einsum("...lij->...lij", dg))
+        return 0.5 * np.einsum("...kl,...lij->...kij", self.ginv, sym)
 
     def laplacian(self, grad, hess):
         """Laplace-Beltrami g^ij (hess_ij - Gamma^k_ij grad_k) of the jets
-        grad (..., m), hess (..., m, m) of a scalar or of map components."""
-        corr = np.einsum("kij,...k->...ij", self.gamma, grad)
-        return np.einsum("ij,...ij->...", self.ginv, hess - corr)
+        grad (..., m), hess (..., m, m) of a scalar or of map components,
+        after the point axis of a set of points."""
+        at = "z" if self.p.ndim == 2 else ""
+        corr = np.einsum(f"{at}kij,{at}...k->{at}...ij", self.gamma, grad)
+        return np.einsum(f"{at}ij,{at}...ij->{at}...", self.ginv, hess - corr)
 
 
 class HermitianMetricField:
@@ -270,8 +320,14 @@ class HermitianMetricField:
         """The checked matrix, built once, when every component is a
         literal; None otherwise.  A constant metric has zero symbols."""
         if all(isinstance(e, Const) for row in self.components for e in row):
-            return self.matrix(np.zeros(self.cdim, dtype=complex))
+            return _check_hermitian_pd(
+                np.array([[e.value for e in row] for row in self.components]),
+                np.zeros(self.cdim, dtype=complex))
         return None
+
+    @cached_property
+    def _constant_inverse(self) -> np.ndarray:
+        return _inverse_checked(self.constant_matrix, "target metric")
 
     def jets(self, z):
         """Grid of jets of the components at the chart point z (n,) or at
@@ -283,10 +339,13 @@ class HermitianMetricField:
 
 
 class HermitianPoint:
-    """h at z from one jet pass, and from it the checked symmetrised hm,
-    checked hinv, dh[b, c, d] = d_{z^b} h_{c dbar}, gamma
-    (christoffel_kaehler) and kaehler (kaehler_residual), each on first use;
-    one that fails raises in its readers only."""
+    """h at a chart point z (n,), or at each point of a set z (N, n) with a
+    leading point axis on every quantity, from one jet pass: the checked
+    symmetrised hm, checked hinv, dh[..., b, c, d] = d_{z^b} h_{c dbar},
+    gamma (christoffel_kaehler) and kaehler (kaehler_residual), each on
+    first use; one that fails raises in its readers only.  A constant field
+    makes no pass: every point reads its one checked matrix and inverse,
+    and its symbols and Kaehler residual are zero."""
 
     def __init__(self, h: HermitianMetricField, z):
         self.h, self.z = h, z
@@ -296,34 +355,57 @@ class HermitianPoint:
         return _grid_arrays(self.h.jets(self.z))
 
     @cached_property
+    def _constant(self) -> bool:
+        # a literal matrix that fails its check is checked at each point,
+        # so each raises with its own z
+        try:
+            return self.h.constant_matrix is not None
+        except GeometryError:
+            return False
+
+    def _each(self, matrix: np.ndarray) -> np.ndarray:
+        """A read-only view of matrix at every point."""
+        return np.broadcast_to(matrix, np.shape(self.z)[:-1] + matrix.shape)
+
+    @cached_property
     def hm(self) -> np.ndarray:
-        hm = self._jets[0]
-        _check_hermitian_pd(hm, self.z)
-        return 0.5 * (hm + hm.conj().T)
+        if self._constant:
+            return self._each(self.h.constant_matrix)
+        return _check_hermitian_pd(self._jets[0], self.z)
 
     @cached_property
     def hinv(self) -> np.ndarray:
+        if self._constant:
+            return self._each(self.h._constant_inverse)
         return _inverse_checked(self.hm, "target metric")
 
     @cached_property
     def dh(self) -> np.ndarray:
-        d_z = jet.wirtinger(self._jets[1])[..., :self.h.cdim]     # [c, d, b]
-        return np.ascontiguousarray(np.moveaxis(d_z, -1, 0))
+        if self._constant:
+            return self._each(np.zeros((self.h.cdim,) * 3, dtype=complex))
+        d_z = jet.wirtinger(self._jets[1])[..., :self.h.cdim]  # [..., c, d, b]
+        return np.ascontiguousarray(np.moveaxis(d_z, -1, -3))
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        return np.einsum("bcd,da->abc", self.dh, self.hinv)
+        return np.einsum("...bcd,...da->...abc", self.dh, self.hinv)
 
     @cached_property
-    def kaehler(self) -> float:
-        return float(np.max(np.abs(self.dh - np.einsum("abc->bac", self.dh))))
+    def kaehler(self):
+        return _per_point(np.max(np.abs(
+            self.dh - np.einsum("...abc->...bac", self.dh)), axis=(-3, -2, -1)))
+
+
+# The quantities of HermitianPoint that hermitian_points and
+# maps.share_pass compute once over a set of points.
+TARGET_ROWS = ("hm", "hinv", "gamma", "kaehler")
 
 
 def hermitian_points(h: HermitianMetricField, zs) -> list[HermitianPoint]:
-    """HermitianPoint of h at each chart point of zs (N, n), all from one
-    jet pass when it succeeds."""
+    """HermitianPoint of h at each chart point of zs (N, n), each holding
+    its rows of one HermitianPoint over all of them."""
     points = [HermitianPoint(h, z) for z in zs]
-    _share(points, lambda z: _grid_arrays(h.jets(z)), zs)
+    _share_rows(HermitianPoint(h, np.asarray(zs)), points, TARGET_ROWS)
     return points
 
 
@@ -355,4 +437,4 @@ def kaehler_residual(h: HermitianMetricField, z) -> float:
 def laplace_beltrami(f: Expr, at: MetricPoint) -> float:
     """Laplace-Beltrami g^ij (d2_ij f - Gamma^k_ij d_k f) of a real scalar."""
     jf = eval_jet2(f, at.p)
-    return float(at.laplacian(jf.grad, jf.hess).real)
+    return _per_point(at.laplacian(jf.grad, jf.hess).real)

@@ -1,10 +1,14 @@
 """Smooth maps into Hermitian charts and their residual checks.
 
 A map phi: R^m -> C^n is a vector of expression trees; every residual below
-is evaluated pointwise from second-order jets.  The pseudo horizontal weak
-conformality condition comes in three equivalent forms (coordinate Gram,
-isotropy through the dual metric, commutator with the complex structure) that
-are kept as independent code paths so they can cross-check each other.
+is evaluated pointwise from second-order jets.  phwc_residual_coord,
+hwc_report and tension also take the PointData of a set of points and give
+one value per point, from one numpy call per quantity; the other residuals
+read one point, which may hold its rows of a set (share_pass).  The pseudo
+horizontal weak conformality condition comes in three equivalent forms
+(coordinate Gram, isotropy through the dual metric, commutator with the
+complex structure) that are kept as independent code paths so they can
+cross-check each other.
 
 Conventions for the complexified target tangent space: the frame is
 (d/dz^1 .. d/dz^n, d/dzbar^1 .. d/dzbar^n); the real metric induced by the
@@ -27,14 +31,14 @@ import numpy as np
 from . import jet
 from .geometry import (
     PASS_ERRORS,
+    TARGET_ROWS,
     HermitianMetricField,
     HermitianPoint,
     MetricField,
     MetricPoint,
     TargetNotKaehler,
-    _grid_arrays,
-    _share,
-    hermitian_points,
+    _per_point,
+    _share_rows,
 )
 from .jet import Expr, Jet2, as_expr, eval_jet2
 
@@ -93,6 +97,11 @@ class DifferentialPoint:
     dphi: np.ndarray    # (n, m) complex, dphi[a, i] = d phi^a / d x^i
     second: np.ndarray  # (n, m, m) complex, symmetric in the last two slots
 
+    def __getitem__(self, index):
+        """The differential at the point or points index selects."""
+        return DifferentialPoint(self.value[index], self.dphi[index],
+                                 self.second[index])
+
 
 def differential(phi: SmoothMap, p) -> DifferentialPoint:
     js = phi.jets(p)
@@ -102,7 +111,9 @@ def differential(phi: SmoothMap, p) -> DifferentialPoint:
 
 
 class PointData(MetricPoint):
-    """phi, g and (optionally) the target metric h at one point p.
+    """phi, g and (optionally) the target metric h at a point p (m,), or at
+    each point of a set p (N, m) with a leading point axis on every
+    quantity.
 
     The MetricPoint of g at p plus one jet pass of phi, the Gram matrix and
     the HermitianPoint of h at phi(p).  Each attribute is evaluated on first
@@ -122,48 +133,47 @@ class PointData(MetricPoint):
     @cached_property
     def gram(self) -> np.ndarray:
         """(2,0) Gram matrix M_ab = g^ij d_i phi^a d_j phi^b."""
-        return self.diff.dphi @ self.ginv @ self.diff.dphi.T
+        dphi = self.diff.dphi
+        return dphi @ self.ginv @ np.swapaxes(dphi, -1, -2)
 
     @cached_property
     def target(self) -> HermitianPoint:
         return HermitianPoint(self.h, self.diff.value)
 
 
-def share_pass(pds: list[PointData], extra=()) -> list[DifferentialPoint]:
-    """Evaluate phi and g of pds, point data of one phi and g, in one jet
-    pass each over all their points, and give each point its slice.
+def share_pass(pds: list[PointData]) -> None:
+    """Compute the quantities of pds, point data of one phi, g and h, once
+    each over all their points, and give each point its rows.
 
-    h, if given, is evaluated at every phi(p) in one pass too; its checks,
-    inverse and symbols stay per point.  The expressions of extra, in phi's
-    variables, share phi's pass; their DifferentialPoint at each point is
-    returned.  A pass that raises an error at some point gives no slices:
-    each point then evaluates alone on first use, as a lone PointData does,
-    so an error lands on the points where it occurs.
+    One PointData over the set makes one jet pass each of g, phi and h at
+    the images; its checked gm, ginv, gamma and gram, and h's checked hm,
+    hinv, gamma and kaehler, are each computed in one numpy call.  A pass or
+    a check that raises at some point gives no rows of what it computes:
+    each point then computes that alone on first use, as a lone PointData
+    does, so the error lands on the points where it occurs.
     """
     if not pds:
-        return []
-    phi, points = pds[0].phi, np.array([pd.p for pd in pds])
-    _share(pds, lambda p: _grid_arrays(pds[0].g.jets(p)), points)
-    n = phi.target_cdim
-    both = SmoothMap(phi.domain_dim, n + len(extra), [*phi.components, *extra])
+        return
+    first = pds[0]
+    whole = PointData(first.phi, first.g, [pd.p for pd in pds], first.h)
     try:
-        d = differential(both, points)
-    except PASS_ERRORS:
-        alone = SmoothMap(phi.domain_dim, len(extra), list(extra))
-        return [differential(alone, pd.p) for pd in pds] if extra else []
+        diff = whole.diff
+    except PASS_ERRORS:      # phi at each point alone, on first use
+        _share_rows(whole, pds, ("gm", "ginv", "gamma"))
+        return
     for k, pd in enumerate(pds):
-        pd.diff = DifferentialPoint(d.value[k, :n], d.dphi[k, :n],
-                                    d.second[k, :n])
-    if pds[0].h is not None:
-        for pd, target in zip(pds, hermitian_points(pds[0].h, d.value[:, :n])):
-            pd.target = target
-    return [DifferentialPoint(d.value[k, n:], d.dphi[k, n:], d.second[k, n:])
-            for k in range(len(pds))] if extra else []
+        pd.diff = diff[k]
+    _share_rows(whole, pds, ("gm", "ginv", "gamma", "gram"))
+    if first.h is not None:
+        for pd, z in zip(pds, diff.value):
+            pd.target = HermitianPoint(first.h, z)
+        _share_rows(whole.target, [pd.target for pd in pds], TARGET_ROWS)
 
 
-def phwc_residual_coord(pd: PointData) -> float:
-    """max_{a,b} | g^ij d_i phi^a d_j phi^b |; zero exactly on PHWC maps."""
-    return float(np.max(np.abs(pd.gram)))
+def phwc_residual_coord(pd: PointData):
+    """max_{a,b} | g^ij d_i phi^a d_j phi^b |; zero exactly on PHWC maps.
+    A float at one point, an array over a point axis."""
+    return _per_point(np.max(np.abs(pd.gram), axis=(-2, -1)))
 
 
 def isotropy_residual(pd: PointData) -> float:
@@ -212,41 +222,50 @@ class HWCReport:
 
 
 def hwc_report(pd: PointData) -> HWCReport:
-    ginv = pd.ginv
-    d = np.vstack([pd.diff.dphi, np.conj(pd.diff.dphi)])  # rows d/dz, d/dzbar
-    s = d @ ginv @ d.T
+    """The HWCReport at pd's point, or with arrays over its point axis."""
+    dphi = pd.diff.dphi
+    d = np.concatenate([dphi, np.conj(dphi)], axis=-2)  # rows d/dz, d/dzbar
+    s = d @ pd.ginv @ np.swapaxes(d, -1, -2)
     # dual-metric coefficients h^{AB} on the frame (dz^a, dzbar^a)
     n = pd.h.cdim
-    t = np.zeros((2 * n, 2 * n), dtype=complex)
-    t[:n, n:] = 2.0 * pd.target.hinv.T
-    t[n:, :n] = 2.0 * pd.target.hinv
-    tt = float(np.real(np.sum(t * np.conj(t))))
-    lam = float(np.real(np.sum(s * np.conj(t)))) / tt
-    lam = max(lam, 0.0)
-    defect = float(np.linalg.norm(s - lam * t))
-    return HWCReport(lambda_sq=lam, defect=defect)
+    hinv = pd.target.hinv
+    t = np.zeros(s.shape, dtype=complex)
+    t[..., :n, n:] = 2.0 * np.swapaxes(hinv, -1, -2)
+    t[..., n:, :n] = 2.0 * hinv
+    tt = np.real(np.sum(t * np.conj(t), axis=(-2, -1)))
+    lam = np.real(np.sum(s * np.conj(t), axis=(-2, -1))) / tt
+    lam = np.where(0.0 > lam, 0.0, lam)
+    # a 2-D norm at each point, whose rounding a stacked norm does not keep
+    defect = [np.linalg.norm(s_k - lam_k * t_k) for s_k, lam_k, t_k in zip(
+        s.reshape((-1,) + s.shape[-2:]), lam.reshape(-1),
+        t.reshape((-1,) + t.shape[-2:]))]
+    return HWCReport(lambda_sq=_per_point(lam),
+                     defect=_per_point(np.reshape(defect, lam.shape)))
 
 
 @dataclass
 class TensionPoint:
-    """Holomorphic components tau^a of the tension field at a point."""
+    """Holomorphic components tau^a of the tension field at a point, or
+    with a leading point axis at a set of points."""
 
     tau: np.ndarray  # (n,) complex
 
     @property
-    def harmonic_residual(self) -> float:
-        return float(np.max(np.abs(self.tau))) if len(self.tau) else 0.0
+    def harmonic_residual(self):
+        """max_a |tau^a|: a float at one point, an array over a point axis."""
+        return _per_point(np.max(np.abs(self.tau), axis=-1, initial=0.0))
 
     def real_components(self) -> np.ndarray:
         """Real tangent components of tau, interleaved (re, im) per chart dim."""
-        out = np.empty(2 * len(self.tau))
-        out[0::2] = self.tau.real
-        out[1::2] = self.tau.imag
+        out = np.empty(self.tau.shape[:-1] + (2 * self.tau.shape[-1],))
+        out[..., 0::2] = self.tau.real
+        out[..., 1::2] = self.tau.imag
         return out
 
 
 def tension(pd: PointData) -> TensionPoint:
-    """tau^a = g^ij (d2_ij phi^a - Gamma^k_ij d_k phi^a) + Gamma^a_bc M_bc.
+    """tau^a = g^ij (d2_ij phi^a - Gamma^k_ij d_k phi^a) + Gamma^a_bc M_bc,
+    at pd's point or over its point axis.
 
     The target symbols are the holomorphic Christoffels of a Kaehler metric;
     M is the (2,0) Gram matrix, so the correction term dies on PHWC maps.
@@ -254,7 +273,8 @@ def tension(pd: PointData) -> TensionPoint:
     if not pd.h.kaehler:
         raise TargetNotKaehler("tension requires a Kaehler-flagged target")
     return TensionPoint(pd.laplacian(pd.diff.dphi, pd.diff.second)
-                        + np.einsum("abc,bc->a", pd.target.gamma, pd.gram))
+                        + np.einsum("...abc,...bc->...a", pd.target.gamma,
+                                    pd.gram))
 
 
 def pluriharmonic_residual(pd: PointData) -> float:

@@ -202,11 +202,12 @@ def test_verify_paper_loops_make_one_pass_per_point_set(monkeypatch):
         monkeypatch.setattr(module, "eval_jet2", counted)
     verify_paper(seed=42)
     # 20 pulled-back and 20 composed maps at 50 points each: one pass of
-    # phi (with the pulled-back pluriharmonic function), one of g and one of
-    # h per map; single points come only from the 200 maps of the
-    # equivalence sweep, each one pass of phi, g and h
-    assert sizes.count(50) == 2 * 20 * 3
-    assert sizes.count(1) == 200 * 3
+    # phi (with the pulled-back pluriharmonic function) and one of g per
+    # map; single points come only from the 200 maps of the equivalence
+    # sweep, each one pass of phi and g.  Every target there is flat and
+    # makes no pass: its matrix is read once from its literals
+    assert sizes.count(50) == 2 * 20 * 2
+    assert sizes.count(1) == 200 * 2
 
 
 def test_run_checks_evaluates_phi_and_g_once_per_point(monkeypatch):
@@ -554,6 +555,33 @@ def test_unreadable_path_exits_2_and_names_it(tmp_path, capsys, command,
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "example1"], ["sweep", "example2", "--points", "2"],
+    ["flow", str(MANIFESTS / "flow_demo.json")],
+    ["verify-paper", "--seed", "1"], ["report"]])
+def test_out_naming_a_directory_exits_2_and_names_it(tmp_path, capsys,
+                                                     command):
+    if command == ["report"]:
+        stored = tmp_path / "rep.json"
+        assert main(["check", "example1", "--out", str(stored)]) == 0
+        command = ["report", str(stored)]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([*command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
+def test_main_report_of_a_stored_non_finite_number_exits_2(tmp_path, capsys):
+    for number in ("NaN", "Infinity", "1e400"):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"records": [{"check": "phwc", "tol": 1.0, '
+                       f'"pass": true, "value": {number}}}], "summaries": []}}')
+        assert main(["report", str(bad), "--format", "json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a JSON report" in err
 
 
 def test_main_report_roundtrip(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phwc import catalog, flow
+from phwc import catalog, flow, geometry
 from phwc.flow import (
     FlowConfig,
     GridMap,
@@ -158,18 +158,25 @@ def test_flow_constant_is_fixed_point():
 
 @pytest.mark.parametrize("max_steps", [5, 40])
 def test_flat_flow_builds_the_target_matrix_once(monkeypatch, max_steps):
-    passes = []
+    passes, checks = [], []
     h_jets = HermitianMetricField.jets
+    checked = geometry._check_hermitian_pd
 
     def counted_jets(self, z):
         passes.append(tuple(z))
         return h_jets(self, z)
 
+    def counted_check(hm, z):
+        checks.append(z)
+        return checked(hm, z)
+
     monkeypatch.setattr(HermitianMetricField, "jets", counted_jets)
+    monkeypatch.setattr(geometry, "_check_hermitian_pd", counted_check)
     _, trace = run_flow(single_mode((8, 8)), HermitianMetricField.flat(1),
                         FlowConfig(dt=1e-3, max_steps=max_steps, stop_tol=0.0))
     assert len(trace) == max_steps + 1
-    assert len(passes) == 1
+    # the matrix is read from the literals and checked once, with no pass
+    assert passes == [] and len(checks) == 1
 
 
 def test_flow_rejects_unstable_dt():
