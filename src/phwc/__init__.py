@@ -7,22 +7,27 @@ Dirichlet-energy gradient flow that produces numerically harmonic maps.
 The layers, bottom up:
 
 - ``jet``: expression trees and second-order forward-mode jets at a point
-  or, in one pass, at a set of points, plus ``wirtinger``, the one array
-  view that every complex derivative reads;
+  or, in one pass, at a set of points (first-order passes stop at the
+  gradient), ``stack``, which makes trees of one shape one tree evaluated
+  at one point per tree, plus ``wirtinger``, the one array view that every
+  complex derivative reads;
 - ``geometry``: metric fields; g, g^-1, Gamma and Laplace-Beltrami from one
   jet pass (``MetricPoint``), h, h^-1, Gamma and the Kaehler residual from
   one pass of h (``HermitianPoint``), at one point or, with a leading point
   axis, at a set of points, each quantity checked, inverted and contracted
   in one numpy call; a target of literals is checked once per field and
-  makes no pass;
+  makes no pass; ``share_metric`` gives points of one metric, or of
+  stacked metrics of one shape, their rows of one pass;
 - ``maps``: smooth maps, the point inputs ``PointData`` (a ``MetricPoint``
   plus phi's jets, the Gram matrix and the ``HermitianPoint`` at phi(p)),
   whose rows ``share_pass`` gives each point of a set from one
-  ``PointData`` over all of them, and the residuals that read them (three
+  ``PointData`` over all of them (``share_differential`` phi's rows
+  alone), and the residuals that read them (three
   equivalent PHWC forms, horizontal weak conformality fit, tension,
   pluriharmonicity; the coordinate form, the fit and tension also over a
   point axis), and composition with +/-holomorphic maps;
-- ``fstruct``: the associated f-structure, its algebra, Nijenhuis and
+- ``fstruct``: the associated f-structure, its algebra, the difference
+  stencils of a sample from one pass (``f_stencils``), Nijenhuis and
   parallelism defects, the fundamental 2-form conditions, and the theorem
   implication harness;
 - ``flow``: explicit-Euler tension flow on flat torus grids;
@@ -34,6 +39,7 @@ from .jet import (
     Const,
     DivisionNearZero,
     Expr,
+    HessianNotComputed,
     Jet2,
     ParseError,
     Var,
@@ -47,6 +53,7 @@ from .jet import (
     parse_expr,
     re,
     sin,
+    stack,
     var,
 )
 from .geometry import (
@@ -62,6 +69,7 @@ from .geometry import (
     hermitian_points,
     kaehler_residual,
     laplace_beltrami,
+    share_metric,
 )
 from .maps import (
     DimensionMismatch,
@@ -78,6 +86,7 @@ from .maps import (
     phwc_residual_commutator,
     phwc_residual_coord,
     pluriharmonic_residual,
+    share_differential,
     share_pass,
     tension,
 )
@@ -96,6 +105,7 @@ from .fstruct import (
     f_field_of_map,
     f_holomorphy_residual,
     f_stencil,
+    f_stencils,
     fundamental_two_form,
     met_residual,
     nijenhuis_residual,

@@ -55,17 +55,19 @@ from .fstruct import (
     RankDeficiencyAmbiguous,
     RankJumpOnStencil,
     SuiteSample,
+    _built,
     associated_f_structure,
     dphi_kernel_residual,
     domega_12_residual,
     f_holomorphy_residual,
-    f_stencil,
+    f_stencils,
     met_residual,
     nijenhuis_residual,
     parallel_residual,
     theorem_suite,
 )
-from .geometry import GeometryError, HermitianMetricField, MetricField
+from .geometry import (GeometryError, HermitianMetricField, MetricField,
+                       share_metric)
 from .jet import ParseError, VariableIndexOutOfRange
 from .maps import (
     PointData,
@@ -77,6 +79,7 @@ from .maps import (
     phwc_residual_commutator,
     phwc_residual_coord,
     pluriharmonic_residual,
+    share_differential,
     share_pass,
     tension,
 )
@@ -86,6 +89,9 @@ SCHEMA_VERSION = 1
 CHECK_NAMES = ("phwc", "isotropy", "commutator", "hwc", "tension",
                "pluriharmonic", "fstructure", "f_holomorphy",
                "nijenhuis", "parallel", "domega12", "met")
+
+# the checks that read the f-structure's difference stencil
+STENCIL_CHECKS = ("nijenhuis", "parallel", "domega12", "met")
 
 # equality residuals default to 1e-10; stencil-based ones to 1e-6
 DEFAULT_TOLS = {
@@ -464,7 +470,8 @@ class _Context:
 class _PointChecks(PointData):
     """The PointData of one sample point of a manifest; the f-structure and
     its difference stencil are also built on first use and shared by every
-    check there."""
+    check there.  run_checks builds the stencils of a whole sample at once
+    (f_stencils); a point alone builds its own."""
 
     def __init__(self, ctx: _Context, point):
         super().__init__(ctx.phi, ctx.g, point, ctx.h)
@@ -475,39 +482,47 @@ class _PointChecks(PointData):
         return associated_f_structure(self)
 
     @cached_property
+    def _stencil(self):
+        """The FStencil at the point, or the error building it raised."""
+        return f_stencils([self], h_step=self.h_step)[0]
+
+    @property
     def stencil(self):
-        return f_stencil(self, h_step=self.h_step)
+        return _built(self._stencil)
 
 
 def _run_one_check(at: _PointChecks, name: str):
-    """Returns (value, extra) for a single check at a point."""
-    if name == "phwc":
-        return phwc_residual_coord(at), {}
-    if name == "isotropy":
-        return isotropy_residual(at), {}
-    if name == "commutator":
-        return phwc_residual_commutator(at), {}
-    if name == "hwc":
-        rep = hwc_report(at)
-        return rep.defect, {"lambda_sq": rep.lambda_sq}
-    if name == "tension":
-        return tension(at).harmonic_residual, {}
-    if name == "pluriharmonic":
-        return pluriharmonic_residual(at), {}
-    if name == "fstructure":
-        extra = {"rank": at.fp.rank,
-                 "dphi_pzero": dphi_kernel_residual(at, at.fp)}
-        return at.fp.algebra_residual(), extra
-    if name == "f_holomorphy":
-        return f_holomorphy_residual(at, at.fp), {}
-    if name == "nijenhuis":
-        return nijenhuis_residual(at.stencil), {}
-    if name == "parallel":
-        return parallel_residual(at.stencil), {}
-    if name == "domega12":
-        return domega_12_residual(at.stencil), {}
-    if name == "met":
-        return met_residual(at.stencil), {}
+    """Returns (value, extra) for a single check at a point.  numpy's
+    floating-point warnings are off: a residual that overflows is recorded
+    by _check_finite."""
+    with np.errstate(all="ignore"):
+        if name == "phwc":
+            return phwc_residual_coord(at), {}
+        if name == "isotropy":
+            return isotropy_residual(at), {}
+        if name == "commutator":
+            return phwc_residual_commutator(at), {}
+        if name == "hwc":
+            rep = hwc_report(at)
+            return rep.defect, {"lambda_sq": rep.lambda_sq}
+        if name == "tension":
+            return tension(at).harmonic_residual, {}
+        if name == "pluriharmonic":
+            return pluriharmonic_residual(at), {}
+        if name == "fstructure":
+            extra = {"rank": at.fp.rank,
+                     "dphi_pzero": dphi_kernel_residual(at, at.fp)}
+            return at.fp.algebra_residual(), extra
+        if name == "f_holomorphy":
+            return f_holomorphy_residual(at, at.fp), {}
+        if name == "nijenhuis":
+            return nijenhuis_residual(at.stencil), {}
+        if name == "parallel":
+            return parallel_residual(at.stencil), {}
+        if name == "domega12":
+            return domega_12_residual(at.stencil), {}
+        if name == "met":
+            return met_residual(at.stencil), {}
     raise ValidationError("checks", f"unknown check {name!r}")
 
 
@@ -550,9 +565,14 @@ def run_checks(raw: dict, seed: int | None = None, count: int | None = None,
     rng = np.random.default_rng(use_seed)
     ats = [_PointChecks(ctx, point)
            for point in catalog.sample_points(rng, use_count, ctx.box)]
-    share_pass(ats)
+    with np.errstate(all="ignore"):
+        share_pass(ats)
     ctx.verify_kaehler_claim(ats)
     entries = _check_entries(raw, tol_overrides)
+    if any(entry["name"] in STENCIL_CHECKS for entry in entries):
+        with np.errstate(all="ignore"):
+            for at, st in zip(ats, f_stencils(ats, h_step=ctx.h_step)):
+                at._stencil = st
 
     records = []
     for p_idx, at in enumerate(ats):
@@ -758,6 +778,58 @@ def _suite_record(name, value, tol, negate=False, extra=None):
     return rec
 
 
+def _phwc_equivalence(rng, ex1, ex2, g2, g4) -> list:
+    """Records of the three PHWC formulations agreeing at 200 random
+    (phi, g, h, point) cases.
+
+    Every case is drawn first.  Then each map that several cases share
+    (ex1, ex2) makes one first-order pass over their points, every other
+    map one at its point; g2 and g4 make one pass each over their cases,
+    and the random metrics one pass per dimension, stacked (share_metric).
+    The residuals are then read case by case."""
+    flat = {n: HermitianMetricField.flat(n) for n in (1, 2, 3)}
+    cases, by_metric = [], {}
+    for _ in range(200):
+        if rng.random() < 0.5:
+            idx = int(rng.integers(3))
+            if idx == 0:
+                phi, g, h = ex1, g2, flat[3]
+            elif idx == 1:
+                phi, g, h = ex2, g4, flat[2]
+            else:
+                psi = catalog.random_holomorphic_map(rng, 3, 2)
+                phi, g, h = compose(psi, ex1), g2, flat[2]
+            key = g
+        else:
+            m = int(rng.integers(2, 5))
+            n = int(rng.integers(1, 4))
+            phi = catalog.random_polynomial_map(rng, m, n)
+            g = catalog.random_polynomial_metric(rng, m)
+            h, key = flat[n], m
+        cases.append(PointData(phi, g, rng.uniform(-1, 1, phi.domain_dim), h))
+        by_metric.setdefault(key, []).append(cases[-1])
+    by_map: dict[int, list] = {}
+    for pd in cases:
+        by_map.setdefault(id(pd.phi), []).append(pd)
+    for group in by_map.values():
+        share_differential(group, order=1)
+    for group in by_metric.values():
+        share_metric(group)
+
+    gap = 0.0
+    iff_violations = 0
+    for pd in cases:
+        coord = phwc_residual_coord(pd)
+        iso = isotropy_residual(pd)
+        comm = phwc_residual_commutator(pd)
+        gap = max(gap, abs(coord - iso))
+        if (coord <= 1e-10) != (comm <= 1e-8):
+            iff_violations += 1
+    return [_suite_record("phwc_equivalence_gap", gap, 1e-12),
+            _suite_record("phwc_equivalence_iff_violations",
+                          float(iff_violations), 0.0)]
+
+
 def verify_paper(seed: int = 42) -> dict:
     """Regression bundle: both built-in example manifests, the randomized
     pullback/composition suites, the PHWC-equivalence sweep, and the
@@ -827,35 +899,7 @@ def verify_paper(seed: int = 42) -> dict:
     records.append(_suite_record("composition_nonholomorphic_control",
                                  control_val, 1e-3, negate=True))
 
-    # equivalence of the three PHWC formulations over random data
-    gap = 0.0
-    iff_violations = 0
-    for _ in range(200):
-        if rng.random() < 0.5:
-            idx = int(rng.integers(3))
-            if idx == 0:
-                phi, g, h = ex1, g2, HermitianMetricField.flat(3)
-            elif idx == 1:
-                phi, g, h = ex2, g4, HermitianMetricField.flat(2)
-            else:
-                psi = catalog.random_holomorphic_map(rng, 3, 2)
-                phi, g, h = compose(psi, ex1), g2, HermitianMetricField.flat(2)
-        else:
-            m = int(rng.integers(2, 5))
-            n = int(rng.integers(1, 4))
-            phi = catalog.random_polynomial_map(rng, m, n)
-            g = catalog.random_polynomial_metric(rng, m)
-            h = HermitianMetricField.flat(n)
-        pd = PointData(phi, g, rng.uniform(-1, 1, phi.domain_dim), h)
-        coord = phwc_residual_coord(pd)
-        iso = isotropy_residual(pd)
-        comm = phwc_residual_commutator(pd)
-        gap = max(gap, abs(coord - iso))
-        if (coord <= 1e-10) != (comm <= 1e-8):
-            iff_violations += 1
-    records.append(_suite_record("phwc_equivalence_gap", gap, 1e-12))
-    records.append(_suite_record("phwc_equivalence_iff_violations",
-                                 float(iff_violations), 0.0))
+    records += _phwc_equivalence(rng, ex1, ex2, g2, g4)
 
     # theorem implications, honest suite then the forged-flag control
     samples = [

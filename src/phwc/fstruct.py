@@ -16,7 +16,10 @@ Derivatives of the field use central differences of the pointwise
 construction rather than differentiating the orthonormalisation: rank
 pivoting is discontinuous, whereas the projectors themselves are smooth on
 constant-rank neighbourhoods.  A rank change across a stencil makes the
-derivative meaningless and is reported as such, never averaged away.
+derivative meaningless and is reported as such, never averaged away.  The
+stencil points of a whole sample are evaluated in one first-order pass of
+the map and one of the metric (f_stencils), since F reads first partials
+only.
 
 Pointwise constructions are pure; the implication harness processes its
 samples independently and keeps diagnostics ordered by sample for
@@ -31,6 +34,7 @@ import numpy as np
 
 from .geometry import (HermitianMetricField, MetricField, MetricPoint,
                        _inverse_checked)
+from .jet import VariableIndexOutOfRange
 from .maps import (PointData, SmoothMap, phwc_residual_coord, share_pass,
                    tension)
 
@@ -47,6 +51,7 @@ __all__ = [
     "f_holomorphy_residual",
     "dphi_kernel_residual",
     "f_stencil",
+    "f_stencils",
     "nijenhuis_residual",
     "parallel_residual",
     "fundamental_two_form",
@@ -62,6 +67,11 @@ __all__ = [
 PHWC_GATE = 1e-8
 RANK_TOL = 1e-8
 H_STEP = 1e-4
+
+# Errors that building the f-structure or its stencil raises at a point
+# (the skip reasons, a metric check, a failing jet pass); f_stencils keeps
+# each on its point.
+POINT_ERRORS = (ValueError, ArithmeticError, VariableIndexOutOfRange)
 
 
 class NotPHWCAtPoint(ValueError):
@@ -256,27 +266,10 @@ def _around(p: np.ndarray, h_step: float) -> list:
     return [q for e in h_step * np.eye(len(p)) for q in (p + e, p - e)]
 
 
-def f_stencil(source, g: MetricField | None = None, p=None, *,
-              h_step: float = H_STEP,
-              rank_tol: float = RANK_TOL,
-              phwc_gate: float = PHWC_GATE) -> FStencil:
-    """Evaluate an F-field once at a center p and at each p +/- h e_l.
-
-    f_stencil(pd, ...) takes the associated f-structure of pd.phi (rank_tol
-    and phwc_gate apply to it) with pd itself as the center, and evaluates
-    phi and g at the 2m other points in one pass; f_stencil(field, g, p,
-    ...) any field x -> FStructurePoint.  Raises RankJumpOnStencil when the
-    rank is not the same at every stencil point.
-    """
-    if isinstance(source, PointData):
-        at, center = source, associated_f_structure(source, rank_tol, phwc_gate)
-        pds = [PointData(at.phi, at.g, q) for q in _around(at.p, h_step)]
-        share_pass(pds)
-        around = [associated_f_structure(pd, rank_tol, phwc_gate) for pd in pds]
-    else:
-        at = MetricPoint(g, p)
-        center = source(at.p)
-        around = [source(q) for q in _around(at.p, h_step)]
+def _stencil(at: MetricPoint, center: FStructurePoint, around: list,
+             h_step: float) -> FStencil:
+    """The stencil of the structures at at.p and around it (_around order);
+    raises RankJumpOnStencil when they are not all of one rank."""
     plus, minus = around[0::2], around[1::2]
     ranks = {fp.rank for fp in plus + minus + [center]}
     if len(ranks) != 1:
@@ -285,6 +278,68 @@ def f_stencil(source, g: MetricField | None = None, p=None, *,
             f"around {at.p}; derivatives are meaningless there")
     return FStencil(at=at, h_step=h_step, center=center, plus=plus,
                     minus=minus)
+
+
+def f_stencils(pds: list[PointData], *, h_step: float = H_STEP,
+               rank_tol: float = RANK_TOL,
+               phwc_gate: float = PHWC_GATE) -> list:
+    """The FStencil of the associated f-structure (rank_tol and phwc_gate
+    apply to it) at each of pds, point data of one phi and g, with the
+    point data itself as the center; or, where building it raises one of
+    POINT_ERRORS, that error.
+
+    Each center's structure is built first.  The 2m points p +/- h e_l of
+    every center whose structure builds are evaluated in one first-order
+    pass of phi and one of g (share_pass); each stencil then builds its
+    structures in that order and stops at the first that raises, as
+    building it alone does.
+    """
+    out = []
+    for pd in pds:
+        try:
+            out.append(associated_f_structure(pd, rank_tol, phwc_gate))
+        except POINT_ERRORS as err:
+            out.append(err)
+    built = [k for k, center in enumerate(out)
+             if isinstance(center, FStructurePoint)]
+    around = [[PointData(pds[k].phi, pds[k].g, q)
+               for q in _around(pds[k].p, h_step)] for k in built]
+    share_pass([pd for points in around for pd in points], order=1)
+    for k, points in zip(built, around):
+        try:
+            out[k] = _stencil(pds[k], out[k], [
+                associated_f_structure(pd, rank_tol, phwc_gate)
+                for pd in points], h_step)
+        except POINT_ERRORS as err:
+            out[k] = err
+    return out
+
+
+def _built(result):
+    """An FStencil of f_stencils, or its error raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def f_stencil(source, g: MetricField | None = None, p=None, *,
+              h_step: float = H_STEP,
+              rank_tol: float = RANK_TOL,
+              phwc_gate: float = PHWC_GATE) -> FStencil:
+    """Evaluate an F-field once at a center p and at each p +/- h e_l.
+
+    f_stencil(pd, ...) is the one-center case of f_stencils: the associated
+    f-structure of pd.phi, centered at pd, raising what building it raises;
+    f_stencil(field, g, p, ...) takes any field x -> FStructurePoint.
+    Raises RankJumpOnStencil when the rank is not the same at every stencil
+    point.
+    """
+    if isinstance(source, PointData):
+        return _built(f_stencils([source], h_step=h_step, rank_tol=rank_tol,
+                                 phwc_gate=phwc_gate)[0])
+    at = MetricPoint(g, p)
+    return _stencil(at, source(at.p),
+                    [source(q) for q in _around(at.p, h_step)], h_step)
 
 
 def nijenhuis_residual(st: FStencil) -> float:
@@ -451,23 +506,26 @@ def theorem_suite(samples, tol: SuiteTolerances | None = None) -> TheoremSuiteRe
         pds = [PointData(sample.phi, sample.g, point, sample.h) for point
                in np.atleast_2d(np.asarray(sample.points, dtype=float))]
         share_pass(pds)
-        for pd in pds:
+        forged = [sample.h.kaehler and pd.target.kaehler > tol.kaehler_tol
+                  for pd in pds]
+        stencils = iter(f_stencils(
+            [pd for pd, bad in zip(pds, forged) if not bad],
+            h_step=tol.h_step, rank_tol=tol.rank_tol, phwc_gate=tol.phwc_gate))
+        for pd, bad in zip(pds, forged):
             rec = SuiteRecord(sample=sample.name, point=list(pd.p),
                               status="ok", reasons=[], residuals={})
             records.append(rec)
 
             if sample.h.kaehler:
-                kr = pd.target.kaehler
-                rec.residuals["kaehler"] = kr
-                if kr > tol.kaehler_tol:
+                rec.residuals["kaehler"] = pd.target.kaehler
+                if bad:
                     rec.status = "counterexample"
                     rec.reasons.append("kaehler_flag_violation")
                     report.counterexamples += 1
                     continue
 
             try:
-                st = f_stencil(pd, h_step=tol.h_step, rank_tol=tol.rank_tol,
-                               phwc_gate=tol.phwc_gate)
+                st = _built(next(stencils))
                 resid = {
                     "phwc": phwc_residual_coord(pd),
                     "parallel": parallel_residual(st),

@@ -8,7 +8,11 @@ holds g, g^-1, Gamma and Laplace-Beltrami from one jet pass of g, and
 HermitianPoint holds h, h^-1, its symbols and Kaehler residual from one of h.
 Given a set of points (N, m) they hold the same with a leading point axis,
 each checked, inverted and contracted in one numpy call; a target whose
-components are all literals is checked and inverted once per field.
+components are all literals is checked and inverted once per field.  Metric
+fields of one shape are stacked into one (MetricField.stack), so the
+MetricPoints of K fields, each at its own point, share one pass
+(share_metric).  The passes of g and h stop at the gradient, which is all
+these quantities read.
 Fields are immutable and all operations pure, so sweeps can run concurrently.
 
 Points where positivity fails abort with an error instead of being
@@ -36,6 +40,7 @@ __all__ = [
     "HermitianMetricField",
     "HermitianPoint",
     "hermitian_points",
+    "share_metric",
     "christoffel_domain",
     "christoffel_kaehler",
     "kaehler_residual",
@@ -162,15 +167,34 @@ class MetricField:
         """g(p) as a real SPD matrix; raises MetricNotSPD otherwise."""
         return MetricPoint(self, p).gm
 
+    @classmethod
+    def stack(cls, fields) -> "MetricField":
+        """One field whose literals hold those of each of fields, which
+        must be of one shape (jet.stack): at K points (K, m), its row k is
+        field k at the k-th point."""
+        dim = fields[0].dim
+        upper = _upper(dim)
+        roots = jet.stack([[f.components[i][j] for i, j in upper]
+                           for f in fields])
+        grid = [[None] * dim for _ in range(dim)]
+        for (i, j), root in zip(upper, roots):
+            grid[i][j] = grid[j][i] = root
+        return cls(dim, grid)
+
     def jets(self, p):
-        """Grid of jets of the components at p (m,) or at each row of p
-        (N, m), from one pass; the mirrored entries (j, i) share the jet of
-        (i, j)."""
-        upper = [(i, j) for i in range(self.dim) for j in range(i, self.dim)]
+        """Grid of first-order jets of the components at p (m,) or at each
+        row of p (N, m), from one pass; the mirrored entries (j, i) share
+        the jet of (i, j)."""
+        upper = _upper(self.dim)
         jets = dict(zip(upper, eval_jet2(
-            [self.components[i][j] for i, j in upper], p)))
+            [self.components[i][j] for i, j in upper], p, order=1)))
         return [[jets[min(i, j), max(i, j)] for j in range(self.dim)]
                 for i in range(self.dim)]
+
+
+def _upper(dim: int) -> list:
+    """The entries (i, j), i <= j, of a symmetric dim x dim grid."""
+    return [(i, j) for i in range(dim) for j in range(i, dim)]
 
 
 def _grid_arrays(grid):
@@ -330,10 +354,10 @@ class HermitianMetricField:
         return _inverse_checked(self.constant_matrix, "target metric")
 
     def jets(self, z):
-        """Grid of jets of the components at the chart point z (n,) or at
-        each row of z (N, n), from one pass."""
+        """Grid of first-order jets of the components at the chart point z
+        (n,) or at each row of z (N, n), from one pass."""
         flat = eval_jet2([e for row in self.components for e in row],
-                         self.real_coords(z))
+                         self.real_coords(z), order=1)
         return [flat[a * self.cdim:(a + 1) * self.cdim]
                 for a in range(self.cdim)]
 
@@ -407,6 +431,19 @@ def hermitian_points(h: HermitianMetricField, zs) -> list[HermitianPoint]:
     points = [HermitianPoint(h, z) for z in zs]
     _share_rows(HermitianPoint(h, np.asarray(zs)), points, TARGET_ROWS)
     return points
+
+
+def share_metric(points: list[MetricPoint]) -> None:
+    """Give each of points, MetricPoints at one point each, its rows of the
+    checked gm and ginv of one MetricPoint over all of them: of their field
+    when they share one, else of the stack of their fields, which must be
+    of one shape (MetricField.stack).  Errors stay on their points, as
+    _share_rows says."""
+    g = points[0].g
+    if any(pt.g is not g for pt in points):
+        g = MetricField.stack([pt.g for pt in points])
+    _share_rows(MetricPoint(g, np.array([pt.p for pt in points])), points,
+                ("gm", "ginv"))
 
 
 def christoffel_domain(g: MetricField, p) -> np.ndarray:

@@ -7,7 +7,11 @@ a point of R^m, or at N points in one pass, produces a :class:`Jet2`: the
 value together with the exact gradient and Hessian with respect to the real
 coordinates.  A pass over N points walks the tree once, with every array
 carrying a leading point axis, and gives at each point exactly what
-evaluating that point alone gives.  Complex-analytic derivatives
+evaluating that point alone gives; a first-order pass stops at the
+gradient.  Trees of one shape are stacked by :func:`stack` into one tree
+whose literals hold a column of values, one per tree, so a pass at K
+points evaluates K different trees, each at its own point.
+Complex-analytic derivatives
 (Wirtinger derivatives) are recovered from arrays of real derivatives by
 :func:`wirtinger` at the bottom of the module; real pairs are interleaved,
 so the chart coordinate z^a occupies the real variables
@@ -36,6 +40,7 @@ import numpy as np
 __all__ = [
     "DivisionNearZero",
     "VariableIndexOutOfRange",
+    "HessianNotComputed",
     "ParseError",
     "DIV_EPS",
     "Jet2",
@@ -51,6 +56,7 @@ __all__ = [
     "re",
     "im",
     "eval_jet2",
+    "stack",
     "parse_expr",
     "max_var_index",
     "differentiate",
@@ -70,6 +76,10 @@ class VariableIndexOutOfRange(IndexError):
     """Expression references a variable index >= the point dimension."""
 
 
+class HessianNotComputed(AttributeError):
+    """The second partials of a first-order pass were read."""
+
+
 class ParseError(ValueError):
     """Expression text does not conform to the grammar."""
 
@@ -87,7 +97,8 @@ class Jet2:
     """Values, gradients and Hessians of a scalar at N points of R^m.
 
     value (N,), grad (N, m) and hess (N, m, m), complex; a jet of one point
-    given as an array of shape (m,) has no point axis.  The Hessian is
+    given as an array of shape (m,) has no point axis, and a jet of a
+    first-order pass has hess None.  The Hessian is
     symmetric by construction: every rule below only ever adds symmetrised
     outer products, so ``hess[..., i, j] == hess[..., j, i]`` holds exactly.
     Jets are never mutated: one jet may stand for several tree nodes.
@@ -100,15 +111,17 @@ class Jet2:
     def conj(self) -> "Jet2":
         # Differentiation variables are real, so conjugation commutes with
         # every partial derivative.
-        return Jet2(np.conj(self.value), np.conj(self.grad), np.conj(self.hess))
+        return Jet2(np.conj(self.value), np.conj(self.grad),
+                    None if self.hess is None else np.conj(self.hess))
 
 
 class _Jet:
     """The jet of one node inside an evaluation.
 
-    ``value`` is (N,), or a scalar on a constant node; ``grad`` (N, m) is
-    None on a constant node and ``hess`` (N, m, m) None wherever the
-    Hessian vanishes identically (constants and affine nodes).
+    ``value`` is (N,), or a scalar on a constant node that is not stacked;
+    ``grad`` (N, m) is None on a constant node and ``hess`` (N, m, m) None
+    wherever the Hessian vanishes identically (constants and affine nodes)
+    and everywhere in a first-order pass.
 
     Values are what scalar arithmetic at each point gives, bit for bit:
     Python complex numbers, except that ``sin``, ``cos``, ``exp`` and
@@ -175,16 +188,19 @@ def _minus(a, b):
     return a if b is None else -b if a is None else a - b
 
 
-def _chain(j: _Jet, f, df, d2f) -> _Jet:
-    """The jet of f(u) from f(u), f'(u) and f''(u) at the values u of j."""
+def _chain(j: _Jet, f, df, d2f, second: bool) -> _Jet:
+    """The jet of f(u) from f(u), f'(u) and f''(u) at the values u of j;
+    to first order unless second."""
     if j.grad is None:
         return _Jet(f, py=False)
+    if not second:
+        return _Jet(f, _col(df, 1) * j.grad, py=False)
     cross = _outer(j.grad, j.grad)
     return _Jet(f, _col(df, 1) * j.grad,
                 _total(_col(d2f, 2) * cross, _scaled(df, j.hess, 2)), False)
 
 
-def _reciprocal(j: _Jet) -> _Jet:
+def _reciprocal(j: _Jet, second: bool) -> _Jet:
     modulus = np.atleast_1d(np.abs(j.value))
     small = modulus < DIV_EPS
     if small.any():
@@ -194,35 +210,42 @@ def _reciprocal(j: _Jet) -> _Jet:
     if j.grad is None:
         return _Jet(w, py=j.py)
     ww = _pointwise(mul, -w, w)
+    if not second:
+        return _Jet(w, _col(ww, 1) * j.grad, py=j.py)
     cube = _pointwise(mul, 2.0, _power(w, 3, j.py))
     return _Jet(w, _col(ww, 1) * j.grad,
                 _total(_scaled(ww, j.hess, 2),
                        _col(cube, 2) * _outer(j.grad, j.grad)), j.py)
 
 
-def _product(a: _Jet, b: _Jet) -> _Jet:
+def _product(a: _Jet, b: _Jet, second: bool) -> _Jet:
+    value = _pointwise(mul, a.value, b.value)
+    grad = _total(_scaled(a.value, b.grad, 1), _scaled(b.value, a.grad, 1))
+    if not second:
+        return _Jet(value, grad, py=a.py and b.py)
     cross = _outer(a.grad, b.grad)
-    return _Jet(_pointwise(mul, a.value, b.value),
-                _total(_scaled(a.value, b.grad, 1), _scaled(b.value, a.grad, 1)),
+    return _Jet(value, grad,
                 _total(_scaled(a.value, b.hess, 2), _scaled(b.value, a.hess, 2),
                        cross, None if cross is None else cross.swapaxes(1, 2)),
                 a.py and b.py)
 
 
-def _powi(j: _Jet, n: int) -> _Jet:
+def _powi(j: _Jet, n: int, second: bool) -> _Jet:
     if n == 0:
         return _Jet(complex(1.0))
     if n == 1:
         return j  # the general rule below would form u**-1
     if n < 0:
-        return _powi(_reciprocal(j), -n)
+        return _powi(_reciprocal(j, second), -n, second)
     value = _power(j.value, n, j.py)
     if j.grad is None:
         return _Jet(value, py=j.py)
     first = _pointwise(mul, n, _power(j.value, n - 1, j.py))
-    second = _pointwise(mul, n * (n - 1), _power(j.value, n - 2, j.py))
+    if not second:
+        return _Jet(value, _col(first, 1) * j.grad, py=j.py)
+    d2 = _pointwise(mul, n * (n - 1), _power(j.value, n - 2, j.py))
     return _Jet(value, _col(first, 1) * j.grad,
-                _total(_col(second, 2) * _outer(j.grad, j.grad),
+                _total(_col(d2, 2) * _outer(j.grad, j.grad),
                        _scaled(first, j.hess, 2)), j.py)
 
 
@@ -232,7 +255,11 @@ def _powi(j: _Jet, n: int) -> _Jet:
 
 class Expr:
     """Base class; subclasses implement ``jet(at)``, reading the points as
-    ``at.p`` (N, m) and the jet of a child node as ``at(child)``."""
+    ``at.p`` (N, m), the jet of a child node as ``at(child)`` and whether
+    the pass goes to second order as ``at.second``.  Nodes are immutable
+    and carry slots only."""
+
+    __slots__ = ()
 
     def jet(self, at: "_Evaluation") -> _Jet:
         raise NotImplementedError
@@ -282,10 +309,18 @@ def as_expr(x) -> Expr:
 
 
 class Const(Expr):
+    """A literal: one complex value, or in a stacked tree (see stack) an
+    array of K values, the k-th read at the k-th of K points."""
+
+    __slots__ = ("value",)
+
     def __init__(self, value):
         self.value = complex(value)
 
     def jet(self, at):
+        if type(self.value) is np.ndarray and len(self.value) != len(at.p):
+            raise ValueError(f"a stacked literal of {len(self.value)} values "
+                             f"evaluated at {len(at.p)} points")
         return _Jet(self.value)
 
     def substitute(self, mapping):
@@ -296,6 +331,8 @@ class Const(Expr):
 
 
 class Var(Expr):
+    __slots__ = ("index",)
+
     def __init__(self, index: int):
         if index < 0:
             raise VariableIndexOutOfRange(f"negative variable index {index}")
@@ -318,6 +355,8 @@ class Var(Expr):
 
 
 class _Binary(Expr):
+    __slots__ = ("left", "right")
+
     def __init__(self, left: Expr, right: Expr):
         self.left = left
         self.right = right
@@ -328,6 +367,8 @@ class _Binary(Expr):
 
 
 class Add(_Binary):
+    __slots__ = ()
+
     def jet(self, at):
         a, b = at(self.left), at(self.right)
         return _Jet(a.value + b.value, _total(a.grad, b.grad),
@@ -335,6 +376,8 @@ class Add(_Binary):
 
 
 class Sub(_Binary):
+    __slots__ = ()
+
     def jet(self, at):
         a, b = at(self.left), at(self.right)
         return _Jet(a.value - b.value, _minus(a.grad, b.grad),
@@ -342,16 +385,23 @@ class Sub(_Binary):
 
 
 class Mul(_Binary):
+    __slots__ = ()
+
     def jet(self, at):
-        return _product(at(self.left), at(self.right))
+        return _product(at(self.left), at(self.right), at.second)
 
 
 class Div(_Binary):
+    __slots__ = ()
+
     def jet(self, at):
-        return _product(at(self.left), _reciprocal(at(self.right)))
+        return _product(at(self.left),
+                        _reciprocal(at(self.right), at.second), at.second)
 
 
 class Pow(Expr):
+    __slots__ = ("base", "n")
+
     def __init__(self, base: Expr, n: int):
         if not (isinstance(n, numbers.Integral)
                 or isinstance(n, float) and n.is_integer()):
@@ -360,48 +410,56 @@ class Pow(Expr):
         self.n = int(n)
 
     def jet(self, at):
-        return _powi(at(self.base), self.n)
+        return _powi(at(self.base), self.n, at.second)
 
     def substitute(self, mapping):
         return Pow(self.base.substitute(mapping), self.n)
 
 
 class _Unary(Expr):
+    __slots__ = ("arg",)
+
     def __init__(self, arg: Expr):
         self.arg = arg
 
     def jet(self, at):
-        return self._rule(at(self.arg))
+        return self._rule(at(self.arg), at.second)
 
     def substitute(self, mapping):
         return type(self)(self.arg.substitute(mapping))
 
 
 class Sin(_Unary):
+    __slots__ = ()
+
     @staticmethod
-    def _rule(j):
+    def _rule(j, second):
         s, c = np.sin(j.value), np.cos(j.value)
-        return _chain(j, s, c, -s)
+        return _chain(j, s, c, -s, second)
 
 
 class Cos(_Unary):
+    __slots__ = ()
+
     @staticmethod
-    def _rule(j):
+    def _rule(j, second):
         s, c = np.sin(j.value), np.cos(j.value)
-        return _chain(j, c, -s, -c)
+        return _chain(j, c, -s, -c, second)
 
 
 class Exp(_Unary):
+    __slots__ = ()
+
     @staticmethod
-    def _rule(j):
+    def _rule(j, second):
         e = np.exp(j.value)
-        return _chain(j, e, e, e)
+        return _chain(j, e, e, e, second)
 
 
 def _linear(f, py: bool):
     """The rule of a real-linear f: the variables are real, so f commutes
     with every partial derivative and acts on value, grad and hess alike."""
-    return staticmethod(lambda j: _Jet(
+    return staticmethod(lambda j, second: _Jet(
         f(j.value), *(None if a is None else f(a) for a in (j.grad, j.hess)),
         py=py))
 
@@ -411,14 +469,17 @@ def _as_complex(x):
 
 
 class Conj(_Unary):
+    __slots__ = ()
     _rule = _linear(np.conj, False)
 
 
 class Re(_Unary):
+    __slots__ = ()
     _rule = _linear(lambda x: _as_complex(x.real), True)
 
 
 class Im(_Unary):
+    __slots__ = ()
     _rule = _linear(lambda x: _as_complex(x.imag), True)
 
 
@@ -459,14 +520,15 @@ I = Const(1j)
 
 
 class _Evaluation:
-    """One evaluation: the points (N, m) and the jet of every node evaluated
-    so far, keyed by node identity.  The trees outlive the evaluation, so no
-    id is reused while the memo exists."""
+    """One evaluation: the points (N, m), whether it goes to second order,
+    and the jet of every node evaluated so far, keyed by node identity.  The
+    trees outlive the evaluation, so no id is reused while the memo
+    exists."""
 
-    __slots__ = ("p", "memo")
+    __slots__ = ("p", "second", "memo")
 
-    def __init__(self, p: np.ndarray):
-        self.p = p
+    def __init__(self, p: np.ndarray, second: bool):
+        self.p, self.second = p, second
         self.memo: dict[int, _Jet] = {}
 
     def __call__(self, node: Expr) -> _Jet:
@@ -479,13 +541,16 @@ class _Evaluation:
         """The jet of a root, with a constant value and every vanishing
         derivative spelled out as arrays."""
         n, m = self.p.shape
+        hess = None
+        if self.second:
+            hess = np.zeros((n, m, m), complex) if j.hess is None else j.hess
         return Jet2(j.value if type(j.value) is np.ndarray
                     else np.full(n, j.value, complex),
                     np.zeros((n, m), complex) if j.grad is None else j.grad,
-                    np.zeros((n, m, m), complex) if j.hess is None else j.hess)
+                    hess)
 
 
-def eval_jet2(e, p):
+def eval_jet2(e, p, order: int = 2):
     """Value, gradient and Hessian of ``e`` at the real points ``p``.
 
     ``p`` is one point (m,) or N points (N, m); the jet has no point axis in
@@ -493,15 +558,86 @@ def eval_jet2(e, p):
     share one memo (a subtree they share is evaluated once) and give a list
     of jets.  Every value, gradient and Hessian equals, bit for bit, that of
     the same expression evaluated at its point alone; an error at any point
-    raises for the whole call.
+    raises for the whole call.  With ``order=1`` the pass stops at the
+    gradient: values and gradients are the same, and no Hessian is formed
+    (each jet's ``hess`` is None).
     """
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order!r}")
     p = np.asarray(p, dtype=float)
-    at = _Evaluation(p.reshape(-1, p.shape[-1]))
+    at = _Evaluation(p.reshape(-1, p.shape[-1]), order == 2)
     jets = [at.result(at(root))
             for root in ([e] if isinstance(e, Expr) else e)]
     if p.ndim == 1:
-        jets = [Jet2(j.value[0], j.grad[0], j.hess[0]) for j in jets]
+        jets = [Jet2(j.value[0], j.grad[0],
+                     None if j.hess is None else j.hess[0]) for j in jets]
     return jets[0] if isinstance(e, Expr) else jets
+
+
+def _shape(roots) -> tuple[list, list, list]:
+    """The shape of a tree given by its roots: every node once, children
+    before parents, as (type, Var index or Pow exponent, child positions);
+    the positions of the roots; and the literal values in node order."""
+    nodes, literals, seen = [], [], {}
+
+    def visit(node):
+        k = seen.get(id(node))
+        if k is not None:
+            return k
+        kind = type(node)
+        if kind is Const:
+            if type(node.value) is np.ndarray:
+                raise ValueError("cannot stack a stacked tree")
+            literals.append(node.value)
+            key = (kind,)
+        elif kind is Var:
+            key = (kind, node.index)
+        elif kind is Pow:
+            key = (kind, node.n, visit(node.base))
+        elif issubclass(kind, _Binary):
+            key = (kind, visit(node.left), visit(node.right))
+        elif issubclass(kind, _Unary):
+            key = (kind, visit(node.arg))
+        else:
+            raise ValueError(f"cannot stack a {kind.__name__} node")
+        k = seen[id(node)] = len(nodes)
+        nodes.append(key)
+        return k
+
+    return nodes, [visit(r) for r in roots], literals
+
+
+def stack(trees):
+    """One tree of the shape of K trees whose literals hold the K trees'
+    values: evaluated at K points (K, m), its row k is, bit for bit, tree k
+    evaluated at the k-th point alone.
+
+    ``trees`` is K expressions, giving one expression, or K lists of roots,
+    giving one list.  The trees must have one shape: the same node types,
+    Var indices, Pow exponents and sharing of subtrees (within one tree,
+    and among the roots of one list); any difference raises ValueError.
+    """
+    single = isinstance(trees[0], Expr)
+    shapes = [_shape([t] if single else t) for t in trees]
+    nodes, roots, _ = shapes[0]
+    for k, (other, other_roots, _) in enumerate(shapes):
+        if other != nodes or other_roots != roots:
+            raise ValueError(f"tree {k} is not of the shape of tree 0")
+    columns = iter(np.array([lits for _, _, lits in shapes], dtype=complex).T
+                   .copy())
+    built = []
+    for kind, *rest in nodes:
+        if kind is Const:
+            built.append(Const.__new__(Const))
+            built[-1].value = next(columns)
+        elif kind is Var:
+            built.append(Var(*rest))
+        elif kind is Pow:
+            built.append(Pow(built[rest[1]], rest[0]))
+        else:
+            built.append(kind(*(built[k] for k in rest)))
+    out = [built[k] for k in roots]
+    return out[0] if single else out
 
 
 def max_var_index(e: Expr) -> int:

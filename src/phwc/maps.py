@@ -1,10 +1,13 @@
 """Smooth maps into Hermitian charts and their residual checks.
 
 A map phi: R^m -> C^n is a vector of expression trees; every residual below
-is evaluated pointwise from second-order jets.  phwc_residual_coord,
+is evaluated pointwise from second-order jets, or from first-order ones
+where it reads no second partials (a first-order differential raises
+HessianNotComputed when they are read).  phwc_residual_coord,
 hwc_report and tension also take the PointData of a set of points and give
 one value per point, from one numpy call per quantity; the other residuals
-read one point, which may hold its rows of a set (share_pass).  The pseudo
+read one point, which may hold its rows of a set (share_pass,
+share_differential).  The pseudo
 horizontal weak conformality condition comes in three equivalent forms
 (coordinate Gram, isotropy through the dual metric, commutator with the
 complex structure) that are kept as independent code paths so they can
@@ -40,7 +43,7 @@ from .geometry import (
     _per_point,
     _share_rows,
 )
-from .jet import Expr, Jet2, as_expr, eval_jet2
+from .jet import Expr, HessianNotComputed, Jet2, as_expr, eval_jet2
 
 __all__ = [
     "DimensionMismatch",
@@ -48,6 +51,7 @@ __all__ = [
     "DifferentialPoint",
     "PointData",
     "share_pass",
+    "share_differential",
     "HWCReport",
     "TensionPoint",
     "differential",
@@ -82,32 +86,48 @@ class SmoothMap:
         """phi at p (m,), or at each row of p (N, m) as (N, n)."""
         return np.stack([j.value for j in eval_jet2(self.components, p)], -1)
 
-    def jets(self, p) -> list[Jet2]:
+    def jets(self, p, order: int = 2) -> list[Jet2]:
         """Jets of the components at p (m,) or at each row of p (N, m),
-        from one pass."""
-        return eval_jet2(self.components, p)
+        from one pass, to first order when order is 1."""
+        return eval_jet2(self.components, p, order)
 
 
-@dataclass
 class DifferentialPoint:
     """Value, first and second partials of the components at a point, or
-    with a leading point axis at a set of points."""
+    with a leading point axis at a set of points.  A first-order
+    differential has no second partials: reading them raises
+    HessianNotComputed."""
 
-    value: np.ndarray   # (n,) complex, phi(p)
-    dphi: np.ndarray    # (n, m) complex, dphi[a, i] = d phi^a / d x^i
-    second: np.ndarray  # (n, m, m) complex, symmetric in the last two slots
+    __slots__ = ("value", "dphi", "_second")
+
+    def __init__(self, value, dphi, second=None):
+        self.value = value      # (n,) complex, phi(p)
+        self.dphi = dphi        # (n, m) complex, dphi[a, i] = d phi^a / d x^i
+        self._second = second   # (n, m, m) complex, symmetric in the last
+        #                         two slots; None to first order
+
+    @property
+    def second(self) -> np.ndarray:
+        if self._second is None:
+            raise HessianNotComputed(
+                "a first-order differential has no second partials")
+        return self._second
 
     def __getitem__(self, index):
         """The differential at the point or points index selects."""
-        return DifferentialPoint(self.value[index], self.dphi[index],
-                                 self.second[index])
+        return DifferentialPoint(
+            self.value[index], self.dphi[index],
+            None if self._second is None else self._second[index])
 
 
-def differential(phi: SmoothMap, p) -> DifferentialPoint:
-    js = phi.jets(p)
-    return DifferentialPoint(np.stack([j.value for j in js], -1),
-                             np.stack([j.grad for j in js], -2),
-                             np.stack([j.hess for j in js], -3))
+def differential(phi: SmoothMap, p, order: int = 2) -> DifferentialPoint:
+    """phi's differential at p (m,) or at each row of p (N, m), from one
+    pass, to first order when order is 1."""
+    js = phi.jets(p, order)
+    return DifferentialPoint(
+        np.stack([j.value for j in js], -1),
+        np.stack([j.grad for j in js], -2),
+        None if order == 1 else np.stack([j.hess for j in js], -3))
 
 
 class PointData(MetricPoint):
@@ -141,28 +161,43 @@ class PointData(MetricPoint):
         return HermitianPoint(self.h, self.diff.value)
 
 
-def share_pass(pds: list[PointData]) -> None:
+def share_differential(pds: list[PointData],
+                       order: int = 2) -> DifferentialPoint | None:
+    """Give each of pds, point data of one phi, its rows of phi's
+    differential at all their points, from one pass (to first order when
+    order is 1), and return that differential.  A pass that raises gives
+    no rows and returns None: each point then evaluates phi alone on first
+    use, so the error lands on the points where it occurs."""
+    try:
+        diff = differential(pds[0].phi, np.array([pd.p for pd in pds]), order)
+    except PASS_ERRORS:
+        return None
+    for k, pd in enumerate(pds):
+        pd.diff = diff[k]
+    return diff
+
+
+def share_pass(pds: list[PointData], order: int = 2) -> None:
     """Compute the quantities of pds, point data of one phi, g and h, once
     each over all their points, and give each point its rows.
 
-    One PointData over the set makes one jet pass each of g, phi and h at
-    the images; its checked gm, ginv, gamma and gram, and h's checked hm,
-    hinv, gamma and kaehler, are each computed in one numpy call.  A pass or
-    a check that raises at some point gives no rows of what it computes:
-    each point then computes that alone on first use, as a lone PointData
-    does, so the error lands on the points where it occurs.
+    One PointData over the set makes one jet pass each of g, phi (to first
+    order when order is 1) and h at the images; its checked gm, ginv, gamma
+    and gram, and h's checked hm, hinv, gamma and kaehler, are each computed
+    in one numpy call.  A pass or a check that raises at some point gives no
+    rows of what it computes: each point then computes that alone on first
+    use, as a lone PointData does, so the error lands on the points where it
+    occurs.
     """
     if not pds:
         return
     first = pds[0]
     whole = PointData(first.phi, first.g, [pd.p for pd in pds], first.h)
-    try:
-        diff = whole.diff
-    except PASS_ERRORS:      # phi at each point alone, on first use
+    diff = share_differential(pds, order)
+    if diff is None:         # phi at each point alone, on first use
         _share_rows(whole, pds, ("gm", "ginv", "gamma"))
         return
-    for k, pd in enumerate(pds):
-        pd.diff = diff[k]
+    whole.diff = diff
     _share_rows(whole, pds, ("gm", "ginv", "gamma", "gram"))
     if first.h is not None:
         for pd, z in zip(pds, diff.value):

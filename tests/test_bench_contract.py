@@ -51,9 +51,12 @@ def test_layers_and_skip_reasons_resolve():
 def distinct_nodes(e, seen):
     if id(e) not in seen:
         seen.add(id(e))
-        for child in vars(e).values():
-            if isinstance(child, phwc.jet.Expr):
-                distinct_nodes(child, seen)
+        # nodes keep their children in slots
+        for cls in type(e).__mro__:
+            for name in vars(cls).get("__slots__", ()):
+                child = getattr(e, name)
+                if isinstance(child, phwc.jet.Expr):
+                    distinct_nodes(child, seen)
     return seen
 
 

@@ -191,35 +191,62 @@ def test_arithmetic_error_at_one_point_stays_on_its_records(component,
 
 
 def test_verify_paper_loops_make_one_pass_per_point_set(monkeypatch):
-    sizes = []
+    passes, sweep = [], []
     orig = geometry.eval_jet2
 
-    def counted(e, p):
-        sizes.append(len(p) if np.ndim(p) == 2 else 1)
-        return orig(e, p)
+    def counted(module):
+        def pass_of(e, p, order=2):
+            passes.append((module, len(p) if np.ndim(p) == 2 else 1, order))
+            return orig(e, p, order)
+        return pass_of
 
     for module in (geometry, maps):
-        monkeypatch.setattr(module, "eval_jet2", counted)
+        monkeypatch.setattr(module, "eval_jet2", counted(module.__name__))
+    equivalence = cli._phwc_equivalence
+
+    def sweep_passes(*args):
+        start = len(passes)
+        out = equivalence(*args)
+        sweep.extend(passes[start:])
+        del passes[start:]
+        return out
+
+    monkeypatch.setattr(cli, "_phwc_equivalence", sweep_passes)
     verify_paper(seed=42)
     # 20 pulled-back and 20 composed maps at 50 points each: one pass of
-    # phi (with the pulled-back pluriharmonic function) and one of g per
-    # map; single points come only from the 200 maps of the equivalence
-    # sweep, each one pass of phi and g.  Every target there is flat and
-    # makes no pass: its matrix is read once from its literals
-    assert sizes.count(50) == 2 * 20 * 2
-    assert sizes.count(1) == 200 * 2
+    # phi (with the pulled-back pluriharmonic function) and one first-order
+    # pass of g per map.  Every target is flat and makes no pass: its
+    # matrix is read once from its literals
+    assert passes.count(("phwc.maps", 50, 2)) == 2 * 20
+    assert passes.count(("phwc.geometry", 50, 1)) == 2 * 20
+    # a pass of g or h stops at the gradient; outside the equivalence
+    # sweep no pass is of a single point
+    assert all(order == 1 for module, _, order in passes
+               if module == "phwc.geometry")
+    assert all(size > 1 for _, size, _ in passes)
+    # the sweep: each of its 200 cases is in exactly one first-order pass
+    # of its map and one of its metric; ex1 and ex2 make one pass each
+    # over their cases and every other map one at its point; g2, g4 and
+    # the random metrics of each dimension 2, 3, 4 one pass each
+    assert all(order == 1 for _, _, order in sweep)
+    phi = [size for module, size, _ in sweep if module == "phwc.maps"]
+    g = [size for module, size, _ in sweep if module == "phwc.geometry"]
+    assert sum(phi) == sum(g) == 200
+    assert len([size for size in phi if size > 1]) == 2
+    assert len(g) == 5
 
 
 def test_run_checks_evaluates_phi_and_g_once_per_point(monkeypatch):
-    calls = {}
+    calls, jets = {}, {}
     for cls, name in ((SmoothMap, "jets"), (SmoothMap, "value"),
                       (MetricField, "jets"), (MetricField, "matrix")):
         key = f"{cls.__name__}.{name}"
         calls[key] = []
 
-        def counted(self, p, _orig=getattr(cls, name), _key=key):
+        def counted(self, p, *order, _orig=getattr(cls, name), _key=key):
             calls[_key].append(np.atleast_2d(p))
-            return _orig(self, p)
+            out = jets[_key] = _orig(self, p, *order)
+            return out
         monkeypatch.setattr(cls, name, counted)
     calls["christoffel_domain"] = []
     for module in (geometry, maps, fstruct, cli):
@@ -236,6 +263,10 @@ def test_run_checks_evaluates_phi_and_g_once_per_point(monkeypatch):
     for key in ("SmoothMap.jets", "MetricField.jets"):
         (batch,) = calls[key]
         assert [tuple(q) for q in batch] == points
+    # phi's pass goes to second order, which tension reads; g's stops at
+    # the gradient, all that its matrix, inverse and symbols read
+    assert all(j.hess.shape == (4, 2, 2) for j in jets["SmoothMap.jets"])
+    assert all(j.hess is None for row in jets["MetricField.jets"] for j in row)
     assert calls["SmoothMap.value"] == []
     assert calls["MetricField.matrix"] == []
     assert calls["christoffel_domain"] == []
@@ -251,7 +282,10 @@ def h_passes(monkeypatch):
 
     def counted_jets(self, z):
         jets.append(np.atleast_2d(z))
-        return h_jets(self, z)
+        out = h_jets(self, z)
+        # a pass of h stops at the gradient, all that its readers read
+        assert all(j.hess is None for row in out for j in row)
+        return out
 
     def bypass(name, orig):
         def counted(*args):
@@ -284,9 +318,11 @@ def test_run_checks_evaluates_curved_h_once_per_point(h_passes, monkeypatch):
     phi_passes = []
     phi_jets = SmoothMap.jets
 
-    def counted_phi_jets(self, p):
+    def counted_phi_jets(self, p, order=2):
+        # tension and the pluriharmonic check read second partials
+        assert order == 2
         phi_passes.append(np.atleast_2d(p))
-        return phi_jets(self, p)
+        return phi_jets(self, p, order)
 
     monkeypatch.setattr(SmoothMap, "jets", counted_phi_jets)
     report = run_checks(raw)

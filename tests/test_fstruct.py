@@ -15,6 +15,7 @@ from phwc.fstruct import (
     f_field_of_map,
     f_holomorphy_residual,
     f_stencil,
+    f_stencils,
     fundamental_two_form,
     met_residual,
     nijenhuis_residual,
@@ -22,7 +23,7 @@ from phwc.fstruct import (
     theorem_suite,
 )
 from phwc.geometry import MetricField
-from phwc.jet import Const, Var, exp, sin
+from phwc.jet import Const, DivisionNearZero, Var, exp, sin
 from phwc.maps import PointData, SmoothMap, compose, differential
 
 EX1 = catalog.immersion_r2_c3()
@@ -498,13 +499,18 @@ def test_theorem_suite_builds_one_stencil_per_point(monkeypatch):
 def test_theorem_suite_evaluates_g_once_per_point(monkeypatch):
     from phwc.geometry import HermitianMetricField
 
-    jets, centers = [], []
-    g_jets, pd_init = MetricField.jets, PointData.__init__
+    jets, phi_orders, centers = [], [], []
+    g_jets, phi_jets, pd_init = MetricField.jets, SmoothMap.jets, \
+        PointData.__init__
     points = [P4, (0.2, -0.7, 1.1, 0.4)]
 
     def counted_jets(self, p):
         jets.append(np.atleast_2d(p))
         return g_jets(self, p)
+
+    def counted_phi_jets(self, p, order=2):
+        phi_orders.append((len(np.atleast_2d(p)), order))
+        return phi_jets(self, p, order)
 
     def counted_init(self, *args, **kwargs):
         pd_init(self, *args, **kwargs)
@@ -512,15 +518,19 @@ def test_theorem_suite_evaluates_g_once_per_point(monkeypatch):
             centers.append(tuple(self.p))
 
     monkeypatch.setattr(MetricField, "jets", counted_jets)
+    monkeypatch.setattr(SmoothMap, "jets", counted_phi_jets)
     monkeypatch.setattr(PointData, "__init__", counted_init)
     report = theorem_suite([SuiteSample(
         "linear_c2", EX2, G4, HermitianMetricField.flat(2), points)])
     assert report.checked == 2
-    # one jet pass of g over the sample points and one over each center's
-    # p +/- h e_l, which together cover every point once
-    assert len(jets) == 1 + len(points)
+    # one jet pass of g over the sample points and one over the p +/- h e_l
+    # of every center, which together cover every point once
+    assert len(jets) == 2
     rows = [tuple(q) for batch in jets for q in batch]
     assert len(rows) == len(set(rows)) == 2 * (2 * 4 + 1)
+    # the same for phi: to second order at the centers, which tension
+    # reads, and to first order at the stencil points
+    assert phi_orders == [(2, 2), (2 * 2 * 4, 1)]
     # kaehler, phwc, tension and the stencil center share one PointData
     assert sorted(centers) == sorted(tuple(map(float, q)) for q in points)
 
@@ -549,3 +559,47 @@ def test_theorem_suite_detects_forged_kaehler_flag():
     assert report.counterexamples >= 1
     reasons = {r for rec in report.counterexample_records() for r in rec.reasons}
     assert "kaehler_flag_violation" in reasons
+
+
+def assert_stencils_equal(a, b):
+    assert a.center.rank == b.center.rank
+    for fa, fb in zip([a.center, *a.plus, *a.minus],
+                      [b.center, *b.plus, *b.minus]):
+        for name in ("F", "Pplus", "gm", "ginv"):
+            assert getattr(fa, name).tobytes() == getattr(fb, name).tobytes()
+
+
+def test_f_stencils_equal_each_center_alone():
+    # phi = 1/(z - w) is holomorphic, so PHWC on flat R^2.  w is the point
+    # p + h e_1 of the second center, so that center's stencil fails at a
+    # stencil point; the last center is w itself, where phi fails, and the
+    # third is the same point as the first
+    w = (0.6 + 1e-4, -0.1)
+    z = Var(0) + Const(1j) * Var(1)
+    phi = SmoothMap(2, 1, [Const(1.0) / (z - Const(complex(*w)))])
+    centers = [(0.3, 0.2), (0.6, -0.1), (0.3, 0.2), (-0.4, 0.5), w]
+    batch = f_stencils([PointData(phi, G2, p) for p in centers])
+    for p, got in zip(centers, batch):
+        try:
+            want = f_stencil(PointData(phi, G2, p))
+        except DivisionNearZero as err:
+            assert type(got) is DivisionNearZero and str(got) == str(err)
+        else:
+            assert_stencils_equal(got, want)
+    assert [type(x).__name__ for x in batch] == [
+        "FStencil", "DivisionNearZero", "FStencil", "FStencil",
+        "DivisionNearZero"]
+
+
+def test_f_stencils_keep_each_skip_reason_on_its_center():
+    # phi = z + x1^2 is PHWC exactly where x1 = 0: the stencil there fails
+    # at p +/- h e_1, and a center off that line fails itself
+    z = Var(0) + Const(1j) * Var(1)
+    phi = SmoothMap(2, 1, [z + Var(0) ** 2])
+    centers = [(0.0, 0.3), (0.5, 0.2), (0.0, -0.4)]
+    batch = f_stencils([PointData(phi, G2, p) for p in centers])
+    for p, got in zip(centers, batch):
+        with pytest.raises(NotPHWCAtPoint) as err:
+            f_stencil(PointData(phi, G2, p))
+        assert type(got) is NotPHWCAtPoint and str(got) == str(err.value)
+    assert str(batch[0]) != str(batch[1])

@@ -224,12 +224,18 @@ def test_integral_float_power_is_accepted():
 # shared subtrees: each node object is evaluated once per call
 # --------------------------------------------------------------------------
 
+def children(e):
+    """The child nodes of e, read from the slots of its classes."""
+    return [getattr(e, name) for cls in type(e).__mro__
+            for name in vars(cls).get("__slots__", ())
+            if isinstance(getattr(e, name), jet.Expr)]
+
+
 def tree_nodes(e):
     """Every node occurrence in the tree; a shared node occurs repeatedly."""
     yield e
-    for child in vars(e).values():
-        if isinstance(child, jet.Expr):
-            yield from tree_nodes(child)
+    for child in children(e):
+        yield from tree_nodes(child)
 
 
 def count_node_evals(monkeypatch):
@@ -518,3 +524,182 @@ def test_power_overflows_where_python_complex_does(n):
     assert any(python_power_overflows(x, n) for x in xs)
     with pytest.raises(OverflowError):
         eval_jet2(Var(0) ** n, np.array(xs)[:, None])
+
+
+# --------------------------------------------------------------------------
+# first-order passes: the same values and gradients, no Hessian
+# --------------------------------------------------------------------------
+
+def assert_first_order_is_full_order(exprs, points):
+    full, first = eval_jet2(exprs, points), eval_jet2(exprs, points, order=1)
+    for a, b in zip(full, first):
+        assert b.hess is None
+        assert a.value.tobytes() == b.value.tobytes()
+        assert a.grad.tobytes() == b.grad.tobytes()
+
+
+def test_first_order_pass_equals_full_pass_to_the_gradient():
+    rng = np.random.default_rng(21)
+    for exprs, m in catalog_families(rng):
+        assert_first_order_is_full_order(exprs, rng.uniform(-1, 1, (20, m)))
+        assert_first_order_is_full_order(exprs, rng.uniform(-1, 1, m))
+    s = subtree()
+    assert_first_order_is_full_order(
+        [every_node_tree(lambda: s), every_node_tree(subtree),
+         parse_expr("(x1 + i*x2)^-3 + 1/(x1 - 3) - conj(exp(x2))^4"),
+         parse_expr("x1^101 - i*x2^150 + (x1 + i*x2)^-120"),
+         parse_expr("exp(i*x1)^130 + sin(x2)^-101")],
+        rng.uniform(0.2, 1.0, (25, 2)))
+
+
+def test_first_order_pass_raises_what_a_full_pass_raises():
+    for e, p in ((parse_expr("1/(x1 - 0.5)"), [0.5, 0.0]),
+                 (Var(0) ** 150, [1e50, 0.0])):
+        errors = []
+        for order in (2, 1):
+            with pytest.raises((DivisionNearZero, OverflowError)) as err:
+                eval_jet2(e, np.array([[0.1, 0.2], p]), order=order)
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1]
+    with pytest.raises(ValueError):
+        eval_jet2(Var(0), [0.0], order=3)
+
+
+def test_reading_second_partials_of_a_first_order_differential_raises():
+    from phwc.maps import SmoothMap, differential
+
+    phi = SmoothMap(2, 1, [Var(0) ** 2 * Var(1)])
+    full = differential(phi, (0.3, 0.5))
+    first = differential(phi, (0.3, 0.5), 1)
+    assert first.dphi.tobytes() == full.dphi.tobytes()
+    for d in (first, differential(phi, np.ones((3, 2)), 1)[1:]):
+        with pytest.raises(jet.HessianNotComputed):
+            d.second
+    assert full.second[0, 0, 1] == 2 * 0.3
+
+
+# --------------------------------------------------------------------------
+# stacked trees: K trees of one shape evaluated in one pass, bit for bit
+# --------------------------------------------------------------------------
+
+def with_literals(roots, rng):
+    """A copy of the tree given by roots, sharing what it shares, with new
+    random literals."""
+    memo = {}
+
+    def copy(e):
+        if id(e) not in memo:
+            if isinstance(e, Const):
+                new = Const(complex(*rng.uniform(0.5, 2.0, 2)))
+            elif isinstance(e, Var):
+                new = Var(e.index)
+            elif isinstance(e, jet.Pow):
+                new = jet.Pow(copy(e.base), e.n)
+            else:
+                new = type(e)(*(copy(c) for c in children(e)))
+            memo[id(e)] = new
+        return memo[id(e)]
+
+    return [copy(r) for r in roots]
+
+
+def assert_stack_is_lone(trees, points):
+    """The stack of trees (lists of roots) at points equals each tree at its
+    own point alone, in value, gradient and Hessian, bit for bit."""
+    stacked = eval_jet2(jet.stack(trees), points)
+    for k, (roots, p) in enumerate(zip(trees, points)):
+        for j, alone in zip(stacked, eval_jet2(roots, p)):
+            assert_bit_equal(jet.Jet2(j.value[k], j.grad[k], j.hess[k]),
+                             alone)
+
+
+def test_stack_equals_lone_passes_on_catalog_metrics():
+    from phwc import catalog
+
+    rng = np.random.default_rng(22)
+    for m in (2, 3, 4):
+        fields = [catalog.random_polynomial_metric(rng, m) for _ in range(12)]
+        assert_stack_is_lone([[e for row in g.components for e in row]
+                              for g in fields], rng.uniform(-1, 1, (12, m)))
+    for n in (1, 2):
+        base = catalog.random_kaehler_metric(rng, n)
+        roots = [e for row in base.components for e in row]
+        assert_stack_is_lone([with_literals(roots, rng) for _ in range(8)],
+                             rng.uniform(-1, 1, (8, 2 * n)))
+
+
+def test_stack_equals_lone_passes_on_every_node_type():
+    rng = np.random.default_rng(23)
+    s = subtree()
+    for tree in (every_node_tree(lambda: s), every_node_tree(subtree)):
+        trees = [with_literals([tree], rng) for _ in range(10)]
+        assert_stack_is_lone(trees, rng.uniform(0.2, 1.0, (10, 2)))
+        single = jet.stack([roots[0] for roots in trees])
+        assert isinstance(single, jet.Expr)
+
+
+def test_stack_keeps_the_sharing_of_its_trees():
+    rng = np.random.default_rng(24)
+    s = subtree()
+    trees = [with_literals([every_node_tree(lambda: s)], rng)
+             for _ in range(3)]
+    stacked = jet.stack(trees)
+    assert (len({id(n) for n in tree_nodes(stacked[0])})
+            == len({id(n) for n in tree_nodes(trees[0][0])}))
+
+
+@pytest.mark.parametrize("other", [
+    Var(0) - Const(1.0),                   # node type
+    Var(1) + Const(1.0),                   # Var index
+])
+def test_stack_refuses_trees_of_another_shape(other):
+    with pytest.raises(ValueError):
+        jet.stack([Var(0) + Const(2.0), other])
+
+
+def test_stack_refuses_other_exponents_sharing_or_root_counts():
+    with pytest.raises(ValueError):
+        jet.stack([Var(0) ** 2, Var(0) ** 3])
+    shared = Var(0) + Const(1.0)
+    with pytest.raises(ValueError):
+        jet.stack([shared * shared,
+                   (Var(0) + Const(1.0)) * (Var(0) + Const(1.0))])
+    with pytest.raises(ValueError):   # sharing among the roots of a list
+        jet.stack([[shared, shared * Const(2.0)],
+                   [Var(0) + Const(1.0),
+                    (Var(0) + Const(1.0)) * Const(2.0)]])
+    with pytest.raises(ValueError):
+        jet.stack([[Var(0)], [Var(0), Var(0)]])
+    with pytest.raises(ValueError):   # a stacked tree is not stacked again
+        jet.stack([jet.stack([shared, shared]), shared])
+
+
+def test_a_stacked_tree_needs_one_point_per_tree():
+    stacked = jet.stack([Var(0) * Const(2.0), Var(0) * Const(3.0)])
+    assert eval_jet2(stacked, [[1.0], [1.0]]).value.tolist() == [2.0, 3.0]
+    for points in ([[1.0]], np.ones((3, 1))):
+        with pytest.raises(ValueError):
+            eval_jet2(stacked, points)
+
+
+def test_a_division_near_zero_in_one_stacked_tree_raises_for_the_pass():
+    poles = (0.1, 0.5, 0.9)
+    trees = [Const(1.0) / (Var(0) - Const(c)) for c in poles]
+    points = np.array([[0.3], [0.5], [0.3]])
+    with pytest.raises(DivisionNearZero):
+        eval_jet2(jet.stack(trees), points)
+    # what the pass cannot give, each tree gives alone at its own point
+    for tree, p, c in zip(trees, points, poles):
+        if c == 0.5:
+            with pytest.raises(DivisionNearZero):
+                eval_jet2(tree, p)
+        else:
+            assert eval_jet2(tree, p).value == 1.0 / complex(p[0] - c)
+
+
+def test_expression_nodes_carry_slots_only():
+    s = subtree()
+    for node in tree_nodes(every_node_tree(lambda: s)):
+        assert not hasattr(node, "__dict__")
+        with pytest.raises(AttributeError):
+            node.extra = 1

@@ -192,13 +192,15 @@ def test_tension_of_builtin_maps_vanishes():
 def test_tension_evaluates_phi_once(monkeypatch):
     calls = []
     for name in ("jets", "value"):
-        def counted(self, p, _orig=getattr(SmoothMap, name), _name=name):
-            calls.append(_name)
-            return _orig(self, p)
+        def counted(self, p, *order, _orig=getattr(SmoothMap, name),
+                    _name=name):
+            calls.append((_name, *order))
+            return _orig(self, p, *order)
         monkeypatch.setattr(SmoothMap, name, counted)
     t = tension(PointData(EX1, G2, (0.3, -0.2), H3))
     assert t.harmonic_residual < 1e-13
-    assert calls == ["jets"]
+    # one pass, to second order: tension reads phi's second partials
+    assert calls == [("jets", 2)]
 
 
 def test_tension_coordinate_laplacian():

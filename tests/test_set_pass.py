@@ -8,9 +8,10 @@ import re
 import numpy as np
 import pytest
 
-from phwc import catalog, cli, geometry
-from phwc.geometry import HermitianMetricField, MetricField
-from phwc.jet import Const, DivisionNearZero, parse_expr
+from phwc import catalog, cli, geometry, jet
+from phwc.geometry import (HermitianMetricField, MetricField, MetricPoint,
+                           share_metric)
+from phwc.jet import Const, DivisionNearZero, Var, parse_expr
 from phwc.maps import (
     PointData,
     SmoothMap,
@@ -19,6 +20,7 @@ from phwc.maps import (
     phwc_residual_commutator,
     phwc_residual_coord,
     pluriharmonic_residual,
+    share_differential,
     share_pass,
     tension,
 )
@@ -129,23 +131,24 @@ def test_an_error_at_one_point_lands_on_its_records_only(where):
 def test_a_failing_pass_over_a_set_is_made_once(monkeypatch):
     passes = []
     for cls in (SmoothMap, MetricField, HermitianMetricField):
-        def jets(self, p, _orig=cls.jets):
+        def jets(self, p, *order, _orig=cls.jets):
             passes.append(type(self).__name__)
-            return _orig(self, p)
+            return _orig(self, p, *order)
         monkeypatch.setattr(cls, "jets", jets)
     g = MetricField(2, [[parse_expr("1/x2"), 0], [0, 1]])
     h = HermitianMetricField(1, [[parse_expr("1/x1")]], kaehler=True)
     points = [(0.5, 0.1), (0.0, 0.0), (0.3, 0.2)]
-    for phi, made in ((parse_expr("1/x1"), ["SmoothMap", "MetricField"]),
-                      (parse_expr("x1"), ["SmoothMap", "MetricField",
-                                          "HermitianMetricField"])):
-        pds = [PointData(SmoothMap(2, 1, [phi]), g, p, h) for p in points]
-        passes.clear()
-        share_pass(pds)
-        assert passes == made
-        with pytest.raises(DivisionNearZero):
-            pds[1].gm
-        assert pds[0].gm[1, 1] == 1.0 and pds[2].gm[0, 0] == 5.0
+    for order in (2, 1):
+        for phi, made in ((parse_expr("1/x1"), ["SmoothMap", "MetricField"]),
+                          (parse_expr("x1"), ["SmoothMap", "MetricField",
+                                              "HermitianMetricField"])):
+            pds = [PointData(SmoothMap(2, 1, [phi]), g, p, h) for p in points]
+            passes.clear()
+            share_pass(pds, order=order)
+            assert passes == made
+            with pytest.raises(DivisionNearZero):
+                pds[1].gm
+            assert pds[0].gm[1, 1] == 1.0 and pds[2].gm[0, 0] == 5.0
 
 
 def counted(monkeypatch, module, name, calls):
@@ -202,7 +205,6 @@ def strict_json(data: bytes):
     return json.loads(data, parse_constant=refuse)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_overflowing_residual_is_an_error_not_infinity(tmp_path):
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(OVERFLOW))
@@ -217,7 +219,6 @@ def test_an_overflowing_residual_is_an_error_not_infinity(tmp_path):
                for s in report["summaries"])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_overflow_lands_on_the_records_of_its_point_only():
     # |dphi|^2 = (2000 x1^1999)^2 overflows for x1 above about 1.19
     raw = cli.parse_manifest(json.dumps(
@@ -248,3 +249,138 @@ def test_summary_mean_of_finite_values_whose_sum_overflows():
     (summary,) = cli.summarize([{"check": "phwc", "value": 1.5e308,
                                  "pass": False}] * 2)
     assert summary["mean"] == 1.5e308
+
+
+# --------------------------------------------------------------------------
+# several maps and metrics, one pass each or one stacked pass
+# --------------------------------------------------------------------------
+
+def test_stacked_metric_rows_equal_each_lone_point():
+    rng = np.random.default_rng(31)
+    for m in (2, 3, 4):
+        fields = [catalog.random_polynomial_metric(rng, m) for _ in range(9)]
+        points = rng.uniform(-1, 1, (9, m))
+        shared = [MetricPoint(g, p) for g, p in zip(fields, points)]
+        share_metric(shared)
+        for pt, g, p in zip(shared, fields, points):
+            lone = MetricPoint(g, p)
+            for name in ("gm", "ginv", "gamma"):
+                assert getattr(pt, name).tobytes() == \
+                    getattr(lone, name).tobytes(), name
+
+
+def test_first_order_rows_equal_each_lone_point():
+    phi, g, h, points = random_set("flat")
+    shared = [PointData(phi, g, p, h) for p in points]
+    share_differential(shared, order=1)
+    for pd in shared:
+        lone = PointData(phi, g, pd.p, h)
+        for name in ("value", "dphi"):
+            assert getattr(pd.diff, name).tobytes() == \
+                getattr(lone.diff, name).tobytes()
+        assert phwc_residual_coord(pd) == phwc_residual_coord(lone)
+        assert isotropy_residual(pd) == isotropy_residual(lone)
+        assert phwc_residual_commutator(pd) == phwc_residual_commutator(lone)
+        with pytest.raises(jet.HessianNotComputed):
+            tension(pd)
+
+
+def stacked_cases(monkeypatch, offsets, poles):
+    """MetricPoints of the one-dimensional fields a + 1/(x1 - c)^2 of one
+    shape, for a in offsets and c in poles, each at x1 = 0.5, sharing one
+    stacked pass; and the record of the jet passes of metrics."""
+    passes = []
+    g_jets = MetricField.jets
+
+    def counted(self, p):
+        passes.append(len(np.atleast_2d(p)))
+        return g_jets(self, p)
+
+    monkeypatch.setattr(MetricField, "jets", counted)
+    fields = [MetricField(1, [[Const(a) + (Const(1.0) / (
+        Var(0) - Const(c))) ** 2]]) for a, c in zip(offsets, poles)]
+    shared = [MetricPoint(g, [0.5]) for g in fields]
+    share_metric(shared)
+    return fields, shared, passes
+
+
+def test_a_division_near_zero_in_one_stacked_metric_stays_on_its_case(
+        monkeypatch):
+    fields, shared, passes = stacked_cases(monkeypatch, (1.0, 1.0, 1.0),
+                                           (0.1, 0.5, 0.9))
+    # the stacked pass fails, so each case evaluates alone, from its tree
+    assert passes == [3]
+    for k, (pt, g) in enumerate(zip(shared, fields)):
+        lone = MetricPoint(g, [0.5])
+        if k == 1:
+            for point in (pt, lone):
+                with pytest.raises(DivisionNearZero,
+                                   match="modulus 0.000e[+]00"):
+                    point.ginv
+        else:
+            assert pt.ginv.tobytes() == lone.ginv.tobytes()
+    assert passes == [3, 1, 1, 1, 1, 1, 1]
+
+
+def test_a_metric_check_that_fails_at_one_stacked_case_stays_on_it(
+        monkeypatch):
+    # -10 + 1/(0.5 - 0.1)^2 < 0: the SPD check fails for that case alone
+    fields, shared, passes = stacked_cases(monkeypatch, (1.0, -10.0, 1.0),
+                                           (0.1, 0.1, 0.9))
+    assert passes == [3]
+    for k, (pt, g) in enumerate(zip(shared, fields)):
+        lone = MetricPoint(g, [0.5])
+        if k == 1:
+            for point in (pt, lone):
+                with pytest.raises(geometry.MetricNotSPD,
+                                   match=re.escape("not SPD at [0.5]")):
+                    point.ginv
+        else:
+            assert pt.gm.tobytes() == lone.gm.tobytes()
+            assert pt.ginv.tobytes() == lone.ginv.tobytes()
+    # the failing case reads its rows of the stacked pass; only the lone
+    # points made passes of their own
+    assert passes == [3, 1, 1, 1]
+
+
+def test_share_metric_refuses_fields_of_another_shape():
+    points = [MetricPoint(MetricField.euclidean(2), [0.0, 0.0]),
+              MetricPoint(catalog.random_polynomial_metric(
+                  np.random.default_rng(0), 2), [0.0, 0.0])]
+    with pytest.raises(ValueError):
+        share_metric(points)
+
+
+def test_run_checks_builds_the_stencils_of_a_sample_in_one_pass(monkeypatch):
+    raw = cli.parse_manifest(json.dumps({
+        "domain": {"dim": 4, "metric": [
+            ["2 + x1^2" if i == j else "0" for j in range(4)]
+            for i in range(4)]},
+        "target": {"cdim": 2, "hermitian": "flat", "kaehler": True},
+        "map": {"components": ["i*(x1 + x2) + x3 + x4",
+                               "i*(x1 + x2) + x3 + x4"]},
+        "checks": ["nijenhuis", "parallel", "met", "domega12", "tension"],
+        "sample": {"count": 4, "seed": 6, "box": [[-1, 1]] * 4}}))
+    phi_passes, g_passes = [], []
+    phi_jets, g_jets = SmoothMap.jets, MetricField.jets
+
+    def counted_phi(self, p, order=2):
+        phi_passes.append((len(np.atleast_2d(p)), order))
+        return phi_jets(self, p, order)
+
+    def counted_g(self, p):
+        g_passes.append(len(np.atleast_2d(p)))
+        return g_jets(self, p)
+
+    monkeypatch.setattr(SmoothMap, "jets", counted_phi)
+    monkeypatch.setattr(MetricField, "jets", counted_g)
+    report = cli.run_checks(raw)
+    # phi to second order at the sample, to first order at the 2m stencil
+    # points of all its points; g once over each
+    assert phi_passes == [(4, 2), (4 * 8, 1)]
+    assert g_passes == [4, 4 * 8]
+    monkeypatch.undo()
+    errors = [rec for rec in report["records"] if "error" in rec]
+    assert len(report["records"]) == 4 * 5 and len(errors) < 4 * 4
+    for rec, want in zip(report["records"], lone_records(raw, report)):
+        assert rec.get("error", rec.get("value")) == want
