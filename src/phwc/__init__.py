@@ -26,10 +26,12 @@ The layers, bottom up:
   equivalent PHWC forms, horizontal weak conformality fit, tension,
   pluriharmonicity; the coordinate form, the fit and tension also over a
   point axis), and composition with +/-holomorphic maps;
-- ``fstruct``: the associated f-structure, its algebra, the difference
-  stencils of a sample from one pass (``f_stencils``), Nijenhuis and
-  parallelism defects, the fundamental 2-form conditions, and the theorem
-  implication harness;
+- ``fstruct``: the associated f-structure, its algebra, ``CheckPoint``
+  (a ``PointData`` that holds F and F's difference stencil, read by every
+  check at the point), the stencils of a sample from one pass
+  (``share_stencils``), Nijenhuis and parallelism defects, the fundamental
+  2-form conditions, and the theorem implication harness, which reads
+  ``CheckPoint``s as ``phwc check`` does;
 - ``flow``: explicit-Euler tension flow on flat torus grids;
 - ``cli``: the manifest-driven command line (``phwc check|sweep|flow|
   verify-paper|report``).
@@ -91,25 +93,24 @@ from .maps import (
     tension,
 )
 from .fstruct import (
+    CheckPoint,
     FStencil,
     FStructurePoint,
     NotPHWCAtPoint,
     RankDeficiencyAmbiguous,
     RankJumpOnStencil,
     SuiteSample,
-    SuiteTolerances,
     associated_f_structure,
     constant_f_field,
     domega_12_residual,
     dphi_kernel_residual,
-    f_field_of_map,
     f_holomorphy_residual,
     f_stencil,
-    f_stencils,
     fundamental_two_form,
     met_residual,
     nijenhuis_residual,
     parallel_residual,
+    share_stencils,
     theorem_suite,
 )
 from .flow import (

@@ -18,8 +18,10 @@ pivoting is discontinuous, whereas the projectors themselves are smooth on
 constant-rank neighbourhoods.  A rank change across a stencil makes the
 derivative meaningless and is reported as such, never averaged away.  The
 stencil points of a whole sample are evaluated in one first-order pass of
-the map and one of the metric (f_stencils), since F reads first partials
-only.
+the map and one of the metric (share_stencils), since F reads first
+partials only.  A CheckPoint holds the point data of one sample point with
+its F and F's stencil, each built once and read by every check there; the
+implication harness and ``phwc check`` both read them.
 
 Pointwise constructions are pure; the implication harness processes its
 samples independently and keeps diagnostics ordered by sample for
@@ -29,6 +31,7 @@ deterministic reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,33 +47,39 @@ __all__ = [
     "RankJumpOnStencil",
     "FStructurePoint",
     "FStencil",
+    "CheckPoint",
     "TwoFormPoint",
     "associated_f_structure",
-    "f_field_of_map",
     "constant_f_field",
     "f_holomorphy_residual",
     "dphi_kernel_residual",
     "f_stencil",
-    "f_stencils",
+    "share_stencils",
     "nijenhuis_residual",
     "parallel_residual",
     "fundamental_two_form",
     "domega_12_residual",
     "met_residual",
     "SuiteSample",
-    "SuiteTolerances",
     "SuiteRecord",
     "TheoremSuiteReport",
     "theorem_suite",
 ]
 
-PHWC_GATE = 1e-8
-RANK_TOL = 1e-8
-H_STEP = 1e-4
+PHWC_GATE = 1e-8         # F is built where the PHWC residual is at most this
+RANK_TOL = 1e-8          # pivot norms below RANK_TOL/10 end the isotropic span
+H_STEP = 1e-4            # default step of the difference stencil
+
+# the implication harness: hypothesis residuals count as zero below
+# SUITE_EPS, a tension above SUITE_DELTA is a harmonicity failure, and a
+# Kaehler flag whose closedness residual exceeds KAEHLER_TOL is forged
+SUITE_EPS = 1e-8
+SUITE_DELTA = 1e-6
+KAEHLER_TOL = 1e-8
 
 # Errors that building the f-structure or its stencil raises at a point
-# (the skip reasons, a metric check, a failing jet pass); f_stencils keeps
-# each on its point.
+# (the skip reasons, a metric check, a failing jet pass); share_stencils
+# keeps each on its point.
 POINT_ERRORS = (ValueError, ArithmeticError, VariableIndexOutOfRange)
 
 
@@ -79,7 +88,7 @@ class NotPHWCAtPoint(ValueError):
 
 
 class RankDeficiencyAmbiguous(ValueError):
-    """A pivot norm fell inside [rank_tol/10, rank_tol]; the rank of the
+    """A pivot norm fell inside [RANK_TOL/10, RANK_TOL]; the rank of the
     isotropic span cannot be decided at this tolerance."""
 
 
@@ -154,24 +163,23 @@ def _column_space(a: np.ndarray, k: int) -> np.ndarray:
     return u[:, :k]
 
 
-def associated_f_structure(pd: PointData,
-                           rank_tol: float = RANK_TOL,
-                           phwc_gate: float = PHWC_GATE) -> FStructurePoint:
+def associated_f_structure(pd: PointData) -> FStructurePoint:
     """Build F at p from the isotropic span of the raised differentials.
 
     The raised vectors v_a = g^{-1} (d phi^a) are orthonormalised by pivoted
     Gram-Schmidt under the Hermitian product <X, Y> = g(X, conj Y); their
     span carries the -i eigenvalue on tangent vectors and its conjugate the
     +i eigenvalue (this is the orientation under which dphi intertwines F
-    with multiplication by i on the target).  Pivot norms below rank_tol/10
-    are dropped; norms inside [rank_tol/10, rank_tol] raise
+    with multiplication by i on the target).  Points whose PHWC residual
+    exceeds PHWC_GATE raise NotPHWCAtPoint.  Pivot norms below RANK_TOL/10
+    are dropped; norms inside [RANK_TOL/10, RANK_TOL] raise
     RankDeficiencyAmbiguous rather than silently deciding the rank.
     """
     p = pd.p
     resid = phwc_residual_coord(pd)
-    if not resid <= phwc_gate:
-        raise NotPHWCAtPoint(
-            f"PHWC residual {resid:.3e} exceeds the gate {phwc_gate:.1e} at {p}")
+    if not resid <= PHWC_GATE:
+        raise NotPHWCAtPoint(f"PHWC residual {resid:.3e} exceeds the gate "
+                             f"{PHWC_GATE:.1e} at {p}")
     gm = pd.gm
     vectors = [pd.ginv @ row for row in pd.diff.dphi]
     m = gm.shape[0]
@@ -185,12 +193,12 @@ def associated_f_structure(pd: PointData,
         norms = [hnorm(w) for w in work]
         imax = int(np.argmax(norms))
         top = norms[imax]
-        if top < rank_tol / 10:
+        if top < RANK_TOL / 10:
             break
-        if top < rank_tol:
+        if top < RANK_TOL:
             raise RankDeficiencyAmbiguous(
-                f"pivot norm {top:.3e} inside [{rank_tol / 10:.1e}, "
-                f"{rank_tol:.1e}] at {p}")
+                f"pivot norm {top:.3e} inside [{RANK_TOL / 10:.1e}, "
+                f"{RANK_TOL:.1e}] at {p}")
         e = work.pop(imax) / top
         basis.append(e)
         work = [w - (np.conj(e) @ gm @ w) * e for w in work]
@@ -210,14 +218,6 @@ def associated_f_structure(pd: PointData,
                            rank=2 * k, gm=gm, ginv=pd.ginv,
                            basis_plus=np.conj(emat),
                            basis_zero=basis_zero)
-
-
-def f_field_of_map(phi: SmoothMap, g: MetricField,
-                   rank_tol: float = RANK_TOL,
-                   phwc_gate: float = PHWC_GATE):
-    """Pointwise F-field of a map, for the stencil operations below."""
-    return lambda x: associated_f_structure(PointData(phi, g, x), rank_tol,
-                                            phwc_gate)
 
 
 def constant_f_field(F: np.ndarray, g: MetricField):
@@ -280,63 +280,75 @@ def _stencil(at: MetricPoint, center: FStructurePoint, around: list,
                     minus=minus)
 
 
-def f_stencils(pds: list[PointData], *, h_step: float = H_STEP,
-               rank_tol: float = RANK_TOL,
-               phwc_gate: float = PHWC_GATE) -> list:
-    """The FStencil of the associated f-structure (rank_tol and phwc_gate
-    apply to it) at each of pds, point data of one phi and g, with the
-    point data itself as the center; or, where building it raises one of
-    POINT_ERRORS, that error.
+class CheckPoint(PointData):
+    """The PointData of one sample point with the associated f-structure fp
+    and its FStencil of step h_step, each built on first use and then read
+    by every check at the point.  share_stencils builds the stencils of a
+    whole sample at once; a point alone builds its own.  The stencil's
+    center is fp itself."""
 
-    Each center's structure is built first.  The 2m points p +/- h e_l of
-    every center whose structure builds are evaluated in one first-order
-    pass of phi and one of g (share_pass); each stencil then builds its
-    structures in that order and stops at the first that raises, as
-    building it alone does.
+    def __init__(self, phi: SmoothMap, g: MetricField, p,
+                 h: HermitianMetricField | None = None,
+                 h_step: float = H_STEP):
+        super().__init__(phi, g, p, h)
+        self.h_step = h_step
+        self._stencil = None     # its FStencil, or the error building it raised
+
+    @cached_property
+    def fp(self) -> FStructurePoint:
+        return associated_f_structure(self)
+
+    @property
+    def stencil(self) -> FStencil:
+        """The FStencil of fp; raises what building it raised."""
+        if self._stencil is None:
+            share_stencils([self])
+        if isinstance(self._stencil, Exception):
+            raise self._stencil
+        return self._stencil
+
+
+def share_stencils(points: list[CheckPoint]) -> None:
+    """Give each of points, check points of one phi and g, its FStencil or,
+    where building it raises one of POINT_ERRORS, that error.
+
+    Each point's fp is built first.  The 2m points p +/- h e_l of every
+    point whose fp builds are evaluated in one first-order pass of phi and
+    one of g (share_pass); each stencil then builds its structures in that
+    order and stops at the first that raises, as building it alone does.
     """
-    out = []
-    for pd in pds:
+    built = []
+    for pt in points:
         try:
-            out.append(associated_f_structure(pd, rank_tol, phwc_gate))
+            pt.fp
         except POINT_ERRORS as err:
-            out.append(err)
-    built = [k for k, center in enumerate(out)
-             if isinstance(center, FStructurePoint)]
-    around = [[PointData(pds[k].phi, pds[k].g, q)
-               for q in _around(pds[k].p, h_step)] for k in built]
-    share_pass([pd for points in around for pd in points], order=1)
-    for k, points in zip(built, around):
+            pt._stencil = err
+        else:
+            built.append(pt)
+    around = [[PointData(pt.phi, pt.g, q) for q in _around(pt.p, pt.h_step)]
+              for pt in built]
+    share_pass([pd for pds in around for pd in pds], order=1)
+    for pt, pds in zip(built, around):
         try:
-            out[k] = _stencil(pds[k], out[k], [
-                associated_f_structure(pd, rank_tol, phwc_gate)
-                for pd in points], h_step)
+            pt._stencil = _stencil(pt, pt.fp, [associated_f_structure(pd)
+                                               for pd in pds], pt.h_step)
         except POINT_ERRORS as err:
-            out[k] = err
-    return out
-
-
-def _built(result):
-    """An FStencil of f_stencils, or its error raised."""
-    if isinstance(result, Exception):
-        raise result
-    return result
+            pt._stencil = err
 
 
 def f_stencil(source, g: MetricField | None = None, p=None, *,
-              h_step: float = H_STEP,
-              rank_tol: float = RANK_TOL,
-              phwc_gate: float = PHWC_GATE) -> FStencil:
+              h_step: float = H_STEP) -> FStencil:
     """Evaluate an F-field once at a center p and at each p +/- h e_l.
 
-    f_stencil(pd, ...) is the one-center case of f_stencils: the associated
-    f-structure of pd.phi, centered at pd, raising what building it raises;
+    f_stencil(pd, ...) is the stencil of a CheckPoint at pd's point: the
+    associated f-structure of pd.phi, raising what building it raises;
     f_stencil(field, g, p, ...) takes any field x -> FStructurePoint.
     Raises RankJumpOnStencil when the rank is not the same at every stencil
     point.
     """
     if isinstance(source, PointData):
-        return _built(f_stencils([source], h_step=h_step, rank_tol=rank_tol,
-                                 phwc_gate=phwc_gate)[0])
+        return CheckPoint(source.phi, source.g, source.p, source.h,
+                          h_step).stencil
     at = MetricPoint(g, p)
     return _stencil(at, source(at.p),
                     [source(q) for q in _around(at.p, h_step)], h_step)
@@ -459,16 +471,6 @@ class SuiteSample:
 
 
 @dataclass
-class SuiteTolerances:
-    eps: float = 1e-8          # hypothesis residuals count as zero below this
-    delta: float = 1e-6        # conclusion: harmonicity threshold
-    phwc_gate: float = PHWC_GATE
-    kaehler_tol: float = 1e-8
-    h_step: float = H_STEP
-    rank_tol: float = RANK_TOL
-
-
-@dataclass
 class SuiteRecord:
     sample: str
     point: list
@@ -488,7 +490,7 @@ class TheoremSuiteReport:
         return [r for r in self.records if r.status == "counterexample"]
 
 
-def theorem_suite(samples, tol: SuiteTolerances | None = None) -> TheoremSuiteReport:
+def theorem_suite(samples) -> TheoremSuiteReport:
     """Test the two harmonicity implications over a family of PHWC maps.
 
     For every sample point: (a) a parallel associated f-structure must come
@@ -499,25 +501,22 @@ def theorem_suite(samples, tol: SuiteTolerances | None = None) -> TheoremSuiteRe
     residual of the target metric is itself reported as a counterexample,
     because every conclusion below relies on it.
     """
-    tol = tol or SuiteTolerances()
     records = []
     report = TheoremSuiteReport(records=records)
     for sample in samples:
-        pds = [PointData(sample.phi, sample.g, point, sample.h) for point
+        pts = [CheckPoint(sample.phi, sample.g, point, sample.h) for point
                in np.atleast_2d(np.asarray(sample.points, dtype=float))]
-        share_pass(pds)
-        forged = [sample.h.kaehler and pd.target.kaehler > tol.kaehler_tol
-                  for pd in pds]
-        stencils = iter(f_stencils(
-            [pd for pd, bad in zip(pds, forged) if not bad],
-            h_step=tol.h_step, rank_tol=tol.rank_tol, phwc_gate=tol.phwc_gate))
-        for pd, bad in zip(pds, forged):
-            rec = SuiteRecord(sample=sample.name, point=list(pd.p),
+        share_pass(pts)
+        forged = [sample.h.kaehler and pt.target.kaehler > KAEHLER_TOL
+                  for pt in pts]
+        share_stencils([pt for pt, bad in zip(pts, forged) if not bad])
+        for pt, bad in zip(pts, forged):
+            rec = SuiteRecord(sample=sample.name, point=list(pt.p),
                               status="ok", reasons=[], residuals={})
             records.append(rec)
 
             if sample.h.kaehler:
-                rec.residuals["kaehler"] = pd.target.kaehler
+                rec.residuals["kaehler"] = pt.target.kaehler
                 if bad:
                     rec.status = "counterexample"
                     rec.reasons.append("kaehler_flag_violation")
@@ -525,14 +524,14 @@ def theorem_suite(samples, tol: SuiteTolerances | None = None) -> TheoremSuiteRe
                     continue
 
             try:
-                st = _built(next(stencils))
+                st = pt.stencil
                 resid = {
-                    "phwc": phwc_residual_coord(pd),
+                    "phwc": phwc_residual_coord(pt),
                     "parallel": parallel_residual(st),
                     "nijenhuis": nijenhuis_residual(st),
                     "met": met_residual(st),
                     "domega12": domega_12_residual(st),
-                    "harmonic": tension(pd).harmonic_residual,
+                    "harmonic": tension(pt).harmonic_residual,
                 }
             except (NotPHWCAtPoint, RankDeficiencyAmbiguous,
                     RankJumpOnStencil) as err:
@@ -543,12 +542,13 @@ def theorem_suite(samples, tol: SuiteTolerances | None = None) -> TheoremSuiteRe
 
             rec.residuals.update(resid)
             report.checked += 1
-            if resid["parallel"] <= tol.eps and resid["harmonic"] > tol.delta:
+            if (resid["parallel"] <= SUITE_EPS
+                    and resid["harmonic"] > SUITE_DELTA):
                 rec.status = "counterexample"
                 rec.reasons.append("parallel_implies_harmonic")
-            if (resid["nijenhuis"] <= tol.eps and resid["met"] <= tol.eps
-                    and resid["domega12"] <= tol.eps
-                    and resid["harmonic"] > tol.delta):
+            if (resid["nijenhuis"] <= SUITE_EPS and resid["met"] <= SUITE_EPS
+                    and resid["domega12"] <= SUITE_EPS
+                    and resid["harmonic"] > SUITE_DELTA):
                 rec.status = "counterexample"
                 rec.reasons.append("integrable_met_sym_implies_harmonic")
             if rec.status == "counterexample":

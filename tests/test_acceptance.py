@@ -10,12 +10,11 @@ import json
 
 import numpy as np
 
-from phwc import catalog
+from phwc import catalog, fstruct
 from phwc.cli import emit_report, verify_paper
 from phwc.flow import FlowConfig, GridMap, grid_to_smooth_map, run_flow
 from phwc.fstruct import (
     SuiteSample,
-    SuiteTolerances,
     associated_f_structure,
     dphi_kernel_residual,
     theorem_suite,
@@ -235,14 +234,14 @@ def test_criterion_7_theorem_suites():
         samples.append(SuiteSample(
             f"composite_{idx}", compose(psi, base), g, H2,
             catalog.sample_points(rng, 3, [[-1, 1]] * base.domain_dim)))
-    tol = SuiteTolerances(eps=1e-8, delta=1e-6)
-    honest = theorem_suite(samples, tol)
+    assert (fstruct.SUITE_EPS, fstruct.SUITE_DELTA) == (1e-8, 1e-6)
+    honest = theorem_suite(samples)
 
     forged = catalog.non_kaehler_hermitian_c2()
     forged.kaehler = True
     control = theorem_suite([SuiteSample(
         "forged_flag", EX2, G4, forged,
-        catalog.sample_points(rng, 3, [[-1, 1]] * 4))], tol)
+        catalog.sample_points(rng, 3, [[-1, 1]] * 4))])
     verdict(7, "theorem implications: zero counterexamples (eps=1e-8, "
                "delta=1e-6); forged Kaehler flag control reports >=1",
             honest.counterexamples == 0 and honest.checked >= 50

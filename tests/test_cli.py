@@ -696,6 +696,34 @@ def test_unstable_flow_dt_is_a_validation_error(tmp_path):
     assert main(["flow", str(path)]) == 2
 
 
+def out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--points", "1000000000000"], "--points"),
+    ([], "sample.count"),
+])
+def test_a_sample_too_large_to_allocate_exits_2(monkeypatch, capsys, args,
+                                                field):
+    monkeypatch.setattr(catalog, "sample_points", out_of_memory)
+    assert main(["check", "example1", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+
+
+def test_a_flow_grid_too_large_to_allocate_exits_2(monkeypatch, capsys,
+                                                   tmp_path):
+    raw = flow_manifest("flat", "sin(x1)")
+    raw["flow"].update(grid=[1000000, 1000000], dt=1e-15)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw))
+    monkeypatch.setattr(np, "meshgrid", out_of_memory)
+    assert main(["flow", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: flow.grid: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("field, block, value, args", [
     ("flow.max_steps", "flow", "x", []),
     ("flow.stop_tol", "flow", None, []),

@@ -3,6 +3,8 @@ import pytest
 
 from phwc import catalog
 from phwc.fstruct import (
+    POINT_ERRORS,
+    CheckPoint,
     FStructurePoint,
     NotPHWCAtPoint,
     RankDeficiencyAmbiguous,
@@ -12,14 +14,13 @@ from phwc.fstruct import (
     constant_f_field,
     domega_12_residual,
     dphi_kernel_residual,
-    f_field_of_map,
     f_holomorphy_residual,
     f_stencil,
-    f_stencils,
     fundamental_two_form,
     met_residual,
     nijenhuis_residual,
     parallel_residual,
+    share_stencils,
     theorem_suite,
 )
 from phwc.geometry import MetricField
@@ -331,7 +332,7 @@ def test_two_form_conformal_metric():
     # differencing stencil against the hand value
     g = MetricField.conformal(2, exp(Const(2.0) * Var(0)))
     p = (0.25, -0.4)
-    tf = fundamental_two_form(f_stencil(f_field_of_map(EX1, g), g, p))
+    tf = fundamental_two_form(f_stencil(PointData(EX1, g, p)))
     assert np.isclose(tf.omega[0, 1], -np.exp(0.5))
     assert np.max(np.abs(tf.domega)) <= 1e-9
 
@@ -569,7 +570,27 @@ def assert_stencils_equal(a, b):
             assert getattr(fa, name).tobytes() == getattr(fb, name).tobytes()
 
 
-def test_f_stencils_equal_each_center_alone():
+def shared_stencils(phi, centers):
+    """The stencil, or the error building it raised, of each center's
+    CheckPoint, all built by one share_stencils."""
+    pts = [CheckPoint(phi, G2, p) for p in centers]
+    share_stencils(pts)
+    batch = []
+    for pt in pts:
+        try:
+            batch.append(pt.stencil)
+        except POINT_ERRORS as err:
+            batch.append(err)
+    return batch
+
+
+def test_a_lone_check_point_builds_its_stencil_around_its_own_f():
+    pt = CheckPoint(EX2, G4, P4)
+    assert pt.stencil.center is pt.fp and pt.stencil.at is pt
+    assert_stencils_equal(pt.stencil, f_stencil(PointData(EX2, G4, P4)))
+
+
+def test_share_stencils_equal_each_center_alone():
     # phi = 1/(z - w) is holomorphic, so PHWC on flat R^2.  w is the point
     # p + h e_1 of the second center, so that center's stencil fails at a
     # stencil point; the last center is w itself, where phi fails, and the
@@ -578,7 +599,7 @@ def test_f_stencils_equal_each_center_alone():
     z = Var(0) + Const(1j) * Var(1)
     phi = SmoothMap(2, 1, [Const(1.0) / (z - Const(complex(*w)))])
     centers = [(0.3, 0.2), (0.6, -0.1), (0.3, 0.2), (-0.4, 0.5), w]
-    batch = f_stencils([PointData(phi, G2, p) for p in centers])
+    batch = shared_stencils(phi, centers)
     for p, got in zip(centers, batch):
         try:
             want = f_stencil(PointData(phi, G2, p))
@@ -591,13 +612,13 @@ def test_f_stencils_equal_each_center_alone():
         "DivisionNearZero"]
 
 
-def test_f_stencils_keep_each_skip_reason_on_its_center():
+def test_share_stencils_keep_each_skip_reason_on_its_center():
     # phi = z + x1^2 is PHWC exactly where x1 = 0: the stencil there fails
     # at p +/- h e_1, and a center off that line fails itself
     z = Var(0) + Const(1j) * Var(1)
     phi = SmoothMap(2, 1, [z + Var(0) ** 2])
     centers = [(0.0, 0.3), (0.5, 0.2), (0.0, -0.4)]
-    batch = f_stencils([PointData(phi, G2, p) for p in centers])
+    batch = shared_stencils(phi, centers)
     for p, got in zip(centers, batch):
         with pytest.raises(NotPHWCAtPoint) as err:
             f_stencil(PointData(phi, G2, p))

@@ -30,6 +30,8 @@ REPORT_SHA256 = {
         "54970006456c0d786e94a5dbda699b5414e933736d21d6d198444e4877821716",
     "check manifests/curved_target.json":
         "184f1289b1713171b287442a951b45da467658d672e77816dc866611a2d46169",
+    "check manifests/conformal_f_structure.json":
+        "24dd47fdf643a5ba13c0f741417dfab1b06d3bf2e56f6a17c45823041179601a",
     "flow manifests/flow_demo.json":
         "21da4d62bf6d6331d500c7efc04b09be87ad7e3d076bb60a8f589cf0bede4ec6",
 }

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from phwc import catalog, cli, geometry, jet
+from phwc import catalog, cli, fstruct, geometry, jet
 from phwc.geometry import (HermitianMetricField, MetricField, MetricPoint,
                            share_metric)
 from phwc.jet import Const, DivisionNearZero, Var, parse_expr
@@ -88,9 +88,11 @@ def lone_records(raw, report):
     ctx = cli._Context(raw)
     want = []
     for rec in report["records"]:
-        at = cli._PointChecks(ctx, np.array(rec["point"]))
+        pt = fstruct.CheckPoint(ctx.phi, ctx.g, np.array(rec["point"]),
+                                ctx.h, ctx.h_step)
         try:
-            value, _ = cli._run_one_check(at, rec["check"])
+            with np.errstate(all="ignore"):
+                value, _ = cli.CHECKS[rec["check"]][1](pt)
         except cli.OPERATION_ERRORS as err:
             want.append(f"{type(err).__name__}: {err}")
         else:
@@ -384,3 +386,24 @@ def test_run_checks_builds_the_stencils_of_a_sample_in_one_pass(monkeypatch):
     assert len(report["records"]) == 4 * 5 and len(errors) < 4 * 4
     for rec, want in zip(report["records"], lone_records(raw, report)):
         assert rec.get("error", rec.get("value")) == want
+
+
+def test_run_checks_builds_f_once_per_point(monkeypatch):
+    # fstructure reads F at each sample point, nijenhuis its stencil, whose
+    # center is that same F: 4 centers and 4 x 8 stencil points
+    raw = cli._load_manifest_arg("example2")
+    raw["checks"] = ["fstructure", "nijenhuis"]
+    raw["sample"]["count"] = 4
+    builds = []
+    build = fstruct.associated_f_structure
+
+    def counted(pd):
+        builds.append(pd.p)
+        return build(pd)
+
+    for module in (fstruct, cli):    # wherever the name is bound
+        if getattr(module, "associated_f_structure", None) is build:
+            monkeypatch.setattr(module, "associated_f_structure", counted)
+    report = cli.run_checks(raw)
+    assert all(rec["pass"] for rec in report["records"])
+    assert len(builds) == 4 + 4 * 8
