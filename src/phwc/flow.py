@@ -15,10 +15,12 @@ data-parallel; steps are sequential.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
-from .geometry import HermitianMetricField, TargetNotKaehler, hermitian_points
+from .geometry import (SET_ERRORS, HermitianMetricField, HermitianPoint,
+                       TargetNotKaehler)
 from .jet import Const, Expr, Var, exp as jexp
 from .maps import SmoothMap
 
@@ -47,11 +49,13 @@ class GridMap:
     """Samples of a map torus^m -> C^n on a uniform periodic grid.
 
     ``values`` has shape dims + (n,); node (j1, .., jm) sits at the point
-    (2 pi j1 / N1, .., 2 pi jm / Nm).
+    (2 pi j1 / N1, .., 2 pi jm / Nm).  It is a read-only view, so the
+    neighbour shifts a state builds on first use cannot go stale.
     """
 
     def __init__(self, values):
-        self.values = np.asarray(values, dtype=complex)
+        self.values = np.asarray(values, dtype=complex).view()
+        self.values.flags.writeable = False
         if self.values.ndim < 2:
             raise ValueError("values must have shape dims + (n,)")
         if not np.all(np.isfinite(self.values)):
@@ -71,11 +75,28 @@ class GridMap:
 
     @property
     def spacing(self):
-        return tuple(2 * np.pi / N for N in self.dims)
+        return _spacing(self.dims)
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        return _cell_volume(self.dims)
+
+    @cached_property
+    def shifts(self):
+        """Per axis, the pair (fwd, back) of values shifted periodically by
+        one node: fwd[.., j, ..] = values[.., j + 1, ..] and
+        back[.., j, ..] = values[.., j - 1, ..], built by slice copies."""
+        v = self.values
+        pairs = []
+        for i in range(self.m):
+            lead = (slice(None),) * i
+            fwd, back = np.empty_like(v), np.empty_like(v)
+            fwd[lead + (slice(None, -1),)] = v[lead + (slice(1, None),)]
+            fwd[lead + (-1,)] = v[lead + (0,)]
+            back[lead + (slice(1, None),)] = v[lead + (slice(None, -1),)]
+            back[lead + (0,)] = v[lead + (-1,)]
+            pairs.append((fwd, back))
+        return pairs
 
     def node_coordinates(self):
         """Coordinate arrays, one per axis, broadcastable to dims."""
@@ -96,27 +117,40 @@ class GridMap:
         return GridMap(self.values.copy())
 
 
+@cache
+def _spacing(dims) -> tuple:
+    return tuple(2 * np.pi / N for N in dims)
+
+
+@cache
+def _cell_volume(dims) -> float:
+    return float(np.prod(_spacing(dims)))
+
+
 def _gradients(u: GridMap):
     """Central differences along each axis; list of arrays dims + (n,)."""
-    grads = []
-    for i, h in enumerate(u.spacing):
-        grads.append((np.roll(u.values, -1, axis=i)
-                      - np.roll(u.values, 1, axis=i)) / (2 * h))
-    return grads
+    return [(fwd - back) / (2 * h)
+            for (fwd, back), h in zip(u.shifts, u.spacing)]
 
 
 def _laplacian(u: GridMap):
     lap = np.zeros_like(u.values)
-    for i, h in enumerate(u.spacing):
-        lap += (np.roll(u.values, -1, axis=i) - 2 * u.values
-                + np.roll(u.values, 1, axis=i)) / h**2
+    for (fwd, back), h in zip(u.shifts, u.spacing):
+        lap += (fwd - 2 * u.values + back) / h**2
     return lap
 
 
-def _targets(u: GridMap, h: HermitianMetricField):
-    """h at every node's value, in C order, from one jet pass; the checks,
-    inverse and symbols stay per node."""
-    return hermitian_points(h, u.values.reshape(-1, u.n))
+def _at_nodes(u: GridMap, h: HermitianMetricField, name: str) -> np.ndarray:
+    """The quantity name of HermitianPoint (hm or gamma) at every node,
+    shape dims + its own, from one HermitianPoint over all nodes.  Where
+    that raises, the nodes are taken alone in C order, so the error is the
+    one the first failing node raises."""
+    zs = u.values.reshape(-1, u.n)
+    try:
+        rows = getattr(HermitianPoint(h, zs), name)
+    except SET_ERRORS:
+        rows = np.array([getattr(HermitianPoint(h, z), name) for z in zs])
+    return rows.reshape(u.dims + rows.shape[1:])
 
 
 def dirichlet_energy(u: GridMap, h: HermitianMetricField) -> float:
@@ -127,10 +161,10 @@ def dirichlet_energy(u: GridMap, h: HermitianMetricField) -> float:
         density = sum(np.einsum("ab,...a,...b->...", hm, g, np.conj(g))
                       for g in grads)
     else:
-        density = np.zeros(u.dims, dtype=complex)
-        for idx, target in zip(np.ndindex(*u.dims), _targets(u, h)):
-            hmat = target.hm
-            density[idx] = sum(g[idx] @ hmat @ np.conj(g[idx]) for g in grads)
+        hm = _at_nodes(u, h, "hm")
+        # stacked matmuls round each node as g[idx] @ hm[idx] @ conj(g[idx])
+        density = sum((g[..., None, :] @ hm @ np.conj(g)[..., None])[..., 0, 0]
+                      for g in grads)
     return float(0.5 * np.sum(density.real) * u.cell_volume)
 
 
@@ -146,8 +180,7 @@ def discrete_tension(u: GridMap, h: HermitianMetricField) -> np.ndarray:
         return tau  # constant metric, vanishing symbols
     grads = _gradients(u)
     gram = sum(np.einsum("...b,...c->...bc", g, g) for g in grads)
-    for idx, target in zip(np.ndindex(*u.dims), _targets(u, h)):
-        tau[idx] += np.einsum("abc,bc->a", target.gamma, gram[idx])
+    tau += np.einsum("...abc,...bc->...a", _at_nodes(u, h, "gamma"), gram)
     return tau
 
 

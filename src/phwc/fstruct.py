@@ -31,7 +31,6 @@ deterministic reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -292,11 +291,21 @@ class CheckPoint(PointData):
                  h_step: float = H_STEP):
         super().__init__(phi, g, p, h)
         self.h_step = h_step
+        self._fp = None          # its FStructurePoint, or the error raised
         self._stencil = None     # its FStencil, or the error building it raised
 
-    @cached_property
+    @property
     def fp(self) -> FStructurePoint:
-        return associated_f_structure(self)
+        """The associated f-structure, built once; raises what building it
+        raised."""
+        if self._fp is None:
+            try:
+                self._fp = associated_f_structure(self)
+            except POINT_ERRORS as err:
+                self._fp = err
+        if isinstance(self._fp, Exception):
+            raise self._fp
+        return self._fp
 
     @property
     def stencil(self) -> FStencil:

@@ -80,12 +80,41 @@ def test_tension_equals_five_point_laplacian_flat():
     assert np.array_equal(tau, lap)
 
 
+@pytest.mark.parametrize("dims", [(1,), (2, 3), (5, 1, 4), (32, 32)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stencils_equal_the_roll_formulas(dims, n):
+    # the shifts a state builds once give the bits of np.roll's shifts,
+    # also along axes of one and two nodes
+    rng = np.random.default_rng(len(dims) * 10 + n)
+    vals = (rng.standard_normal(dims + (n,))
+            + 1j * rng.standard_normal(dims + (n,)))
+    u = GridMap(vals)
+    spacing = [2 * np.pi / N for N in dims]
+    grads = [(np.roll(vals, -1, i) - np.roll(vals, 1, i)) / (2 * h)
+             for i, h in enumerate(spacing)]
+    lap = np.zeros_like(vals)
+    for i, h in enumerate(spacing):
+        lap += (np.roll(vals, -1, i) - 2 * vals + np.roll(vals, 1, i)) / h**2
+    got = flow._gradients(u)
+    assert len(got) == len(grads)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, grads))
+    assert flow._laplacian(u).tobytes() == lap.tobytes()
+
+
+def test_grid_values_are_read_only():
+    vals = np.ones((4, 4, 1), dtype=complex)
+    u = GridMap(vals)
+    with pytest.raises(ValueError):
+        u.values[0, 0, 0] = 2.0
+    assert vals.flags.writeable  # the caller's array is left as it was
+
+
 def test_tension_of_constant_target_is_the_laplacian(monkeypatch):
     # a constant metric has zero symbols, also when it is not a multiple of
     # the identity: no per-node metric or symbol is evaluated
     h = HermitianMetricField(2, [[Const(1.0), Const(0.0)],
                                  [Const(0.0), Const(2.0)]], kaehler=True)
-    monkeypatch.setattr(flow, "hermitian_points", None)
+    monkeypatch.setattr(flow, "HermitianPoint", None)
     u = GridMap.from_function((8, 8), lambda x, y: np.stack(
         [np.exp(1j * x), np.sin(y) + 0j], axis=-1))
     assert np.array_equal(discrete_tension(u, h), discrete_tension(u, FLAT2))
@@ -116,6 +145,24 @@ def test_curved_kernels_equal_the_per_node_evaluation():
     energy = float(0.5 * np.sum(density.real) * u.cell_volume)
     assert dirichlet_energy(u, h) == energy
     assert discrete_tension(u, h).tobytes() == tau.tobytes()
+
+
+def test_curved_kernels_name_the_first_failing_node():
+    # the node set fails first on a later node that is not Hermitian; the
+    # kernels raise what the first failing node in C order raises alone
+    h = HermitianMetricField(2, [[Const(1.0) - Var(0), Var(2)],
+                                 [Const(0.0), Const(1.0)]], kaehler=True)
+    vals = np.zeros((3, 4, 2), dtype=complex)
+    vals[1, 2, 0] = 2.0   # not positive definite
+    vals[2, 1, 1] = 1.0   # not Hermitian
+    u = GridMap(vals)
+    with pytest.raises(geometry.MetricNotPD) as alone:
+        geometry.HermitianPoint(h, vals[1, 2]).hm
+    for kernel in (dirichlet_energy, discrete_tension):
+        with pytest.raises(geometry.MetricNotPD) as err:
+            kernel(u, h)
+        assert str(err.value) == str(alone.value)
+        assert "positive definite at z=[2.+0.j 0.+0.j]" in str(err.value)
 
 
 def fs_like_target():
