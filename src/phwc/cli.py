@@ -716,7 +716,8 @@ def run_flow_manifest(raw: dict) -> dict:
     rec = {"point": None, "check": "flow", "tol": cfg.stop_tol,
            "negate": False}
     try:
-        final, trace = run_flow(u0, ctx.h, cfg)
+        with np.errstate(all="ignore"):   # run_flow raises on a non-finite tau
+            final, trace = run_flow(u0, ctx.h, cfg)
         extra = {
             "steps": trace[-1][0],
             "initial_energy": trace[0][1],

@@ -7,6 +7,13 @@ energy backtracking safeguard: a step that increases the Dirichlet energy is
 retried with half the step size, so accepted steps are always non-increasing
 in energy.
 
+The stencils run on the float-pair view of each state (re, im side by side,
+shape dims + (2n,)), stacked over the axes, and divide by the grid step as a
+float multiply by its reciprocal.  numpy divides a complex value by c + 0j
+as (re + im*0) * (1/c) and (im - re*0) * (1/c), so for finite values the
+multiply gives the bits of complex stencils with that division.  Only the
+sign of an exact zero can differ, and no nonzero value depends on it.
+
 The domain is restricted to flat tori; curvature enters only through the
 target metric.  Node updates inside a step are plain array arithmetic and
 data-parallel; steps are sequential.
@@ -50,16 +57,18 @@ class GridMap:
 
     ``values`` has shape dims + (n,); node (j1, .., jm) sits at the point
     (2 pi j1 / N1, .., 2 pi jm / Nm).  It is a read-only view, so the
-    neighbour shifts a state builds on first use cannot go stale.
+    shifts, gradients and target pass a state keeps from first use cannot
+    go stale.
     """
 
     def __init__(self, values):
-        self.values = np.asarray(values, dtype=complex).view()
+        self.values = np.ascontiguousarray(values, dtype=complex).view()
         self.values.flags.writeable = False
         if self.values.ndim < 2:
             raise ValueError("values must have shape dims + (n,)")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values.view(float)).all():
             raise ValueError("grid values must be finite")
+        self._target = None
 
     @property
     def dims(self):
@@ -83,20 +92,32 @@ class GridMap:
 
     @cached_property
     def shifts(self):
-        """Per axis, the pair (fwd, back) of values shifted periodically by
-        one node: fwd[.., j, ..] = values[.., j + 1, ..] and
-        back[.., j, ..] = values[.., j - 1, ..], built by slice copies."""
-        v = self.values
-        pairs = []
-        for i in range(self.m):
-            lead = (slice(None),) * i
-            fwd, back = np.empty_like(v), np.empty_like(v)
-            fwd[lead + (slice(None, -1),)] = v[lead + (slice(1, None),)]
-            fwd[lead + (-1,)] = v[lead + (0,)]
-            back[lead + (slice(1, None),)] = v[lead + (slice(None, -1),)]
-            back[lead + (0,)] = v[lead + (-1,)]
-            pairs.append((fwd, back))
-        return pairs
+        """The float-pair values v (dims + (2n,)) shifted periodically by
+        one node along each axis, shape (m, 2) + dims + (2n,): along axis
+        i, shifts[i, 0][.., j, ..] = v[.., j + 1, ..] and
+        shifts[i, 1][.., j, ..] = v[.., j - 1, ..], gathered in one take."""
+        v = self.values.view(float)
+        neighbours, _, _ = _stencil(self.dims)
+        rows = v.reshape(-1, v.shape[-1]).take(neighbours, axis=0)
+        return rows.reshape((self.m, 2) + v.shape)
+
+    @cached_property
+    def gradients(self):
+        """Central differences along every axis, stacked: a read-only
+        complex array of shape (m,) + dims + (n,)."""
+        _, half, _ = _stencil(self.dims)
+        d = self.shifts[:, 0] - self.shifts[:, 1]
+        d *= half
+        d.flags.writeable = False
+        return d.view(complex)
+
+    def target_point(self, h: HermitianMetricField) -> HermitianPoint:
+        """One HermitianPoint of h over all nodes in C order, kept for the
+        target it was built for, so energy and tension of a state share its
+        pass over the grid."""
+        if self._target is None or self._target.h is not h:
+            self._target = HermitianPoint(h, self.values.reshape(-1, self.n))
+        return self._target
 
     def node_coordinates(self):
         """Coordinate arrays, one per axis, broadcastable to dims."""
@@ -127,45 +148,61 @@ def _cell_volume(dims) -> float:
     return float(np.prod(_spacing(dims)))
 
 
-def _gradients(u: GridMap):
-    """Central differences along each axis; list of arrays dims + (n,)."""
-    return [(fwd - back) / (2 * h)
-            for (fwd, back), h in zip(u.shifts, u.spacing)]
+@cache
+def _stencil(dims) -> tuple:
+    """For a grid of shape dims: the C-order index of the periodic
+    neighbours of each node along each axis, shape (m, 2, nodes), forward
+    then back; and per axis 1/(2h) and 1/h^2, shaped to scale the stacked
+    float-pair stencils."""
+    m = len(dims)
+    ids = np.arange(np.prod(dims, dtype=int)).reshape(dims)
+    neighbours = np.array([(np.roll(ids, -1, i), np.roll(ids, 1, i))
+                           for i in range(m)]).reshape(m, 2, -1)
+    shape = (m,) + (1,) * (m + 1)
+    half = np.reshape([1.0 / (2 * h) for h in _spacing(dims)], shape)
+    square = np.reshape([1.0 / h**2 for h in _spacing(dims)], shape)
+    for arr in (neighbours, half, square):
+        arr.flags.writeable = False
+    return neighbours, half, square
 
 
 def _laplacian(u: GridMap):
-    lap = np.zeros_like(u.values)
-    for (fwd, back), h in zip(u.shifts, u.spacing):
-        lap += (fwd - 2 * u.values + back) / h**2
-    return lap
+    _, _, square = _stencil(u.dims)
+    s = u.shifts
+    terms = s[:, 0] - 2 * u.values.view(float)
+    terms += s[:, 1]
+    terms *= square
+    lap = terms[0]
+    for term in terms[1:]:
+        lap += term
+    return lap.view(complex)
 
 
 def _at_nodes(u: GridMap, h: HermitianMetricField, name: str) -> np.ndarray:
     """The quantity name of HermitianPoint (hm or gamma) at every node,
-    shape dims + its own, from one HermitianPoint over all nodes.  Where
-    that raises, the nodes are taken alone in C order, so the error is the
-    one the first failing node raises."""
-    zs = u.values.reshape(-1, u.n)
+    shape dims + its own, from the state's one HermitianPoint over all
+    nodes.  Where that raises, the nodes are taken alone in C order, so the
+    error is the one the first failing node raises."""
     try:
-        rows = getattr(HermitianPoint(h, zs), name)
+        rows = getattr(u.target_point(h), name)
     except SET_ERRORS:
-        rows = np.array([getattr(HermitianPoint(h, z), name) for z in zs])
+        rows = np.array([getattr(HermitianPoint(h, z), name)
+                         for z in u.values.reshape(-1, u.n)])
     return rows.reshape(u.dims + rows.shape[1:])
 
 
 def dirichlet_energy(u: GridMap, h: HermitianMetricField) -> float:
     """E = 1/2 sum_nodes sum_i h_{a bbar}(u) d_i u^a conj(d_i u^b) * cellvol."""
-    grads = _gradients(u)
+    grads = u.gradients
     hm = h.constant_matrix
     if hm is not None:
-        density = sum(np.einsum("ab,...a,...b->...", hm, g, np.conj(g))
-                      for g in grads)
+        density = np.einsum("ab,i...a,i...b->...", hm, grads, np.conj(grads))
     else:
         hm = _at_nodes(u, h, "hm")
         # stacked matmuls round each node as g[idx] @ hm[idx] @ conj(g[idx])
         density = sum((g[..., None, :] @ hm @ np.conj(g)[..., None])[..., 0, 0]
                       for g in grads)
-    return float(0.5 * np.sum(density.real) * u.cell_volume)
+    return float(0.5 * density.real.sum() * u.cell_volume)
 
 
 def discrete_tension(u: GridMap, h: HermitianMetricField) -> np.ndarray:
@@ -178,8 +215,7 @@ def discrete_tension(u: GridMap, h: HermitianMetricField) -> np.ndarray:
     tau = _laplacian(u)
     if h.constant_matrix is not None:
         return tau  # constant metric, vanishing symbols
-    grads = _gradients(u)
-    gram = sum(np.einsum("...b,...c->...bc", g, g) for g in grads)
+    gram = sum(np.einsum("...b,...c->...bc", g, g) for g in u.gradients)
     tau += np.einsum("...abc,...bc->...a", _at_nodes(u, h, "gamma"), gram)
     return tau
 
@@ -211,7 +247,8 @@ def run_flow(u0: GridMap, h: HermitianMetricField,
     Returns the final map and a trace of (step, energy, max|tau|), with the
     initial state recorded as step 0.  Every accepted step satisfies
     E_next <= E + 1e-12; increases trigger step halving (at most
-    MAX_HALVINGS times, after which StepSizeUnderflow is raised).
+    MAX_HALVINGS times, after which StepSizeUnderflow is raised).  A
+    tension that is not finite at some node raises FloatingPointError.
     """
     if cfg.dt <= 0:
         raise ValueError("dt must be positive")
@@ -224,7 +261,7 @@ def run_flow(u0: GridMap, h: HermitianMetricField,
     dt = cfg.dt
     energy = dirichlet_energy(u, h)
     tau = discrete_tension(u, h)
-    max_tau = float(np.max(np.abs(tau)))
+    max_tau = _max_abs(tau, 0)
     trace = [(0, energy, max_tau)]
     for step in range(1, cfg.max_steps + 1):
         if max_tau < cfg.stop_tol:
@@ -243,15 +280,23 @@ def run_flow(u0: GridMap, h: HermitianMetricField,
             dt *= 0.5
         u, energy = trial, trial_energy
         tau = discrete_tension(u, h)
-        max_tau = float(np.max(np.abs(tau)))
+        max_tau = _max_abs(tau, step)
         trace.append((step, energy, max_tau))
     return u, trace
 
 
+def _max_abs(tau: np.ndarray, step: int) -> float:
+    """max|tau| over the nodes; where it is not finite no step can be
+    taken, so the flow ends there."""
+    max_tau = float(np.abs(tau).max())
+    if not np.isfinite(max_tau):
+        raise FloatingPointError(f"max|tau| is not finite at step {step}")
+    return max_tau
+
+
 def discrete_phwc_residual(u: GridMap) -> float:
     """max over nodes of |sum_i d_i u^a d_i u^b| for the flat torus metric."""
-    grads = _gradients(u)
-    gram = sum(np.einsum("...a,...b->...ab", g, g) for g in grads)
+    gram = sum(np.einsum("...a,...b->...ab", g, g) for g in u.gradients)
     return float(np.max(np.abs(gram)))
 
 

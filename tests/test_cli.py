@@ -684,6 +684,8 @@ def flow_manifest(hermitian, initial):
 @pytest.mark.parametrize("hermitian, initial, error", [
     ([["1/re(x1)"]], "sin(x1)", "DivisionNearZero"),
     ([["1 - re(x1)^2"]], "2*sin(x1)", "MetricNotPD"),
+    # finite at every node, but 2*u overflows in the Laplacian
+    ("flat", "1e308 + 0.1*cos(x1)", "FloatingPointError"),
 ])
 def test_flow_operation_error_is_a_failed_record(tmp_path, hermitian,
                                                  initial, error):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -83,8 +85,8 @@ def test_tension_equals_five_point_laplacian_flat():
 @pytest.mark.parametrize("dims", [(1,), (2, 3), (5, 1, 4), (32, 32)])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stencils_equal_the_roll_formulas(dims, n):
-    # the shifts a state builds once give the bits of np.roll's shifts,
-    # also along axes of one and two nodes
+    # the stacked float-pair stencils give, axis by axis, the bits of the
+    # complex np.roll formulas, also along axes of one and two nodes
     rng = np.random.default_rng(len(dims) * 10 + n)
     vals = (rng.standard_normal(dims + (n,))
             + 1j * rng.standard_normal(dims + (n,)))
@@ -95,10 +97,22 @@ def test_stencils_equal_the_roll_formulas(dims, n):
     lap = np.zeros_like(vals)
     for i, h in enumerate(spacing):
         lap += (np.roll(vals, -1, i) - 2 * vals + np.roll(vals, 1, i)) / h**2
-    got = flow._gradients(u)
-    assert len(got) == len(grads)
+    got = u.gradients
+    assert got.shape == (len(dims),) + vals.shape
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, grads))
     assert flow._laplacian(u).tobytes() == lap.tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 8, 32, 64])
+def test_complex_division_by_a_step_is_a_float_multiply(N):
+    # the stencils scale the float pairs by 1/c in place of numpy's complex
+    # division by c; this holds as long as numpy divides by c + 0j as
+    # (re + im*0) * (1/c), (im - re*0) * (1/c)
+    rng = np.random.default_rng(N)
+    z = rng.standard_normal((32, 32, 3)) + 1j * rng.standard_normal((32, 32, 3))
+    h = 2 * np.pi / N
+    for c in (2 * h, h**2):
+        assert (z / c).tobytes() == (z.view(float) * (1.0 / c)).tobytes()
 
 
 def test_grid_values_are_read_only():
@@ -133,7 +147,7 @@ def test_curved_kernels_equal_the_per_node_evaluation():
     u = GridMap.from_function((16, 16), lambda x, y: np.stack(
         [0.4 * np.exp(1j * x) + 0.1j * np.sin(y),
          0.3 * np.cos(x + y) - 0.2j * np.exp(1j * y)], axis=-1))
-    grads = flow._gradients(u)
+    grads = u.gradients
     density = np.zeros(u.dims, dtype=complex)
     tau = flow._laplacian(u)
     gram = sum(np.einsum("...b,...c->...bc", g, g) for g in grads)
@@ -224,6 +238,51 @@ def test_flat_flow_builds_the_target_matrix_once(monkeypatch, max_steps):
     assert len(trace) == max_steps + 1
     # the matrix is read from the literals and checked once, with no pass
     assert passes == [] and len(checks) == 1
+
+
+def trace_digest(final, trace):
+    return hashlib.sha256(np.array(trace).tobytes()
+                          + final.values.tobytes()).hexdigest()
+
+
+def test_flow_trace_bytes_under_a_constant_metric():
+    # a 3-axis grid with an axis of one node, into C^2 under a constant
+    # metric that is not diagonal; the digest pins the bits of complex
+    # stencils that divide by the grid step
+    h = HermitianMetricField(2, [[Const(1.3), Const(0.2 + 0.1j)],
+                                 [Const(0.2 - 0.1j), Const(2.0)]],
+                             kaehler=True)
+    rng = np.random.default_rng(41)
+    vals = 0.3 * (rng.standard_normal((5, 1, 4, 2))
+                  + 1j * rng.standard_normal((5, 1, 4, 2)))
+    final, trace = run_flow(GridMap(vals), h,
+                            FlowConfig(dt=0.1, max_steps=60, stop_tol=0.0))
+    assert len(trace) == 61
+    assert trace_digest(final, trace) == (
+        "1f55c830743e0a4a903ebb1802382953278313ff0b5d5ca1d899e54664e07b10")
+
+
+def test_curved_flow_makes_one_target_pass_per_state(monkeypatch):
+    # energy and tension of a state share its one HermitianPoint over the
+    # nodes: 41 states, 41 passes; the digest is the same as with one pass
+    # for each of them
+    built = []
+    init = geometry.HermitianPoint.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(geometry.HermitianPoint, "__init__", counted)
+    h = catalog.random_kaehler_metric(np.random.default_rng(12), 2)
+    u0 = GridMap.from_function((16, 16), lambda x, y: np.stack(
+        [0.4 * np.exp(1j * x) + 0.1j * np.sin(y),
+         0.3 * np.cos(x + y) - 0.2j * np.exp(1j * y)], axis=-1))
+    final, trace = run_flow(u0, h, FlowConfig(dt=5e-3, max_steps=40,
+                                              stop_tol=0.0))
+    assert len(trace) == 41 and len(built) == 41
+    assert trace_digest(final, trace) == (
+        "beaa5788e35a5a14915144312131665fd063e8a1f33042baae6854ee4e998b52")
 
 
 def test_flow_rejects_unstable_dt():
