@@ -68,7 +68,6 @@ from .geometry import (
     TargetNotKaehler,
     christoffel_domain,
     christoffel_kaehler,
-    hermitian_points,
     kaehler_residual,
     laplace_beltrami,
     share_metric,

@@ -19,6 +19,11 @@ residuals that are expected to exceed the tolerance, and (for "fstructure")
 an expected "rank".  The seed is mandatory whenever points are sampled, so
 identical manifests always produce byte-identical JSON reports.
 
+A manifest is validated and built in one walk: validate_manifest checks
+each field as it builds the objects the commands run on (the metrics, the
+maps, the check entries and the flow parameters, with their defaults), and
+raises a ValidationError naming the first field that is wrong.
+
 Subcommands: check, sweep (same, larger default count), flow, verify-paper,
 report (re-emit a stored report).  Exit codes: 0 all pass, 1 check failure,
 2 usage or parse error.  Reports carry "schema": 1.
@@ -36,6 +41,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +51,7 @@ from .flow import (
     GridMap,
     StepSizeUnderflow,
     discrete_phwc_residual,
+    node_coordinates,
     run_flow,
     save_snapshot,
     stable_dt_bound,
@@ -223,16 +230,42 @@ def parse_manifest(text: str) -> dict:
     Raises ParseError with position information for malformed JSON or
     expressions, ValidationError naming the offending field otherwise.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"manifest is not valid JSON: {err.msg} "
-                         f"(line {err.lineno})", err.pos) from err
+    raw = _json_manifest(text)
     validate_manifest(raw)
     return raw
 
 
-def validate_manifest(raw: dict) -> None:
+def _json_manifest(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ParseError(f"manifest is not valid JSON: {err.msg} "
+                         f"(line {err.lineno})", err.pos) from err
+
+
+@dataclass
+class Manifest:
+    """What validate_manifest builds from a manifest, its defaults filled
+    in: the geometry and the map; the sample box, the F-stencil step h_step
+    read off it, the sample count and the seed (0 when there is none); a
+    (name, tol, negate, rank) tuple per check, rank None when no F rank is
+    expected; and the flow block as (initial map, grid shape, FlowConfig,
+    snapshot path or None), or None.  raw is the manifest, for its hash."""
+    raw: dict
+    g: MetricField
+    h: HermitianMetricField
+    phi: SmoothMap
+    box: np.ndarray
+    h_step: float
+    count: int
+    seed: int
+    checks: list[tuple]
+    flow: tuple | None
+
+
+def validate_manifest(raw: dict) -> Manifest:
+    """Check every field of a manifest, building its objects as it goes;
+    raises ValidationError naming the first field that is wrong."""
     if not isinstance(raw, dict):
         raise ValidationError("$", "manifest must be a JSON object")
 
@@ -248,8 +281,9 @@ def validate_manifest(raw: dict) -> None:
             raise ValidationError("domain.metric",
                                   f"unknown builtin {metric!r}; use "
                                   "'euclidean' or an expression matrix")
+        g = MetricField.euclidean(dim)
     else:
-        _expr_grid(metric, "domain.metric", dim, dim)
+        g = MetricField(dim, _expr_grid(metric, "domain.metric", dim, dim))
 
     target = raw.get("target")
     if not isinstance(target, dict) or "cdim" not in target:
@@ -263,10 +297,14 @@ def validate_manifest(raw: dict) -> None:
             raise ValidationError("target.hermitian",
                                   f"unknown builtin {hermitian!r}; use "
                                   "'flat' or an expression matrix")
+        hermitian = None
     else:
-        _expr_grid(hermitian, "target.hermitian", cdim, 2 * cdim)
-    if not isinstance(target.get("kaehler", False), bool):
+        hermitian = _expr_grid(hermitian, "target.hermitian", cdim, 2 * cdim)
+    kaehler = target.get("kaehler", False)
+    if not isinstance(kaehler, bool):
         raise ValidationError("target.kaehler", "must be a boolean")
+    h = (HermitianMetricField.flat(cdim) if hermitian is None else
+         HermitianMetricField(cdim, hermitian, kaehler=kaehler))
 
     map_block = raw.get("map")
     if not isinstance(map_block, dict) or "components" not in map_block:
@@ -275,15 +313,18 @@ def validate_manifest(raw: dict) -> None:
     if not isinstance(comps, list) or len(comps) != cdim:
         raise ValidationError("map.components",
                               f"expected {cdim} expression strings")
-    for a, comp in enumerate(comps):
-        _parse_expression(comp, f"map.components[{a}]", dim)
+    phi = SmoothMap(dim, cdim, [_parse_expression(comp, f"map.components[{a}]",
+                                                  dim)
+                                for a, comp in enumerate(comps)])
 
     checks = raw.get("checks", [])
     if not isinstance(checks, list):
         raise ValidationError("checks", "must be a list")
+    entries = []
     for idx, entry in enumerate(checks):
-        name = entry if isinstance(entry, str) else (
-            entry.get("name") if isinstance(entry, dict) else None)
+        if isinstance(entry, str):
+            entry = {"name": entry}
+        name = entry.get("name") if isinstance(entry, dict) else None
         if name not in CHECK_NAMES:
             raise ValidationError(
                 f"checks[{idx}]", f"unknown check {name!r}; valid names: "
@@ -292,15 +333,20 @@ def validate_manifest(raw: dict) -> None:
             raise ValidationError(
                 f"checks[{idx}]", "pluriharmonic needs an even-dimensional "
                 "domain chart")
-        if isinstance(entry, dict):
-            if "tol" in entry and not _finite_number(entry["tol"]):
-                raise ValidationError(f"checks[{idx}].tol",
-                                      "must be a finite number")
-            if "negate" in entry and not isinstance(entry["negate"], bool):
-                raise ValidationError(f"checks[{idx}].negate",
-                                      "must be a boolean")
+        tol = entry.get("tol", CHECKS[name][0])
+        if not _finite_number(tol):
+            raise ValidationError(f"checks[{idx}].tol",
+                                  "must be a finite number")
+        negate = entry.get("negate", False)
+        if not isinstance(negate, bool):
+            raise ValidationError(f"checks[{idx}].negate", "must be a boolean")
+        rank = entry.get("rank")
+        if "rank" in entry and (not _integer(rank) or rank < 0):
+            raise ValidationError(f"checks[{idx}].rank",
+                                  "must be a non-negative integer")
+        entries.append((name, float(tol), negate, rank))
 
-    sample = raw.get("sample", {"count": 0})
+    sample = raw.get("sample", {})
     if not isinstance(sample, dict):
         raise ValidationError("sample", "must be an object")
     count = sample.get("count", 0)
@@ -325,6 +371,7 @@ def validate_manifest(raw: dict) -> None:
     if checks and count == 0:
         raise ValidationError("sample.count",
                               "checks are requested but no points are sampled")
+    box = np.asarray(box, dtype=float)
 
     flow = raw.get("flow")
     if flow is not None:
@@ -346,33 +393,45 @@ def validate_manifest(raw: dict) -> None:
         if not isinstance(initial, list) or len(initial) != cdim:
             raise ValidationError("flow.initial",
                                   f"expected {cdim} expression strings")
-        for a, comp in enumerate(initial):
+        initial = SmoothMap(len(grid), cdim, [
             _parse_expression(comp, f"flow.initial[{a}]", len(grid))
-        max_steps = flow.get("max_steps", 2000)
-        if not _integer(max_steps) or max_steps < 1:
-            raise ValidationError("flow.max_steps", "must be a positive integer")
-        stop_tol = flow.get("stop_tol", 1e-6)
-        if not _finite_number(stop_tol) or stop_tol <= 0:
+            for a, comp in enumerate(initial)])
+        # a field left out keeps FlowConfig's default
+        cfg = FlowConfig(float(flow["dt"]), **{
+            key: flow[key] for key in ("max_steps", "stop_tol",
+                                       "energy_backtrack") if key in flow})
+        if not _integer(cfg.max_steps) or cfg.max_steps < 1:
+            raise ValidationError("flow.max_steps",
+                                  "must be a positive integer")
+        if not _finite_number(cfg.stop_tol) or cfg.stop_tol <= 0:
             raise ValidationError("flow.stop_tol",
                                   "must be a positive finite number")
-        if not isinstance(flow.get("energy_backtrack", True), bool):
-            raise ValidationError("flow.energy_backtrack", "must be a boolean")
-        if not isinstance(flow.get("snapshot", ""), str):
-            raise ValidationError("flow.snapshot", "must be a file path string")
+        cfg.stop_tol = float(cfg.stop_tol)
+        if not isinstance(cfg.energy_backtrack, bool):
+            raise ValidationError("flow.energy_backtrack",
+                                  "must be a boolean")
+        snapshot = flow.get("snapshot")
+        if "snapshot" in flow and not isinstance(snapshot, str):
+            raise ValidationError("flow.snapshot",
+                                  "must be a file path string")
+        flow = initial, tuple(grid), cfg, snapshot
+    return Manifest(raw, g, h, phi, box,
+                    1e-4 * float(np.max(box[:, 1] - box[:, 0])), count,
+                    0 if seed is None else seed, entries, flow)
 
 
-def _load_manifest_arg(arg: str) -> dict:
+def _load_manifest_arg(arg: str) -> Manifest:
+    """The built-in manifest of that name, or else the manifest file at
+    that path, validated."""
     if arg in BUILTIN_MANIFESTS:
-        raw = json.loads(json.dumps(BUILTIN_MANIFESTS[arg]))
-        validate_manifest(raw)
-        return raw
+        return validate_manifest(BUILTIN_MANIFESTS[arg])
     try:
         with open(arg, encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as err:
         raise ValidationError(arg, "not a UTF-8 text manifest: "
                                    f"{err.reason} at byte {err.start}") from err
-    return parse_manifest(text)
+    return validate_manifest(_json_manifest(text))
 
 
 # The fields of a stored report that emit_report reads, as
@@ -440,66 +499,6 @@ def _manifest_hash(raw: dict) -> str:
 # running checks
 # ---------------------------------------------------------------------------
 
-class _Context:
-    """Geometry and map objects instantiated from a validated manifest."""
-
-    def __init__(self, raw: dict):
-        self.raw = raw
-        dim = raw["domain"]["dim"]
-        metric = raw["domain"].get("metric", "euclidean")
-        if metric == "euclidean":
-            self.g = MetricField.euclidean(dim)
-        else:
-            self.g = MetricField(dim, _expr_grid(metric, "domain.metric",
-                                                 dim, dim))
-        cdim = raw["target"]["cdim"]
-        hermitian = raw["target"].get("hermitian", "flat")
-        kaehler = raw["target"].get("kaehler", False)
-        if hermitian == "flat":
-            self.h = HermitianMetricField.flat(cdim)
-        else:
-            self.h = HermitianMetricField(
-                cdim, _expr_grid(hermitian, "target.hermitian", cdim, 2 * cdim),
-                kaehler=kaehler)
-        self.phi = SmoothMap(dim, cdim, [
-            jet.parse_expr(c) for c in raw["map"]["components"]])
-        box = raw.get("sample", {}).get("box", [[-1.0, 1.0]] * dim)
-        self.box = np.asarray(box, dtype=float)
-        self.h_step = 1e-4 * float(np.max(self.box[:, 1] - self.box[:, 0]))
-
-    def verify_kaehler_claim(self, pts) -> None:
-        """Gate manifests that claim a Kaehler target on sampled images; a
-        point where the gate cannot be evaluated is left to its checks."""
-        if not self.h.kaehler or self.raw["target"].get("hermitian") == "flat":
-            return
-        for pt in pts[:10]:
-            try:
-                kr = pt.target.kaehler
-            except OPERATION_ERRORS:
-                continue
-            if kr > 1e-10:
-                raise ValidationError(
-                    "target.kaehler",
-                    f"metric claims Kaehler but the closedness residual is "
-                    f"{kr:.3e} at the image of {list(pt.p)}")
-
-
-def _check_entries(raw: dict, tol_overrides: dict | None):
-    entries = []
-    for entry in raw.get("checks", []):
-        if isinstance(entry, str):
-            entry = {"name": entry}
-        opts = dict(entry)
-        name = opts["name"]
-        tol = opts.get("tol", CHECKS[name][0])
-        if tol_overrides and name in tol_overrides:
-            tol = tol_overrides[name]
-        opts["tol"] = float(tol)
-        opts.setdefault("negate", False)
-        entries.append(opts)
-    return entries
-
-
 def _check_finite(name: str, value, extra: dict) -> None:
     """Raise FloatingPointError when a residual, or a number recorded with
     it, is not finite: it overflowed, and a report holds finite numbers."""
@@ -521,38 +520,47 @@ def run_checks(raw: dict, seed: int | None = None, count: int | None = None,
     among them, are recorded on the offending record (pass = false) and
     never abort the sweep.  count, when given, overrides sample.count.
     """
-    ctx = _Context(raw)
-    sample = raw.get("sample", {"count": 0})
-    use_seed = sample.get("seed", 0) if seed is None else seed
-    use_count = sample.get("count", 0) if count is None else count
+    manifest = validate_manifest(raw)
+    use_seed = manifest.seed if seed is None else seed
+    use_count = manifest.count if count is None else count
     rng = np.random.default_rng(use_seed)
     try:
-        points = catalog.sample_points(rng, use_count, ctx.box)
-    except MemoryError as err:
-        field = ("sample.count" if use_count == sample.get("count", 0)
-                 else "--points")
+        points = catalog.sample_points(rng, use_count, manifest.box)
+    except (MemoryError, ValueError) as err:   # or a size numpy refuses
+        field = "sample.count" if use_count == manifest.count else "--points"
         raise ValidationError(field, f"{use_count} sample points do not fit "
                                      "in memory") from err
-    pts = [CheckPoint(ctx.phi, ctx.g, point, ctx.h, ctx.h_step)
-           for point in points]
+    pts = [CheckPoint(manifest.phi, manifest.g, point, manifest.h,
+                      manifest.h_step) for point in points]
     with np.errstate(all="ignore"):
         share_pass(pts)
-    ctx.verify_kaehler_claim(pts)
-    entries = _check_entries(raw, tol_overrides)
-    if any(entry["name"] in STENCIL_CHECKS for entry in entries):
+    # a target that claims to be Kaehler is gated on sampled images; a
+    # point where the gate cannot be evaluated is left to its checks
+    for pt in pts[:10] if manifest.h.kaehler else []:
+        try:
+            kr = pt.target.kaehler
+        except OPERATION_ERRORS:
+            continue
+        if kr > 1e-10:
+            raise ValidationError(
+                "target.kaehler",
+                f"metric claims Kaehler but the closedness residual is "
+                f"{kr:.3e} at the image of {list(pt.p)}")
+    entries = [(name, float((tol_overrides or {}).get(name, tol)), *rest)
+               for name, tol, *rest in manifest.checks]
+    if any(name in STENCIL_CHECKS for name, *_ in entries):
         with np.errstate(all="ignore"):
             share_stencils(pts)
 
     records = []
     for p_idx, pt in enumerate(pts):
-        for entry in entries:
-            name = entry["name"]
+        for name, tol, negate, rank in entries:
             rec = {
                 "point_index": p_idx,
                 "point": [float(x) for x in pt.p],
                 "check": name,
-                "tol": entry["tol"],
-                "negate": entry["negate"],
+                "tol": tol,
+                "negate": negate,
             }
             try:
                 # a residual that overflows is recorded by _check_finite
@@ -565,11 +573,11 @@ def run_checks(raw: dict, seed: int | None = None, count: int | None = None,
                 records.append(rec)
                 continue
             rec["value"] = float(value)
-            ok = _verdict(value, entry["tol"], entry["negate"])
+            ok = _verdict(value, tol, negate)
             if name == "fstructure":
-                if "rank" in entry and extra.get("rank") != entry["rank"]:
+                if rank is not None and extra.get("rank") != rank:
                     ok = False
-                if extra.get("dphi_pzero", 0.0) > entry["tol"]:
+                if extra.get("dphi_pzero", 0.0) > tol:
                     ok = False
             if extra:
                 rec["extra"] = {k: (float(v) if isinstance(v, float) else v)
@@ -683,17 +691,13 @@ def _initial_value(initial_map: SmoothMap, points, idx) -> np.ndarray:
 
 
 def run_flow_manifest(raw: dict) -> dict:
-    ctx = _Context(raw)
-    flow_block = raw.get("flow")
-    if flow_block is None:
+    manifest = validate_manifest(raw)
+    if manifest.flow is None:
         raise ValidationError("flow", "manifest has no flow block")
-    grid = tuple(flow_block["grid"])
-    exprs = [jet.parse_expr(c) for c in flow_block["initial"]]
-    initial_map = SmoothMap(len(grid), len(exprs), exprs)
-    axes = [np.arange(N) * (2 * np.pi / N) for N in grid]
+    initial_map, grid, cfg, snapshot = manifest.flow
     try:
-        points = np.stack(np.meshgrid(*axes, indexing="ij"), -1)
-    except MemoryError as err:
+        points = np.stack(node_coordinates(grid), -1)
+    except (MemoryError, ValueError) as err:   # or a size numpy refuses
         raise ValidationError("flow.grid", "a grid of " + " x ".join(
             map(str, grid)) + " nodes does not fit in memory") from err
     with np.errstate(all="ignore"):   # non-finite values are caught below
@@ -702,22 +706,16 @@ def run_flow_manifest(raw: dict) -> dict:
         except ArithmeticError:   # node by node, to name the node that fails
             values = np.array([_initial_value(initial_map, points, idx)
                                for idx in np.ndindex(*grid)])
-    values = values.reshape(tuple(grid) + (len(exprs),))
+    values = values.reshape(grid + (initial_map.target_cdim,))
     if not np.all(np.isfinite(values)):
         raise ValidationError("flow.initial",
                               "values are not finite at every grid node")
     u0 = GridMap(values)
-    cfg = FlowConfig(
-        dt=float(flow_block["dt"]),
-        max_steps=int(flow_block.get("max_steps", 2000)),
-        stop_tol=float(flow_block.get("stop_tol", 1e-6)),
-        energy_backtrack=bool(flow_block.get("energy_backtrack", True)),
-    )
     rec = {"point": None, "check": "flow", "tol": cfg.stop_tol,
            "negate": False}
     try:
         with np.errstate(all="ignore"):   # run_flow raises on a non-finite tau
-            final, trace = run_flow(u0, ctx.h, cfg)
+            final, trace = run_flow(u0, manifest.h, cfg)
         extra = {
             "steps": trace[-1][0],
             "initial_energy": trace[0][1],
@@ -728,16 +726,16 @@ def run_flow_manifest(raw: dict) -> dict:
     except OPERATION_ERRORS as err:
         rec.update({"error": f"{type(err).__name__}: {err}", "pass": False})
     else:
-        if "snapshot" in flow_block:
+        if snapshot is not None:
             try:
-                save_snapshot(final, flow_block["snapshot"])
+                save_snapshot(final, snapshot)
             except OSError as err:
                 raise ValidationError(
-                    "flow.snapshot", f"cannot write {flow_block['snapshot']!r}"
+                    "flow.snapshot", f"cannot write {snapshot!r}"
                     f": {err.strerror}") from err
         rec.update({"value": trace[-1][2],
                     "pass": bool(trace[-1][2] < cfg.stop_tol), "extra": extra})
-    return _assemble_report(raw, raw.get("sample", {}).get("seed", 0), [rec])
+    return _assemble_report(raw, manifest.seed, [rec])
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +811,7 @@ def verify_paper(seed: int = 42) -> dict:
     records = []
 
     for name in ("example1", "example2"):
-        sub = run_checks(_load_manifest_arg(name), seed=seed)
+        sub = run_checks(BUILTIN_MANIFESTS[name], seed=seed)
         for rec in sub["records"]:
             rec = dict(rec)
             rec["check"] = f"{name}.{rec['check']}"
@@ -987,14 +985,14 @@ def main(argv=None) -> int:
             if (getattr(args, flag, None) or 0) < 0:
                 raise ValidationError(f"--{flag}", "must not be negative")
         if args.command in ("check", "sweep"):
-            raw = _load_manifest_arg(args.manifest)
+            manifest = _load_manifest_arg(args.manifest)
             count = args.points
             if args.command == "sweep" and count is None:
-                count = max(raw.get("sample", {}).get("count", 0), 250)
-            report = run_checks(raw, seed=args.seed, count=count,
+                count = max(manifest.count, 250)
+            report = run_checks(manifest.raw, seed=args.seed, count=count,
                                 tol_overrides=_parse_tol_overrides(args.tol))
         elif args.command == "flow":
-            report = run_flow_manifest(_load_manifest_arg(args.manifest))
+            report = run_flow_manifest(_load_manifest_arg(args.manifest).raw)
         elif args.command == "verify-paper":
             report = verify_paper(seed=args.seed)
         elif args.command == "report":

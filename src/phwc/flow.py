@@ -41,6 +41,7 @@ __all__ = [
     "stable_dt_bound",
     "discrete_phwc_residual",
     "grid_to_smooth_map",
+    "node_coordinates",
     "save_snapshot",
 ]
 
@@ -121,21 +122,25 @@ class GridMap:
 
     def node_coordinates(self):
         """Coordinate arrays, one per axis, broadcastable to dims."""
-        axes = [np.arange(N) * (2 * np.pi / N) for N in self.dims]
-        return np.meshgrid(*axes, indexing="ij")
+        return node_coordinates(self.dims)
 
     @classmethod
-    def from_function(cls, dims, fn, n: int | None = None) -> "GridMap":
+    def from_function(cls, dims, fn) -> "GridMap":
         """Sample fn(x1, .., xm) -> scalar or vector on the grid."""
-        axes = [np.arange(N) * (2 * np.pi / N) for N in dims]
-        coords = np.meshgrid(*axes, indexing="ij")
-        out = np.asarray(fn(*coords), dtype=complex)
+        out = np.asarray(fn(*node_coordinates(dims)), dtype=complex)
         if out.shape == tuple(dims):
             out = out[..., np.newaxis]
         return cls(out)
 
     def copy(self) -> "GridMap":
         return GridMap(self.values.copy())
+
+
+def node_coordinates(dims) -> list[np.ndarray]:
+    """The coordinates of the nodes of a GridMap of shape dims, one array
+    of shape dims per axis."""
+    axes = [np.arange(N) * (2 * np.pi / N) for N in dims]
+    return np.meshgrid(*axes, indexing="ij")
 
 
 @cache

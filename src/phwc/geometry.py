@@ -39,7 +39,6 @@ __all__ = [
     "MetricPoint",
     "HermitianMetricField",
     "HermitianPoint",
-    "hermitian_points",
     "share_metric",
     "christoffel_domain",
     "christoffel_kaehler",
@@ -420,17 +419,9 @@ class HermitianPoint:
             self.dh - np.einsum("...abc->...bac", self.dh)), axis=(-3, -2, -1)))
 
 
-# The quantities of HermitianPoint that hermitian_points and
-# maps.share_pass compute once over a set of points.
+# The quantities of HermitianPoint that maps.share_pass computes once over
+# a set of points.
 TARGET_ROWS = ("hm", "hinv", "gamma", "kaehler")
-
-
-def hermitian_points(h: HermitianMetricField, zs) -> list[HermitianPoint]:
-    """HermitianPoint of h at each chart point of zs (N, n), each holding
-    its rows of one HermitianPoint over all of them."""
-    points = [HermitianPoint(h, z) for z in zs]
-    _share_rows(HermitianPoint(h, np.asarray(zs)), points, TARGET_ROWS)
-    return points
 
 
 def share_metric(points: list[MetricPoint]) -> None:

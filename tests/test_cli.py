@@ -47,6 +47,13 @@ def test_builtin_manifests_validate():
         assert parsed["domain"]["dim"] in (2, 4)
 
 
+def test_builtin_manifests_equal_their_files():
+    # verify-paper runs the built-in copies; the README points at the files
+    for name in ("example1", "example2"):
+        text = (MANIFESTS / f"{name}.json").read_text()
+        assert BUILTIN_MANIFESTS[name] == parse_manifest(text)
+
+
 def test_dimension_mismatch_names_field():
     bad = manifest_text(map={"components": ["x1", "x2"]})
     with pytest.raises(ValidationError) as err:
@@ -750,6 +757,20 @@ def test_a_flow_grid_too_large_to_allocate_exits_2(monkeypatch, capsys,
     assert err.startswith("error: flow.grid: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, field", [("check", "--points"),
+                                            ("flow", "flow.grid")])
+def test_a_size_beyond_numpy_exits_2(tmp_path, capsys, command, field):
+    # numpy refuses these sizes with a ValueError before allocating
+    raw = flow_manifest("flat", "sin(x1)")
+    raw["flow"].update(grid=[10**30, 4], dt=1e-70)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw))
+    args = ["--points", str(10**30)] if command == "check" else []
+    assert main([command, str(path), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("field, block, value, args", [
     ("flow.max_steps", "flow", "x", []),
     ("flow.stop_tol", "flow", None, []),
@@ -772,6 +793,11 @@ def test_a_flow_grid_too_large_to_allocate_exits_2(monkeypatch, capsys,
     ("sample.count", "sample", True, []),
     ("domain.dim", "domain", True, []),
     ("target.cdim", "target", True, []),
+    ("checks[0].rank", "checks", "2", []),
+    ("checks[0].rank", "checks", True, []),
+    ("checks[0].rank", "checks", -1, []),
+    ("checks[0].rank", "checks", 2.0, []),
+    ("checks[0].rank", "checks", None, []),
 ])
 def test_invalid_field_exits_2_and_names_it(tmp_path, capsys, field, block,
                                             value, args):
@@ -781,7 +807,7 @@ def test_invalid_field_exits_2_and_names_it(tmp_path, capsys, field, block,
     else:
         raw = json.loads(manifest_text())
     if block == "checks":
-        raw["checks"][0] = {"name": "phwc", "tol": value}
+        raw["checks"][0] = {"name": "fstructure", field.split(".")[1]: value}
     elif block is not None:
         key = field.split(".")[1]
         raw[block][key] = str(tmp_path) if value == "<tmp_path>" else value

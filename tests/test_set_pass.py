@@ -85,11 +85,12 @@ def sampled(count, seed, box):
 
 def lone_records(raw, report):
     """The records of report as each point computes them alone."""
-    ctx = cli._Context(raw)
+    manifest = cli.validate_manifest(raw)
     want = []
     for rec in report["records"]:
-        pt = fstruct.CheckPoint(ctx.phi, ctx.g, np.array(rec["point"]),
-                                ctx.h, ctx.h_step)
+        pt = fstruct.CheckPoint(manifest.phi, manifest.g,
+                                np.array(rec["point"]), manifest.h,
+                                manifest.h_step)
         try:
             with np.errstate(all="ignore"):
                 value, _ = cli.CHECKS[rec["check"]][1](pt)
@@ -186,10 +187,15 @@ def test_a_constant_target_is_checked_once_per_field(monkeypatch):
 def test_a_literal_target_that_fails_its_check_fails_at_each_point():
     h = HermitianMetricField(1, [[Const(-1.0)]], kaehler=True)
     zs = np.array([[0.5j], [2.0]])
-    for point, z in zip(geometry.hermitian_points(h, zs), zs):
+    phi = SmoothMap(2, 1, [parse_expr("x1 + i*x2")])
+    pds = [PointData(phi, MetricField.euclidean(2), p, h)
+           for p in ([0.0, 0.5], [2.0, 0.0])]
+    share_pass(pds)
+    for pd, z in zip(pds, zs):
+        assert np.array_equal(pd.target.z, z)
         with pytest.raises(geometry.MetricNotPD, match=re.escape(f"z={z}")):
-            point.hm
-        assert point.kaehler == 0.0
+            pd.target.hm
+        assert pd.target.kaehler == 0.0
 
 
 OVERFLOW = {
@@ -391,9 +397,9 @@ def test_run_checks_builds_the_stencils_of_a_sample_in_one_pass(monkeypatch):
 def test_run_checks_builds_f_once_per_point(monkeypatch):
     # fstructure reads F at each sample point, nijenhuis its stencil, whose
     # center is that same F: 4 centers and 4 x 8 stencil points
-    raw = cli._load_manifest_arg("example2")
-    raw["checks"] = ["fstructure", "nijenhuis"]
-    raw["sample"]["count"] = 4
+    raw = dict(cli.BUILTIN_MANIFESTS["example2"],
+               checks=["fstructure", "nijenhuis"])
+    raw["sample"] = dict(raw["sample"], count=4)
     builds = []
     build = fstruct.associated_f_structure
 
