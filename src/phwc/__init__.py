@@ -8,9 +8,10 @@ The layers, bottom up:
 
 - ``jet``: expression trees and second-order forward-mode jets at a point
   or, in one pass, at a set of points (first-order passes stop at the
-  gradient), ``stack``, which makes trees of one shape one tree evaluated
-  at one point per tree, plus ``wirtinger``, the one array view that every
-  complex derivative reads;
+  gradient), one ``Jet2`` per pass whatever the number of roots,
+  ``stack``, which makes trees of one shape one tree evaluated at one point
+  per tree, plus ``wirtinger``, the one array view that every complex
+  derivative reads;
 - ``geometry``: metric fields; g, g^-1, Gamma and Laplace-Beltrami from one
   jet pass (``MetricPoint``), h, h^-1, Gamma and the Kaehler residual from
   one pass of h (``HermitianPoint``), at one point or, with a leading point

@@ -224,15 +224,13 @@ def _expr_grid(grid, field: str, size: int, max_vars: int):
              for j in range(size)] for i in range(size)]
 
 
-def parse_manifest(text: str) -> dict:
-    """Parse and validate manifest text; returns the manifest dictionary.
+def parse_manifest(text: str) -> Manifest:
+    """Parse and validate manifest text; returns the Manifest built from it.
 
     Raises ParseError with position information for malformed JSON or
     expressions, ValidationError naming the offending field otherwise.
     """
-    raw = _json_manifest(text)
-    validate_manifest(raw)
-    return raw
+    return validate_manifest(_json_manifest(text))
 
 
 def _json_manifest(text: str):
@@ -398,8 +396,8 @@ def validate_manifest(raw: dict) -> Manifest:
             for a, comp in enumerate(initial)])
         # a field left out keeps FlowConfig's default
         cfg = FlowConfig(float(flow["dt"]), **{
-            key: flow[key] for key in ("max_steps", "stop_tol",
-                                       "energy_backtrack") if key in flow})
+            key: flow[key] for key in ("max_steps", "stop_tol")
+            if key in flow})
         if not _integer(cfg.max_steps) or cfg.max_steps < 1:
             raise ValidationError("flow.max_steps",
                                   "must be a positive integer")
@@ -407,9 +405,6 @@ def validate_manifest(raw: dict) -> Manifest:
             raise ValidationError("flow.stop_tol",
                                   "must be a positive finite number")
         cfg.stop_tol = float(cfg.stop_tol)
-        if not isinstance(cfg.energy_backtrack, bool):
-            raise ValidationError("flow.energy_backtrack",
-                                  "must be a boolean")
         snapshot = flow.get("snapshot")
         if "snapshot" in flow and not isinstance(snapshot, str):
             raise ValidationError("flow.snapshot",
@@ -431,7 +426,7 @@ def _load_manifest_arg(arg: str) -> Manifest:
     except UnicodeDecodeError as err:
         raise ValidationError(arg, "not a UTF-8 text manifest: "
                                    f"{err.reason} at byte {err.start}") from err
-    return validate_manifest(_json_manifest(text))
+    return parse_manifest(text)
 
 
 # The fields of a stored report that emit_report reads, as
@@ -512,17 +507,22 @@ def _verdict(value, tol: float, negate: bool) -> bool:
     return bool((value > tol) if negate else (value <= tol))
 
 
-def run_checks(raw: dict, seed: int | None = None, count: int | None = None,
+def run_checks(manifest: Manifest, seed: int | None = None,
+               count: int | None = None,
                tol_overrides: dict | None = None) -> dict:
-    """Execute every requested check at seeded sample points.
+    """Execute every requested check of a built manifest at seeded sample
+    points.
 
     Operation errors at individual points, a residual that is not finite
     among them, are recorded on the offending record (pass = false) and
-    never abort the sweep.  count, when given, overrides sample.count.
+    never abort the sweep.  count, when given, overrides sample.count; as
+    there, checks need at least one point.
     """
-    manifest = validate_manifest(raw)
     use_seed = manifest.seed if seed is None else seed
     use_count = manifest.count if count is None else count
+    if use_count == 0 and manifest.checks:
+        raise ValidationError("--points", "checks are requested but no "
+                                          "points are sampled")
     rng = np.random.default_rng(use_seed)
     try:
         points = catalog.sample_points(rng, use_count, manifest.box)
@@ -585,7 +585,7 @@ def run_checks(raw: dict, seed: int | None = None, count: int | None = None,
             rec["pass"] = bool(ok)
             records.append(rec)
 
-    return _assemble_report(raw, use_seed, records)
+    return _assemble_report(manifest.raw, use_seed, records)
 
 
 def summarize(records: list) -> list:
@@ -690,8 +690,8 @@ def _initial_value(initial_map: SmoothMap, points, idx) -> np.ndarray:
                               f"node {list(idx)}: {err}") from err
 
 
-def run_flow_manifest(raw: dict) -> dict:
-    manifest = validate_manifest(raw)
+def run_flow_manifest(manifest: Manifest) -> dict:
+    """Run the flow block of a built manifest; one record."""
     if manifest.flow is None:
         raise ValidationError("flow", "manifest has no flow block")
     initial_map, grid, cfg, snapshot = manifest.flow
@@ -735,7 +735,7 @@ def run_flow_manifest(raw: dict) -> dict:
                     f": {err.strerror}") from err
         rec.update({"value": trace[-1][2],
                     "pass": bool(trace[-1][2] < cfg.stop_tol), "extra": extra})
-    return _assemble_report(raw, manifest.seed, [rec])
+    return _assemble_report(manifest.raw, manifest.seed, [rec])
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +811,8 @@ def verify_paper(seed: int = 42) -> dict:
     records = []
 
     for name in ("example1", "example2"):
-        sub = run_checks(BUILTIN_MANIFESTS[name], seed=seed)
+        sub = run_checks(validate_manifest(BUILTIN_MANIFESTS[name]),
+                         seed=seed)
         for rec in sub["records"]:
             rec = dict(rec)
             rec["check"] = f"{name}.{rec['check']}"
@@ -838,12 +839,12 @@ def verify_paper(seed: int = 42) -> dict:
         both = differential(SmoothMap(2, 2, [*pulled.components,
                                              *pulled_r.components]), pd.p)
         pd.diff, dr = both[:, :1], both[:, 1:]
-        lap = pd.laplacian(pd.diff.dphi[:, 0], pd.diff.second[:, 0])
+        lap = pd.laplacian(pd.diff.grad[:, 0], pd.diff.second[:, 0])
         worst_lap = max(worst_lap, np.max(np.abs(lap.real)),
                         np.max(np.abs(lap.imag)))
         worst_hwc = max(worst_hwc, np.max(hwc_report(pd).defect))
         worst_pluri_lap = max(worst_pluri_lap, np.max(np.abs(
-            pd.laplacian(dr.dphi[:, 0], dr.second[:, 0]).real)))
+            pd.laplacian(dr.grad[:, 0], dr.second[:, 0]).real)))
     records.append(_suite_record("pullback_holomorphic_laplacian",
                                  worst_lap, 1e-9))
     records.append(_suite_record("pullback_holomorphic_hwc", worst_hwc, 1e-9))
@@ -989,10 +990,10 @@ def main(argv=None) -> int:
             count = args.points
             if args.command == "sweep" and count is None:
                 count = max(manifest.count, 250)
-            report = run_checks(manifest.raw, seed=args.seed, count=count,
+            report = run_checks(manifest, seed=args.seed, count=count,
                                 tol_overrides=_parse_tol_overrides(args.tol))
         elif args.command == "flow":
-            report = run_flow_manifest(_load_manifest_arg(args.manifest).raw)
+            report = run_flow_manifest(_load_manifest_arg(args.manifest))
         elif args.command == "verify-paper":
             report = verify_paper(seed=args.seed)
         elif args.command == "report":

@@ -242,7 +242,6 @@ class FlowConfig:
     dt: float
     max_steps: int = 2000
     stop_tol: float = 1e-6
-    energy_backtrack: bool = True
 
 
 def run_flow(u0: GridMap, h: HermitianMetricField,
@@ -275,7 +274,7 @@ def run_flow(u0: GridMap, h: HermitianMetricField,
         while True:
             trial = GridMap(u.values + dt * tau)
             trial_energy = dirichlet_energy(trial, h)
-            if not cfg.energy_backtrack or trial_energy <= energy + 1e-12:
+            if trial_energy <= energy + 1e-12:
                 break
             halvings += 1
             if halvings > MAX_HALVINGS:

@@ -180,7 +180,7 @@ def associated_f_structure(pd: PointData) -> FStructurePoint:
         raise NotPHWCAtPoint(f"PHWC residual {resid:.3e} exceeds the gate "
                              f"{PHWC_GATE:.1e} at {p}")
     gm = pd.gm
-    vectors = [pd.ginv @ row for row in pd.diff.dphi]
+    vectors = [pd.ginv @ row for row in pd.diff.grad]
     m = gm.shape[0]
 
     def hnorm(x):
@@ -229,13 +229,13 @@ def f_holomorphy_residual(pd: PointData, fp: FStructurePoint) -> float:
 
     Zero means dphi intertwines F with the complex structure of the chart.
     """
-    dphi = pd.diff.dphi
+    dphi = pd.diff.grad
     return float(np.max(np.abs(dphi @ fp.F - 1j * dphi)))
 
 
 def dphi_kernel_residual(pd: PointData, fp: FStructurePoint) -> float:
     """max | dphi . Pzero |: the differential must kill the 0-eigenspace."""
-    return float(np.max(np.abs(pd.diff.dphi @ fp.Pzero)))
+    return float(np.max(np.abs(pd.diff.grad @ fp.Pzero)))
 
 
 @dataclass

@@ -180,15 +180,12 @@ class MetricField:
             grid[i][j] = grid[j][i] = root
         return cls(dim, grid)
 
-    def jets(self, p):
-        """Grid of first-order jets of the components at p (m,) or at each
-        row of p (N, m), from one pass; the mirrored entries (j, i) share
-        the jet of (i, j)."""
-        upper = _upper(self.dim)
-        jets = dict(zip(upper, eval_jet2(
-            [self.components[i][j] for i, j in upper], p, order=1)))
-        return [[jets[min(i, j), max(i, j)] for j in range(self.dim)]
-                for i in range(self.dim)]
+    def jets(self, p) -> jet.Jet2:
+        """The first-order jet of the component grid at p (m,) or at each
+        row of p (N, m), from one pass: value [..., i, j], grad
+        [..., i, j, l].  A mirrored entry (j, i) is the root of (i, j), so
+        the pass evaluates the upper triangle."""
+        return eval_jet2(self.components, p, order=1)
 
 
 def _upper(dim: int) -> list:
@@ -196,20 +193,8 @@ def _upper(dim: int) -> list:
     return [(i, j) for i in range(dim) for j in range(i, dim)]
 
 
-def _grid_arrays(grid):
-    """Values [..., i, j] and gradients [..., i, j, l] of an n x n grid of
-    jets."""
-    n = len(grid)
-    values = np.stack([j.value for row in grid for j in row], -1)
-    grads = np.stack([j.grad for row in grid for j in row], -2)
-    return (values.reshape(values.shape[:-1] + (n, n)),
-            grads.reshape(grads.shape[:-2] + (n, n, grads.shape[-1])))
-
-
 def _row(value, k):
     """Row k of a quantity computed over a set of points."""
-    if type(value) is tuple:
-        return tuple(a[k] for a in value)
     return _per_point(value[k]) if isinstance(value, np.ndarray) else value[k]
 
 
@@ -247,12 +232,12 @@ class MetricPoint:
         self.g, self.p = g, np.asarray(p, dtype=float)
 
     @cached_property
-    def _jets(self):
-        return _grid_arrays(self.g.jets(self.p))
+    def _jets(self) -> jet.Jet2:
+        return self.g.jets(self.p)
 
     @cached_property
     def gm(self) -> np.ndarray:
-        gm = _real_part(self._jets[0], self.p)
+        gm = _real_part(self._jets.value, self.p)
         _check_spd(gm, self.p)
         return gm
 
@@ -265,7 +250,7 @@ class MetricPoint:
         """Levi-Civita symbols, indexed [..., k, i, j]; see
         christoffel_domain."""
         # d_l g_ij at [..., l, i, j]
-        dg = np.ascontiguousarray(np.moveaxis(self._jets[1].real, -1, -3))
+        dg = np.ascontiguousarray(np.moveaxis(self._jets.grad.real, -1, -3))
         sym = (np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg)
                - np.einsum("...lij->...lij", dg))
         return 0.5 * np.einsum("...kl,...lij->...kij", self.ginv, sym)
@@ -352,13 +337,11 @@ class HermitianMetricField:
     def _constant_inverse(self) -> np.ndarray:
         return _inverse_checked(self.constant_matrix, "target metric")
 
-    def jets(self, z):
-        """Grid of first-order jets of the components at the chart point z
-        (n,) or at each row of z (N, n), from one pass."""
-        flat = eval_jet2([e for row in self.components for e in row],
-                         self.real_coords(z), order=1)
-        return [flat[a * self.cdim:(a + 1) * self.cdim]
-                for a in range(self.cdim)]
+    def jets(self, z) -> jet.Jet2:
+        """The first-order jet of the component grid at the chart point z
+        (n,) or at each row of z (N, n), from one pass: value [..., a, b],
+        grad [..., a, b, l] in the interleaved real coordinates."""
+        return eval_jet2(self.components, self.real_coords(z), order=1)
 
 
 class HermitianPoint:
@@ -374,8 +357,8 @@ class HermitianPoint:
         self.h, self.z = h, z
 
     @cached_property
-    def _jets(self):
-        return _grid_arrays(self.h.jets(self.z))
+    def _jets(self) -> jet.Jet2:
+        return self.h.jets(self.z)
 
     @cached_property
     def _constant(self) -> bool:
@@ -394,7 +377,7 @@ class HermitianPoint:
     def hm(self) -> np.ndarray:
         if self._constant:
             return self._each(self.h.constant_matrix)
-        return _check_hermitian_pd(self._jets[0], self.z)
+        return _check_hermitian_pd(self._jets.value, self.z)
 
     @cached_property
     def hinv(self) -> np.ndarray:
@@ -406,7 +389,8 @@ class HermitianPoint:
     def dh(self) -> np.ndarray:
         if self._constant:
             return self._each(np.zeros((self.h.cdim,) * 3, dtype=complex))
-        d_z = jet.wirtinger(self._jets[1])[..., :self.h.cdim]  # [..., c, d, b]
+        # d_{z^b} h_{c dbar} at [..., c, d, b]
+        d_z = jet.wirtinger(self._jets.grad)[..., :self.h.cdim]
         return np.ascontiguousarray(np.moveaxis(d_z, -1, -3))
 
     @cached_property

@@ -8,10 +8,12 @@ value together with the exact gradient and Hessian with respect to the real
 coordinates.  A pass over N points walks the tree once, with every array
 carrying a leading point axis, and gives at each point exactly what
 evaluating that point alone gives; a first-order pass stops at the
-gradient.  Trees of one shape are stacked by :func:`stack` into one tree
-whose literals hold a column of values, one per tree, so a pass at K
-points evaluates K different trees, each at its own point.
-Complex-analytic derivatives
+gradient.  A pass over a list (or grid) of roots gives one Jet2 too, its
+root axes after the point axis: :func:`eval_jet2` is the one place that
+lays jets out, and every layer above reads that one container.  Trees of
+one shape are stacked by :func:`stack` into one tree whose literals hold a
+column of values, one per tree, so a pass at K points evaluates K
+different trees, each at its own point.  Complex-analytic derivatives
 (Wirtinger derivatives) are recovered from arrays of real derivatives by
 :func:`wirtinger` at the bottom of the module; real pairs are interleaved,
 so the chart coordinate z^a occupies the real variables
@@ -94,19 +96,38 @@ class ParseError(ValueError):
 
 @dataclass(slots=True)
 class Jet2:
-    """Values, gradients and Hessians of a scalar at N points of R^m.
+    """Values, gradients and Hessians of one or more scalars at N points of
+    R^m.
 
-    value (N,), grad (N, m) and hess (N, m, m), complex; a jet of one point
-    given as an array of shape (m,) has no point axis, and a jet of a
-    first-order pass has hess None.  The Hessian is
-    symmetric by construction: every rule below only ever adds symmetrised
-    outer products, so ``hess[..., i, j] == hess[..., j, i]`` holds exactly.
-    Jets are never mutated: one jet may stand for several tree nodes.
+    value (N, *R), grad (N, *R, m) and hess (N, *R, m, m), complex, where R
+    is the shape of the roots evaluated: () for one expression, (K,) for a
+    list of K, (n, n) for a grid.  A jet of one point given as an array of
+    shape (m,) has no point axis, and a jet of a first-order pass has hess
+    None; reading ``second`` then raises HessianNotComputed.  Indexing
+    selects over the leading axes of all three arrays at once, so ``j[k]``
+    is the jet at point k.  The Hessian is symmetric by construction: every
+    rule below only ever adds symmetrised outer products, so
+    ``hess[..., i, j] == hess[..., j, i]`` holds exactly.  Jets are never
+    mutated: the arrays of a jet may be those of a tree node.
     """
 
     value: np.ndarray
     grad: np.ndarray
-    hess: np.ndarray
+    hess: np.ndarray | None
+
+    @property
+    def second(self) -> np.ndarray:
+        """hess; raises HessianNotComputed on a first-order pass."""
+        if self.hess is None:
+            raise HessianNotComputed(
+                "a first-order pass has no second partials")
+        return self.hess
+
+    def __getitem__(self, index) -> "Jet2":
+        return Jet2(self.value[index], self.grad[index],
+                    None if self.hess is None else self.hess[index])
+
+    __iter__ = None     # one jet, not a sequence of its rows
 
     def conj(self) -> "Jet2":
         # Differentiation variables are real, so conjugation commutes with
@@ -550,28 +571,33 @@ class _Evaluation:
                     hess)
 
 
-def eval_jet2(e, p, order: int = 2):
+def eval_jet2(e, p, order: int = 2) -> Jet2:
     """Value, gradient and Hessian of ``e`` at the real points ``p``.
 
     ``p`` is one point (m,) or N points (N, m); the jet has no point axis in
-    the first case.  ``e`` is an expression, or a list of expressions that
-    share one memo (a subtree they share is evaluated once) and give a list
-    of jets.  Every value, gradient and Hessian equals, bit for bit, that of
-    the same expression evaluated at its point alone; an error at any point
-    raises for the whole call.  With ``order=1`` the pass stops at the
-    gradient: values and gradients are the same, and no Hessian is formed
-    (each jet's ``hess`` is None).
+    the first case.  ``e`` is an expression, or a list (or a list of lists)
+    of expressions that share one memo (a subtree or a root they share is
+    evaluated once), and gives one jet whose root axes, after the point
+    axis, have the shape of that list.  Every value, gradient and Hessian
+    equals, bit for bit, that of the same expression evaluated at its point
+    alone; an error at any point raises for the whole call.  With
+    ``order=1`` the pass stops at the gradient: values and gradients are the
+    same, and no Hessian is formed (``hess`` is None).
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
     p = np.asarray(p, dtype=float)
     at = _Evaluation(p.reshape(-1, p.shape[-1]), order == 2)
-    jets = [at.result(at(root))
-            for root in ([e] if isinstance(e, Expr) else e)]
-    if p.ndim == 1:
-        jets = [Jet2(j.value[0], j.grad[0],
-                     None if j.hess is None else j.hess[0]) for j in jets]
-    return jets[0] if isinstance(e, Expr) else jets
+    roots = np.array(e, dtype=object)
+    jets = [at.result(at(root)) for root in roots.flat]
+    out = jets[0]
+    if roots.ndim:
+        lead, m = (len(at.p), *roots.shape), p.shape[-1]
+        out = Jet2(np.stack([j.value for j in jets], -1).reshape(lead),
+                   np.stack([j.grad for j in jets], -2).reshape(lead + (m,)),
+                   np.stack([j.hess for j in jets], -3).reshape(lead + (m, m))
+                   if at.second else None)
+    return out[0] if p.ndim == 1 else out
 
 
 def _shape(roots) -> tuple[list, list, list]:

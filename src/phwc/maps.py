@@ -1,13 +1,15 @@
 """Smooth maps into Hermitian charts and their residual checks.
 
-A map phi: R^m -> C^n is a vector of expression trees; every residual below
-is evaluated pointwise from second-order jets, or from first-order ones
-where it reads no second partials (a first-order differential raises
-HessianNotComputed when they are read).  phwc_residual_coord,
-hwc_report and tension also take the PointData of a set of points and give
-one value per point, from one numpy call per quantity; the other residuals
-read one point, which may hold its rows of a set (share_pass,
-share_differential).  The pseudo
+A map phi: R^m -> C^n is a vector of expression trees, and its differential
+is the one jet.Jet2 of a pass over its components: value (n,), first
+partials ``grad`` (n, m) and second partials ``second`` (n, m, m), with a
+leading point axis at a set of points.  Every residual below is evaluated
+pointwise from second-order jets, or from first-order ones where it reads
+no second partials (reading ``second`` of a first-order pass raises
+HessianNotComputed).  phwc_residual_coord, hwc_report and tension also take
+the PointData of a set of points and give one value per point, from one
+numpy call per quantity; the other residuals read one point, which may
+hold its rows of a set (share_pass, share_differential).  The pseudo
 horizontal weak conformality condition comes in three equivalent forms
 (coordinate Gram, isotropy through the dual metric, commutator with the
 complex structure) that are kept as independent code paths so they can
@@ -43,12 +45,11 @@ from .geometry import (
     _per_point,
     _share_rows,
 )
-from .jet import Expr, HessianNotComputed, Jet2, as_expr, eval_jet2
+from .jet import Expr, Jet2, as_expr, eval_jet2
 
 __all__ = [
     "DimensionMismatch",
     "SmoothMap",
-    "DifferentialPoint",
     "PointData",
     "share_pass",
     "share_differential",
@@ -84,50 +85,19 @@ class SmoothMap:
 
     def value(self, p) -> np.ndarray:
         """phi at p (m,), or at each row of p (N, m) as (N, n)."""
-        return np.stack([j.value for j in eval_jet2(self.components, p)], -1)
+        return eval_jet2(self.components, p).value
 
-    def jets(self, p, order: int = 2) -> list[Jet2]:
-        """Jets of the components at p (m,) or at each row of p (N, m),
-        from one pass, to first order when order is 1."""
+    def jets(self, p, order: int = 2) -> Jet2:
+        """The jet of the components at p (m,) or at each row of p (N, m),
+        from one pass, to first order when order is 1: value [..., a],
+        grad [..., a, i] = d phi^a / d x^i, hess [..., a, i, j]."""
         return eval_jet2(self.components, p, order)
 
 
-class DifferentialPoint:
-    """Value, first and second partials of the components at a point, or
-    with a leading point axis at a set of points.  A first-order
-    differential has no second partials: reading them raises
-    HessianNotComputed."""
-
-    __slots__ = ("value", "dphi", "_second")
-
-    def __init__(self, value, dphi, second=None):
-        self.value = value      # (n,) complex, phi(p)
-        self.dphi = dphi        # (n, m) complex, dphi[a, i] = d phi^a / d x^i
-        self._second = second   # (n, m, m) complex, symmetric in the last
-        #                         two slots; None to first order
-
-    @property
-    def second(self) -> np.ndarray:
-        if self._second is None:
-            raise HessianNotComputed(
-                "a first-order differential has no second partials")
-        return self._second
-
-    def __getitem__(self, index):
-        """The differential at the point or points index selects."""
-        return DifferentialPoint(
-            self.value[index], self.dphi[index],
-            None if self._second is None else self._second[index])
-
-
-def differential(phi: SmoothMap, p, order: int = 2) -> DifferentialPoint:
+def differential(phi: SmoothMap, p, order: int = 2) -> Jet2:
     """phi's differential at p (m,) or at each row of p (N, m), from one
-    pass, to first order when order is 1."""
-    js = phi.jets(p, order)
-    return DifferentialPoint(
-        np.stack([j.value for j in js], -1),
-        np.stack([j.grad for j in js], -2),
-        None if order == 1 else np.stack([j.hess for j in js], -3))
+    pass, to first order when order is 1: SmoothMap.jets."""
+    return phi.jets(p, order)
 
 
 class PointData(MetricPoint):
@@ -147,13 +117,13 @@ class PointData(MetricPoint):
         self.phi, self.h = phi, h
 
     @cached_property
-    def diff(self) -> DifferentialPoint:
+    def diff(self) -> Jet2:
         return differential(self.phi, self.p)
 
     @cached_property
     def gram(self) -> np.ndarray:
         """(2,0) Gram matrix M_ab = g^ij d_i phi^a d_j phi^b."""
-        dphi = self.diff.dphi
+        dphi = self.diff.grad
         return dphi @ self.ginv @ np.swapaxes(dphi, -1, -2)
 
     @cached_property
@@ -162,7 +132,7 @@ class PointData(MetricPoint):
 
 
 def share_differential(pds: list[PointData],
-                       order: int = 2) -> DifferentialPoint | None:
+                       order: int = 2) -> Jet2 | None:
     """Give each of pds, point data of one phi, its rows of phi's
     differential at all their points, from one pass (to first order when
     order is 1), and return that differential.  A pass that raises gives
@@ -218,7 +188,7 @@ def isotropy_residual(pd: PointData) -> float:
     the same Gram matrix as :func:`phwc_residual_coord` assembled through a
     different contraction path.
     """
-    v = pd.ginv @ pd.diff.dphi.T           # columns are the raised covectors
+    v = pd.ginv @ pd.diff.grad.T           # columns are the raised covectors
     gram = v.T @ pd.gm @ v
     return float(np.max(np.abs(gram)))
 
@@ -231,7 +201,7 @@ def phwc_residual_commutator(pd: PointData) -> float:
     parts.
     """
     ginv = pd.ginv
-    d = np.vstack([pd.diff.dphi, np.conj(pd.diff.dphi)])  # rows d/dz, d/dzbar
+    d = np.vstack([pd.diff.grad, np.conj(pd.diff.grad)])  # rows d/dz, d/dzbar
     n = pd.h.cdim
     gc = np.zeros((2 * n, 2 * n), dtype=complex)
     gc[:n, n:] = 0.5 * pd.target.hm
@@ -258,7 +228,7 @@ class HWCReport:
 
 def hwc_report(pd: PointData) -> HWCReport:
     """The HWCReport at pd's point, or with arrays over its point axis."""
-    dphi = pd.diff.dphi
+    dphi = pd.diff.grad
     d = np.concatenate([dphi, np.conj(dphi)], axis=-2)  # rows d/dz, d/dzbar
     s = d @ pd.ginv @ np.swapaxes(d, -1, -2)
     # dual-metric coefficients h^{AB} on the frame (dz^a, dzbar^a)
@@ -307,7 +277,7 @@ def tension(pd: PointData) -> TensionPoint:
     """
     if not pd.h.kaehler:
         raise TargetNotKaehler("tension requires a Kaehler-flagged target")
-    return TensionPoint(pd.laplacian(pd.diff.dphi, pd.diff.second)
+    return TensionPoint(pd.laplacian(pd.diff.grad, pd.diff.second)
                         + np.einsum("...abc,...bc->...a", pd.target.gamma,
                                     pd.gram))
 
@@ -327,7 +297,7 @@ def pluriharmonic_residual(pd: PointData) -> float:
     if pd.h is not None:
         if not pd.h.kaehler:
             raise TargetNotKaehler("target correction requires a Kaehler metric")
-        d = jet.wirtinger(pd.diff.dphi)
+        d = jet.wirtinger(pd.diff.grad)
         resid = resid + np.einsum("cde,da,eb->cba", pd.target.gamma,
                                   d[:, :k], d[:, k:])
     return float(np.max(np.abs(resid)))
@@ -356,12 +326,12 @@ def holomorphy_residual(psi: SmoothMap, z) -> float:
     """max |d psi^a / dzbar^b| at a chart point; zero iff psi is holomorphic
     to first order there."""
     x = HermitianMetricField.real_coords(z)
-    d = jet.wirtinger(differential(psi, x).dphi)
+    d = jet.wirtinger(differential(psi, x).grad)
     return float(np.max(np.abs(d[:, psi.domain_dim // 2:])))
 
 
 def antiholomorphy_residual(psi: SmoothMap, z) -> float:
     """max |d psi^a / dz^b| at a chart point."""
     x = HermitianMetricField.real_coords(z)
-    d = jet.wirtinger(differential(psi, x).dphi)
+    d = jet.wirtinger(differential(psi, x).grad)
     return float(np.max(np.abs(d[:, :psi.domain_dim // 2])))

@@ -208,7 +208,7 @@ def test_criterion_6_f_structure_algebra():
             ker_minus = vecs[:, np.abs(w + 1j) < 1e-6]
             worst_isotropy = max(worst_isotropy, float(np.max(np.abs(
                 ker_plus.T @ gm @ ker_plus))) if ker_plus.size else 0.0)
-            v = np.linalg.inv(gm) @ differential(phi, p).dphi.T
+            v = np.linalg.inv(gm) @ differential(phi, p).grad.T
             # the isotropic span generating F sits in the -i tangent
             # eigenspace (+i on covectors); its conjugate in the +i one
             worst_angle = max(worst_angle, principal_angle(ker_minus, v))

@@ -44,14 +44,30 @@ def manifest_text(**overrides):
 def test_builtin_manifests_validate():
     for name, raw in BUILTIN_MANIFESTS.items():
         parsed = parse_manifest(json.dumps(raw))
-        assert parsed["domain"]["dim"] in (2, 4)
+        assert parsed.raw == raw and parsed.phi.domain_dim in (2, 4)
 
 
 def test_builtin_manifests_equal_their_files():
     # verify-paper runs the built-in copies; the README points at the files
     for name in ("example1", "example2"):
         text = (MANIFESTS / f"{name}.json").read_text()
-        assert BUILTIN_MANIFESTS[name] == parse_manifest(text)
+        assert BUILTIN_MANIFESTS[name] == parse_manifest(text).raw
+
+
+@pytest.mark.parametrize("args, parses", [
+    (["check", "example1"], 3),
+    (["flow", str(MANIFESTS / "flow_demo.json")], 2),
+])
+def test_a_manifest_is_walked_once(monkeypatch, tmp_path, args, parses):
+    # one parse per component string: the map's, and the flow's initial
+    texts = []
+
+    def counted(text):
+        texts.append(text)
+        return parse_expr(text)
+    monkeypatch.setattr(cli.jet, "parse_expr", counted)
+    assert main([*args, "--out", str(tmp_path / "report.json")]) == 0
+    assert len(texts) == parses
 
 
 def test_dimension_mismatch_names_field():
@@ -272,8 +288,8 @@ def test_run_checks_evaluates_phi_and_g_once_per_point(monkeypatch):
         assert [tuple(q) for q in batch] == points
     # phi's pass goes to second order, which tension reads; g's stops at
     # the gradient, all that its matrix, inverse and symbols read
-    assert all(j.hess.shape == (4, 2, 2) for j in jets["SmoothMap.jets"])
-    assert all(j.hess is None for row in jets["MetricField.jets"] for j in row)
+    assert jets["SmoothMap.jets"].hess.shape == (4, 3, 2, 2)
+    assert jets["MetricField.jets"].hess is None
     assert calls["SmoothMap.value"] == []
     assert calls["MetricField.matrix"] == []
     assert calls["christoffel_domain"] == []
@@ -315,7 +331,7 @@ def h_passes(monkeypatch):
         jets.append(np.atleast_2d(z))
         out = h_jets(self, z)
         # a pass of h stops at the gradient, all that its readers read
-        assert all(j.hess is None for row in out for j in row)
+        assert out.hess is None
         return out
 
     def bypass(name, orig):
@@ -373,9 +389,9 @@ def test_run_checks_evaluates_curved_h_once_per_point(h_passes, monkeypatch):
 def test_pluriharmonic_check_reads_the_curved_target():
     # phi = z + zbar/2 into h = 1 + |w|^2: the only term left is
     # Gamma(w) dphi/dz dphi/dzbar, of modulus 0.5 |w| / (1 + |w|^2)
-    raw = parse_manifest((MANIFESTS / "curved_target.json").read_text())
+    raw = json.loads((MANIFESTS / "curved_target.json").read_text())
     raw["checks"] = ["pluriharmonic"]
-    report = run_checks(raw)
+    report = run_checks(parse_manifest(json.dumps(raw)))
     assert len(report["records"]) == 3
     for rec in report["records"]:
         x1, x2 = rec["point"]
@@ -774,7 +790,7 @@ def test_a_size_beyond_numpy_exits_2(tmp_path, capsys, command, field):
 @pytest.mark.parametrize("field, block, value, args", [
     ("flow.max_steps", "flow", "x", []),
     ("flow.stop_tol", "flow", None, []),
-    ("flow.energy_backtrack", "flow", "no", []),
+    ("flow.dt", "flow", "x", []),
     ("flow.snapshot", "flow", 1, []),
     ("flow.snapshot", "flow", "<tmp_path>", []),   # a directory
     ("sample.box", "sample", [["a", "b"], [0, 1]], []),
@@ -816,6 +832,13 @@ def test_invalid_field_exits_2_and_names_it(tmp_path, capsys, field, block,
     command = "flow" if block == "flow" else "check"
     assert main([command, str(path), *args]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize("command", ["check", "sweep"])
+def test_no_points_for_checks_exits_2_naming_points(capsys, command):
+    # the rule of sample.count 0 holds for its override too
+    assert main([command, "example1", "--points", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: --points: ")
 
 
 def test_sweep_uses_larger_sample(tmp_path):

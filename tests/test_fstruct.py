@@ -53,7 +53,7 @@ def principal_angle(a, b):
 
 
 def raised_span(phi, g, p):
-    return np.linalg.inv(g.matrix(p)) @ differential(phi, p).dphi.T
+    return np.linalg.inv(g.matrix(p)) @ differential(phi, p).grad.T
 
 
 def varying_metric_r4():
@@ -120,7 +120,7 @@ def test_linear_r4_structure():
     assert fp.rank == 2
     assert fp.basis_zero.shape == (4, 2)
     # oracle: the differential itself has complex rank 1
-    assert np.linalg.matrix_rank(differential(EX2, P4).dphi) == 1
+    assert np.linalg.matrix_rank(differential(EX2, P4).grad) == 1
     assert fp.algebra_residual() < 1e-12
 
 

@@ -437,10 +437,11 @@ def assert_bit_equal(a, b):
 
 def assert_batch_is_pointwise(exprs, points):
     batch = eval_jet2(exprs, points)
-    assert all(j.value.shape == (len(points),) for j in batch)
+    assert batch.value.shape == (len(points), len(exprs))
     for k, p in enumerate(points):
-        for b, alone in zip(batch, eval_jet2(exprs, p)):
-            assert_bit_equal(jet.Jet2(b.value[k], b.grad[k], b.hess[k]), alone)
+        alone = eval_jet2(exprs, p)
+        for i in range(len(exprs)):
+            assert_bit_equal(batch[k, i], alone[i])
 
 
 def catalog_families(rng):
@@ -482,9 +483,23 @@ def test_batch_equals_pointwise_on_every_node_type():
 def test_constant_roots_get_a_point_axis():
     j = eval_jet2([Const(2.0), jet.conj(Const(1j)) * Const(3.0)],
                   np.zeros((4, 2)))
-    assert [x.value.tolist() for x in j] == [[2.0] * 4, [-3j] * 4]
-    assert all(x.grad.shape == (4, 2) and x.hess.shape == (4, 2, 2)
-               and not x.grad.any() and not x.hess.any() for x in j)
+    assert j.value.T.tolist() == [[2.0] * 4, [-3j] * 4]
+    assert j.grad.shape == (4, 2, 2) and j.hess.shape == (4, 2, 2, 2)
+    assert not j.grad.any() and not j.hess.any()
+
+
+def test_a_grid_of_roots_gives_one_jet_with_root_axes():
+    xy = Var(0) * Var(1)
+    grid = [[Var(0), xy], [xy, jet.sin(Var(1))]]
+    points = np.array([[0.3, 0.7], [1.1, -0.4], [-2.0, 0.5]])
+    j = eval_jet2(grid, points)
+    assert j.value.shape == (3, 2, 2) and j.hess.shape == (3, 2, 2, 2, 2)
+    for a in range(2):
+        for b in range(2):
+            assert_bit_equal(j[:, a, b], eval_jet2(grid[a][b], points))
+    assert_bit_equal(j[1], eval_jet2(grid, points[1]))
+    with pytest.raises(TypeError):       # one jet, not a list of them
+        iter(j)
 
 
 def test_values_round_as_python_complex_arithmetic():
@@ -532,10 +547,9 @@ def test_power_overflows_where_python_complex_does(n):
 
 def assert_first_order_is_full_order(exprs, points):
     full, first = eval_jet2(exprs, points), eval_jet2(exprs, points, order=1)
-    for a, b in zip(full, first):
-        assert b.hess is None
-        assert a.value.tobytes() == b.value.tobytes()
-        assert a.grad.tobytes() == b.grad.tobytes()
+    assert first.hess is None
+    assert full.value.tobytes() == first.value.tobytes()
+    assert full.grad.tobytes() == first.grad.tobytes()
 
 
 def test_first_order_pass_equals_full_pass_to_the_gradient():
@@ -571,7 +585,7 @@ def test_reading_second_partials_of_a_first_order_differential_raises():
     phi = SmoothMap(2, 1, [Var(0) ** 2 * Var(1)])
     full = differential(phi, (0.3, 0.5))
     first = differential(phi, (0.3, 0.5), 1)
-    assert first.dphi.tobytes() == full.dphi.tobytes()
+    assert first.grad.tobytes() == full.grad.tobytes()
     for d in (first, differential(phi, np.ones((3, 2)), 1)[1:]):
         with pytest.raises(jet.HessianNotComputed):
             d.second
@@ -608,9 +622,9 @@ def assert_stack_is_lone(trees, points):
     own point alone, in value, gradient and Hessian, bit for bit."""
     stacked = eval_jet2(jet.stack(trees), points)
     for k, (roots, p) in enumerate(zip(trees, points)):
-        for j, alone in zip(stacked, eval_jet2(roots, p)):
-            assert_bit_equal(jet.Jet2(j.value[k], j.grad[k], j.hess[k]),
-                             alone)
+        alone = eval_jet2(roots, p)
+        for i in range(len(roots)):
+            assert_bit_equal(stacked[k, i], alone[i])
 
 
 def test_stack_equals_lone_passes_on_catalog_metrics():

@@ -37,16 +37,16 @@ H1 = HermitianMetricField.flat(1)
 
 def test_differential_of_builtin_maps():
     d = differential(EX1, (0.3, -0.2))
-    assert np.allclose(d.dphi, [[1, 1j]] * 3)
+    assert np.allclose(d.grad, [[1, 1j]] * 3)
     assert np.max(np.abs(d.second)) == 0.0
     d = differential(EX2, (1.0, 2.0, 3.0, 4.0))
-    assert np.allclose(d.dphi, [[1j, 1j, 1, 1]] * 2)
+    assert np.allclose(d.grad, [[1j, 1j, 1, 1]] * 2)
 
 
 def test_differential_constant_map():
     phi = SmoothMap(2, 2, [Const(3.0 + 1j), Const(0.0)])
     d = differential(phi, (0.5, 0.5))
-    assert np.max(np.abs(d.dphi)) == 0.0
+    assert np.max(np.abs(d.grad)) == 0.0
     assert np.max(np.abs(d.second)) == 0.0
 
 
@@ -425,7 +425,7 @@ def test_chain_rule_identity():
         n = 2
         d = wirtinger(jf.grad)
         df_term = d[:n] @ tau + d[n:] @ np.conj(tau)
-        dphi = differential(phi, p).dphi
+        dphi = differential(phi, p).grad
         dphi_full = np.vstack([dphi, np.conj(dphi)])
         hess = wirtinger(wirtinger(jf.hess).T)
         trace_term = np.einsum("AB,Ai,Bi->", hess, dphi_full, dphi_full)

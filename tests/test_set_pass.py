@@ -43,7 +43,7 @@ SET_RESIDUALS = {
     "defect": lambda pd: hwc_report(pd).defect,
     "tension": lambda pd: tension(pd).tau,
     "harmonic": lambda pd: tension(pd).harmonic_residual,
-    "laplacian": lambda pd: pd.laplacian(pd.diff.dphi, pd.diff.second),
+    "laplacian": lambda pd: pd.laplacian(pd.diff.grad, pd.diff.second),
 }
 POINT_RESIDUALS = {
     **SET_RESIDUALS,
@@ -83,9 +83,9 @@ def sampled(count, seed, box):
                                  np.asarray(box, dtype=float))
 
 
-def lone_records(raw, report):
-    """The records of report as each point computes them alone."""
-    manifest = cli.validate_manifest(raw)
+def lone_records(manifest, report):
+    """The records of report, run on manifest, as each point computes them
+    alone."""
     want = []
     for rec in report["records"]:
         pt = fstruct.CheckPoint(manifest.phi, manifest.g,
@@ -115,18 +115,18 @@ def test_an_error_at_one_point_lands_on_its_records_only(where):
         domain["metric"] = [[shifted, "0"], ["0", "1"]]
     else:
         target["hermitian"] = [[shifted]]
-    raw = cli.parse_manifest(json.dumps({
+    manifest = cli.parse_manifest(json.dumps({
         "domain": domain, "target": target,
         "map": {"components": ["x1 + i*x2"]},
         "checks": ["phwc", "isotropy", "commutator", "hwc", "tension",
                    "pluriharmonic"],
         "sample": {"count": 6, "seed": 4, "box": box}}))
-    report = cli.run_checks(raw)
+    report = cli.run_checks(manifest)
     bad = [rec for rec in report["records"] if "error" in rec]
     assert bad and {rec["point_index"] for rec in bad} == {least}
     kind = "MetricNotSPD" if where == "domain" else "MetricNotPD"
     assert all(rec["error"].startswith(kind) for rec in bad)
-    for rec, want in zip(report["records"], lone_records(raw, report)):
+    for rec, want in zip(report["records"], lone_records(manifest, report)):
         assert rec.get("error", rec.get("value")) == want
         assert "error" not in rec or rec["pass"] is False
 
@@ -229,13 +229,13 @@ def test_an_overflowing_residual_is_an_error_not_infinity(tmp_path):
 
 def test_an_overflow_lands_on_the_records_of_its_point_only():
     # |dphi|^2 = (2000 x1^1999)^2 overflows for x1 above about 1.19
-    raw = cli.parse_manifest(json.dumps(
+    manifest = cli.parse_manifest(json.dumps(
         {**OVERFLOW, "sample": {"count": 8, "seed": 2,
                                 "box": [[1.0, 1.42], [0, 1]]}}))
-    report = cli.run_checks(raw)
+    report = cli.run_checks(manifest)
     over = {rec["point_index"] for rec in report["records"] if "error" in rec}
     assert 0 < len(over) < 8
-    for rec, want in zip(report["records"], lone_records(raw, report)):
+    for rec, want in zip(report["records"], lone_records(manifest, report)):
         if np.isfinite(want):
             assert rec["value"] == want
         else:
@@ -283,7 +283,7 @@ def test_first_order_rows_equal_each_lone_point():
     share_differential(shared, order=1)
     for pd in shared:
         lone = PointData(phi, g, pd.p, h)
-        for name in ("value", "dphi"):
+        for name in ("value", "grad"):
             assert getattr(pd.diff, name).tobytes() == \
                 getattr(lone.diff, name).tobytes()
         assert phwc_residual_coord(pd) == phwc_residual_coord(lone)
@@ -360,7 +360,7 @@ def test_share_metric_refuses_fields_of_another_shape():
 
 
 def test_run_checks_builds_the_stencils_of_a_sample_in_one_pass(monkeypatch):
-    raw = cli.parse_manifest(json.dumps({
+    manifest = cli.parse_manifest(json.dumps({
         "domain": {"dim": 4, "metric": [
             ["2 + x1^2" if i == j else "0" for j in range(4)]
             for i in range(4)]},
@@ -382,7 +382,7 @@ def test_run_checks_builds_the_stencils_of_a_sample_in_one_pass(monkeypatch):
 
     monkeypatch.setattr(SmoothMap, "jets", counted_phi)
     monkeypatch.setattr(MetricField, "jets", counted_g)
-    report = cli.run_checks(raw)
+    report = cli.run_checks(manifest)
     # phi to second order at the sample, to first order at the 2m stencil
     # points of all its points; g once over each
     assert phi_passes == [(4, 2), (4 * 8, 1)]
@@ -390,7 +390,7 @@ def test_run_checks_builds_the_stencils_of_a_sample_in_one_pass(monkeypatch):
     monkeypatch.undo()
     errors = [rec for rec in report["records"] if "error" in rec]
     assert len(report["records"]) == 4 * 5 and len(errors) < 4 * 4
-    for rec, want in zip(report["records"], lone_records(raw, report)):
+    for rec, want in zip(report["records"], lone_records(manifest, report)):
         assert rec.get("error", rec.get("value")) == want
 
 
@@ -410,6 +410,6 @@ def test_run_checks_builds_f_once_per_point(monkeypatch):
     for module in (fstruct, cli):    # wherever the name is bound
         if getattr(module, "associated_f_structure", None) is build:
             monkeypatch.setattr(module, "associated_f_structure", counted)
-    report = cli.run_checks(raw)
+    report = cli.run_checks(cli.validate_manifest(raw))
     assert all(rec["pass"] for rec in report["records"])
     assert len(builds) == 4 + 4 * 8
