@@ -28,14 +28,16 @@ The layers, bottom up:
   pluriharmonicity; the coordinate form, the fit and tension also over a
   point axis), and composition with +/-holomorphic maps;
 - ``fstruct``: the associated f-structure, its algebra, ``CheckPoint``
-  (a ``PointData`` that holds F and F's difference stencil, read by every
-  check at the point), the stencils of a sample from one pass
-  (``share_stencils``), Nijenhuis and parallelism defects, the fundamental
-  2-form conditions, and the theorem implication harness, which reads
-  ``CheckPoint``s as ``phwc check`` does;
+  (a ``PointData`` that holds F and F's difference stencil) with
+  ``CHECKS``, the table of checks that read it, the stencils of a sample
+  from one pass (``share_stencils``), Nijenhuis and parallelism defects,
+  the fundamental 2-form conditions, and the theorem implication harness,
+  which reads ``CHECKS`` as ``phwc check`` does;
 - ``flow``: explicit-Euler tension flow on flat torus grids;
+- ``paper``: the sections of the verify-paper bundle, one per group of the
+  paper's claims;
 - ``cli``: the manifest-driven command line (``phwc check|sweep|flow|
-  verify-paper|report``).
+  verify-paper|report``), which parses, validates, runs and emits.
 """
 
 from .jet import (

@@ -54,13 +54,13 @@ def linear_r4_c2() -> SmoothMap:
     return SmoothMap(4, 2, [comp, comp])
 
 
-def holomorphic_polynomial(rng, nvars: int, max_degree: int = 3,
-                           scale: float = 1.0) -> Expr:
-    """Random holomorphic polynomial in z^1..z^nvars with O(scale) coeffs."""
+def holomorphic_polynomial(rng, nvars: int, max_degree: int = 3) -> Expr:
+    """Random holomorphic polynomial in z^1..z^nvars; each coefficient has
+    real and imaginary parts in [-1, 1]."""
     nterms = int(rng.integers(2, 5))
-    e: Expr = Const(rng.uniform(-scale, scale) + 1j * rng.uniform(-scale, scale))
+    e: Expr = Const(rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
     for _ in range(nterms):
-        c = rng.uniform(-scale, scale) + 1j * rng.uniform(-scale, scale)
+        c = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
         powers = rng.integers(0, max_degree + 1, size=nvars)
         while powers.sum() == 0 or powers.sum() > max_degree:
             powers = rng.integers(0, max_degree + 1, size=nvars)
@@ -72,22 +72,22 @@ def holomorphic_polynomial(rng, nvars: int, max_degree: int = 3,
     return e
 
 
-def random_holomorphic_map(rng, n_in: int, n_out: int,
-                           max_degree: int = 3) -> SmoothMap:
-    """Holomorphic polynomial map C^{n_in} -> C^{n_out} on the real chart."""
-    return SmoothMap(2 * n_in, n_out,
-                     [holomorphic_polynomial(rng, n_in, max_degree)
-                      for _ in range(n_out)])
+def random_holomorphic_map(rng, n_in: int, n_out: int) -> SmoothMap:
+    """Holomorphic polynomial map C^{n_in} -> C^{n_out} of degree at most 3
+    on the real chart."""
+    return SmoothMap(2 * n_in, n_out, [holomorphic_polynomial(rng, n_in)
+                                       for _ in range(n_out)])
 
 
-def random_polynomial_map(rng, m: int, n: int, max_degree: int = 2) -> SmoothMap:
-    """Generic (typically non-PHWC) polynomial map R^m -> C^n."""
+def random_polynomial_map(rng, m: int, n: int) -> SmoothMap:
+    """Generic (typically non-PHWC) polynomial map R^m -> C^n, each
+    exponent at most 2."""
     comps = []
     for _ in range(n):
         e: Expr = Const(rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
         for _ in range(int(rng.integers(2, 5))):
             c = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
-            powers = rng.integers(0, max_degree + 1, size=m)
+            powers = rng.integers(0, 3, size=m)
             if powers.sum() == 0:
                 powers[rng.integers(m)] = 1
             term: Expr = Const(c)
@@ -99,15 +99,16 @@ def random_polynomial_map(rng, m: int, n: int, max_degree: int = 2) -> SmoothMap
     return SmoothMap(m, n, comps)
 
 
-def random_polynomial_metric(rng, m: int, amp: float = 0.25) -> MetricField:
-    """SPD metric I + B(x)^T B(x) with small affine B; mild condition number."""
+def random_polynomial_metric(rng, m: int) -> MetricField:
+    """SPD metric I + B(x)^T B(x) with affine B, coefficients in
+    [-1/4, 1/4]; mild condition number."""
     rows = []
     for _ in range(m):
         row = []
         for _ in range(m):
-            e: Expr = Const(rng.uniform(-amp, amp))
+            e: Expr = Const(rng.uniform(-0.25, 0.25))
             for k in range(m):
-                e = e + Const(rng.uniform(-amp, amp)) * Var(k)
+                e = e + Const(rng.uniform(-0.25, 0.25)) * Var(k)
             row.append(e)
         rows.append(row)
     comps = [[Const(1.0 if i == j else 0.0) for j in range(m)] for i in range(m)]

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 MAX_HALVINGS = 20
+COEF_TOL = 1e-13     # grid_to_smooth_map drops smaller Fourier coefficients
 
 
 class StepSizeUnderflow(RuntimeError):
@@ -84,10 +85,6 @@ class GridMap:
         return self.values.ndim - 1
 
     @property
-    def spacing(self):
-        return _spacing(self.dims)
-
-    @property
     def cell_volume(self) -> float:
         return _cell_volume(self.dims)
 
@@ -120,10 +117,6 @@ class GridMap:
             self._target = HermitianPoint(h, self.values.reshape(-1, self.n))
         return self._target
 
-    def node_coordinates(self):
-        """Coordinate arrays, one per axis, broadcastable to dims."""
-        return node_coordinates(self.dims)
-
     @classmethod
     def from_function(cls, dims, fn) -> "GridMap":
         """Sample fn(x1, .., xm) -> scalar or vector on the grid."""
@@ -131,9 +124,6 @@ class GridMap:
         if out.shape == tuple(dims):
             out = out[..., np.newaxis]
         return cls(out)
-
-    def copy(self) -> "GridMap":
-        return GridMap(self.values.copy())
 
 
 def node_coordinates(dims) -> list[np.ndarray]:
@@ -261,7 +251,7 @@ def run_flow(u0: GridMap, h: HermitianMetricField,
         raise ValueError(
             f"dt = {cfg.dt:.3e} violates the stability bound {bound:.3e}")
 
-    u = u0.copy()
+    u = u0            # a state is read-only; each step builds a new one
     dt = cfg.dt
     energy = dirichlet_energy(u, h)
     tau = discrete_tension(u, h)
@@ -304,10 +294,10 @@ def discrete_phwc_residual(u: GridMap) -> float:
     return float(np.max(np.abs(gram)))
 
 
-def grid_to_smooth_map(u: GridMap, coef_tol: float = 1e-13) -> SmoothMap:
+def grid_to_smooth_map(u: GridMap) -> SmoothMap:
     """Trigonometric interpolant of the grid values as a first-class map.
 
-    Fourier coefficients below coef_tol (relative to the largest) are
+    Fourier coefficients below COEF_TOL (relative to the largest) are
     dropped to keep the expression tree small.
     """
     m, n = u.m, u.n
@@ -320,7 +310,7 @@ def grid_to_smooth_map(u: GridMap, coef_tol: float = 1e-13) -> SmoothMap:
         e: Expr = Const(0.0)
         for idx in np.ndindex(*u.dims):
             c = coeffs[idx + (a,)]
-            if abs(c) <= coef_tol * scale:
+            if abs(c) <= COEF_TOL * scale:
                 continue
             ks = [freqs[axis][idx[axis]] for axis in range(m)]
             if all(k == 0 for k in ks):
@@ -341,7 +331,7 @@ def save_snapshot(u: GridMap, path) -> None:
     Header lines (prefixed '#') record the grid shape and target dimension;
     rows are in C order over the grid indices.
     """
-    coords = u.node_coordinates()
+    coords = node_coordinates(u.dims)
     with open(path, "w") as fh:
         fh.write(f"# torus grid {'x'.join(str(N) for N in u.dims)}, "
                  f"target C^{u.n}\n")

@@ -21,7 +21,8 @@ stencil points of a whole sample are evaluated in one first-order pass of
 the map and one of the metric (share_stencils), since F reads first
 partials only.  A CheckPoint holds the point data of one sample point with
 its F and F's stencil, each built once and read by every check there; the
-implication harness and ``phwc check`` both read them.
+implication harness and ``phwc check`` both read them through one table of
+checks, CHECKS.
 
 Pointwise constructions are pure; the implication harness processes its
 samples independently and keeps diagnostics ordered by sample for
@@ -37,8 +38,9 @@ import numpy as np
 from .geometry import (HermitianMetricField, MetricField, MetricPoint,
                        _inverse_checked)
 from .jet import VariableIndexOutOfRange
-from .maps import (PointData, SmoothMap, phwc_residual_coord, share_pass,
-                   tension)
+from .maps import (PointData, SmoothMap, hwc_report, isotropy_residual,
+                   phwc_residual_commutator, phwc_residual_coord,
+                   pluriharmonic_residual, share_pass, tension)
 
 __all__ = [
     "NotPHWCAtPoint",
@@ -54,6 +56,9 @@ __all__ = [
     "dphi_kernel_residual",
     "f_stencil",
     "share_stencils",
+    "CHECKS",
+    "STENCIL_CHECKS",
+    "verdict",
     "nijenhuis_residual",
     "parallel_residual",
     "fundamental_two_form",
@@ -345,6 +350,44 @@ def share_stencils(points: list[CheckPoint]) -> None:
             pt._stencil = err
 
 
+def _hwc(pt: CheckPoint):
+    rep = hwc_report(pt)
+    return rep.defect, {"lambda_sq": rep.lambda_sq}
+
+
+def _fstructure(pt: CheckPoint):
+    return pt.fp.algebra_residual(), {
+        "rank": pt.fp.rank, "dphi_pzero": dphi_kernel_residual(pt, pt.fp)}
+
+
+# The checks of a CheckPoint, as name: (default tol, point -> (value, extra)).
+# Equality residuals default to 1e-10, those read off F's stencil to 1e-6.
+# Each residual is looked up by name per call, so a wrapper rebound to that
+# name in this module sees every call.
+CHECKS = {
+    "phwc": (1e-10, lambda pt: (phwc_residual_coord(pt), {})),
+    "isotropy": (1e-10, lambda pt: (isotropy_residual(pt), {})),
+    "commutator": (1e-10, lambda pt: (phwc_residual_commutator(pt), {})),
+    "hwc": (1e-10, _hwc),
+    "tension": (1e-10, lambda pt: (tension(pt).harmonic_residual, {})),
+    "pluriharmonic": (1e-10, lambda pt: (pluriharmonic_residual(pt), {})),
+    "fstructure": (1e-10, _fstructure),
+    "f_holomorphy": (1e-10, lambda pt: (f_holomorphy_residual(pt, pt.fp), {})),
+    "nijenhuis": (1e-6, lambda pt: (nijenhuis_residual(pt.stencil), {})),
+    "parallel": (1e-6, lambda pt: (parallel_residual(pt.stencil), {})),
+    "domega12": (1e-6, lambda pt: (domega_12_residual(pt.stencil), {})),
+    "met": (1e-6, lambda pt: (met_residual(pt.stencil), {})),
+}
+
+# the checks that read F's difference stencil, in the harness's order
+STENCIL_CHECKS = ("parallel", "nijenhuis", "met", "domega12")
+
+
+def verdict(value, tol: float, negate: bool) -> bool:
+    """A residual passes at most tol, or, negated, above it."""
+    return bool((value > tol) if negate else (value <= tol))
+
+
 def f_stencil(source, g: MetricField | None = None, p=None, *,
               h_step: float = H_STEP) -> FStencil:
     """Evaluate an F-field once at a center p and at each p +/- h e_l.
@@ -533,15 +576,10 @@ def theorem_suite(samples) -> TheoremSuiteReport:
                     continue
 
             try:
-                st = pt.stencil
-                resid = {
-                    "phwc": phwc_residual_coord(pt),
-                    "parallel": parallel_residual(st),
-                    "nijenhuis": nijenhuis_residual(st),
-                    "met": met_residual(st),
-                    "domega12": domega_12_residual(st),
-                    "harmonic": tension(pt).harmonic_residual,
-                }
+                pt.stencil       # a skip reason is raised before any residual
+                resid = {name: CHECKS[name][1](pt)[0]
+                         for name in ("phwc", *STENCIL_CHECKS)}
+                resid["harmonic"] = CHECKS["tension"][1](pt)[0]
             except (NotPHWCAtPoint, RankDeficiencyAmbiguous,
                     RankJumpOnStencil) as err:
                 rec.status = "skipped"

@@ -537,9 +537,6 @@ def im(e) -> Expr:
     return Im(as_expr(e))
 
 
-I = Const(1j)
-
-
 class _Evaluation:
     """One evaluation: the points (N, m), whether it goes to second order,
     and the jet of every node evaluated so far, keyed by node identity.  The

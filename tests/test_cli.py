@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from phwc import catalog, cli, fstruct, geometry, maps
+from phwc import catalog, cli, fstruct, geometry, maps, paper
 from phwc.cli import (
     BUILTIN_MANIFESTS,
     ValidationError,
@@ -225,16 +228,18 @@ def test_verify_paper_loops_make_one_pass_per_point_set(monkeypatch):
 
     for module in (geometry, maps):
         monkeypatch.setattr(module, "eval_jet2", counted(module.__name__))
-    equivalence = cli._phwc_equivalence
 
-    def sweep_passes(*args):
+    def sweep_passes(rng):
         start = len(passes)
-        out = equivalence(*args)
+        out = paper.equivalence(rng)
         sweep.extend(passes[start:])
         del passes[start:]
         return out
 
-    monkeypatch.setattr(cli, "_phwc_equivalence", sweep_passes)
+    # the bundle runs the sections in SECTIONS, so the wrapper goes there
+    monkeypatch.setattr(paper, "SECTIONS", tuple(
+        sweep_passes if section is paper.equivalence else section
+        for section in paper.SECTIONS))
     verify_paper(seed=42)
     # 20 pulled-back and 20 composed maps at 50 points each: one pass of
     # phi (with the pulled-back pluriharmonic function) and one first-order
@@ -257,6 +262,18 @@ def test_verify_paper_loops_make_one_pass_per_point_set(monkeypatch):
     assert sum(phi) == sum(g) == 200
     assert len([size for size in phi if size > 1]) == 2
     assert len(g) == 5
+
+
+def test_paper_does_not_import_the_command_line():
+    # the command line runs the paper's sections, never the other way round
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = [str(root / "src")] + [os.environ.get("PYTHONPATH") or ""]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, phwc.paper; print('phwc.cli' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_run_checks_evaluates_phi_and_g_once_per_point(monkeypatch):
@@ -814,6 +831,14 @@ def test_a_size_beyond_numpy_exits_2(tmp_path, capsys, command, field):
     ("checks[0].rank", "checks", -1, []),
     ("checks[0].rank", "checks", 2.0, []),
     ("checks[0].rank", "checks", None, []),
+    # a key no block knows, a misspelt one above all, is refused
+    ("flow.max_step", "flow", 3, []),
+    ("checks[0].tols", "checks", 1e-3, []),
+    ("domain.metrc", "domain", "euclidean", []),
+    ("target.kahler", "target", True, []),
+    ("map.component", "map", ["x1"], []),
+    ("sample.counts", "sample", 5, []),
+    ("flwo", "$", {"grid": [8, 8]}, []),
 ])
 def test_invalid_field_exits_2_and_names_it(tmp_path, capsys, field, block,
                                             value, args):
@@ -824,6 +849,8 @@ def test_invalid_field_exits_2_and_names_it(tmp_path, capsys, field, block,
         raw = json.loads(manifest_text())
     if block == "checks":
         raw["checks"][0] = {"name": "fstructure", field.split(".")[1]: value}
+    elif block == "$":
+        raw[field] = value
     elif block is not None:
         key = field.split(".")[1]
         raw[block][key] = str(tmp_path) if value == "<tmp_path>" else value
