@@ -73,6 +73,9 @@ from .maps import SmoothMap, share_pass
 
 SCHEMA_VERSION = 1
 
+# Largest domain.dim and target.cdim: dim x dim metric trees are built first
+MAX_DIM = 64
+
 CHECK_NAMES = tuple(CHECKS)
 
 BUILTIN_MANIFESTS = {
@@ -230,8 +233,9 @@ def validate_manifest(raw: dict) -> Manifest:
         raise ValidationError("domain", "missing object with a 'dim' field")
     _known_keys(domain, "domain", ("dim", "metric"))
     dim = domain["dim"]
-    if not _integer(dim) or dim < 1:
-        raise ValidationError("domain.dim", "must be a positive integer")
+    if not _integer(dim) or not 1 <= dim <= MAX_DIM:
+        raise ValidationError("domain.dim",
+                              f"must be an integer in 1..{MAX_DIM}")
     metric = domain.get("metric", "euclidean")
     if isinstance(metric, str):
         if metric != "euclidean":
@@ -247,8 +251,9 @@ def validate_manifest(raw: dict) -> Manifest:
         raise ValidationError("target", "missing object with a 'cdim' field")
     _known_keys(target, "target", ("cdim", "hermitian", "kaehler"))
     cdim = target["cdim"]
-    if not _integer(cdim) or cdim < 1:
-        raise ValidationError("target.cdim", "must be a positive integer")
+    if not _integer(cdim) or not 1 <= cdim <= MAX_DIM:
+        raise ValidationError("target.cdim",
+                              f"must be an integer in 1..{MAX_DIM}")
     hermitian = target.get("hermitian", "flat")
     if isinstance(hermitian, str):
         if hermitian != "flat":

@@ -294,11 +294,20 @@ def discrete_phwc_residual(u: GridMap) -> float:
     return float(np.max(np.abs(gram)))
 
 
+def _sum(terms: list) -> Expr:
+    """The terms added pairwise: a tree log2(len(terms)) levels high."""
+    if len(terms) < 2:
+        return terms[0] if terms else Const(0.0)
+    half = len(terms) // 2
+    return _sum(terms[:half]) + _sum(terms[half:])
+
+
 def grid_to_smooth_map(u: GridMap) -> SmoothMap:
     """Trigonometric interpolant of the grid values as a first-class map.
 
     Fourier coefficients below COEF_TOL (relative to the largest) are
-    dropped to keep the expression tree small.
+    dropped to keep the expression tree small, and the terms are summed
+    pairwise to keep it shallow.
     """
     m, n = u.m, u.n
     coeffs = np.fft.fftn(u.values, axes=tuple(range(m)))
@@ -307,21 +316,21 @@ def grid_to_smooth_map(u: GridMap) -> SmoothMap:
     scale = max(np.max(np.abs(coeffs)), 1e-300)
     components = []
     for a in range(n):
-        e: Expr = Const(0.0)
+        terms = []
         for idx in np.ndindex(*u.dims):
             c = coeffs[idx + (a,)]
             if abs(c) <= COEF_TOL * scale:
                 continue
             ks = [freqs[axis][idx[axis]] for axis in range(m)]
             if all(k == 0 for k in ks):
-                e = e + Const(c)
+                terms.append(Const(c))
                 continue
             arg: Expr = Const(0.0)
             for axis, k in enumerate(ks):
                 if k:
                     arg = arg + Const(float(k)) * Var(axis)
-            e = e + Const(c) * jexp(Const(1j) * arg)
-        components.append(e)
+            terms.append(Const(c) * jexp(Const(1j) * arg))
+        components.append(_sum(terms))
     return SmoothMap(m, n, components)
 
 

@@ -33,6 +33,7 @@ freely between threads.
 from __future__ import annotations
 
 import numbers
+import re as regex
 from dataclasses import dataclass
 from itertools import repeat
 from operator import mul
@@ -719,144 +720,110 @@ def differentiate(e: Expr, i: int) -> Expr:
 #
 #   expr   := term (('+'|'-') term)*
 #   term   := factor (('*'|'/') factor)*
-#   factor := base ('^' int)?
+#   factor := '-' factor | base ('^' int)?
 #   base   := number | 'i' | 'x' int | func '(' expr ')' | '(' expr ')'
 #   func   := sin|cos|exp|conj|re|im
+#
+# A token is a number, a name of letters or any other single character, and
+# an empty one ends the text; whitespace only separates tokens.  The '-' of
+# a negative exponent touches its digits; '-' factor is Expr.__neg__'s tree.
 # ---------------------------------------------------------------------------
 
+# Most levels, of tree or of nesting, in parsed text: a jet pass recurses 2
+# frames a level (3 under bench/tracer.py), the parser 4, of Python's 1000.
+MAX_DEPTH = 200
+
 _FUNCS = {"sin": Sin, "cos": Cos, "exp": Exp, "conj": Conj, "re": Re, "im": Im}
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, ch: str):
-        if not self.take(ch):
-            raise ParseError(f"expected {ch!r}", self.pos)
-
-    def number(self) -> float:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < len(self.text) and self.text[self.pos] == ".":
-            self.pos += 1
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-        if (self.pos < len(self.text) and self.text[self.pos] in "eE"
-                and self.pos + 1 < len(self.text)
-                and (self.text[self.pos + 1].isdigit()
-                     or self.text[self.pos + 1] in "+-")):
-            self.pos += 2
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-        return float(self.text[start:self.pos])
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.take("-"):
-            pass
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            raise ParseError("expected an integer", self.pos)
-        return int(self.text[start:self.pos])
-
-    def word(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        return self.text[start:self.pos]
-
-
-def _parse_expr(s: _Scanner) -> Expr:
-    node = _parse_term(s)
-    while True:
-        if s.take("+"):
-            node = Add(node, _parse_term(s))
-        elif s.take("-"):
-            node = Sub(node, _parse_term(s))
-        else:
-            return node
-
-
-def _parse_term(s: _Scanner) -> Expr:
-    node = _parse_factor(s)
-    while True:
-        if s.take("*"):
-            node = Mul(node, _parse_factor(s))
-        elif s.take("/"):
-            node = Div(node, _parse_factor(s))
-        else:
-            return node
-
-
-def _parse_factor(s: _Scanner) -> Expr:
-    node = _parse_base(s)
-    if s.take("^"):
-        node = Pow(node, s.integer())
-    return node
-
-
-def _parse_base(s: _Scanner) -> Expr:
-    ch = s.peek()
-    if ch == "":
-        raise ParseError("unexpected end of expression", s.pos)
-    if ch.isdigit() or ch == ".":
-        return Const(s.number())
-    if ch == "(":
-        s.expect("(")
-        node = _parse_expr(s)
-        s.expect(")")
-        return node
-    if ch.isalpha():
-        start = s.pos
-        w = s.word()
-        if w == "i":
-            return Const(1j)
-        if w == "x":
-            s.skip_ws()
-            digits = s.pos
-            while s.pos < len(s.text) and s.text[s.pos].isdigit():
-                s.pos += 1
-            if s.pos == digits:
-                raise ParseError("expected a variable index after 'x'", s.pos)
-            index = int(s.text[digits:s.pos])
-            if index < 1:
-                raise ParseError("variable indices start at x1", digits)
-            return Var(index - 1)
-        if w in _FUNCS:
-            s.expect("(")
-            node = _parse_expr(s)
-            s.expect(")")
-            return _FUNCS[w](node)
-        raise ParseError(f"unknown name {w!r}", start)
-    raise ParseError(f"unexpected character {ch!r}", s.pos)
+_TOKEN = regex.compile(r"(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                       r"|(?P<name>[A-Za-z]+)|\S|\Z")
 
 
 def parse_expr(text: str) -> Expr:
-    """Parse expression text; raises :class:`ParseError` with a column."""
-    s = _Scanner(text)
-    node = _parse_expr(s)
-    s.skip_ws()
-    if s.pos != len(s.text):
-        raise ParseError(f"trailing input {s.text[s.pos]!r}", s.pos)
+    """Parse expression text; raises :class:`ParseError` with a column, also
+    for an expression more than MAX_DEPTH levels deep."""
+    tokens = [(m[0], m.start(), m.lastgroup) for m in _TOKEN.finditer(text)]
+    at = 0          # tokens[at] is the next token
+
+    def advance():
+        nonlocal at
+        at += 1
+        return tokens[at - 1]
+
+    def take(tok: str) -> bool:
+        return tokens[at][0] == tok and bool(advance())
+
+    def expect(tok: str):
+        if not take(tok):
+            raise ParseError(f"expected {tok!r}", tokens[at][1])
+
+    def deep(node, height: int, depth: int):    # depth levels above node
+        if depth + height > MAX_DEPTH:
+            raise ParseError(f"expression deeper than {MAX_DEPTH} levels",
+                             tokens[at][1])
+        return node, height
+
+    def expr(depth):
+        node, height = term(depth)
+        while tokens[at][0] in ("+", "-"):
+            kind = Add if advance()[0] == "+" else Sub
+            right, h = term(depth)
+            node, height = deep(kind(node, right), max(height, h) + 1, depth)
+        return node, height
+
+    def term(depth):
+        node, height = factor(depth)
+        while tokens[at][0] in ("*", "/"):
+            kind = Mul if advance()[0] == "*" else Div
+            right, h = factor(depth)
+            node, height = deep(kind(node, right), max(height, h) + 1, depth)
+        return node, height
+
+    def factor(depth):
+        deep(None, 1, depth)        # before recursing any deeper
+        if take("-"):
+            node, height = factor(depth + 1)
+            return deep(-node, height + 1, depth)
+        node, height = base(depth)
+        if not take("^"):
+            return node, height
+        minus = take("-")
+        digits, start, _ = tokens[at]
+        if not digits.isdecimal() or minus and start > tokens[at - 1][1] + 1:
+            raise ParseError("expected an integer",
+                             tokens[at - 1][1] + 1 if minus else start)
+        advance()
+        return deep(Pow(node, -int(digits) if minus else int(digits)),
+                    height + 1, depth)
+
+    def base(depth):
+        tok, start, kind = advance()
+        if kind == "number":
+            return Const(float(tok)), 1
+        if tok == "i":
+            return Const(1j), 1
+        if tok == "x":
+            index, start, _ = advance()
+            if not index.isdecimal():
+                raise ParseError("expected a variable index after 'x'", start)
+            if int(index) < 1:
+                raise ParseError("variable indices start at x1", start)
+            return Var(int(index) - 1), 1
+        if tok == "(" or tok in _FUNCS:
+            if tok != "(":
+                expect("(")
+            node, height = expr(depth + 1)
+            expect(")")
+            return (node, height) if tok == "(" else deep(
+                _FUNCS[tok](node), height + 1, depth)
+        if kind == "name":
+            raise ParseError(f"unknown name {tok!r}", start)
+        raise ParseError(f"unexpected character {tok!r}" if tok
+                         else "unexpected end of expression", start)
+
+    node, _ = expr(0)
+    tok, start, _ = tokens[at]
+    if tok:
+        raise ParseError(f"trailing input {tok[0]!r}", start)
     return node
 
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from phwc import catalog, cli, fstruct, geometry, maps, paper
+from phwc import catalog, cli, fstruct, geometry, jet, maps, paper
 from phwc.cli import (
     BUILTIN_MANIFESTS,
     ValidationError,
@@ -85,6 +85,28 @@ def test_malformed_expression_is_a_parse_diagnostic():
     with pytest.raises(ValidationError) as err:
         parse_manifest(bad)
     assert "column 6" in str(err.value)
+
+
+@pytest.mark.parametrize("text", [
+    "1e+", "2e-", ".",                  # float() of these raised ValueError
+    "(" * 400 + "x1" + ")" * 400,       # RecursionError in the parser,
+    "+".join(["x1"] * 450),             # in the first jet pass
+    "+".join(["x1"] * 1000),            # and in max_var_index
+])
+def test_bad_expression_text_exits_2_naming_it(tmp_path, capsys, text):
+    path = tmp_path / "manifest.json"
+    path.write_text(manifest_text(map={"components": [text]}))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: map.components[0]: ")
+    assert len(text) < 4 or f"deeper than {jet.MAX_DEPTH} levels" in err
+
+
+def test_a_150_term_sum_still_runs(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(manifest_text(
+        map={"components": ["+".join(["(x1 + i*x2)"] * 150)]}))
+    assert main(["check", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_unknown_check_lists_valid_names():
@@ -839,6 +861,9 @@ def test_a_size_beyond_numpy_exits_2(tmp_path, capsys, command, field):
     ("map.component", "map", ["x1"], []),
     ("sample.counts", "sample", 5, []),
     ("flwo", "$", {"grid": [8, 8]}, []),
+    # a metric of 10**6 x 10**6 trees is never built
+    ("domain.dim", "domain", 10**6, []),
+    ("target.cdim", "target", 10**6, []),
 ])
 def test_invalid_field_exits_2_and_names_it(tmp_path, capsys, field, block,
                                             value, args):

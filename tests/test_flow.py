@@ -376,13 +376,16 @@ def test_flow_curved_target_energy_monotone():
 # --------------------------------------------------------------------------
 
 def test_interpolant_reproduces_node_values():
-    rng = np.random.default_rng(35)
-    u = GridMap((rng.standard_normal((6, 6, 1))
-                 + 1j * rng.standard_normal((6, 6, 1))) * 0.3)
-    smooth = grid_to_smooth_map(u)
-    for idx in [(0, 0), (2, 5), (4, 1)]:
-        p = (2 * np.pi * idx[0] / 6, 2 * np.pi * idx[1] / 6)
-        assert abs(smooth.value(p)[0] - u.values[idx + (0,)]) < 1e-12
+    # 32 x 32 is the flow_demo grid: its 1024 terms, added one by one, made
+    # a tree too deep to evaluate
+    for n in (6, 32):
+        rng = np.random.default_rng(35)
+        u = GridMap((rng.standard_normal((n, n, 1))
+                     + 1j * rng.standard_normal((n, n, 1))) * 0.3)
+        smooth = grid_to_smooth_map(u)
+        for idx in [(0, 0), (2, 5), (4, 1), (n - 1, n - 2)]:
+            p = (2 * np.pi * idx[0] / n, 2 * np.pi * idx[1] / n)
+            assert abs(smooth.value(p)[0] - u.values[idx + (0,)]) < 1e-12
 
 
 def test_snapshot_roundtrip(tmp_path):

@@ -357,6 +357,81 @@ def test_parse_scientific_number():
     assert np.isclose(eval_jet2(e, (0.0,)).value, 0.015)
 
 
+def tree(e):
+    """The structure of a tree: node types, Var indices, Pow exponents and
+    literal values."""
+    if isinstance(e, (Const, Var)):
+        return type(e).__name__, getattr(e, "value", getattr(e, "index", 0))
+    if isinstance(e, jet.Pow):
+        return "Pow", e.n, tree(e.base)
+    if isinstance(e, jet._Binary):
+        return type(e).__name__, tree(e.left), tree(e.right)
+    return type(e).__name__, tree(e.arg)
+
+
+x1 = Var(0)
+
+
+@pytest.mark.parametrize("text, built, value", [
+    ("-x1", jet.Sub(Const(0.0), x1), -0.5),     # the tree of Expr.__neg__
+    ("2*-x1", 2 * -x1, -1.0),
+    ("(-1.5)", -Const(1.5), -1.5),
+    ("x1 - -2", x1 - -Const(2), 2.5),
+    ("--x1", -(-x1), 0.5),
+    ("-x1^2", -(x1 ** 2), -0.25),          # -(x1^2), not (-x1)^2
+    ("x1^-2", x1 ** -2, 4.0),              # an exponent, not a unary minus
+    ("- sin(x1)/2", -jet.sin(x1) / 2, -np.sin(0.5) / 2),
+])
+def test_unary_minus(text, built, value):
+    e = parse_expr(text)
+    assert tree(e) == tree(built)
+    assert eval_jet2(e, (0.5,)).value == value
+
+
+@pytest.mark.parametrize("text, message, column", [
+    ("1e+", "trailing input 'e'", 2),
+    ("2e-", "trailing input 'e'", 2),
+    (".", "unexpected character '.'", 1),
+    ("x1^- 2", "expected an integer", 5),    # the '-' touches its digits
+    ("x0", "variable indices start at x1", 2),
+    ("x1.5", "expected a variable index after 'x'", 2),
+    ("x1^2.5", "expected an integer", 4),
+    ("sin x1", "expected '('", 5),
+    ("(x1", "expected ')'", 4),
+    ("x1 +", "unexpected end of expression", 5),
+])
+def test_parse_errors_name_a_column(text, message, column):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text)
+    assert str(err.value) == f"{message} (column {column})"
+
+
+def test_whitespace_separates_tokens_only():
+    assert tree(parse_expr(" x 1 ^ -2 * ( 1.5e-2 )")) == tree(
+        x1 ** -2 * Const(0.015))
+
+
+@pytest.mark.parametrize("text, deep", [
+    ("(" * 199 + "x1" + ")" * 199, False),
+    ("(" * 200 + "x1" + ")" * 200, True),
+    ("sin(" * 199 + "x1" + ")" * 199, False),
+    ("-" * 199 + "x1", False),
+    ("-" * 200 + "x1", True),
+    ("+".join(["x1"] * 200), False),
+    ("+".join(["x1"] * 201), True),
+    ("*".join(["x1"] * 201), True),
+    ("(" * 400 + "x1" + ")" * 400, True),
+    ("+".join(["x1"] * 1000), True),
+])
+def test_depth_limit(text, deep):
+    assert jet.MAX_DEPTH == 200
+    if deep:
+        with pytest.raises(ParseError, match="deeper than 200 levels"):
+            parse_expr(text)
+    else:
+        eval_jet2(parse_expr(text), (0.5,))
+
+
 # --------------------------------------------------------------------------
 # Wirtinger view
 # --------------------------------------------------------------------------

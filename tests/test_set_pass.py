@@ -107,8 +107,8 @@ def test_an_error_at_one_point_lands_on_its_records_only(where):
     xs = sampled(6, 4, box)[:, 0]
     least = int(np.argmin(xs))
     assert 0 < least < 5     # a check of the first or last point misses it
-    # below 0 at the point of least x1 only; the grammar has no unary minus
-    shifted = f"x1 + 2 - {float(np.mean(np.sort(xs)[:2])) + 2!r}"
+    # below 0 at the point of least x1 only
+    shifted = f"x1 - {float(np.mean(np.sort(xs)[:2]))!r}"
     domain = {"dim": 2, "metric": "euclidean"}
     target = {"cdim": 1, "hermitian": "flat", "kaehler": True}
     if where == "domain":
