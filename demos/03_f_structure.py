@@ -47,7 +47,7 @@ print(f"  rank {fp4.rank} on R^4: the kernel of F has real dimension "
       f"{4 - fp4.rank}")
 print(f"  dphi kills the 0-eigenspace: |dphi Pzero| = "
       f"{dphi_kernel_residual(pd4, fp4):.2e}")
-st4 = f_stencil(pd4)   # F at p4 and at p4 +/- h e_l, built once
+st4 = f_stencil(pd4)   # F at p4 with its exact first derivatives
 print(f"  parallel residual  {parallel_residual(st4):.2e}")
 print(f"  nijenhuis residual {nijenhuis_residual(st4):.2e}\n")
 

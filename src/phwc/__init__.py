@@ -28,11 +28,11 @@ The layers, bottom up:
   pluriharmonicity; the coordinate form, the fit and tension also over a
   point axis), and composition with +/-holomorphic maps;
 - ``fstruct``: the associated f-structure, its algebra, ``CheckPoint``
-  (a ``PointData`` that holds F and F's difference stencil) with
-  ``CHECKS``, the table of checks that read it, the stencils of a sample
-  from one pass (``share_stencils``), Nijenhuis and parallelism defects,
-  the fundamental 2-form conditions, and the theorem implication harness,
-  which reads ``CHECKS`` as ``phwc check`` does;
+  (a ``PointData`` that holds F and F's exact first derivatives, read off
+  its own jets) with ``CHECKS``, the table of checks that read it,
+  Nijenhuis and parallelism defects, the fundamental 2-form conditions,
+  and the theorem implication harness, which reads ``CHECKS`` as ``phwc
+  check`` does;
 - ``flow``: explicit-Euler tension flow on flat torus grids;
 - ``paper``: the sections of the verify-paper bundle, one per group of the
   paper's claims;
@@ -103,7 +103,6 @@ from .fstruct import (
     RankJumpOnStencil,
     SuiteSample,
     associated_f_structure,
-    constant_f_field,
     domega_12_residual,
     dphi_kernel_residual,
     f_holomorphy_residual,
@@ -112,7 +111,6 @@ from .fstruct import (
     met_residual,
     nijenhuis_residual,
     parallel_residual,
-    share_stencils,
     theorem_suite,
 )
 from .flow import (

@@ -59,12 +59,10 @@ from .flow import (
 )
 from .fstruct import (
     CHECKS,
-    STENCIL_CHECKS,
     CheckPoint,
     NotPHWCAtPoint,
     RankDeficiencyAmbiguous,
     RankJumpOnStencil,
-    share_stencils,
     verdict,
 )
 from .geometry import GeometryError, HermitianMetricField, MetricField
@@ -203,17 +201,16 @@ def parse_manifest(text: str) -> Manifest:
 @dataclass
 class Manifest:
     """What validate_manifest builds from a manifest, its defaults filled
-    in: the geometry and the map; the sample box, the F-stencil step h_step
-    read off it, the sample count and the seed (0 when there is none); a
-    (name, tol, negate, rank) tuple per check, rank None when no F rank is
-    expected; and the flow block as (initial map, grid shape, FlowConfig,
-    snapshot path or None), or None.  raw is the manifest, for its hash."""
+    in: the geometry and the map; the sample box, the sample count and the
+    seed (0 when there is none); a (name, tol, negate, rank) tuple per
+    check, rank None when no F rank is expected; and the flow block as
+    (initial map, grid shape, FlowConfig, snapshot path or None), or None.
+    raw is the manifest, for its hash."""
     raw: dict
     g: MetricField
     h: HermitianMetricField
     phi: SmoothMap
     box: np.ndarray
-    h_step: float
     count: int
     seed: int
     checks: list[tuple]
@@ -306,6 +303,9 @@ def validate_manifest(raw: dict) -> Manifest:
         if not isinstance(negate, bool):
             raise ValidationError(f"checks[{idx}].negate", "must be a boolean")
         rank = entry.get("rank")
+        if "rank" in entry and name != "fstructure":
+            raise ValidationError(f"checks[{idx}].rank",
+                                  "only the fstructure check takes a rank")
         if "rank" in entry and (not _integer(rank) or rank < 0):
             raise ValidationError(f"checks[{idx}].rank",
                                   "must be a non-negative integer")
@@ -380,9 +380,8 @@ def validate_manifest(raw: dict) -> Manifest:
             raise ValidationError("flow.snapshot",
                                   "must be a file path string")
         flow = initial, tuple(grid), cfg, snapshot
-    return Manifest(raw, g, h, phi, box,
-                    1e-4 * float(np.max(box[:, 1] - box[:, 0])), count,
-                    0 if seed is None else seed, entries, flow)
+    return Manifest(raw, g, h, phi, box, count, 0 if seed is None else seed,
+                    entries, flow)
 
 
 def _load_manifest_arg(arg: str) -> Manifest:
@@ -490,8 +489,8 @@ def run_checks(manifest: Manifest, seed: int | None = None,
         field = "sample.count" if use_count == manifest.count else "--points"
         raise ValidationError(field, f"{use_count} sample points do not fit "
                                      "in memory") from err
-    pts = [CheckPoint(manifest.phi, manifest.g, point, manifest.h,
-                      manifest.h_step) for point in points]
+    pts = [CheckPoint(manifest.phi, manifest.g, point, manifest.h)
+           for point in points]
     with np.errstate(all="ignore"):
         share_pass(pts)
     # a target that claims to be Kaehler is gated on sampled images; a
@@ -508,9 +507,6 @@ def run_checks(manifest: Manifest, seed: int | None = None,
                 f"{kr:.3e} at the image of {list(pt.p)}")
     entries = [(name, float((tol_overrides or {}).get(name, tol)), *rest)
                for name, tol, *rest in manifest.checks]
-    if any(name in STENCIL_CHECKS for name, *_ in entries):
-        with np.errstate(all="ignore"):
-            share_stencils(pts)
 
     records = []
     for p_idx, pt in enumerate(pts):

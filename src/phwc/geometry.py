@@ -223,10 +223,10 @@ def _share_rows(whole, parts, names) -> None:
 class MetricPoint:
     """g at a point p (m,), or at each point of a set p (N, m) with a
     leading point axis on every quantity, from one jet pass of its
-    components: the checked matrix gm, its checked inverse ginv and the
-    Levi-Civita symbols gamma, each computed on first use; one that fails
-    raises in its readers only.  A lone point may hold rows of a set (see
-    maps.share_pass)."""
+    components: the checked matrix gm, its checked inverse ginv, its
+    partials dg and the Levi-Civita symbols gamma, each computed on first
+    use; one that fails raises in its readers only.  A lone point may hold
+    rows of a set (see maps.share_pass)."""
 
     def __init__(self, g: MetricField, p):
         self.g, self.p = g, np.asarray(p, dtype=float)
@@ -246,11 +246,15 @@ class MetricPoint:
         return _inverse_checked(self.gm, "domain metric")
 
     @cached_property
+    def dg(self) -> np.ndarray:
+        """The partials d_l g_ij, indexed [..., l, i, j]."""
+        return np.ascontiguousarray(np.moveaxis(self._jets.grad.real, -1, -3))
+
+    @cached_property
     def gamma(self) -> np.ndarray:
         """Levi-Civita symbols, indexed [..., k, i, j]; see
         christoffel_domain."""
-        # d_l g_ij at [..., l, i, j]
-        dg = np.ascontiguousarray(np.moveaxis(self._jets.grad.real, -1, -3))
+        dg = self.dg
         sym = (np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg)
                - np.einsum("...lij->...lij", dg))
         return 0.5 * np.einsum("...kl,...lij->...kij", self.ginv, sym)

@@ -524,8 +524,7 @@ def test_stencil_checks_equal_standalone_functions():
         elif rec["check"] == "f_holomorphy":
             want = fstruct.f_holomorphy_residual(pd, fp)
         else:
-            st = fstruct.f_stencil(pd, h_step=4e-4)  # 1e-4 * box
-            want = standalone[rec["check"]](st)
+            want = standalone[rec["check"]](fstruct.f_stencil(pd))
         assert rec["value"] == want
 
 
@@ -853,6 +852,8 @@ def test_a_size_beyond_numpy_exits_2(tmp_path, capsys, command, field):
     ("checks[0].rank", "checks", -1, []),
     ("checks[0].rank", "checks", 2.0, []),
     ("checks[0].rank", "checks", None, []),
+    # a rank on a check other than fstructure is not ignored
+    ("checks[0].rank", "checks", {"name": "phwc", "rank": 5}, []),
     # a key no block knows, a misspelt one above all, is refused
     ("flow.max_step", "flow", 3, []),
     ("checks[0].tols", "checks", 1e-3, []),
@@ -873,7 +874,8 @@ def test_invalid_field_exits_2_and_names_it(tmp_path, capsys, field, block,
     else:
         raw = json.loads(manifest_text())
     if block == "checks":
-        raw["checks"][0] = {"name": "fstructure", field.split(".")[1]: value}
+        raw["checks"][0] = value if isinstance(value, dict) else {
+            "name": "fstructure", field.split(".")[1]: value}
     elif block == "$":
         raw[field] = value
     elif block is not None:

@@ -3,15 +3,14 @@ import pytest
 
 from phwc import catalog
 from phwc.fstruct import (
-    POINT_ERRORS,
     CheckPoint,
+    FStencil,
     FStructurePoint,
     NotPHWCAtPoint,
     RankDeficiencyAmbiguous,
     RankJumpOnStencil,
     SuiteSample,
     associated_f_structure,
-    constant_f_field,
     domega_12_residual,
     dphi_kernel_residual,
     f_holomorphy_residual,
@@ -20,11 +19,10 @@ from phwc.fstruct import (
     met_residual,
     nijenhuis_residual,
     parallel_residual,
-    share_stencils,
     theorem_suite,
 )
-from phwc.geometry import MetricField
-from phwc.jet import Const, DivisionNearZero, Var, exp, sin
+from phwc.geometry import MetricField, MetricPoint
+from phwc.jet import Const, Var, cos, exp, sin
 from phwc.maps import PointData, SmoothMap, compose, differential
 
 EX1 = catalog.immersion_r2_c3()
@@ -33,6 +31,10 @@ G2 = MetricField.euclidean(2)
 G4 = MetricField.euclidean(4)
 P2 = (0.3, 0.5)
 P4 = (1.0, 2.0, 0.5, -1.0)
+# the standard complex structure of R^4 and a second one anticommuting
+# with it, the quaternionic pair
+J1 = np.array([[0., -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+J2 = np.array([[0., 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
 
 
 def orth(a, tol=1e-10):
@@ -80,14 +82,38 @@ def quaternionic_twist_field():
     J1, J2 are the anticommuting quaternionic complex structures, so the
     combination squares to -Id for every x1; it is genuinely non-integrable.
     """
-    j1 = np.array([[0., -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-    j2 = np.array([[0., 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
-
     def field(x):
         c, s = np.cos(x[0]), np.sin(x[0])
-        return FStructurePoint.from_matrix(c * j1 + s * j2, np.eye(4))
+        return FStructurePoint.from_matrix(c * J1 + s * J2, np.eye(4))
 
     return field
+
+
+def quaternionic_twist_stencil(p):
+    """The twisted field at p under the flat metric, with its analytic
+    derivative d_1 F = -sin(x1) J1 + cos(x1) J2."""
+    p = np.asarray(p, dtype=float)
+    df = np.zeros((4, 4, 4))
+    df[0] = -np.sin(p[0]) * J1 + np.cos(p[0]) * J2
+    return FStencil(MetricPoint(G4, p), quaternionic_twist_field()(p), df)
+
+
+def constant_stencil(f_mat, g, p):
+    """A hand-built F, the same matrix at every point, under g."""
+    at = MetricPoint(g, p)
+    return FStencil(at, FStructurePoint.from_matrix(f_mat, at.gm),
+                    np.zeros((len(f_mat),) * 3))
+
+
+def central_differences(phi, g, p, quantity, h=1e-5):
+    """d_l quantity(F) at p, stacked along l, by central differences of the
+    associated f-structure built afresh at p +/- h e_l: the independent
+    oracle of the exact first-order jet of F."""
+    p = np.asarray(p, dtype=float)
+    return np.array([
+        (quantity(associated_f_structure(PointData(phi, g, p + e)))
+         - quantity(associated_f_structure(PointData(phi, g, p - e))))
+        / (2 * h) for e in h * np.eye(len(p))])
 
 
 # --------------------------------------------------------------------------
@@ -203,10 +229,7 @@ def test_f_holomorphy_of_random_composites():
 
 def test_nijenhuis_constant_fields():
     assert nijenhuis_residual(f_stencil(PointData(EX1, G2, P2))) <= 1e-10
-    j_std = np.array([[0., -1, 0, 0], [1, 0, 0, 0],
-                      [0, 0, 0, -1], [0, 0, 1, 0]])
-    field = constant_f_field(j_std, G4)
-    assert nijenhuis_residual(f_stencil(field, G4, P4)) <= 1e-12
+    assert nijenhuis_residual(constant_stencil(J1, G4, P4)) <= 1e-12
 
 
 def test_nijenhuis_of_holomorphic_family():
@@ -217,7 +240,6 @@ def test_nijenhuis_of_holomorphic_family():
     comp = compose(psi, EX1)
     pd = PointData(comp, G2, (0.7, 0.2))
     assert nijenhuis_residual(f_stencil(pd)) <= 1e-6
-    assert nijenhuis_residual(f_stencil(pd, h_step=0.5e-4)) <= 1e-6
 
 
 def bracket_nijenhuis_oracle(field, p, h=1e-5):
@@ -255,7 +277,7 @@ def bracket_nijenhuis_oracle(field, p, h=1e-5):
 def test_nijenhuis_against_bracket_oracle():
     field = quaternionic_twist_field()
     for p in [np.array([0.3, 0.0, 0.0, 0.0]), np.array([-0.8, 1.0, 0.2, 0.5])]:
-        got = nijenhuis_residual(f_stencil(field, G4, p, h_step=1e-5))
+        got = nijenhuis_residual(quaternionic_twist_stencil(p))
         want = bracket_nijenhuis_oracle(field, p)
         assert want > 0.1            # the twisted structure is not integrable
         assert abs(got - want) < 1e-6 * max(1.0, want)
@@ -311,9 +333,9 @@ def test_parallel_implies_integrable_on_suite():
 
 
 def test_parallel_nonzero_for_twisted_field():
-    field = quaternionic_twist_field()
     # d F / d x1 has unit-size entries, so the defect is order one
-    assert parallel_residual(f_stencil(field, G4, (0.2, 0.0, 0.0, 0.0))) > 0.5
+    st = quaternionic_twist_stencil((0.2, 0.0, 0.0, 0.0))
+    assert parallel_residual(st) > 0.5
 
 
 # --------------------------------------------------------------------------
@@ -329,7 +351,7 @@ def test_two_form_immersion():
 
 def test_two_form_conformal_metric():
     # omega_12 = -e^{2 x1} while every 3-form on R^2 vanishes; checks the
-    # differencing stencil against the hand value
+    # derivatives of g F against the hand value
     g = MetricField.conformal(2, exp(Const(2.0) * Var(0)))
     p = (0.25, -0.4)
     tf = fundamental_two_form(f_stencil(PointData(EX1, g, p)))
@@ -339,8 +361,8 @@ def test_two_form_conformal_metric():
 
 def test_two_form_antisymmetries():
     g = varying_metric_r4()
-    tf = fundamental_two_form(
-        f_stencil(PointData(EX2, g, (0.4, -0.2, 0.7, 0.1)), h_step=1e-3))
+    tf = fundamental_two_form(f_stencil(PointData(EX2, g,
+                                                  (0.4, -0.2, 0.7, 0.1))))
     assert np.allclose(tf.omega, -tf.omega.T, atol=1e-12)
     d = tf.domega
     assert np.allclose(d, -np.einsum("jik->ijk", d), atol=1e-9)
@@ -349,10 +371,7 @@ def test_two_form_antisymmetries():
 
 def test_domega12_constant_cases():
     assert domega_12_residual(f_stencil(PointData(EX2, G4, P4))) <= 1e-10
-    j_std = np.array([[0., -1, 0, 0], [1, 0, 0, 0],
-                      [0, 0, 0, -1], [0, 0, 1, 0]])
-    field = constant_f_field(j_std, G4)
-    assert domega_12_residual(f_stencil(field, G4, P4)) <= 1e-12
+    assert domega_12_residual(constant_stencil(J1, G4, P4)) <= 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -362,9 +381,9 @@ def test_domega12_constant_cases():
 def test_met_vacuous_cases():
     # flat, constant frames
     assert met_residual(f_stencil(PointData(EX2, G4, P4))) <= 1e-10
-    fp_full = quaternionic_twist_field()
     # rank 4
-    assert met_residual(f_stencil(fp_full, G4, (0.3, 0.0, 0.0, 0.0))) == 0.0
+    assert met_residual(quaternionic_twist_stencil((0.3, 0.0, 0.0, 0.0))) \
+        == 0.0
 
 
 def met_adapted_oracle(g, p, step=1e-6):
@@ -404,8 +423,8 @@ def test_met_block_metrics(perturb):
         assert oracle <= 1e-8 and got <= 1e-8
 
 
-def test_met_reads_each_stencil_points_inverse(monkeypatch):
-    # every FStructurePoint keeps the checked g^-1 of the PointData it was
+def test_met_reads_the_centers_inverse(monkeypatch):
+    # the FStructurePoint keeps the checked g^-1 of the PointData it was
     # built from, so met_residual inverts no metric of its own
     g = MetricField.diagonal([Const(1.0), Const(1.0),
                               Const(1.0) + Const(0.2) * Var(0),
@@ -425,24 +444,92 @@ def test_met_reads_each_stencil_points_inverse(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# stencil consistency
+# the exact jet of F against central differences
 # --------------------------------------------------------------------------
 
-def test_stencil_consistency_under_halving():
+ONE, ZERO = Const(1.0), Const(0.0)
+X = [Var(i) for i in range(6)]
+
+
+def chart(*pairs):
+    return [X[a] + Const(1j) * X[b] for a, b in pairs]
+
+
+def tilted_metric():
+    """[[1+c^2, 0, c, 0], [0, 1, 0, 0], [c, 0, 1, 0], [0, 0, 0, 1]] with
+    c = 0.4 sin x3: the Schur complement of the (x1, x2) block is the
+    identity, so x1 + i x2 stays PHWC while F tilts with x3."""
+    c = Const(0.4) * sin(X[2])
+    return MetricField(4, [[ONE + c * c, ZERO, c, ZERO],
+                           [ZERO, ONE, ZERO, ZERO],
+                           [c, ZERO, ONE, ZERO],
+                           [ZERO, ZERO, ZERO, ONE]])
+
+
+def twisted_metric():
+    """[[I4 + C C^T, C], [C^T, I2]] on R^6 with C a 4 x 2 matrix of
+    functions of x1..x4: the projection to (x1 + i x2, x3 + i x4) is a
+    harmonic PHWC map whose F is neither integrable nor parallel."""
+    c = [[Const(0.3) * X[2], ZERO], [ZERO, Const(0.3) * X[0]],
+         [Const(0.2) * sin(X[1]), Const(0.1) * X[3]],
+         [ZERO, Const(0.2) * cos(X[0])]]
+
+    def entry(i, j):
+        if i < 4 and j < 4:
+            return (ONE if i == j else ZERO) + c[i][0] * c[j][0] \
+                + c[i][1] * c[j][1]
+        if i < 4 or j < 4:
+            return c[min(i, j)][max(i, j) - 4]
+        return ONE if i == j else ZERO
+
+    return MetricField(6, [[entry(i, j) for j in range(6)] for i in range(6)])
+
+
+# name: (phi, g, the residuals that vanish identically on the family)
+FAMILIES = {
+    "hermitian_chart": (SmoothMap(4, 2, chart((0, 1), (2, 3))),
+                        MetricField.conformal(4, Const(2.0) + X[0] ** 2),
+                        ("nijenhuis", "met")),
+    "tilted_projection": (SmoothMap(4, 1, chart((0, 1))), tilted_metric(),
+                          ("nijenhuis", "domega12")),
+    "twisted_submersion": (SmoothMap(6, 2, chart((0, 1), (2, 3))),
+                           twisted_metric(), ("met", "domega12")),
+    "ex2_varying_metric": (EX2, varying_metric_r4(), ("domega12",)),
+}
+RESIDUALS = {"nijenhuis": nijenhuis_residual, "parallel": parallel_residual,
+             "domega12": domega_12_residual, "met": met_residual}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_exact_jet_agrees_with_central_differences(family):
+    phi, g, zeros = FAMILIES[family]
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        p = rng.uniform(-1, 1, phi.domain_dim)
+        st = f_stencil(PointData(phi, g, p))
+        fd = central_differences(phi, g, p, lambda fp: fp.F)
+        assert np.max(np.abs(st.dF - fd)) <= 1e-8
+        d_gf = st.at.dg @ st.center.F + st.center.gm @ st.dF
+        fd_gf = central_differences(phi, g, p, lambda fp: fp.gm @ fp.F)
+        assert np.max(np.abs(d_gf - fd_gf)) <= 1e-8
+        oracle = FStencil(st.at, st.center, fd)
+        for name, residual in RESIDUALS.items():
+            assert abs(residual(st) - residual(oracle)) <= 1e-8, name
+            if name in zeros:
+                assert residual(st) <= 1e-14, name
+            else:
+                assert residual(st) > 1e-3, name
+
+
+def test_central_differences_converge_to_the_exact_jet():
+    # the oracle's error falls by 4 per halving of the step: second order
     g = varying_metric_r4()
     p = np.array([0.4, -0.2, 0.7, 0.1])
-    st = {h: f_stencil(PointData(EX2, g, p), h_step=h)
-          for h in (0.1, 0.05, 0.025)}
-    r = [nijenhuis_residual(st[h]) for h in (0.1, 0.05, 0.025)]
-    d1, d2 = abs(r[1] - r[0]), abs(r[2] - r[1])
-    assert d2 <= 0.6 * d1
-    # parallel/met values converge rapidly; verify stability directly
-    r = [parallel_residual(st[h]) for h in (0.1, 0.05)]
-    assert abs(r[1] - r[0]) <= 1e-6 * max(1.0, r[0])
-    r = [met_residual(st[h]) for h in (0.1, 0.05)]
-    assert abs(r[1] - r[0]) <= 1e-4 * max(1.0, r[0])
-    r = [domega_12_residual(st[h]) for h in (0.1, 0.05)]
-    assert max(r) <= 1e-8 or abs(r[1] - r[0]) <= 0.6 * abs(r[0])
+    exact = f_stencil(PointData(EX2, g, p)).dF
+    err = [np.max(np.abs(central_differences(EX2, g, p, lambda fp: fp.F, h)
+                         - exact)) for h in (0.1, 0.05, 0.025)]
+    assert err[0] > 1e-5
+    assert err[1] <= 0.3 * err[0] and err[2] <= 0.3 * err[1]
 
 
 # --------------------------------------------------------------------------
@@ -494,7 +581,7 @@ def test_theorem_suite_builds_one_stencil_per_point(monkeypatch):
     report = theorem_suite([SuiteSample(
         "linear_c2", EX2, G4, HermitianMetricField.flat(2), [P4])])
     assert report.checked == 1
-    assert len(calls) == 2 * 4 + 1   # center and p +/- h e_l, once each
+    assert len(calls) == 1     # the center; its derivatives build no F
 
 
 def test_theorem_suite_evaluates_g_once_per_point(monkeypatch):
@@ -524,14 +611,10 @@ def test_theorem_suite_evaluates_g_once_per_point(monkeypatch):
     report = theorem_suite([SuiteSample(
         "linear_c2", EX2, G4, HermitianMetricField.flat(2), points)])
     assert report.checked == 2
-    # one jet pass of g over the sample points and one over the p +/- h e_l
-    # of every center, which together cover every point once
-    assert len(jets) == 2
-    rows = [tuple(q) for batch in jets for q in batch]
-    assert len(rows) == len(set(rows)) == 2 * (2 * 4 + 1)
-    # the same for phi: to second order at the centers, which tension
-    # reads, and to first order at the stencil points
-    assert phi_orders == [(2, 2), (2 * 2 * 4, 1)]
+    # one jet pass of g and one of phi, to second order, over the sample
+    # points: tension and F's derivatives read nothing else
+    assert [len(batch) for batch in jets] == [2]
+    assert phi_orders == [(2, 2)]
     # kaehler, phwc, tension and the stencil center share one PointData
     assert sorted(centers) == sorted(tuple(map(float, q)) for q in points)
 
@@ -564,24 +647,10 @@ def test_theorem_suite_detects_forged_kaehler_flag():
 
 def assert_stencils_equal(a, b):
     assert a.center.rank == b.center.rank
-    for fa, fb in zip([a.center, *a.plus, *a.minus],
-                      [b.center, *b.plus, *b.minus]):
-        for name in ("F", "Pplus", "gm", "ginv"):
-            assert getattr(fa, name).tobytes() == getattr(fb, name).tobytes()
-
-
-def shared_stencils(phi, centers):
-    """The stencil, or the error building it raised, of each center's
-    CheckPoint, all built by one share_stencils."""
-    pts = [CheckPoint(phi, G2, p) for p in centers]
-    share_stencils(pts)
-    batch = []
-    for pt in pts:
-        try:
-            batch.append(pt.stencil)
-        except POINT_ERRORS as err:
-            batch.append(err)
-    return batch
+    for name in ("F", "Pplus", "gm", "ginv"):
+        assert getattr(a.center, name).tobytes() == \
+            getattr(b.center, name).tobytes()
+    assert a.dF.tobytes() == b.dF.tobytes()
 
 
 def test_a_lone_check_point_builds_its_stencil_around_its_own_f():
@@ -590,37 +659,28 @@ def test_a_lone_check_point_builds_its_stencil_around_its_own_f():
     assert_stencils_equal(pt.stencil, f_stencil(PointData(EX2, G4, P4)))
 
 
-def test_share_stencils_equal_each_center_alone():
-    # phi = 1/(z - w) is holomorphic, so PHWC on flat R^2.  w is the point
-    # p + h e_1 of the second center, so that center's stencil fails at a
-    # stencil point; the last center is w itself, where phi fails, and the
-    # third is the same point as the first
-    w = (0.6 + 1e-4, -0.1)
-    z = Var(0) + Const(1j) * Var(1)
-    phi = SmoothMap(2, 1, [Const(1.0) / (z - Const(complex(*w)))])
-    centers = [(0.3, 0.2), (0.6, -0.1), (0.3, 0.2), (-0.4, 0.5), w]
-    batch = shared_stencils(phi, centers)
-    for p, got in zip(centers, batch):
-        try:
-            want = f_stencil(PointData(phi, G2, p))
-        except DivisionNearZero as err:
-            assert type(got) is DivisionNearZero and str(got) == str(err)
-        else:
-            assert_stencils_equal(got, want)
-    assert [type(x).__name__ for x in batch] == [
-        "FStencil", "DivisionNearZero", "FStencil", "FStencil",
-        "DivisionNearZero"]
+def test_dropped_identical_components_build_a_clean_jet():
+    # the three components of ex1 are equal, so two are dropped; they stay
+    # in the span to every order, under a varying metric too
+    g = MetricField.conformal(2, exp(Const(2.0) * Var(0)))
+    for metric in (G2, g):
+        st = f_stencil(PointData(EX1, metric, P2))
+        assert st.center.pivots == (0,)
+        assert nijenhuis_residual(st) <= 1e-12
+    assert np.max(np.abs(f_stencil(PointData(EX1, G2, P2)).dF)) == 0.0
 
 
-def test_share_stencils_keep_each_skip_reason_on_its_center():
-    # phi = z + x1^2 is PHWC exactly where x1 = 0: the stencil there fails
-    # at p +/- h e_1, and a center off that line fails itself
+def test_a_gram_that_moves_off_zero_is_no_field():
+    # phi = z + x1^2 is PHWC exactly where x1 = 0: F is built on the line
+    # but has no derivative there, and a point off the line fails the gate
     z = Var(0) + Const(1j) * Var(1)
     phi = SmoothMap(2, 1, [z + Var(0) ** 2])
-    centers = [(0.0, 0.3), (0.5, 0.2), (0.0, -0.4)]
-    batch = shared_stencils(phi, centers)
-    for p, got in zip(centers, batch):
-        with pytest.raises(NotPHWCAtPoint) as err:
-            f_stencil(PointData(phi, G2, p))
-        assert type(got) is NotPHWCAtPoint and str(got) == str(err.value)
-    assert str(batch[0]) != str(batch[1])
+    on = CheckPoint(phi, G2, (0.0, 0.3))
+    assert on.fp.rank == 2
+    messages = []
+    for p in [(0.0, 0.3), (0.5, 0.2)]:
+        for op in STENCIL_RESIDUALS:
+            with pytest.raises(NotPHWCAtPoint) as err:
+                op(f_stencil(PointData(phi, G2, p)))
+        messages.append(str(err.value))
+    assert "grows at rate" in messages[0] and "exceeds the gate" in messages[1]

@@ -30,8 +30,10 @@ REPORT_SHA256 = {
         "54970006456c0d786e94a5dbda699b5414e933736d21d6d198444e4877821716",
     "check manifests/curved_target.json":
         "184f1289b1713171b287442a951b45da467658d672e77816dc866611a2d46169",
+    # its nijenhuis and domega12 values are exact zeros, so they moved at
+    # round-off when F's derivatives became exact: max N 8.3e-13 -> 8.3e-17
     "check manifests/conformal_f_structure.json":
-        "24dd47fdf643a5ba13c0f741417dfab1b06d3bf2e56f6a17c45823041179601a",
+        "bec7355b386dc0168d0f391aaa044677b2ed45f928ae7a56282f346581e58b79",
     "flow manifests/flow_demo.json":
         "21da4d62bf6d6331d500c7efc04b09be87ad7e3d076bb60a8f589cf0bede4ec6",
 }

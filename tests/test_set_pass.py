@@ -89,8 +89,7 @@ def lone_records(manifest, report):
     want = []
     for rec in report["records"]:
         pt = fstruct.CheckPoint(manifest.phi, manifest.g,
-                                np.array(rec["point"]), manifest.h,
-                                manifest.h_step)
+                                np.array(rec["point"]), manifest.h)
         try:
             with np.errstate(all="ignore"):
                 value, _ = cli.CHECKS[rec["check"]][1](pt)
@@ -383,10 +382,10 @@ def test_run_checks_builds_the_stencils_of_a_sample_in_one_pass(monkeypatch):
     monkeypatch.setattr(SmoothMap, "jets", counted_phi)
     monkeypatch.setattr(MetricField, "jets", counted_g)
     report = cli.run_checks(manifest)
-    # phi to second order at the sample, to first order at the 2m stencil
-    # points of all its points; g once over each
-    assert phi_passes == [(4, 2), (4 * 8, 1)]
-    assert g_passes == [4, 4 * 8]
+    # phi to second order and g once, at the sample points only: F's
+    # derivatives read phi's Hessian and g's gradient there
+    assert phi_passes == [(4, 2)]
+    assert g_passes == [4]
     monkeypatch.undo()
     errors = [rec for rec in report["records"] if "error" in rec]
     assert len(report["records"]) == 4 * 5 and len(errors) < 4 * 4
@@ -396,7 +395,7 @@ def test_run_checks_builds_the_stencils_of_a_sample_in_one_pass(monkeypatch):
 
 def test_run_checks_builds_f_once_per_point(monkeypatch):
     # fstructure reads F at each sample point, nijenhuis its stencil, whose
-    # center is that same F: 4 centers and 4 x 8 stencil points
+    # center is that same F and whose derivatives build no F of their own
     raw = dict(cli.BUILTIN_MANIFESTS["example2"],
                checks=["fstructure", "nijenhuis"])
     raw["sample"] = dict(raw["sample"], count=4)
@@ -412,4 +411,4 @@ def test_run_checks_builds_f_once_per_point(monkeypatch):
             monkeypatch.setattr(module, "associated_f_structure", counted)
     report = cli.run_checks(cli.validate_manifest(raw))
     assert all(rec["pass"] for rec in report["records"])
-    assert len(builds) == 4 + 4 * 8
+    assert len(builds) == 4
