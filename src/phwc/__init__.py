@@ -28,11 +28,12 @@ The layers, bottom up:
   pluriharmonicity; the coordinate form, the fit and tension also over a
   point axis), and composition with +/-holomorphic maps;
 - ``fstruct``: the associated f-structure, its algebra, ``CheckPoint``
-  (a ``PointData`` that holds F and F's exact first derivatives, read off
-  its own jets) with ``CHECKS``, the table of checks that read it,
-  Nijenhuis and parallelism defects, the fundamental 2-form conditions,
-  and the theorem implication harness, which reads ``CHECKS`` as ``phwc
-  check`` does;
+  (a ``PointData`` that holds F, ``fp``, and F's exact first derivatives,
+  ``dF``, read off its own jets) with ``CHECKS``, the table of checks that
+  read it; f-holomorphy, the 0-eigenspace kernel, Nijenhuis and
+  parallelism defects and the fundamental 2-form conditions, each a
+  residual of the one point; and the theorem implication harness, which
+  reads ``CHECKS`` as ``phwc check`` does;
 - ``flow``: explicit-Euler tension flow on flat torus grids;
 - ``paper``: the sections of the verify-paper bundle, one per group of the
   paper's claims;
@@ -96,7 +97,6 @@ from .maps import (
 )
 from .fstruct import (
     CheckPoint,
-    FStencil,
     FStructurePoint,
     NotPHWCAtPoint,
     RankDeficiencyAmbiguous,
@@ -106,7 +106,6 @@ from .fstruct import (
     domega_12_residual,
     dphi_kernel_residual,
     f_holomorphy_residual,
-    f_stencil,
     fundamental_two_form,
     met_residual,
     nijenhuis_residual,

@@ -20,11 +20,13 @@ keeps, and its derivative follows by the product rule from phi's Hessian
 and g's gradient, which the point's own second-order pass of phi and
 first-order pass of g already hold.  Rank pivoting is discontinuous, so the
 pivots are chosen once, at p; where the rank changes next to p the
-derivative is meaningless, and two first-order guards report it rather
-than return a number.  A CheckPoint holds the point data of one sample
-point with its F and F's first-order jet (an FStencil), each built once and
-read by every check there; the implication harness and ``phwc check`` both
-read them through one table of checks, CHECKS.
+derivative is meaningless, and guards report it rather than return a
+number.  A CheckPoint holds the point data of one sample point with its F
+(fp) and F's first derivatives (dF), each built once and read by every
+check there.  Every residual below takes that one point and reads fp, dF,
+g's partials dg, the symbols gamma and phi's differential diff off it; the
+implication harness and ``phwc check`` both read them through one table of
+checks, CHECKS.
 
 Pointwise constructions are pure; the implication harness processes its
 samples independently and keeps diagnostics ordered by sample for
@@ -37,9 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (HermitianMetricField, MetricField, MetricPoint,
-                       _inverse_checked)
-from .jet import VariableIndexOutOfRange
+from .geometry import HermitianMetricField, MetricField, _inverse_checked
+from .jet import VariableIndexOutOfRange, differentiate, eval_jet2
 from .maps import (PointData, SmoothMap, hwc_report, isotropy_residual,
                    phwc_residual_commutator, phwc_residual_coord,
                    pluriharmonic_residual, share_pass, tension)
@@ -49,15 +50,13 @@ __all__ = [
     "RankDeficiencyAmbiguous",
     "RankJumpOnStencil",
     "FStructurePoint",
-    "FStencil",
     "CheckPoint",
     "TwoFormPoint",
     "associated_f_structure",
     "f_holomorphy_residual",
     "dphi_kernel_residual",
-    "f_stencil",
     "CHECKS",
-    "STENCIL_CHECKS",
+    "DERIVATIVE_CHECKS",
     "verdict",
     "nijenhuis_residual",
     "parallel_residual",
@@ -80,7 +79,7 @@ SUITE_EPS = 1e-8
 SUITE_DELTA = 1e-6
 KAEHLER_TOL = 1e-8
 
-# Errors that building the f-structure or its stencil raises at a point
+# Errors that building the f-structure or its derivatives raises at a point
 # (the skip reasons, a metric check, a failing jet pass); a CheckPoint
 # keeps each on its point.
 POINT_ERRORS = (ValueError, ArithmeticError, VariableIndexOutOfRange)
@@ -229,45 +228,36 @@ def associated_f_structure(pd: PointData) -> FStructurePoint:
                            basis_zero=basis_zero, pivots=tuple(pivots))
 
 
-def f_holomorphy_residual(pd: PointData, fp: FStructurePoint) -> float:
+def f_holomorphy_residual(pt: CheckPoint) -> float:
     """max | (dphi . F)^a_j - i (dphi)^a_j | on the holomorphic rows.
 
     Zero means dphi intertwines F with the complex structure of the chart.
     """
-    dphi = pd.diff.grad
-    return float(np.max(np.abs(dphi @ fp.F - 1j * dphi)))
+    dphi = pt.diff.grad
+    return float(np.max(np.abs(dphi @ pt.fp.F - 1j * dphi)))
 
 
-def dphi_kernel_residual(pd: PointData, fp: FStructurePoint) -> float:
+def dphi_kernel_residual(pt: CheckPoint) -> float:
     """max | dphi . Pzero |: the differential must kill the 0-eigenspace."""
-    return float(np.max(np.abs(pd.diff.grad @ fp.Pzero)))
+    return float(np.max(np.abs(pt.diff.grad @ pt.fp.Pzero)))
 
 
-@dataclass
-class FStencil:
-    """The F-field at p to first order: at is the metric at p, center the
-    structure there and dF[l, k, j] = d_l F^k_j.  Every residual below reads
-    F's derivatives off dF, g's off at.dg, and the metric and its inverse
-    at p off center.gm and center.ginv."""
-
-    at: MetricPoint
-    center: FStructurePoint
-    dF: np.ndarray
-
-
-def _f_jet(pt: CheckPoint) -> FStencil:
-    """The FStencil of pt.fp from pt's own jets: phi's Hessian and g's
-    gradient.
+def _f_jet(pt: CheckPoint) -> np.ndarray:
+    """dF[l, k, j] = d_l F^k_j of pt.fp, from pt's own jets: phi's Hessian
+    and g's gradient.
 
     With V the raised differentials of fp.pivots and M = V^H g V, the
     eigenprojector P- = V M^-1 V^H g holds wherever the rank stays that at
     p, so d P- follows by the product rule, with d(g^-1) = -g^-1 dg g^-1
-    and d M^-1 = -M^-1 dM M^-1, and dF = 2 Im d P-.  Two first-order
-    guards report a rank that changes next to p: a Gram matrix whose
-    derivative exceeds PHWC_GATE (F is no field around p) raises
-    NotPHWCAtPoint, and a dropped differential that leaves the span at a
-    rate above RANK_TOL raises RankJumpOnStencil.  Both read first order
-    only: a rank change that starts at second order (z^3 at 0) passes.
+    and d M^-1 = -M^-1 dM M^-1, and dF = 2 Im d P-.  Guards report a rank
+    that changes next to p: a Gram matrix whose derivative exceeds
+    PHWC_GATE (F is no field around p) raises NotPHWCAtPoint, and a dropped
+    differential v_j that leaves the span at a rate above RANK_TOL raises
+    RankJumpOnStencil.  Where v_j and d v_j are both at most RANK_TOL, v_j
+    is read to second order, off one second-order pass of the trees
+    d phi^j / d x^i, and (I - P-) g^-1 d^2 (dphi^j) above RANK_TOL raises
+    RankJumpOnStencil too (z^3 at 0).  A rank change that starts at third
+    order (z^4 at 0) passes.
     """
     fp, dg = pt.fp, pt.dg
     gm, ginv = fp.gm, fp.ginv
@@ -293,52 +283,56 @@ def _f_jet(pt: CheckPoint) -> FStencil:
                + v @ minv @ vh @ dg)
 
     drop = [a for a in range(len(dphi)) if a not in piv]
-    leave = ((np.eye(fp.m) - fp.Pminus) @ dvecs[:, :, drop]
-             - dpminus @ vecs[:, drop])
+    off_span = np.eye(fp.m) - fp.Pminus
+    leave = off_span @ dvecs[:, :, drop] - dpminus @ vecs[:, drop]
     rate = float(np.max(np.abs(leave), initial=0.0))
+    small = np.maximum(np.max(np.abs(vecs), axis=0),
+                       np.max(np.abs(dvecs), axis=(0, 1))) <= RANK_TOL
+    flat = [a for a in drop if small[a]]
+    if flat:
+        trees = [[differentiate(pt.phi.components[a], i)
+                  for i in range(fp.m)] for a in flat]
+        # d_l d_n d_i phi^a at [a, l, n, i]
+        d3phi = np.moveaxis(eval_jet2(trees, pt.p).hess, 1, -1)
+        leave = d3phi @ ginv @ off_span.T
+        rate = max(rate, float(np.max(np.abs(leave))))
     if not rate <= RANK_TOL:
         raise RankJumpOnStencil(
             f"a dropped differential leaves the isotropic span at rate "
             f"{rate:.3e} at {pt.p}; the f-structure rank changes there")
-    return FStencil(at=pt, center=fp, dF=2.0 * np.imag(dpminus))
+    return 2.0 * np.imag(dpminus)
+
+
+def _kept(pt: CheckPoint, name: str, build):
+    """pt's quantity name, built as build(pt) on first read and kept; an
+    error that building raised is kept instead and raised on every read."""
+    value = vars(pt).get(name)
+    if value is None:
+        try:
+            value = build(pt)
+        except POINT_ERRORS as err:
+            value = err
+        vars(pt)[name] = value
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 class CheckPoint(PointData):
     """The PointData of one sample point with the associated f-structure fp
-    and its FStencil, each built on first use from the point's own jets and
-    then read by every check at the point.  The stencil's center is fp
-    itself."""
-
-    def __init__(self, phi: SmoothMap, g: MetricField, p,
-                 h: HermitianMetricField | None = None):
-        super().__init__(phi, g, p, h)
-        self._fp = None          # its FStructurePoint, or the error raised
-        self._stencil = None     # its FStencil, or the error building it raised
+    and its first derivatives dF, each built on first read from the point's
+    own jets and then read by every check at the point."""
 
     @property
     def fp(self) -> FStructurePoint:
-        """The associated f-structure, built once; raises what building it
-        raised."""
-        if self._fp is None:
-            try:
-                self._fp = associated_f_structure(self)
-            except POINT_ERRORS as err:
-                self._fp = err
-        if isinstance(self._fp, Exception):
-            raise self._fp
-        return self._fp
+        """The associated f-structure; raises what building it raised."""
+        return _kept(self, "_fp", associated_f_structure)
 
     @property
-    def stencil(self) -> FStencil:
-        """The FStencil of fp; raises what building either raised."""
-        if self._stencil is None:
-            try:
-                self._stencil = _f_jet(self)
-            except POINT_ERRORS as err:
-                self._stencil = err
-        if isinstance(self._stencil, Exception):
-            raise self._stencil
-        return self._stencil
+    def dF(self) -> np.ndarray:
+        """dF[l, k, j] = d_l F^k_j of fp (see _f_jet); raises what building
+        it or fp raised."""
+        return _kept(self, "_dF", _f_jet)
 
 
 def _hwc(pt: CheckPoint):
@@ -348,7 +342,7 @@ def _hwc(pt: CheckPoint):
 
 def _fstructure(pt: CheckPoint):
     return pt.fp.algebra_residual(), {
-        "rank": pt.fp.rank, "dphi_pzero": dphi_kernel_residual(pt, pt.fp)}
+        "rank": pt.fp.rank, "dphi_pzero": dphi_kernel_residual(pt)}
 
 
 # The checks of a CheckPoint, as name: (default tol, point -> (value, extra)).
@@ -364,15 +358,15 @@ CHECKS = {
     "tension": (1e-10, lambda pt: (tension(pt).harmonic_residual, {})),
     "pluriharmonic": (1e-10, lambda pt: (pluriharmonic_residual(pt), {})),
     "fstructure": (1e-10, _fstructure),
-    "f_holomorphy": (1e-10, lambda pt: (f_holomorphy_residual(pt, pt.fp), {})),
-    "nijenhuis": (1e-6, lambda pt: (nijenhuis_residual(pt.stencil), {})),
-    "parallel": (1e-6, lambda pt: (parallel_residual(pt.stencil), {})),
-    "domega12": (1e-6, lambda pt: (domega_12_residual(pt.stencil), {})),
-    "met": (1e-6, lambda pt: (met_residual(pt.stencil), {})),
+    "f_holomorphy": (1e-10, lambda pt: (f_holomorphy_residual(pt), {})),
+    "nijenhuis": (1e-6, lambda pt: (nijenhuis_residual(pt), {})),
+    "parallel": (1e-6, lambda pt: (parallel_residual(pt), {})),
+    "domega12": (1e-6, lambda pt: (domega_12_residual(pt), {})),
+    "met": (1e-6, lambda pt: (met_residual(pt), {})),
 }
 
 # the checks that read F's derivatives, in the harness's order
-STENCIL_CHECKS = ("parallel", "nijenhuis", "met", "domega12")
+DERIVATIVE_CHECKS = ("parallel", "nijenhuis", "met", "domega12")
 
 
 def verdict(value, tol: float, negate: bool) -> bool:
@@ -380,19 +374,12 @@ def verdict(value, tol: float, negate: bool) -> bool:
     return bool((value > tol) if negate else (value <= tol))
 
 
-def f_stencil(pd: PointData) -> FStencil:
-    """The FStencil of a CheckPoint at pd's point: the associated
-    f-structure of pd.phi with its first derivatives, raising what building
-    either raises."""
-    return CheckPoint(pd.phi, pd.g, pd.p, pd.h).stencil
-
-
-def nijenhuis_residual(st: FStencil) -> float:
+def nijenhuis_residual(pt: CheckPoint) -> float:
     """max component of the Nijenhuis tensor of the F-field at p.
 
     N^k_ij = F^l_i d_l F^k_j - F^l_j d_l F^k_i - F^k_l (d_i F^l_j - d_j F^l_i).
     """
-    f_mat, df = st.center.F, st.dF     # df[l, k, j] = d_l F^k_j
+    f_mat, df = pt.fp.F, pt.dF     # df[l, k, j] = d_l F^k_j
     term1 = np.einsum("li,lkj->kij", f_mat, df)
     term2 = np.einsum("lj,lki->kij", f_mat, df)
     curl = np.einsum("ilj->lij", df) - np.einsum("jli->lij", df)
@@ -400,11 +387,11 @@ def nijenhuis_residual(st: FStencil) -> float:
     return float(np.max(np.abs(term1 - term2 - term3)))
 
 
-def parallel_residual(st: FStencil) -> float:
+def parallel_residual(pt: CheckPoint) -> float:
     """max component of the covariant derivative of the F-field at p:
     (nabla_i F)^k_j = d_i F^k_j + Gamma^k_il F^l_j - Gamma^l_ij F^k_l."""
-    f_mat, df = st.center.F, st.dF
-    gamma = st.at.gamma
+    f_mat, df = pt.fp.F, pt.dF
+    gamma = pt.gamma
     nabla = (df
              + np.einsum("kil,lj->ikj", gamma, f_mat)
              - np.einsum("lij,kl->ikj", gamma, f_mat))
@@ -420,26 +407,27 @@ class TwoFormPoint:
     domega: np.ndarray   # (m, m, m) real fully antisymmetric
 
 
-def fundamental_two_form(st: FStencil) -> TwoFormPoint:
-    """omega and domega of the stencil's F-field at its center point."""
-    omega0 = st.center.gm @ st.center.F
+def fundamental_two_form(pt: CheckPoint) -> TwoFormPoint:
+    """omega and domega of the F-field at p."""
+    fp, df = pt.fp, pt.dF
+    omega0 = fp.gm @ fp.F
     # d_l omega = dg F + g dF at [l, j, k]
-    domega_partials = st.at.dg @ st.center.F + st.center.gm @ st.dF
+    domega_partials = pt.dg @ fp.F + fp.gm @ df
     domega = (domega_partials
               - np.einsum("jik->ijk", domega_partials)
               + np.einsum("kij->ijk", domega_partials))
     return TwoFormPoint(omega=omega0, domega=domega)
 
 
-def domega_12_residual(st: FStencil) -> float:
+def domega_12_residual(pt: CheckPoint) -> float:
     """max |domega(u, v, w)| over u, v of one eigenspace type and w of a
-    different type, the types taken from the projectors at the center point."""
-    center = st.center
-    two_form = fundamental_two_form(st)
+    different type, the types taken from the projectors at p."""
+    two_form = fundamental_two_form(pt)
+    fp = pt.fp
     bases = {
-        "+": center.basis_plus,
-        "-": np.conj(center.basis_plus),
-        "0": center.basis_zero.astype(complex),
+        "+": fp.basis_plus,
+        "-": np.conj(fp.basis_plus),
+        "0": fp.basis_zero.astype(complex),
     }
     worst = 0.0
     for t_same, b_same in bases.items():
@@ -455,7 +443,7 @@ def domega_12_residual(st: FStencil) -> float:
     return worst
 
 
-def met_residual(st: FStencil) -> float:
+def met_residual(pt: CheckPoint) -> float:
     """Defect of: covariant derivatives of +type covectors along the
     0-eigenspace stay inside the +/- covector types.
 
@@ -465,22 +453,22 @@ def met_residual(st: FStencil) -> float:
     nabla_{X_a} theta_b for a real basis X_a of ker F.  Vacuously zero when
     the structure has full rank.
     """
-    center = st.center
-    if center.rank == center.m:
+    fp, df = pt.fp, pt.dF
+    if fp.rank == fp.m:
         return 0.0
-    gm, ginv, f_mat, df = center.gm, center.ginv, center.F, st.dF
+    gm, ginv, f_mat = fp.gm, fp.ginv, fp.F
     # +type covectors are the lowerings of the -i tangent eigenspace
-    thetas = gm @ np.conj(center.basis_plus)
+    thetas = gm @ np.conj(fp.basis_plus)
     # d(g Pminus g^-1) theta, with Pminus = -(F F - i F)/2
     dpminus = -0.5 * (df @ f_mat + f_mat @ df - 1j * df)
-    dginv = -ginv @ st.at.dg @ ginv
-    dtheta = (st.at.dg @ center.Pminus @ ginv + gm @ dpminus @ ginv
-              + gm @ center.Pminus @ dginv) @ thetas
+    dginv = -ginv @ pt.dg @ ginv
+    dtheta = (pt.dg @ fp.Pminus @ ginv + gm @ dpminus @ ginv
+              + gm @ fp.Pminus @ dginv) @ thetas
 
-    gamma = st.at.gamma
-    qzero = gm @ center.Pzero @ ginv
+    gamma = pt.gamma
+    qzero = gm @ fp.Pzero @ ginv
     worst = 0.0
-    for x_vec in center.basis_zero.T:
+    for x_vec in fp.basis_zero.T:
         for b in range(thetas.shape[1]):
             # (nabla_X theta)_i = X^l d_l theta_i - X^l Gamma^k_{l i} theta_k
             grad_part = np.einsum("l,li->i", x_vec, dtheta[:, :, b])
@@ -556,9 +544,9 @@ def theorem_suite(samples) -> TheoremSuiteReport:
                     continue
 
             try:
-                pt.stencil       # a skip reason is raised before any residual
+                pt.dF            # a skip reason is raised before any residual
                 resid = {name: CHECKS[name][1](pt)[0]
-                         for name in ("phwc", *STENCIL_CHECKS)}
+                         for name in ("phwc", *DERIVATIVE_CHECKS)}
                 resid["harmonic"] = CHECKS["tension"][1](pt)[0]
             except (NotPHWCAtPoint, RankDeficiencyAmbiguous,
                     RankJumpOnStencil) as err:

@@ -147,23 +147,22 @@ def share_differential(pds: list[PointData],
     return diff
 
 
-def share_pass(pds: list[PointData], order: int = 2) -> None:
+def share_pass(pds: list[PointData]) -> None:
     """Compute the quantities of pds, point data of one phi, g and h, once
     each over all their points, and give each point its rows.
 
-    One PointData over the set makes one jet pass each of g, phi (to first
-    order when order is 1) and h at the images; its checked gm, ginv, gamma
-    and gram, and h's checked hm, hinv, gamma and kaehler, are each computed
-    in one numpy call.  A pass or a check that raises at some point gives no
-    rows of what it computes: each point then computes that alone on first
-    use, as a lone PointData does, so the error lands on the points where it
-    occurs.
+    One PointData over the set makes one jet pass each of g, phi and h at
+    the images; its checked gm, ginv, gamma and gram, and h's checked hm,
+    hinv, gamma and kaehler, are each computed in one numpy call.  A pass or
+    a check that raises at some point gives no rows of what it computes:
+    each point then computes that alone on first use, as a lone PointData
+    does, so the error lands on the points where it occurs.
     """
     if not pds:
         return
     first = pds[0]
     whole = PointData(first.phi, first.g, [pd.p for pd in pds], first.h)
-    diff = share_differential(pds, order)
+    diff = share_differential(pds)
     if diff is None:         # phi at each point alone, on first use
         _share_rows(whole, pds, ("gm", "ginv", "gamma"))
         return

@@ -14,6 +14,7 @@ from phwc import catalog, fstruct
 from phwc.cli import emit_report, verify_paper
 from phwc.flow import FlowConfig, GridMap, grid_to_smooth_map, run_flow
 from phwc.fstruct import (
+    CheckPoint,
     SuiteSample,
     associated_f_structure,
     dphi_kernel_residual,
@@ -84,16 +85,12 @@ def test_criterion_1_immersion_example():
 def test_criterion_2_linear_r4_example():
     rng = np.random.default_rng(102)
     points = catalog.sample_points(rng, 100, [[-2, 2]] * 4)
-    pds = [PointData(EX2, G4, p, H2) for p in points]
-    worst_phwc = max(phwc_residual_coord(pd) for pd in pds)
-    worst_tension = max(tension(pd).harmonic_residual for pd in pds)
-    min_defect = min(hwc_report(pd).defect for pd in pds)
-    ranks = set()
-    worst_kernel = 0.0
-    for pd in pds:
-        fp = associated_f_structure(pd)
-        ranks.add(fp.rank)
-        worst_kernel = max(worst_kernel, dphi_kernel_residual(pd, fp))
+    pts = [CheckPoint(EX2, G4, p, H2) for p in points]
+    worst_phwc = max(phwc_residual_coord(pt) for pt in pts)
+    worst_tension = max(tension(pt).harmonic_residual for pt in pts)
+    min_defect = min(hwc_report(pt).defect for pt in pts)
+    ranks = {pt.fp.rank for pt in pts}
+    worst_kernel = max(dphi_kernel_residual(pt) for pt in pts)
     verdict(2, "R^4 -> C^2 linear map: PHWC<=1e-12, tension<=1e-12, "
                "HWC defect>=1, rank 2, |dphi Pzero|<=1e-10 at 100 points",
             worst_phwc <= 1e-12 and worst_tension <= 1e-12

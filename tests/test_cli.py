@@ -490,42 +490,47 @@ VARYING_METRIC_R4 = [
 ]
 
 
-def test_stencil_checks_equal_standalone_functions():
+# each check's residual, called with one CheckPoint alone
+RESIDUAL_OF = {
+    "phwc": maps.phwc_residual_coord,
+    "isotropy": maps.isotropy_residual,
+    "commutator": maps.phwc_residual_commutator,
+    "hwc": lambda pt: maps.hwc_report(pt).defect,
+    "tension": lambda pt: maps.tension(pt).harmonic_residual,
+    "pluriharmonic": maps.pluriharmonic_residual,
+    "fstructure": lambda pt: pt.fp.algebra_residual(),
+    "f_holomorphy": fstruct.f_holomorphy_residual,
+    "nijenhuis": fstruct.nijenhuis_residual,
+    "parallel": fstruct.parallel_residual,
+    "domega12": fstruct.domega_12_residual,
+    "met": fstruct.met_residual,
+}
+
+
+def test_every_check_equals_its_residual_on_the_point():
+    assert set(RESIDUAL_OF) == set(fstruct.CHECKS)
     box = [[-2, 2]] * 4
     raw = {
         "domain": {"dim": 4, "metric": VARYING_METRIC_R4},
         "target": {"cdim": 2, "hermitian": "flat", "kaehler": True},
         "map": {"components": BUILTIN_MANIFESTS["example2"]["map"]
                 ["components"]},
-        "checks": ["nijenhuis", "parallel", "domega12", "met",
-                   "fstructure", "f_holomorphy"],
+        "checks": list(fstruct.CHECKS),
         "sample": {"count": 3, "seed": 5, "box": box},
     }
     report = run_checks(parse_manifest(json.dumps(raw)))
-    assert len(report["records"]) == 18
+    assert len(report["records"]) == 3 * len(fstruct.CHECKS)
     phi = SmoothMap(4, 2, [parse_expr(c) for c in raw["map"]["components"]])
     g = MetricField(4, [[parse_expr(e) for e in row]
                         for row in VARYING_METRIC_R4])
-    standalone = {
-        "nijenhuis": fstruct.nijenhuis_residual,
-        "parallel": fstruct.parallel_residual,
-        "domega12": fstruct.domega_12_residual,
-        "met": fstruct.met_residual,
-    }
     for rec in report["records"]:
-        point = np.array(rec["point"])
-        pd = PointData(phi, g, point)
-        fp = fstruct.associated_f_structure(pd)
+        pt = fstruct.CheckPoint(phi, g, np.array(rec["point"]),
+                                HermitianMetricField.flat(2))
+        assert rec["value"] == RESIDUAL_OF[rec["check"]](pt), rec["check"]
         if rec["check"] == "fstructure":
-            want = fp.algebra_residual()
             assert rec["extra"] == {
-                "rank": fp.rank,
-                "dphi_pzero": fstruct.dphi_kernel_residual(pd, fp)}
-        elif rec["check"] == "f_holomorphy":
-            want = fstruct.f_holomorphy_residual(pd, fp)
-        else:
-            want = standalone[rec["check"]](fstruct.f_stencil(pd))
-        assert rec["value"] == want
+                "rank": pt.fp.rank,
+                "dphi_pzero": fstruct.dphi_kernel_residual(pt)}
 
 
 def test_record_count_is_points_times_checks():

@@ -1,10 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from phwc import catalog
 from phwc.fstruct import (
     CheckPoint,
-    FStencil,
     FStructurePoint,
     NotPHWCAtPoint,
     RankDeficiencyAmbiguous,
@@ -14,7 +15,6 @@ from phwc.fstruct import (
     domega_12_residual,
     dphi_kernel_residual,
     f_holomorphy_residual,
-    f_stencil,
     fundamental_two_form,
     met_residual,
     nijenhuis_residual,
@@ -89,19 +89,26 @@ def quaternionic_twist_field():
     return field
 
 
-def quaternionic_twist_stencil(p):
+def field_at(at, fp, df):
+    """A hand-built F-field at the point of at, as the residuals of F's
+    derivatives read a CheckPoint: F is fp, its derivatives df, and g's
+    partials and symbols are those of at."""
+    return SimpleNamespace(fp=fp, dF=df, dg=at.dg, gamma=at.gamma)
+
+
+def quaternionic_twist_point(p):
     """The twisted field at p under the flat metric, with its analytic
     derivative d_1 F = -sin(x1) J1 + cos(x1) J2."""
     p = np.asarray(p, dtype=float)
     df = np.zeros((4, 4, 4))
     df[0] = -np.sin(p[0]) * J1 + np.cos(p[0]) * J2
-    return FStencil(MetricPoint(G4, p), quaternionic_twist_field()(p), df)
+    return field_at(MetricPoint(G4, p), quaternionic_twist_field()(p), df)
 
 
-def constant_stencil(f_mat, g, p):
+def constant_point(f_mat, g, p):
     """A hand-built F, the same matrix at every point, under g."""
     at = MetricPoint(g, p)
-    return FStencil(at, FStructurePoint.from_matrix(f_mat, at.gm),
+    return field_at(at, FStructurePoint.from_matrix(f_mat, at.gm),
                     np.zeros((len(f_mat),) * 3))
 
 
@@ -202,13 +209,10 @@ def test_bijection_roundtrip():
 # --------------------------------------------------------------------------
 
 def test_f_holomorphy_of_builtin_maps():
-    pd1 = PointData(EX1, G2, P2)
-    fp1 = associated_f_structure(pd1)
-    assert f_holomorphy_residual(pd1, fp1) <= 1e-12
-    pd2 = PointData(EX2, G4, P4)
-    fp2 = associated_f_structure(pd2)
-    assert f_holomorphy_residual(pd2, fp2) <= 1e-12
-    assert dphi_kernel_residual(pd2, fp2) <= 1e-12
+    assert f_holomorphy_residual(CheckPoint(EX1, G2, P2)) <= 1e-12
+    pt = CheckPoint(EX2, G4, P4)
+    assert f_holomorphy_residual(pt) <= 1e-12
+    assert dphi_kernel_residual(pt) <= 1e-12
 
 
 def test_f_holomorphy_of_random_composites():
@@ -217,10 +221,9 @@ def test_f_holomorphy_of_random_composites():
         psi = catalog.random_holomorphic_map(rng, 3, 2)
         comp = compose(psi, EX1)
         p = rng.uniform(-1, 1, 2)
-        pd = PointData(comp, G2, p)
-        fp = associated_f_structure(pd)
-        assert f_holomorphy_residual(pd, fp) <= 1e-9
-        assert dphi_kernel_residual(pd, fp) <= 1e-9
+        pt = CheckPoint(comp, G2, p)
+        assert f_holomorphy_residual(pt) <= 1e-9
+        assert dphi_kernel_residual(pt) <= 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -228,8 +231,8 @@ def test_f_holomorphy_of_random_composites():
 # --------------------------------------------------------------------------
 
 def test_nijenhuis_constant_fields():
-    assert nijenhuis_residual(f_stencil(PointData(EX1, G2, P2))) <= 1e-10
-    assert nijenhuis_residual(constant_stencil(J1, G4, P4)) <= 1e-12
+    assert nijenhuis_residual(CheckPoint(EX1, G2, P2)) <= 1e-10
+    assert nijenhuis_residual(constant_point(J1, G4, P4)) <= 1e-12
 
 
 def test_nijenhuis_of_holomorphic_family():
@@ -238,8 +241,7 @@ def test_nijenhuis_of_holomorphic_family():
     psi = SmoothMap(6, 3, [catalog.zvar(0) ** 2, catalog.zvar(1),
                            catalog.zvar(2)])
     comp = compose(psi, EX1)
-    pd = PointData(comp, G2, (0.7, 0.2))
-    assert nijenhuis_residual(f_stencil(pd)) <= 1e-6
+    assert nijenhuis_residual(CheckPoint(comp, G2, (0.7, 0.2))) <= 1e-6
 
 
 def bracket_nijenhuis_oracle(field, p, h=1e-5):
@@ -277,23 +279,35 @@ def bracket_nijenhuis_oracle(field, p, h=1e-5):
 def test_nijenhuis_against_bracket_oracle():
     field = quaternionic_twist_field()
     for p in [np.array([0.3, 0.0, 0.0, 0.0]), np.array([-0.8, 1.0, 0.2, 0.5])]:
-        got = nijenhuis_residual(quaternionic_twist_stencil(p))
+        got = nijenhuis_residual(quaternionic_twist_point(p))
         want = bracket_nijenhuis_oracle(field, p)
         assert want > 0.1            # the twisted structure is not integrable
         assert abs(got - want) < 1e-6 * max(1.0, want)
 
 
-STENCIL_RESIDUALS = [nijenhuis_residual, parallel_residual,
-                     domega_12_residual, met_residual]
+DERIVATIVE_RESIDUALS = [nijenhuis_residual, parallel_residual,
+                        domega_12_residual, met_residual]
+Z1, Z2 = Var(0) + Const(1j) * Var(1), Var(2) + Const(1j) * Var(3)
 
 
-@pytest.mark.parametrize("op", STENCIL_RESIDUALS, ids=lambda op: op.__name__)
+@pytest.mark.parametrize("op", DERIVATIVE_RESIDUALS, ids=lambda op: op.__name__)
 def test_rank_jump_detected(op):
-    phi = SmoothMap(2, 1, [(Var(0) + Const(1j) * Var(1)) ** 2])
-    with pytest.raises(RankJumpOnStencil):
-        op(f_stencil(PointData(phi, G2, (0.0, 0.0))))
-    # away from the branch point the field is clean
-    assert op(f_stencil(PointData(phi, G2, (0.6, 0.1)))) <= 1e-6
+    # z^2 at 0 leaves rank 0 to first order; z^3 at 0 and (z1, z2^3) at
+    # z2 = 0 vanish to first order in the dropped differential and leave
+    # to second (rank 2 at the second point, 4 next to it)
+    for phi, g, p in [(SmoothMap(2, 1, [Z1 ** 2]), G2, (0.0, 0.0)),
+                      (SmoothMap(2, 1, [Z1 ** 3]), G2, (0.0, 0.0)),
+                      (SmoothMap(4, 2, [Z1, Z2 ** 3]), G4,
+                       (0.3, 0.1, 0.0, 0.0))]:
+        with pytest.raises(RankJumpOnStencil):
+            op(CheckPoint(phi, g, p))
+    # away from the branch point the field is clean; z1^3 stays in the span
+    # of z1 to second order, and a constant map has rank 0 everywhere
+    for phi, g, p in [(SmoothMap(2, 1, [Z1 ** 2]), G2, (0.6, 0.1)),
+                      (SmoothMap(4, 2, [Z1, Z1 ** 3]), G4,
+                       (0.0, 0.0, 0.2, 0.1)),
+                      (SmoothMap(2, 1, [Const(1.0 + 2j)]), G2, (0.1, 0.2))]:
+        assert op(CheckPoint(phi, g, p)) <= 1e-6
 
 
 # --------------------------------------------------------------------------
@@ -301,8 +315,8 @@ def test_rank_jump_detected(op):
 # --------------------------------------------------------------------------
 
 def test_parallel_constant_structures():
-    assert parallel_residual(f_stencil(PointData(EX1, G2, P2))) <= 1e-10
-    assert parallel_residual(f_stencil(PointData(EX2, G4, P4))) <= 1e-10
+    assert parallel_residual(CheckPoint(EX1, G2, P2)) <= 1e-10
+    assert parallel_residual(CheckPoint(EX2, G4, P4)) <= 1e-10
 
 
 def test_parallel_block_metric():
@@ -313,8 +327,8 @@ def test_parallel_block_metric():
                               Const(1.0) + Const(0.5) * Var(3) ** 2])
     phi = SmoothMap(4, 1, [Var(0) + Const(1j) * Var(1)])
     p = (0.4, -0.1, 0.8, 0.3)
-    assert parallel_residual(f_stencil(PointData(phi, g, p))) <= 1e-9
-    assert nijenhuis_residual(f_stencil(PointData(phi, g, p))) <= 1e-9
+    assert parallel_residual(CheckPoint(phi, g, p)) <= 1e-9
+    assert nijenhuis_residual(CheckPoint(phi, g, p)) <= 1e-9
     from phwc.geometry import HermitianMetricField
     from phwc.maps import tension
     t = tension(PointData(phi, g, p, HermitianMetricField.flat(1)))
@@ -326,15 +340,15 @@ def test_parallel_implies_integrable_on_suite():
     for base, g in [(EX1, G2), (EX2, G4)]:
         for _ in range(5):
             p = rng.uniform(-1, 1, base.domain_dim)
-            par = parallel_residual(f_stencil(PointData(base, g, p)))
-            nij = nijenhuis_residual(f_stencil(PointData(base, g, p)))
+            par = parallel_residual(CheckPoint(base, g, p))
+            nij = nijenhuis_residual(CheckPoint(base, g, p))
             assert par <= 1e-8
             assert nij <= 100 * max(par, 1e-10)
 
 
 def test_parallel_nonzero_for_twisted_field():
     # d F / d x1 has unit-size entries, so the defect is order one
-    st = quaternionic_twist_stencil((0.2, 0.0, 0.0, 0.0))
+    st = quaternionic_twist_point((0.2, 0.0, 0.0, 0.0))
     assert parallel_residual(st) > 0.5
 
 
@@ -343,7 +357,7 @@ def test_parallel_nonzero_for_twisted_field():
 # --------------------------------------------------------------------------
 
 def test_two_form_immersion():
-    tf = fundamental_two_form(f_stencil(PointData(EX1, G2, P2)))
+    tf = fundamental_two_form(CheckPoint(EX1, G2, P2))
     assert np.allclose(tf.omega, [[0, -1], [1, 0]])
     assert np.max(np.abs(tf.domega)) <= 1e-10
     assert np.allclose(tf.omega, -tf.omega.T)
@@ -354,15 +368,14 @@ def test_two_form_conformal_metric():
     # derivatives of g F against the hand value
     g = MetricField.conformal(2, exp(Const(2.0) * Var(0)))
     p = (0.25, -0.4)
-    tf = fundamental_two_form(f_stencil(PointData(EX1, g, p)))
+    tf = fundamental_two_form(CheckPoint(EX1, g, p))
     assert np.isclose(tf.omega[0, 1], -np.exp(0.5))
     assert np.max(np.abs(tf.domega)) <= 1e-9
 
 
 def test_two_form_antisymmetries():
     g = varying_metric_r4()
-    tf = fundamental_two_form(f_stencil(PointData(EX2, g,
-                                                  (0.4, -0.2, 0.7, 0.1))))
+    tf = fundamental_two_form(CheckPoint(EX2, g, (0.4, -0.2, 0.7, 0.1)))
     assert np.allclose(tf.omega, -tf.omega.T, atol=1e-12)
     d = tf.domega
     assert np.allclose(d, -np.einsum("jik->ijk", d), atol=1e-9)
@@ -370,8 +383,8 @@ def test_two_form_antisymmetries():
 
 
 def test_domega12_constant_cases():
-    assert domega_12_residual(f_stencil(PointData(EX2, G4, P4))) <= 1e-10
-    assert domega_12_residual(constant_stencil(J1, G4, P4)) <= 1e-12
+    assert domega_12_residual(CheckPoint(EX2, G4, P4)) <= 1e-10
+    assert domega_12_residual(constant_point(J1, G4, P4)) <= 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -380,9 +393,9 @@ def test_domega12_constant_cases():
 
 def test_met_vacuous_cases():
     # flat, constant frames
-    assert met_residual(f_stencil(PointData(EX2, G4, P4))) <= 1e-10
+    assert met_residual(CheckPoint(EX2, G4, P4)) <= 1e-10
     # rank 4
-    assert met_residual(quaternionic_twist_stencil((0.3, 0.0, 0.0, 0.0))) \
+    assert met_residual(quaternionic_twist_point((0.3, 0.0, 0.0, 0.0))) \
         == 0.0
 
 
@@ -415,7 +428,7 @@ def test_met_block_metrics(perturb):
     g = MetricField.diagonal(entries)
     phi = SmoothMap(4, 1, [Var(0) + Const(1j) * Var(1)])
     p = (0.4, -0.1, 0.8, 0.3)
-    got = met_residual(f_stencil(PointData(phi, g, p)))
+    got = met_residual(CheckPoint(phi, g, p))
     oracle = met_adapted_oracle(g, p)
     if perturb:
         assert oracle > 1e-3 and got > 1e-3
@@ -430,7 +443,8 @@ def test_met_reads_the_centers_inverse(monkeypatch):
                               Const(1.0) + Const(0.2) * Var(0),
                               Const(1.0) + Const(0.2) * Var(3) ** 2])
     phi = SmoothMap(4, 1, [Var(0) + Const(1j) * Var(1)])
-    st = f_stencil(PointData(phi, g, (0.4, -0.1, 0.8, 0.3)))
+    pt = CheckPoint(phi, g, (0.4, -0.1, 0.8, 0.3))
+    pt.dF
     inversions = []
     inv = np.linalg.inv
 
@@ -439,7 +453,7 @@ def test_met_reads_the_centers_inverse(monkeypatch):
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
-    assert met_residual(st) > 1e-3
+    assert met_residual(pt) > 1e-3
     assert inversions == []
 
 
@@ -506,26 +520,26 @@ def test_exact_jet_agrees_with_central_differences(family):
     rng = np.random.default_rng(31)
     for _ in range(3):
         p = rng.uniform(-1, 1, phi.domain_dim)
-        st = f_stencil(PointData(phi, g, p))
+        pt = CheckPoint(phi, g, p)
         fd = central_differences(phi, g, p, lambda fp: fp.F)
-        assert np.max(np.abs(st.dF - fd)) <= 1e-8
-        d_gf = st.at.dg @ st.center.F + st.center.gm @ st.dF
+        assert np.max(np.abs(pt.dF - fd)) <= 1e-8
+        d_gf = pt.dg @ pt.fp.F + pt.fp.gm @ pt.dF
         fd_gf = central_differences(phi, g, p, lambda fp: fp.gm @ fp.F)
         assert np.max(np.abs(d_gf - fd_gf)) <= 1e-8
-        oracle = FStencil(st.at, st.center, fd)
+        oracle = field_at(pt, pt.fp, fd)
         for name, residual in RESIDUALS.items():
-            assert abs(residual(st) - residual(oracle)) <= 1e-8, name
+            assert abs(residual(pt) - residual(oracle)) <= 1e-8, name
             if name in zeros:
-                assert residual(st) <= 1e-14, name
+                assert residual(pt) <= 1e-14, name
             else:
-                assert residual(st) > 1e-3, name
+                assert residual(pt) > 1e-3, name
 
 
 def test_central_differences_converge_to_the_exact_jet():
     # the oracle's error falls by 4 per halving of the step: second order
     g = varying_metric_r4()
     p = np.array([0.4, -0.2, 0.7, 0.1])
-    exact = f_stencil(PointData(EX2, g, p)).dF
+    exact = CheckPoint(EX2, g, p).dF
     err = [np.max(np.abs(central_differences(EX2, g, p, lambda fp: fp.F, h)
                          - exact)) for h in (0.1, 0.05, 0.025)]
     assert err[0] > 1e-5
@@ -566,7 +580,7 @@ def test_theorem_suite_standard():
     assert all(r.residuals["harmonic"] <= 1e-6 for r in ok)
 
 
-def test_theorem_suite_builds_one_stencil_per_point(monkeypatch):
+def test_theorem_suite_builds_one_f_per_point(monkeypatch):
     from phwc import fstruct
     from phwc.geometry import HermitianMetricField
 
@@ -615,7 +629,7 @@ def test_theorem_suite_evaluates_g_once_per_point(monkeypatch):
     # points: tension and F's derivatives read nothing else
     assert [len(batch) for batch in jets] == [2]
     assert phi_orders == [(2, 2)]
-    # kaehler, phwc, tension and the stencil center share one PointData
+    # kaehler, phwc, tension, F and its derivatives share one PointData
     assert sorted(centers) == sorted(tuple(map(float, q)) for q in points)
 
 
@@ -645,18 +659,27 @@ def test_theorem_suite_detects_forged_kaehler_flag():
     assert "kaehler_flag_violation" in reasons
 
 
-def assert_stencils_equal(a, b):
-    assert a.center.rank == b.center.rank
-    for name in ("F", "Pplus", "gm", "ginv"):
-        assert getattr(a.center, name).tobytes() == \
-            getattr(b.center, name).tobytes()
-    assert a.dF.tobytes() == b.dF.tobytes()
+def test_a_check_point_builds_f_and_its_derivatives_once(monkeypatch):
+    from phwc import fstruct
 
+    calls = []
+    build = fstruct.associated_f_structure
 
-def test_a_lone_check_point_builds_its_stencil_around_its_own_f():
+    def counted(pd):
+        calls.append(pd)
+        return build(pd)
+
+    monkeypatch.setattr(fstruct, "associated_f_structure", counted)
     pt = CheckPoint(EX2, G4, P4)
-    assert pt.stencil.center is pt.fp and pt.stencil.at is pt
-    assert_stencils_equal(pt.stencil, f_stencil(PointData(EX2, G4, P4)))
+    assert pt.dF is pt.dF and pt.fp is pt.fp and len(calls) == 1
+    # an error is kept too: each read raises it, and nothing is rebuilt
+    bad = CheckPoint(SmoothMap(2, 2, [Var(0), Var(1)]), G2, P2)
+    errors = []
+    for read in ("dF", "fp", "dF"):
+        with pytest.raises(NotPHWCAtPoint) as err:
+            getattr(bad, read)
+        errors.append(err.value)
+    assert errors[0] is errors[1] is errors[2] and len(calls) == 2
 
 
 def test_dropped_identical_components_build_a_clean_jet():
@@ -664,10 +687,10 @@ def test_dropped_identical_components_build_a_clean_jet():
     # in the span to every order, under a varying metric too
     g = MetricField.conformal(2, exp(Const(2.0) * Var(0)))
     for metric in (G2, g):
-        st = f_stencil(PointData(EX1, metric, P2))
-        assert st.center.pivots == (0,)
-        assert nijenhuis_residual(st) <= 1e-12
-    assert np.max(np.abs(f_stencil(PointData(EX1, G2, P2)).dF)) == 0.0
+        pt = CheckPoint(EX1, metric, P2)
+        assert pt.fp.pivots == (0,)
+        assert nijenhuis_residual(pt) <= 1e-12
+    assert np.max(np.abs(CheckPoint(EX1, G2, P2).dF)) == 0.0
 
 
 def test_a_gram_that_moves_off_zero_is_no_field():
@@ -679,8 +702,8 @@ def test_a_gram_that_moves_off_zero_is_no_field():
     assert on.fp.rank == 2
     messages = []
     for p in [(0.0, 0.3), (0.5, 0.2)]:
-        for op in STENCIL_RESIDUALS:
+        for op in DERIVATIVE_RESIDUALS:
             with pytest.raises(NotPHWCAtPoint) as err:
-                op(f_stencil(PointData(phi, G2, p)))
+                op(CheckPoint(phi, G2, p))
         messages.append(str(err.value))
     assert "grows at rate" in messages[0] and "exceeds the gate" in messages[1]

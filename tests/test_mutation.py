@@ -8,7 +8,6 @@ notices is a gap in what the bundle can detect; the test names the known
 gaps, so closing one or opening another fails it by name.
 """
 
-import json
 import pathlib
 import sys
 

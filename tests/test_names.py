@@ -1,19 +1,22 @@
 """Name hygiene of the package, read off its source with the standard
 library's ast: every name an ``__all__`` lists is bound in its module, and
-every name a module other than ``__init__`` imports is used there.  A
-leftover import of a name whose use was removed fails here by name."""
+every name a module other than ``__init__``, a test file or a demo imports
+is used there.  A leftover import of a name whose use was removed fails
+here by name."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "phwc"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "phwc"
 MODULES = sorted(path.name for path in SRC.glob("*.py"))
+SCRIPTS = sorted(f"{folder}/{path.name}" for folder in ("tests", "demos")
+                 for path in (ROOT / folder).glob("*.py"))
 
 
-def parse(name):
-    path = SRC / name
+def parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
@@ -61,21 +64,30 @@ def bound(tree):
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_is_bound(name):
-    tree = parse(name)
+    tree = parse(SRC / name)
     assert set(exported(tree)) - bound(tree) == set()
 
 
-@pytest.mark.parametrize("name", [m for m in MODULES if m != "__init__.py"])
-def test_every_imported_name_is_used(name):
-    tree = parse(name)
+def unused_imports(tree):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
             and isinstance(n.ctx, ast.Load)} | set(exported(tree))
     imports = {alias for node in ast.walk(tree)
                if isinstance(node, (ast.Import, ast.ImportFrom))
                for alias in imported(node)}
-    assert imports - used == set()
+    return imports - used
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "__init__.py"])
+def test_every_imported_name_is_used(name):
+    assert unused_imports(parse(SRC / name)) == set()
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_every_name_a_test_or_demo_imports_is_used(name):
+    assert unused_imports(parse(ROOT / name)) == set()
 
 
 def test_every_module_is_read():
     # an empty glob would pass every test above
     assert {"__init__.py", "cli.py", "fstruct.py", "jet.py"} <= set(MODULES)
+    assert {"tests/test_names.py", "demos/03_f_structure.py"} <= set(SCRIPTS)

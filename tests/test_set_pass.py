@@ -140,17 +140,22 @@ def test_a_failing_pass_over_a_set_is_made_once(monkeypatch):
     g = MetricField(2, [[parse_expr("1/x2"), 0], [0, 1]])
     h = HermitianMetricField(1, [[parse_expr("1/x1")]], kaehler=True)
     points = [(0.5, 0.1), (0.0, 0.0), (0.3, 0.2)]
-    for order in (2, 1):
-        for phi, made in ((parse_expr("1/x1"), ["SmoothMap", "MetricField"]),
-                          (parse_expr("x1"), ["SmoothMap", "MetricField",
-                                              "HermitianMetricField"])):
-            pds = [PointData(SmoothMap(2, 1, [phi]), g, p, h) for p in points]
-            passes.clear()
-            share_pass(pds, order=order)
-            assert passes == made
-            with pytest.raises(DivisionNearZero):
-                pds[1].gm
-            assert pds[0].gm[1, 1] == 1.0 and pds[2].gm[0, 0] == 5.0
+    for phi, fails, made in (
+            (parse_expr("1/x1"), True, ["SmoothMap", "MetricField"]),
+            (parse_expr("x1"), False, ["SmoothMap", "MetricField",
+                                       "HermitianMetricField"])):
+        pds = [PointData(SmoothMap(2, 1, [phi]), g, p, h) for p in points]
+        passes.clear()
+        share_pass(pds)
+        assert passes == made
+        with pytest.raises(DivisionNearZero):
+            pds[1].gm
+        assert pds[0].gm[1, 1] == 1.0 and pds[2].gm[0, 0] == 5.0
+        # so is phi's first-order pass alone, which gives no rows if it fails
+        pds = [PointData(SmoothMap(2, 1, [phi]), g, p, h) for p in points]
+        passes.clear()
+        shared = share_differential(pds, order=1)
+        assert passes == ["SmoothMap"] and (shared is None) == fails
 
 
 def counted(monkeypatch, module, name, calls):
