@@ -51,9 +51,9 @@ for name, phi, g, h, box in [
 
 # A map that fails the condition, for contrast: the identity chart of R^2
 # viewed inside C^2 has Gram entry g^ij d phi^1 d phi^1 = 1.
-from phwc import SmoothMap, var
+from phwc import SmoothMap, Var
 
-chart = SmoothMap(2, 2, [var(0), var(1)])
+chart = SmoothMap(2, 2, [Var(0), Var(1)])
 p = (0.3, 0.7)
 pd = PointData(chart, MetricField.euclidean(2), p)
 print("== chart map (x1, x2) into C^2")

@@ -22,10 +22,9 @@ from phwc import (
     met_residual,
     nijenhuis_residual,
     parallel_residual,
-    var,
 )
 from phwc.catalog import immersion_r2_c3, linear_r4_c2
-from phwc.jet import Const
+from phwc.jet import Const, Var
 
 print("== the immersion R^2 -> C^3")
 phi, g = immersion_r2_c3(), MetricField.euclidean(2)
@@ -49,9 +48,9 @@ print(f"  nijenhuis residual {nijenhuis_residual(pt4):.2e}\n")
 
 print("== a product metric keeps the structure parallel ...")
 g_block = MetricField.diagonal([Const(1.0), Const(1.0),
-                                Const(1.0) + var(2) ** 2,
-                                Const(1.0) + Const(0.5) * var(3) ** 2])
-phi_line = SmoothMap(4, 1, [var(0) + Const(1j) * var(1)])
+                                Const(1.0) + Var(2) ** 2,
+                                Const(1.0) + Const(0.5) * Var(3) ** 2])
+phi_line = SmoothMap(4, 1, [Var(0) + Const(1j) * Var(1)])
 p = (0.4, -0.1, 0.8, 0.3)
 pt = CheckPoint(phi_line, g_block, p)
 print(f"  parallel residual {parallel_residual(pt):.2e}, "
@@ -59,15 +58,15 @@ print(f"  parallel residual {parallel_residual(pt):.2e}, "
 
 print("== ... while a cross-term dependence breaks the mixed condition")
 g_bad = MetricField.diagonal([Const(1.0), Const(1.0),
-                              Const(1.0) + var(2) ** 2 + Const(0.2) * var(0),
-                              Const(1.0) + Const(0.5) * var(3) ** 2])
+                              Const(1.0) + Var(2) ** 2 + Const(0.2) * Var(0),
+                              Const(1.0) + Const(0.5) * Var(3) ** 2])
 pt_bad = CheckPoint(phi_line, g_bad, p)
 print(f"  met residual {met_residual(pt_bad):.2e}\n")
 
 print("== fundamental 2-form under a conformal rescale")
 from phwc.jet import exp
 
-g_conf = MetricField.conformal(2, exp(Const(2.0) * var(0)))
+g_conf = MetricField.conformal(2, exp(Const(2.0) * Var(0)))
 tf = fundamental_two_form(CheckPoint(immersion_r2_c3(), g_conf, (0.25, 0.1)))
 print(f"  omega_12 = {tf.omega[0, 1]:+.4f} (= -e^(2 x1)); "
       f"max |domega| = {np.max(np.abs(tf.domega)):.2e} "

@@ -62,9 +62,9 @@ print(f"  smooth tension of the trigonometric interpolant at random "
       f"points: {worst:.2e} (within 10x stop_tol)")
 
 print("\n== curved line target (the round-sphere chart metric)")
-from phwc.jet import Const, var
+from phwc.jet import Const, Var
 
-fs = HermitianMetricField(1, [[(Const(1.0) + var(0) ** 2 + var(1) ** 2) ** -2]],
+fs = HermitianMetricField(1, [[(Const(1.0) + Var(0) ** 2 + Var(1) ** 2) ** -2]],
                           kaehler=True)
 u0 = GridMap.from_function((16, 16), lambda x, y: 0.2 * np.exp(1j * x))
 final, trace = run_flow(u0, fs, FlowConfig(dt=5e-3, max_steps=80,

@@ -17,8 +17,8 @@ The layers, bottom up:
   one pass of h (``HermitianPoint``), at one point or, with a leading point
   axis, at a set of points, each quantity checked, inverted and contracted
   in one numpy call; a target of literals is checked once per field and
-  makes no pass; ``share_metric`` gives points of one metric, or of
-  stacked metrics of one shape, their rows of one pass;
+  makes no pass; ``share_metric`` gives points of metrics of one shape
+  (or of one metric) their rows of one pass of the stacked grids;
 - ``maps``: smooth maps, the point inputs ``PointData`` (a ``MetricPoint``
   plus phi's jets, the Gram matrix and the ``HermitianPoint`` at phi(p)),
   whose rows ``share_pass`` gives each point of a set from one
@@ -60,7 +60,6 @@ from .jet import (
     re,
     sin,
     stack,
-    var,
 )
 from .geometry import (
     HermitianMetricField,

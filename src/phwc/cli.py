@@ -65,7 +65,8 @@ from .fstruct import (
     RankJumpOnStencil,
     verdict,
 )
-from .geometry import GeometryError, HermitianMetricField, MetricField
+from .geometry import (KAEHLER_TOL, GeometryError, HermitianMetricField,
+                       MetricField)
 from .jet import ParseError, VariableIndexOutOfRange
 from .maps import SmoothMap, share_pass
 
@@ -491,55 +492,55 @@ def run_checks(manifest: Manifest, seed: int | None = None,
                                      "in memory") from err
     pts = [CheckPoint(manifest.phi, manifest.g, point, manifest.h)
            for point in points]
-    with np.errstate(all="ignore"):
-        share_pass(pts)
-    # a target that claims to be Kaehler is gated on sampled images; a
-    # point where the gate cannot be evaluated is left to its checks
-    for pt in pts[:10] if manifest.h.kaehler else []:
-        try:
-            kr = pt.target.kaehler
-        except OPERATION_ERRORS:
-            continue
-        if kr > 1e-10:
-            raise ValidationError(
-                "target.kaehler",
-                f"metric claims Kaehler but the closedness residual is "
-                f"{kr:.3e} at the image of {list(pt.p)}")
     entries = [(name, float((tol_overrides or {}).get(name, tol)), *rest)
                for name, tol, *rest in manifest.checks]
-
     records = []
-    for p_idx, pt in enumerate(pts):
-        for name, tol, negate, rank in entries:
-            rec = {
-                "point_index": p_idx,
-                "point": [float(x) for x in pt.p],
-                "check": name,
-                "tol": tol,
-                "negate": negate,
-            }
+    # what overflows in the set pass, the gate or a check is an error or a
+    # value that is not finite, which the points record (_check_finite)
+    with np.errstate(all="ignore"):
+        share_pass(pts)
+        # a target that claims to be Kaehler is gated on sampled images; a
+        # point where the gate cannot be evaluated is left to its checks
+        for pt in pts[:10] if manifest.h.kaehler else []:
             try:
-                # a residual that overflows is recorded by _check_finite
-                with np.errstate(all="ignore"):
-                    value, extra = CHECKS[name][1](pt)
-                _check_finite(name, value, extra)
-            except OPERATION_ERRORS as err:
-                rec["error"] = f"{type(err).__name__}: {err}"
-                rec["pass"] = False
-                records.append(rec)
+                kr = pt.target.kaehler
+            except OPERATION_ERRORS:
                 continue
-            rec["value"] = float(value)
-            ok = verdict(value, tol, negate)
-            if name == "fstructure":
-                if rank is not None and extra.get("rank") != rank:
-                    ok = False
-                if extra.get("dphi_pzero", 0.0) > tol:
-                    ok = False
-            if extra:
-                rec["extra"] = {k: (float(v) if isinstance(v, float) else v)
-                                for k, v in extra.items()}
-            rec["pass"] = bool(ok)
-            records.append(rec)
+            if not kr <= KAEHLER_TOL:   # a NaN fails too
+                raise ValidationError(
+                    "target.kaehler",
+                    f"metric claims Kaehler but the closedness residual is "
+                    f"{kr:.3e} at the image of {pt.p.tolist()}")
+
+        for p_idx, pt in enumerate(pts):
+            for name, tol, negate, rank in entries:
+                rec = {
+                    "point_index": p_idx,
+                    "point": [float(x) for x in pt.p],
+                    "check": name,
+                    "tol": tol,
+                    "negate": negate,
+                }
+                try:
+                    value, extra = CHECKS[name][1](pt)
+                    _check_finite(name, value, extra)
+                except OPERATION_ERRORS as err:
+                    rec["error"] = f"{type(err).__name__}: {err}"
+                    rec["pass"] = False
+                    records.append(rec)
+                    continue
+                rec["value"] = float(value)
+                ok = verdict(value, tol, negate)
+                if name == "fstructure":
+                    if rank is not None and extra.get("rank") != rank:
+                        ok = False
+                    if extra.get("dphi_pzero", 0.0) > tol:
+                        ok = False
+                if extra:
+                    rec["extra"] = {k: float(v) if isinstance(v, float) else v
+                                    for k, v in extra.items()}
+                rec["pass"] = bool(ok)
+                records.append(rec)
 
     return _assemble_report(manifest.raw, use_seed, records)
 

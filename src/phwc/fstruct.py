@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HermitianMetricField, MetricField, _inverse_checked
+from .geometry import (KAEHLER_TOL, HermitianMetricField, MetricField,
+                       _inverse_checked)
 from .jet import VariableIndexOutOfRange, differentiate, eval_jet2
 from .maps import (PointData, SmoothMap, hwc_report, isotropy_residual,
                    phwc_residual_commutator, phwc_residual_coord,
@@ -74,10 +75,9 @@ RANK_TOL = 1e-8          # pivot norms below RANK_TOL/10 end the isotropic span
 
 # the implication harness: hypothesis residuals count as zero below
 # SUITE_EPS, a tension above SUITE_DELTA is a harmonicity failure, and a
-# Kaehler flag whose closedness residual exceeds KAEHLER_TOL is forged
+# Kaehler flag is forged as geometry.KAEHLER_TOL says
 SUITE_EPS = 1e-8
 SUITE_DELTA = 1e-6
-KAEHLER_TOL = 1e-8
 
 # Errors that building the f-structure or its derivatives raises at a point
 # (the skip reasons, a metric check, a failing jet pass); a CheckPoint
@@ -537,7 +537,7 @@ def theorem_suite(samples) -> TheoremSuiteReport:
 
             if sample.h.kaehler:
                 rec.residuals["kaehler"] = pt.target.kaehler
-                if pt.target.kaehler > KAEHLER_TOL:
+                if not pt.target.kaehler <= KAEHLER_TOL:
                     rec.status = "counterexample"
                     rec.reasons.append("kaehler_flag_violation")
                     report.counterexamples += 1

@@ -8,11 +8,10 @@ holds g, g^-1, Gamma and Laplace-Beltrami from one jet pass of g, and
 HermitianPoint holds h, h^-1, its symbols and Kaehler residual from one of h.
 Given a set of points (N, m) they hold the same with a leading point axis,
 each checked, inverted and contracted in one numpy call; a target whose
-components are all literals is checked and inverted once per field.  Metric
-fields of one shape are stacked into one (MetricField.stack), so the
-MetricPoints of K fields, each at its own point, share one pass
-(share_metric).  The passes of g and h stop at the gradient, which is all
-these quantities read.
+components are all literals is checked and inverted once per field.  The
+MetricPoints of K fields of one shape, each at its own point, share one
+pass of their stacked component grids (share_metric).  The passes of g
+and h stop at the gradient, which is all these quantities read.
 Fields are immutable and all operations pure, so sweeps can run concurrently.
 
 Points where positivity fails abort with an error instead of being
@@ -35,6 +34,7 @@ __all__ = [
     "MetricNotPD",
     "TargetNotKaehler",
     "SPD_EPS",
+    "KAEHLER_TOL",
     "MetricField",
     "MetricPoint",
     "HermitianMetricField",
@@ -48,6 +48,10 @@ __all__ = [
 
 # Smallest admissible eigenvalue for a metric at a queried point.
 SPD_EPS = 1e-10
+
+# A target flagged Kaehler whose closedness residual (HermitianPoint.kaehler)
+# is not at most this carries a forged flag.
+KAEHLER_TOL = 1e-10
 
 # Errors a jet pass raises at a point.
 PASS_ERRORS = (ArithmeticError, VariableIndexOutOfRange)
@@ -90,7 +94,7 @@ def _inverse_checked(g: np.ndarray, what: str) -> np.ndarray:
     against g g^-1 = Id."""
     ginv = np.linalg.inv(g)
     err = np.max(np.abs(g @ ginv - np.eye(g.shape[-1])), axis=(-2, -1))
-    if np.any(err > 1e-12):
+    if not np.all(err <= 1e-12):   # a NaN fails too
         raise GeometryError(f"{what} inverse failed the g*g^-1 = Id check; "
                             "the matrix is too ill-conditioned")
     return ginv
@@ -107,7 +111,7 @@ def _real_part(values: np.ndarray, p) -> np.ndarray:
 
 
 def _check_spd(gm: np.ndarray, p) -> None:
-    bad = np.min(np.linalg.eigvalsh(gm), axis=-1) <= SPD_EPS
+    bad = ~(np.min(np.linalg.eigvalsh(gm), axis=-1) > SPD_EPS)   # or NaN
     if np.any(bad):
         raise MetricNotSPD(f"domain metric not SPD at {_at(bad, p)}")
 
@@ -123,7 +127,7 @@ def _check_hermitian_pd(hm: np.ndarray, z) -> np.ndarray:
     if np.any(bad):
         raise MetricNotPD(f"target metric is not Hermitian at z={_at(bad, z)}")
     herm = 0.5 * (hm + hmh)
-    bad = np.min(np.linalg.eigvalsh(herm), axis=-1) <= SPD_EPS
+    bad = ~(np.min(np.linalg.eigvalsh(herm), axis=-1) > SPD_EPS)   # or NaN
     if np.any(bad):
         raise MetricNotPD(
             f"target metric not positive definite at z={_at(bad, z)}")
@@ -166,31 +170,12 @@ class MetricField:
         """g(p) as a real SPD matrix; raises MetricNotSPD otherwise."""
         return MetricPoint(self, p).gm
 
-    @classmethod
-    def stack(cls, fields) -> "MetricField":
-        """One field whose literals hold those of each of fields, which
-        must be of one shape (jet.stack): at K points (K, m), its row k is
-        field k at the k-th point."""
-        dim = fields[0].dim
-        upper = _upper(dim)
-        roots = jet.stack([[f.components[i][j] for i, j in upper]
-                           for f in fields])
-        grid = [[None] * dim for _ in range(dim)]
-        for (i, j), root in zip(upper, roots):
-            grid[i][j] = grid[j][i] = root
-        return cls(dim, grid)
-
     def jets(self, p) -> jet.Jet2:
         """The first-order jet of the component grid at p (m,) or at each
         row of p (N, m), from one pass: value [..., i, j], grad
         [..., i, j, l].  A mirrored entry (j, i) is the root of (i, j), so
         the pass evaluates the upper triangle."""
         return eval_jet2(self.components, p, order=1)
-
-
-def _upper(dim: int) -> list:
-    """The entries (i, j), i <= j, of a symmetric dim x dim grid."""
-    return [(i, j) for i in range(dim) for j in range(i, dim)]
 
 
 def _row(value, k):
@@ -414,13 +399,15 @@ TARGET_ROWS = ("hm", "hinv", "gamma", "kaehler")
 
 def share_metric(points: list[MetricPoint]) -> None:
     """Give each of points, MetricPoints at one point each, its rows of the
-    checked gm and ginv of one MetricPoint over all of them: of their field
-    when they share one, else of the stack of their fields, which must be
-    of one shape (MetricField.stack).  Errors stay on their points, as
+    checked gm and ginv of one MetricPoint over all of them, whose field
+    stacks the component grids of their fields (jet.stack), which must be
+    of one shape; a field stacked with itself gives its own bits, and a
+    mirrored entry stays one node.  Errors stay on their points, as
     _share_rows says."""
-    g = points[0].g
-    if any(pt.g is not g for pt in points):
-        g = MetricField.stack([pt.g for pt in points])
+    dim = points[0].g.dim
+    flat = jet.stack([[e for row in pt.g.components for e in row]
+                      for pt in points])
+    g = MetricField(dim, [flat[i * dim:(i + 1) * dim] for i in range(dim)])
     _share_rows(MetricPoint(g, np.array([pt.p for pt in points])), points,
                 ("gm", "ginv"))
 

@@ -50,8 +50,6 @@ __all__ = [
     "Expr",
     "Const",
     "Var",
-    "var",
-    "const",
     "sin",
     "cos",
     "exp",
@@ -505,15 +503,6 @@ class Im(_Unary):
     _rule = _linear(lambda x: _as_complex(x.imag), True)
 
 
-def var(i: int) -> Expr:
-    """Variable x_{i+1} (0-based index into the evaluation point)."""
-    return Var(i)
-
-
-def const(c) -> Expr:
-    return Const(c)
-
-
 def sin(e) -> Expr:
     return Sin(as_expr(e))
 
@@ -598,39 +587,6 @@ def eval_jet2(e, p, order: int = 2) -> Jet2:
     return out[0] if p.ndim == 1 else out
 
 
-def _shape(roots) -> tuple[list, list, list]:
-    """The shape of a tree given by its roots: every node once, children
-    before parents, as (type, Var index or Pow exponent, child positions);
-    the positions of the roots; and the literal values in node order."""
-    nodes, literals, seen = [], [], {}
-
-    def visit(node):
-        k = seen.get(id(node))
-        if k is not None:
-            return k
-        kind = type(node)
-        if kind is Const:
-            if type(node.value) is np.ndarray:
-                raise ValueError("cannot stack a stacked tree")
-            literals.append(node.value)
-            key = (kind,)
-        elif kind is Var:
-            key = (kind, node.index)
-        elif kind is Pow:
-            key = (kind, node.n, visit(node.base))
-        elif issubclass(kind, _Binary):
-            key = (kind, visit(node.left), visit(node.right))
-        elif issubclass(kind, _Unary):
-            key = (kind, visit(node.arg))
-        else:
-            raise ValueError(f"cannot stack a {kind.__name__} node")
-        k = seen[id(node)] = len(nodes)
-        nodes.append(key)
-        return k
-
-    return nodes, [visit(r) for r in roots], literals
-
-
 def stack(trees):
     """One tree of the shape of K trees whose literals hold the K trees'
     values: evaluated at K points (K, m), its row k is, bit for bit, tree k
@@ -640,27 +596,52 @@ def stack(trees):
     giving one list.  The trees must have one shape: the same node types,
     Var indices, Pow exponents and sharing of subtrees (within one tree,
     and among the roots of one list); any difference raises ValueError.
+    The K trees are walked together once, each K-tuple of nodes built once
+    (memoised on their ids); a literal becomes the column of its K values.
+    The sharing agrees when each built node stands for one node of each
+    tree.
     """
     single = isinstance(trees[0], Expr)
-    shapes = [_shape([t] if single else t) for t in trees]
-    nodes, roots, _ = shapes[0]
-    for k, (other, other_roots, _) in enumerate(shapes):
-        if other != nodes or other_roots != roots:
-            raise ValueError(f"tree {k} is not of the shape of tree 0")
-    columns = iter(np.array([lits for _, _, lits in shapes], dtype=complex).T
-                   .copy())
-    built = []
-    for kind, *rest in nodes:
+    lists = [[t] if single else t for t in trees]
+    if len({len(roots) for roots in lists}) > 1:
+        raise ValueError("the trees have different numbers of roots")
+    memo = {}
+
+    def visit(nodes):
+        key = tuple(map(id, nodes))
+        built = memo.get(key)
+        if built is not None:
+            return built
+        first = nodes[0]
+        kind = type(first)
+        if set(map(type, nodes)) != {kind} or (
+                kind is Var and {node.index for node in nodes} != {first.index}
+                or kind is Pow and {node.n for node in nodes} != {first.n}):
+            raise ValueError("the trees differ in a node type, Var index or "
+                             "Pow exponent")
         if kind is Const:
-            built.append(Const.__new__(Const))
-            built[-1].value = next(columns)
+            if any(type(node.value) is np.ndarray for node in nodes):
+                raise ValueError("cannot stack a stacked tree")
+            built = Const.__new__(Const)
+            built.value = np.array([node.value for node in nodes], complex)
         elif kind is Var:
-            built.append(Var(*rest))
+            built = Var(first.index)
         elif kind is Pow:
-            built.append(Pow(built[rest[1]], rest[0]))
+            built = Pow(visit([node.base for node in nodes]), first.n)
+        elif issubclass(kind, _Binary):
+            built = kind(visit([node.left for node in nodes]),
+                         visit([node.right for node in nodes]))
+        elif issubclass(kind, _Unary):
+            built = kind(visit([node.arg for node in nodes]))
         else:
-            built.append(kind(*(built[k] for k in rest)))
-    out = [built[k] for k in roots]
+            raise ValueError(f"cannot stack a {kind.__name__} node")
+        memo[key] = built
+        return built
+
+    out = [visit(nodes) for nodes in zip(*lists)]
+    for k in range(len(lists)):
+        if len({key[k] for key in memo}) < len(memo):
+            raise ValueError(f"tree {k} shares subtrees unlike the others")
     return out[0] if single else out
 
 

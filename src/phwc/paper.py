@@ -97,9 +97,9 @@ def equivalence(rng) -> list:
 
     Every case is drawn first.  Then each map that several cases share
     (ex1, ex2) makes one first-order pass over their points, every other
-    map one at its point; g2 and g4 make one pass each over their cases,
-    and the random metrics one pass per dimension, stacked (share_metric).
-    The residuals are then read case by case."""
+    map one at its point; g2, g4 and the random metrics of each dimension
+    make one stacked pass each over their cases (share_metric).  The
+    residuals are then read case by case."""
     flat = {n: HermitianMetricField.flat(n) for n in (1, 2, 3)}
     cases, by_metric = [], {}
     for _ in range(200):

@@ -566,6 +566,30 @@ def test_forged_kaehler_manifest_is_gated():
     assert "target.kaehler" in str(err.value)
 
 
+def test_an_infinite_metric_fails_every_record():
+    # g_11 = 1e200*x1*1e200 is inf on the box; its NaN eigenvalues and the
+    # g^-1 = diag(0, 1) they let through used to pass all four records
+    report = run_checks(parse_manifest(manifest_text(
+        domain={"dim": 2, "metric": [["1e200*x1*1e200", "0"], ["0", "1"]]},
+        map={"components": ["x1"]}, checks=["phwc", "commutator"],
+        sample={"count": 2, "seed": 1, "box": [[1, 2], [0, 1]]})))
+    assert len(report["records"]) == 4
+    assert all(rec["error"].startswith("MetricNotSPD")
+               for rec in report["records"])
+
+
+def test_a_kaehler_residual_that_is_nan_fails_the_gate():
+    # the residual is NaN at 4 of the 6 images, and the other 2 overflow;
+    # the suite makes a RuntimeWarning an error, so the gate runs in errstate
+    raw = parse_manifest(manifest_text(
+        target={"cdim": 1, "kaehler": True, "hermitian":
+                [["2 + 0*(x1*1000)^150 + x2*1e200*x2*1e200"]]},
+        checks=["phwc"],
+        sample={"count": 6, "seed": 3, "box": [[0, 0.2], [0.5, 1]]}))
+    with pytest.raises(ValidationError, match="residual is nan"):
+        run_checks(raw)
+
+
 # --------------------------------------------------------------------------
 # report emission
 # --------------------------------------------------------------------------

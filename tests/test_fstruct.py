@@ -659,6 +659,22 @@ def test_theorem_suite_detects_forged_kaehler_flag():
     assert "kaehler_flag_violation" in reasons
 
 
+def test_theorem_suite_counts_a_nan_kaehler_residual_as_forged():
+    from phwc.geometry import HermitianMetricField
+
+    # x2*1e200*x2*1e200 is inf, and its derivatives give a NaN residual,
+    # which a `residual > KAEHLER_TOL` test let through
+    h = HermitianMetricField(1, [[Const(2.0) + Var(1) * Const(1e200)
+                                  * Var(1) * Const(1e200)]], kaehler=True)
+    with np.errstate(all="ignore"):
+        report = theorem_suite([SuiteSample(
+            "nan_flag", SmoothMap(2, 1, [Var(0) + Const(1j) * Var(1)]),
+            MetricField.euclidean(2), h, [[0.1, 0.6]])])
+    (rec,) = report.records
+    assert rec.reasons == ["kaehler_flag_violation"]
+    assert np.isnan(rec.residuals["kaehler"])
+
+
 def test_a_check_point_builds_f_and_its_derivatives_once(monkeypatch):
     from phwc import fstruct
 

@@ -3,6 +3,7 @@ import pytest
 
 from phwc import catalog
 from phwc.geometry import (
+    GeometryError,
     HermitianMetricField,
     MetricField,
     MetricNotPD,
@@ -12,6 +13,7 @@ from phwc.geometry import (
     christoffel_kaehler,
     kaehler_residual,
     laplace_beltrami,
+    _inverse_checked,
 )
 from phwc.jet import Const, Var, conj, eval_jet2, exp, parse_expr, re
 from phwc.maps import PointData, differential, tension
@@ -104,6 +106,26 @@ def test_not_spd_raises():
     g = MetricField.diagonal([Var(0), Const(1.0)])
     with pytest.raises(MetricNotSPD):
         christoffel_domain(g, (-1.0, 0.0))
+
+
+def test_a_metric_that_is_not_finite_fails_its_check():
+    # eigvalsh of diag(inf, 1) is [nan, nan], which a `min <= SPD_EPS` test
+    # lets through, so the residuals read g^-1 = diag(0, 1)
+    big = Const(1e200) * Var(0) * Const(1e200)
+    g = MetricField.diagonal([big, Const(1.0)])
+    h = HermitianMetricField(1, [[Const(1.0) + big - big]])   # NaN
+    with np.errstate(all="ignore"):
+        for p in ([1.5, 0.5], [[1e-300, 0.5], [1.5, 0.5]]):
+            with pytest.raises(MetricNotSPD, match=r"at \[1.5 0.5\]"):
+                MetricPoint(g, p).gm
+        for z in ([1.5 + 0.5j], [[0.5j], [1.5 + 0.5j]]):
+            with pytest.raises(MetricNotPD, match=r"at z=\[1.5\+0.5j\]"):
+                h.matrix(np.array(z))
+
+
+def test_an_inverse_that_is_nan_fails_its_check():
+    with pytest.raises(GeometryError, match=r"g[*]g\^-1 = Id"):
+        _inverse_checked(np.array([[np.nan, 0.0], [0.0, 1.0]]), "metric")
 
 
 def test_inverse_identity_check():

@@ -54,7 +54,7 @@ def random_expr(rng, nvars, depth):
         return a * random_expr(rng, nvars, depth - 1)
     if kind == "div":
         # keep the divisor's modulus well away from zero
-        return a / (jet.const(2.5) + jet.sin(Var(int(rng.integers(nvars)))))
+        return a / (Const(2.5) + jet.sin(Var(int(rng.integers(nvars)))))
     if kind == "pow":
         return a ** int(rng.integers(2, 4))
     return getattr(jet, kind)(a)
@@ -213,11 +213,11 @@ def test_parsed_first_power_at_zero():
 def test_non_integer_power_is_rejected(n):
     # x1 ** 0.5 at 4 used to read 1 (x1^0) and x1 ** 2.9 at 2 read 4 (x1^2)
     with pytest.raises(TypeError, match="integer powers"):
-        jet.var(0) ** n
+        Var(0) ** n
 
 
 def test_integral_float_power_is_accepted():
-    assert eval_jet2(jet.var(0) ** 2.0, [3.0]).value == 9.0
+    assert eval_jet2(Var(0) ** 2.0, [3.0]).value == 9.0
 
 
 # --------------------------------------------------------------------------

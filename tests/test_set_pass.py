@@ -270,15 +270,20 @@ def test_summary_mean_of_finite_values_whose_sum_overflows():
 def test_stacked_metric_rows_equal_each_lone_point():
     rng = np.random.default_rng(31)
     for m in (2, 3, 4):
-        fields = [catalog.random_polynomial_metric(rng, m) for _ in range(9)]
-        points = rng.uniform(-1, 1, (9, m))
-        shared = [MetricPoint(g, p) for g, p in zip(fields, points)]
-        share_metric(shared)
-        for pt, g, p in zip(shared, fields, points):
-            lone = MetricPoint(g, p)
-            for name in ("gm", "ginv", "gamma"):
-                assert getattr(pt, name).tobytes() == \
-                    getattr(lone, name).tobytes(), name
+        one = catalog.random_polynomial_metric(rng, m)
+        # fields of one shape, then one field (random or Euclidean) that the
+        # points share, which share_metric stacks with itself
+        for fields in ([catalog.random_polynomial_metric(rng, m)
+                        for _ in range(9)], [one] * 9,
+                       [MetricField.euclidean(m)] * 9):
+            points = rng.uniform(-1, 1, (9, m))
+            shared = [MetricPoint(g, p) for g, p in zip(fields, points)]
+            share_metric(shared)
+            for pt, g, p in zip(shared, fields, points):
+                lone = MetricPoint(g, p)
+                for name in ("gm", "ginv", "gamma"):
+                    assert getattr(pt, name).tobytes() == \
+                        getattr(lone, name).tobytes(), name
 
 
 def test_first_order_rows_equal_each_lone_point():
