@@ -12,7 +12,20 @@ shape dims + (2n,)), stacked over the axes, and divide by the grid step as a
 float multiply by its reciprocal.  numpy divides a complex value by c + 0j
 as (re + im*0) * (1/c) and (im - re*0) * (1/c), so for finite values the
 multiply gives the bits of complex stencils with that division.  Only the
-sign of an exact zero can differ, and no nonzero value depends on it.
+sign of an exact zero can differ, and no nonzero value depends on it.  Each
+axis is scaled by its own reciprocal as a Python float, in one multiply for
+all axes where they share the grid step and one per axis otherwise: the
+element operation of a broadcast array of the reciprocals, at less cost per
+call.
+
+On a constant target metric c on C^1 the energy density is read off the
+float pairs as sum_i ((c re) re + (c im) im), over the axes in order; where
+c = 1, c re = re exactly and the multiply by c is left out.  That is the
+arithmetic of the einsum kept for n >= 2, bit for bit: it multiplies c + 0j
+by d_i u first, where the zero imaginary part adds only signed zeros, then
+by conj(d_i u), whose real part is (c re) re + (c im) im, and accumulates
+the axes in order.  For n, m >= 2 neither summing the axes first nor the
+components first reproduces the einsum's sums, so those targets keep it.
 
 The domain is restricted to flat tori; curvature enters only through the
 target metric.  Node updates inside a step are plain array arithmetic and
@@ -22,7 +35,7 @@ data-parallel; steps are sequential.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -59,17 +72,30 @@ class GridMap:
 
     ``values`` has shape dims + (n,); node (j1, .., jm) sits at the point
     (2 pi j1 / N1, .., 2 pi jm / Nm).  It is a read-only view, so the
-    shifts, gradients and target pass a state keeps from first use cannot
-    go stale.
+    shifts, gradients and target pass a state keeps cannot go stale.  The
+    stencil pass runs once, on construction: every state of a flow needs
+    its gradients for the energy.
     """
 
     def __init__(self, values):
-        self.values = np.ascontiguousarray(values, dtype=complex).view()
-        self.values.flags.writeable = False
-        if self.values.ndim < 2:
-            raise ValueError("values must have shape dims + (n,)")
-        if not np.isfinite(self.values.view(float)).all():
+        values = np.ascontiguousarray(values, dtype=complex).view()
+        values.flags.writeable = False
+        if values.ndim < 2 or 0 in values.shape:
+            raise ValueError("values must have shape dims + (n,), with no "
+                             "empty axis")
+        v = values.view(float)
+        if not np.isfinite(v).all():
             raise ValueError("grid values must be finite")
+        neighbours, half, _ = _stencil(values.shape[:-1])
+        # every index is in range, so "wrap", cheaper than "raise", takes
+        # the same rows
+        shifts = v.reshape(-1, v.shape[-1]).take(neighbours, axis=0,
+                                                 mode="wrap")
+        grads = shifts[0] - shifts[1]
+        for axes, scale in half:
+            grads[axes] *= scale
+        shifts.flags.writeable = grads.flags.writeable = False
+        self.values, self._shifts, self._grads = values, shifts, grads
         self._target = None
 
     @property
@@ -88,26 +114,19 @@ class GridMap:
     def cell_volume(self) -> float:
         return _cell_volume(self.dims)
 
-    @cached_property
+    @property
     def shifts(self):
         """The float-pair values v (dims + (2n,)) shifted periodically by
-        one node along each axis, shape (m, 2) + dims + (2n,): along axis
-        i, shifts[i, 0][.., j, ..] = v[.., j + 1, ..] and
+        one node along each axis, read-only, shape (m, 2) + dims + (2n,):
+        along axis i, shifts[i, 0][.., j, ..] = v[.., j + 1, ..] and
         shifts[i, 1][.., j, ..] = v[.., j - 1, ..], gathered in one take."""
-        v = self.values.view(float)
-        neighbours, _, _ = _stencil(self.dims)
-        rows = v.reshape(-1, v.shape[-1]).take(neighbours, axis=0)
-        return rows.reshape((self.m, 2) + v.shape)
+        return self._shifts.swapaxes(0, 1)
 
-    @cached_property
+    @property
     def gradients(self):
         """Central differences along every axis, stacked: a read-only
         complex array of shape (m,) + dims + (n,)."""
-        _, half, _ = _stencil(self.dims)
-        d = self.shifts[:, 0] - self.shifts[:, 1]
-        d *= half
-        d.flags.writeable = False
-        return d.view(complex)
+        return self._grads.view(complex)
 
     def target_point(self, h: HermitianMetricField) -> HermitianPoint:
         """One HermitianPoint of h over all nodes in C order, kept for the
@@ -146,27 +165,31 @@ def _cell_volume(dims) -> float:
 @cache
 def _stencil(dims) -> tuple:
     """For a grid of shape dims: the C-order index of the periodic
-    neighbours of each node along each axis, shape (m, 2, nodes), forward
-    then back; and per axis 1/(2h) and 1/h^2, shaped to scale the stacked
-    float-pair stencils."""
+    neighbours of each node along each axis, shape (2, m) + dims, forward
+    then back; and 1/(2h) and 1/h^2 as (axes, float) pairs that scale each
+    axis of a stack by its own, all axes in one multiply when they share
+    the step."""
     m = len(dims)
     ids = np.arange(np.prod(dims, dtype=int)).reshape(dims)
-    neighbours = np.array([(np.roll(ids, -1, i), np.roll(ids, 1, i))
-                           for i in range(m)]).reshape(m, 2, -1)
-    shape = (m,) + (1,) * (m + 1)
-    half = np.reshape([1.0 / (2 * h) for h in _spacing(dims)], shape)
-    square = np.reshape([1.0 / h**2 for h in _spacing(dims)], shape)
-    for arr in (neighbours, half, square):
-        arr.flags.writeable = False
-    return neighbours, half, square
+    neighbours = np.array([[np.roll(ids, step, i) for i in range(m)]
+                           for step in (-1, 1)])
+    neighbours.flags.writeable = False
+    return neighbours, _per_axis([1.0 / (2 * h) for h in _spacing(dims)]), \
+        _per_axis([1.0 / h**2 for h in _spacing(dims)])
+
+
+def _per_axis(scales: list) -> tuple:
+    if len(set(scales)) == 1:
+        return ((slice(None), scales[0]),)
+    return tuple(enumerate(scales))
 
 
 def _laplacian(u: GridMap):
     _, _, square = _stencil(u.dims)
-    s = u.shifts
-    terms = s[:, 0] - 2 * u.values.view(float)
-    terms += s[:, 1]
-    terms *= square
+    terms = u._shifts[0] - 2 * u.values.view(float)
+    terms += u._shifts[1]
+    for axes, scale in square:
+        terms[axes] *= scale
     lap = terms[0]
     for term in terms[1:]:
         lap += term
@@ -188,8 +211,17 @@ def _at_nodes(u: GridMap, h: HermitianMetricField, name: str) -> np.ndarray:
 
 def dirichlet_energy(u: GridMap, h: HermitianMetricField) -> float:
     """E = 1/2 sum_nodes sum_i h_{a bbar}(u) d_i u^a conj(d_i u^b) * cellvol."""
-    grads = u.gradients
     hm = h.constant_matrix
+    if hm is not None and u.n == 1:
+        # the einsum's density, off the float pairs: see the module notes
+        c, g = float(hm[0, 0].real), u._grads
+        pairs = g * g if c == 1.0 else g * c * g
+        terms = pairs[..., 0] + pairs[..., 1]
+        density = terms[0]
+        for term in terms[1:]:
+            density += term
+        return float(0.5 * density.sum() * u.cell_volume)
+    grads = u.gradients
     if hm is not None:
         density = np.einsum("ab,i...a,i...b->...", hm, grads, np.conj(grads))
     else:

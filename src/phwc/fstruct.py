@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (KAEHLER_TOL, HermitianMetricField, MetricField,
-                       _inverse_checked)
+from .geometry import (KAEHLER_TOL, GeometryError, HermitianMetricField,
+                       MetricField, _inverse_checked)
 from .jet import VariableIndexOutOfRange, differentiate, eval_jet2
 from .maps import (PointData, SmoothMap, hwc_report, isotropy_residual,
                    phwc_residual_commutator, phwc_residual_coord,
@@ -513,6 +513,7 @@ class TheoremSuiteReport:
         return [r for r in self.records if r.status == "counterexample"]
 
 
+@np.errstate(all="ignore")
 def theorem_suite(samples) -> TheoremSuiteReport:
     """Test the two harmonicity implications over a family of PHWC maps.
 
@@ -522,7 +523,11 @@ def theorem_suite(samples) -> TheoremSuiteReport:
     covariant-derivative condition.  Hypotheses are measured, not assumed;
     in particular a Kaehler flag that contradicts the measured closedness
     residual of the target metric is itself reported as a counterexample,
-    because every conclusion below relies on it.
+    because every conclusion below relies on it; a NaN residual fails that
+    gate too.  A point where the gate or a residual raises an arithmetic or
+    geometry error is skipped with the error's type name as its reason, and
+    the other points still run.  numpy's floating-point warnings are off:
+    what overflows in numpy is an inf or NaN residual, not a warning.
     """
     records = []
     report = TheoremSuiteReport(records=records)
@@ -534,22 +539,20 @@ def theorem_suite(samples) -> TheoremSuiteReport:
             rec = SuiteRecord(sample=sample.name, point=list(pt.p),
                               status="ok", reasons=[], residuals={})
             records.append(rec)
-
-            if sample.h.kaehler:
-                rec.residuals["kaehler"] = pt.target.kaehler
-                if not pt.target.kaehler <= KAEHLER_TOL:
-                    rec.status = "counterexample"
-                    rec.reasons.append("kaehler_flag_violation")
-                    report.counterexamples += 1
-                    continue
-
             try:
+                if sample.h.kaehler:
+                    rec.residuals["kaehler"] = pt.target.kaehler
+                    if not pt.target.kaehler <= KAEHLER_TOL:
+                        rec.status = "counterexample"
+                        rec.reasons.append("kaehler_flag_violation")
+                        report.counterexamples += 1
+                        continue
                 pt.dF            # a skip reason is raised before any residual
                 resid = {name: CHECKS[name][1](pt)[0]
                          for name in ("phwc", *DERIVATIVE_CHECKS)}
                 resid["harmonic"] = CHECKS["tension"][1](pt)[0]
-            except (NotPHWCAtPoint, RankDeficiencyAmbiguous,
-                    RankJumpOnStencil) as err:
+            except (NotPHWCAtPoint, RankDeficiencyAmbiguous, RankJumpOnStencil,
+                    ArithmeticError, GeometryError) as err:
                 rec.status = "skipped"
                 rec.reasons.append(type(err).__name__)
                 report.skipped += 1

@@ -84,8 +84,9 @@ class SmoothMap:
         self.components = [as_expr(c) for c in components]
 
     def value(self, p) -> np.ndarray:
-        """phi at p (m,), or at each row of p (N, m) as (N, n)."""
-        return eval_jet2(self.components, p).value
+        """phi at p (m,), or at each row of p (N, m) as (N, n), from a
+        first-order pass: values do not depend on the order."""
+        return eval_jet2(self.components, p, 1).value
 
     def jets(self, p, order: int = 2) -> Jet2:
         """The jet of the components at p (m,) or at each row of p (N, m),

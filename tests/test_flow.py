@@ -55,6 +55,24 @@ def test_energy_quadratic_convergence():
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
 
 
+@pytest.mark.parametrize("dims", [(9,), (1,), (6, 5), (1, 4), (3, 1, 4)])
+@pytest.mark.parametrize("c", [1.0, 2.7, 0.013])
+def test_one_dimensional_energy_equals_the_einsum(monkeypatch, dims, c):
+    # a constant metric c on C^1: the float-pair density is, bit for bit,
+    # the einsum's, with values over twelve orders of magnitude
+    rng = np.random.default_rng(len(dims) * 7 + int(c * 10))
+    size = 10.0 ** rng.uniform(-6, 6, dims + (1,))
+    u = GridMap(size * (rng.standard_normal(dims + (1,))
+                        + 1j * rng.standard_normal(dims + (1,))))
+    h = HermitianMetricField(1, [[Const(c)]], kaehler=True)
+    g = u.gradients
+    density = np.einsum("ab,i...a,i...b->...", h.constant_matrix, g,
+                        np.conj(g))
+    oracle = float(0.5 * density.real.sum() * u.cell_volume)
+    monkeypatch.setattr(np, "einsum", None)   # the float-pair path only
+    assert dirichlet_energy(u, h).hex() == oracle.hex()
+
+
 # --------------------------------------------------------------------------
 # tension
 # --------------------------------------------------------------------------
@@ -100,6 +118,16 @@ def test_stencils_equal_the_roll_formulas(dims, n):
     got = u.gradients
     assert got.shape == (len(dims),) + vals.shape
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, grads))
+    shifts = u.shifts
+    assert shifts.shape == (len(dims), 2) + dims + (2 * n,)
+    for i, pair in enumerate(shifts):
+        for step, shifted in zip((-1, 1), pair):
+            rolled = np.roll(vals, step, i)
+            assert shifted.tobytes() == np.ascontiguousarray(
+                rolled.view(float)).tobytes()
+    for kept in (got, shifts):
+        with pytest.raises(ValueError):
+            kept[(0,) * kept.ndim] = 1.0
     assert flow._laplacian(u).tobytes() == lap.tobytes()
 
 
@@ -121,6 +149,13 @@ def test_grid_values_are_read_only():
     with pytest.raises(ValueError):
         u.values[0, 0, 0] = 2.0
     assert vals.flags.writeable  # the caller's array is left as it was
+
+
+@pytest.mark.parametrize("shape", [(4,), (0, 1), (4, 0), (0, 4, 1)])
+def test_grid_shapes_without_nodes_or_components_are_refused(shape):
+    # the stencil pass runs on construction; an empty axis has no step
+    with pytest.raises(ValueError, match="dims"):
+        GridMap(np.zeros(shape, dtype=complex))
 
 
 def test_tension_of_constant_target_is_the_laplacian(monkeypatch):
@@ -283,6 +318,50 @@ def test_curved_flow_makes_one_target_pass_per_state(monkeypatch):
     assert len(trace) == 41 and len(built) == 41
     assert trace_digest(final, trace) == (
         "beaa5788e35a5a14915144312131665fd063e8a1f33042baae6854ee4e998b52")
+
+
+def test_run_flow_evaluates_energy_per_trial_and_tension_per_state(
+        monkeypatch):
+    # the contract the flow counters of the benchmark's tracer read: one
+    # dirichlet_energy call per trial state (the initial one included) and
+    # one discrete_tension call per accepted state, also when steps halve
+    energies, tensions = [], []
+    energy, tension = flow.dirichlet_energy, flow.discrete_tension
+
+    def counted_energy(u, h):
+        energies.append((u, energy(u, h)))
+        return energies[-1][1]
+
+    def counted_tension(u, h):
+        tensions.append(u)
+        return tension(u, h)
+
+    monkeypatch.setattr(flow, "dirichlet_energy", counted_energy)
+    monkeypatch.setattr(flow, "discrete_tension", counted_tension)
+    rng = np.random.default_rng(2)
+    rough = 2.0 * (rng.standard_normal((4, 4, 1))
+                   + 1j * rng.standard_normal((4, 4, 1)))
+    runs = [(single_mode((8, 8)), FLAT1, 1e-2, 0),
+            (GridMap(rough), fs_like_target(),
+             0.99 * flow.stable_dt_bound((4, 4)), 1)]
+    for u0, h, dt, halvings in runs:
+        energies.clear()
+        tensions.clear()
+        final, trace = run_flow(u0, h, FlowConfig(dt=dt, max_steps=30,
+                                                  stop_tol=0.0))
+        assert len({id(u) for u, _ in energies}) == len(energies)
+        # replay the acceptance rule over the trials in call order
+        accepted, rejected = [energies[0]], 0
+        for u, e in energies[1:]:
+            if e <= accepted[-1][1] + 1e-12:
+                accepted.append((u, e))
+            else:
+                rejected += 1
+        assert rejected == halvings
+        assert len(tensions) == len(accepted) == len(trace) == 31
+        assert all(t is u for t, (u, _) in zip(tensions, accepted))
+        assert [e for _, e in accepted] == [e for _, e, _ in trace]
+        assert final is accepted[-1][0]
 
 
 def test_flow_rejects_unstable_dt():

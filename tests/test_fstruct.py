@@ -21,8 +21,8 @@ from phwc.fstruct import (
     parallel_residual,
     theorem_suite,
 )
-from phwc.geometry import MetricField, MetricPoint
-from phwc.jet import Const, Var, cos, exp, sin
+from phwc.geometry import HermitianMetricField, MetricField, MetricPoint
+from phwc.jet import Const, Var, cos, exp, parse_expr, sin
 from phwc.maps import PointData, SmoothMap, compose, differential
 
 EX1 = catalog.immersion_r2_c3()
@@ -578,6 +578,25 @@ def test_theorem_suite_standard():
     ok = [r for r in report.records if r.status == "ok"]
     assert all(r.residuals["parallel"] <= 1e-8 for r in ok)
     assert all(r.residuals["harmonic"] <= 1e-6 for r in ok)
+
+
+def test_theorem_suite_skips_a_point_whose_gate_overflows():
+    # h overflows at the images of the middle points: at (0.19, 0.6) the
+    # power raises OverflowError, which skips the point, named by the
+    # error's type; at (0.1, 0.6) numpy overflows to a NaN residual, which
+    # fails the Kaehler gate; the points around them are still checked
+    h = HermitianMetricField(1, [[parse_expr(
+        "2 + 0*(x1*1000)^150 + x2*1e200*x2*1e200")]], kaehler=True)
+    phi = SmoothMap(2, 1, [parse_expr("x1 + i*x2")])
+    points = [(0.001, 0.0), (0.19, 0.6), (0.1, 0.6), (0.0005, 0.0)]
+    report = theorem_suite([SuiteSample("overflowing_h", phi, G2, h,
+                                        np.array(points))])
+    assert [(r.status, r.reasons) for r in report.records] == [
+        ("ok", []), ("skipped", ["OverflowError"]),
+        ("counterexample", ["kaehler_flag_violation"]), ("ok", [])]
+    assert (report.checked, report.skipped, report.counterexamples) == \
+        (2, 1, 1)
+    assert report.records[0].residuals["harmonic"] == 0.0
 
 
 def test_theorem_suite_builds_one_f_per_point(monkeypatch):

@@ -203,6 +203,31 @@ def test_tension_evaluates_phi_once(monkeypatch):
     assert calls == [("jets", 2)]
 
 
+def test_value_is_a_first_order_pass(monkeypatch):
+    # values do not depend on the order of the pass: the bits of a
+    # second-order pass's values, at one point and at a set, and no Hessian
+    from phwc import maps
+
+    hessians = []
+
+    def spied(e, p, order=2):
+        jets = eval_jet2(e, p, order)
+        hessians.append(jets.hess)
+        return jets
+
+    monkeypatch.setattr(maps, "eval_jet2", spied)
+    rng = np.random.default_rng(36)
+    wave = SmoothMap(2, 1, [Const(0.3) * cos(Var(0) + Const(0.4))
+                            + Const(0.1j) * sin(Var(1) + Const(2.2))])
+    for phi in (EX1, EX2, wave,
+                catalog.random_holomorphic_map(rng, 3, 2)):
+        for p in (rng.uniform(-2, 2, phi.domain_dim),
+                  rng.uniform(-2, 2, (50, phi.domain_dim))):
+            full = eval_jet2(phi.components, p).value
+            assert phi.value(p).tobytes() == full.tobytes()
+    assert len(hessians) == 8 and all(h is None for h in hessians)
+
+
 def test_tension_coordinate_laplacian():
     # |x|^2 as a map R^2 -> C has tau = 4
     phi = SmoothMap(2, 1, [Var(0) ** 2 + Var(1) ** 2])
