@@ -13,19 +13,17 @@ float multiply by its reciprocal.  numpy divides a complex value by c + 0j
 as (re + im*0) * (1/c) and (im - re*0) * (1/c), so for finite values the
 multiply gives the bits of complex stencils with that division.  Only the
 sign of an exact zero can differ, and no nonzero value depends on it.  Each
-axis is scaled by its own reciprocal as a Python float, in one multiply for
-all axes where they share the grid step and one per axis otherwise: the
-element operation of a broadcast array of the reciprocals, at less cost per
-call.
+axis is scaled by its own reciprocal as a Python float: the element
+operation of a broadcast array of the reciprocals, at less cost per call.
 
 On a constant target metric c on C^1 the energy density is read off the
-float pairs as sum_i ((c re) re + (c im) im), over the axes in order; where
-c = 1, c re = re exactly and the multiply by c is left out.  That is the
-arithmetic of the einsum kept for n >= 2, bit for bit: it multiplies c + 0j
-by d_i u first, where the zero imaginary part adds only signed zeros, then
-by conj(d_i u), whose real part is (c re) re + (c im) im, and accumulates
-the axes in order.  For n, m >= 2 neither summing the axes first nor the
-components first reproduces the einsum's sums, so those targets keep it.
+float pairs as sum_i ((c re) re + (c im) im), over the axes in order.  That
+is the arithmetic of the einsum kept for n >= 2, bit for bit: it multiplies
+c + 0j by d_i u first, where the zero imaginary part adds only signed
+zeros, then by conj(d_i u), whose real part is (c re) re + (c im) im, and
+accumulates the axes in order.  For n, m >= 2 neither summing the axes
+first nor the components first reproduces the einsum's sums, so those
+targets keep it.
 
 The domain is restricted to flat tori; curvature enters only through the
 target metric.  Node updates inside a step are plain array arithmetic and
@@ -92,8 +90,8 @@ class GridMap:
         shifts = v.reshape(-1, v.shape[-1]).take(neighbours, axis=0,
                                                  mode="wrap")
         grads = shifts[0] - shifts[1]
-        for axes, scale in half:
-            grads[axes] *= scale
+        for i, scale in half:
+            grads[i] *= scale
         shifts.flags.writeable = grads.flags.writeable = False
         self.values, self._shifts, self._grads = values, shifts, grads
         self._target = None
@@ -166,30 +164,24 @@ def _cell_volume(dims) -> float:
 def _stencil(dims) -> tuple:
     """For a grid of shape dims: the C-order index of the periodic
     neighbours of each node along each axis, shape (2, m) + dims, forward
-    then back; and 1/(2h) and 1/h^2 as (axes, float) pairs that scale each
-    axis of a stack by its own, all axes in one multiply when they share
-    the step."""
+    then back; and 1/(2h) and 1/h^2 as (axis, float) pairs that scale each
+    axis of a stack by its own."""
     m = len(dims)
     ids = np.arange(np.prod(dims, dtype=int)).reshape(dims)
     neighbours = np.array([[np.roll(ids, step, i) for i in range(m)]
                            for step in (-1, 1)])
     neighbours.flags.writeable = False
-    return neighbours, _per_axis([1.0 / (2 * h) for h in _spacing(dims)]), \
-        _per_axis([1.0 / h**2 for h in _spacing(dims)])
-
-
-def _per_axis(scales: list) -> tuple:
-    if len(set(scales)) == 1:
-        return ((slice(None), scales[0]),)
-    return tuple(enumerate(scales))
+    steps = _spacing(dims)
+    return (neighbours, tuple(enumerate(1.0 / (2 * h) for h in steps)),
+            tuple(enumerate(1.0 / h**2 for h in steps)))
 
 
 def _laplacian(u: GridMap):
     _, _, square = _stencil(u.dims)
     terms = u._shifts[0] - 2 * u.values.view(float)
     terms += u._shifts[1]
-    for axes, scale in square:
-        terms[axes] *= scale
+    for i, scale in square:
+        terms[i] *= scale
     lap = terms[0]
     for term in terms[1:]:
         lap += term
@@ -215,7 +207,8 @@ def dirichlet_energy(u: GridMap, h: HermitianMetricField) -> float:
     if hm is not None and u.n == 1:
         # the einsum's density, off the float pairs: see the module notes
         c, g = float(hm[0, 0].real), u._grads
-        pairs = g * g if c == 1.0 else g * c * g
+        pairs = g * c
+        pairs *= g
         terms = pairs[..., 0] + pairs[..., 1]
         density = terms[0]
         for term in terms[1:]:
