@@ -57,17 +57,10 @@ from .flow import (
     save_snapshot,
     stable_dt_bound,
 )
-from .fstruct import (
-    CHECKS,
-    CheckPoint,
-    NotPHWCAtPoint,
-    RankDeficiencyAmbiguous,
-    RankJumpOnStencil,
-    verdict,
-)
-from .geometry import (KAEHLER_TOL, GeometryError, HermitianMetricField,
+from .fstruct import CHECKS, CheckPoint, verdict
+from .geometry import (KAEHLER_TOL, POINT_ERRORS, HermitianMetricField,
                        MetricField)
-from .jet import ParseError, VariableIndexOutOfRange
+from .jet import ParseError
 from .maps import SmoothMap, share_pass
 
 SCHEMA_VERSION = 1
@@ -110,14 +103,6 @@ BUILTIN_MANIFESTS = {
         "sample": {"count": 100, "seed": 11, "box": [[-2, 2]] * 4},
     },
 }
-
-
-# Errors of one operation at one point (or of one flow run): recorded on the
-# record with pass = false, never fatal.  ArithmeticError covers
-# DivisionNearZero, OverflowError and ZeroDivisionError.
-OPERATION_ERRORS = (GeometryError, NotPHWCAtPoint, RankDeficiencyAmbiguous,
-                    RankJumpOnStencil, ArithmeticError, np.linalg.LinAlgError,
-                    VariableIndexOutOfRange, StepSizeUnderflow)
 
 
 class ValidationError(ValueError):
@@ -473,10 +458,10 @@ def run_checks(manifest: Manifest, seed: int | None = None,
     """Execute every requested check of a built manifest at seeded sample
     points.
 
-    Operation errors at individual points, a residual that is not finite
-    among them, are recorded on the offending record (pass = false) and
-    never abort the sweep.  count, when given, overrides sample.count; as
-    there, checks need at least one point.
+    An error of geometry.POINT_ERRORS at a point, a residual that is not
+    finite among them, is recorded on the offending record (pass = false)
+    and never aborts the sweep.  count, when given, overrides
+    sample.count; as there, checks need at least one point.
     """
     use_seed = manifest.seed if seed is None else seed
     use_count = manifest.count if count is None else count
@@ -504,7 +489,7 @@ def run_checks(manifest: Manifest, seed: int | None = None,
         for pt in pts[:10] if manifest.h.kaehler else []:
             try:
                 kr = pt.target.kaehler
-            except OPERATION_ERRORS:
+            except POINT_ERRORS:
                 continue
             if not kr <= KAEHLER_TOL:   # a NaN fails too
                 raise ValidationError(
@@ -524,7 +509,7 @@ def run_checks(manifest: Manifest, seed: int | None = None,
                 try:
                     value, extra = CHECKS[name][1](pt)
                     _check_finite(name, value, extra)
-                except OPERATION_ERRORS as err:
+                except POINT_ERRORS as err:
                     rec["error"] = f"{type(err).__name__}: {err}"
                     rec["pass"] = False
                     records.append(rec)
@@ -677,7 +662,7 @@ def run_flow_manifest(manifest: Manifest) -> dict:
             "phwc_residual": discrete_phwc_residual(final),
         }
         _check_finite("flow", trace[-1][2], extra)
-    except OPERATION_ERRORS as err:
+    except (*POINT_ERRORS, StepSizeUnderflow) as err:
         rec.update({"error": f"{type(err).__name__}: {err}", "pass": False})
     else:
         if snapshot is not None:

@@ -37,7 +37,7 @@ from functools import cache
 
 import numpy as np
 
-from .geometry import (SET_ERRORS, HermitianMetricField, HermitianPoint,
+from .geometry import (POINT_ERRORS, HermitianMetricField, HermitianPoint,
                        TargetNotKaehler)
 from .jet import Const, Expr, Var, exp as jexp
 from .maps import SmoothMap
@@ -195,7 +195,7 @@ def _at_nodes(u: GridMap, h: HermitianMetricField, name: str) -> np.ndarray:
     error is the one the first failing node raises."""
     try:
         rows = getattr(u.target_point(h), name)
-    except SET_ERRORS:
+    except POINT_ERRORS:
         rows = np.array([getattr(HermitianPoint(h, z), name)
                          for z in u.values.reshape(-1, u.n)])
     return rows.reshape(u.dims + rows.shape[1:])

@@ -22,11 +22,11 @@ first-order pass of g already hold.  Rank pivoting is discontinuous, so the
 pivots are chosen once, at p; where the rank changes next to p the
 derivative is meaningless, and guards report it rather than return a
 number.  A CheckPoint holds the point data of one sample point with its F
-(fp) and F's first derivatives (dF), each built once and read by every
-check there.  Every residual below takes that one point and reads fp, dF,
-g's partials dg, the symbols gamma and phi's differential diff off it; the
-implication harness and ``phwc check`` both read them through one table of
-checks, CHECKS.
+(fp) and F's first derivatives (dF), each kept (geometry.kept), with the
+error of one that fails, and read by every check there.  Every residual
+below takes that one point and reads fp, dF, g's partials dg, the symbols
+gamma and phi's differential diff off it; the implication harness and
+``phwc check`` both read them through one table of checks, CHECKS.
 
 Pointwise constructions are pure; the implication harness processes its
 samples independently and keeps diagnostics ordered by sample for
@@ -39,9 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (KAEHLER_TOL, GeometryError, HermitianMetricField,
-                       MetricField, _inverse_checked)
-from .jet import VariableIndexOutOfRange, differentiate, eval_jet2
+from .geometry import (KAEHLER_TOL, POINT_ERRORS, GeometryError,
+                       HermitianMetricField, MetricField, _inverse_checked,
+                       kept)
+from .jet import differentiate, eval_jet2
 from .maps import (PointData, SmoothMap, hwc_report, isotropy_residual,
                    phwc_residual_commutator, phwc_residual_coord,
                    pluriharmonic_residual, share_pass, tension)
@@ -79,22 +80,17 @@ RANK_TOL = 1e-8          # pivot norms below RANK_TOL/10 end the isotropic span
 SUITE_EPS = 1e-8
 SUITE_DELTA = 1e-6
 
-# Errors that building the f-structure or its derivatives raises at a point
-# (the skip reasons, a metric check, a failing jet pass); a CheckPoint
-# keeps each on its point.
-POINT_ERRORS = (ValueError, ArithmeticError, VariableIndexOutOfRange)
 
-
-class NotPHWCAtPoint(ValueError):
+class NotPHWCAtPoint(GeometryError):
     """The map fails the PHWC gate at the requested point."""
 
 
-class RankDeficiencyAmbiguous(ValueError):
+class RankDeficiencyAmbiguous(GeometryError):
     """A pivot norm fell inside [RANK_TOL/10, RANK_TOL]; the rank of the
     isotropic span cannot be decided at this tolerance."""
 
 
-class RankJumpOnStencil(ValueError):
+class RankJumpOnStencil(GeometryError):
     """The f-structure rank changes next to the point, so F has no
     derivative there."""
 
@@ -303,36 +299,22 @@ def _f_jet(pt: CheckPoint) -> np.ndarray:
     return 2.0 * np.imag(dpminus)
 
 
-def _kept(pt: CheckPoint, name: str, build):
-    """pt's quantity name, built as build(pt) on first read and kept; an
-    error that building raised is kept instead and raised on every read."""
-    value = vars(pt).get(name)
-    if value is None:
-        try:
-            value = build(pt)
-        except POINT_ERRORS as err:
-            value = err
-        vars(pt)[name] = value
-    if isinstance(value, Exception):
-        raise value
-    return value
-
-
 class CheckPoint(PointData):
     """The PointData of one sample point with the associated f-structure fp
-    and its first derivatives dF, each built on first read from the point's
-    own jets and then read by every check at the point."""
+    and its first derivatives dF, kept as every quantity of the point is:
+    built on first read from the point's own jets, or the error that
+    building raised, and then read by every check at the point."""
 
-    @property
+    @kept
     def fp(self) -> FStructurePoint:
         """The associated f-structure; raises what building it raised."""
-        return _kept(self, "_fp", associated_f_structure)
+        return associated_f_structure(self)
 
-    @property
+    @kept
     def dF(self) -> np.ndarray:
         """dF[l, k, j] = d_l F^k_j of fp (see _f_jet); raises what building
         it or fp raised."""
-        return _kept(self, "_dF", _f_jet)
+        return _f_jet(self)
 
 
 def _hwc(pt: CheckPoint):
@@ -524,10 +506,11 @@ def theorem_suite(samples) -> TheoremSuiteReport:
     in particular a Kaehler flag that contradicts the measured closedness
     residual of the target metric is itself reported as a counterexample,
     because every conclusion below relies on it; a NaN residual fails that
-    gate too.  A point where the gate or a residual raises an arithmetic or
-    geometry error is skipped with the error's type name as its reason, and
-    the other points still run.  numpy's floating-point warnings are off:
-    what overflows in numpy is an inf or NaN residual, not a warning.
+    gate too.  A point where the gate or a residual raises one of
+    geometry.POINT_ERRORS, the errors ``phwc check`` records per point, is
+    skipped with the error's type name as its reason, and the other points
+    still run.  numpy's floating-point warnings are off: what overflows in
+    numpy is an inf or NaN residual, not a warning.
     """
     records = []
     report = TheoremSuiteReport(records=records)
@@ -551,8 +534,7 @@ def theorem_suite(samples) -> TheoremSuiteReport:
                 resid = {name: CHECKS[name][1](pt)[0]
                          for name in ("phwc", *DERIVATIVE_CHECKS)}
                 resid["harmonic"] = CHECKS["tension"][1](pt)[0]
-            except (NotPHWCAtPoint, RankDeficiencyAmbiguous, RankJumpOnStencil,
-                    ArithmeticError, GeometryError) as err:
+            except POINT_ERRORS as err:
                 rec.status = "skipped"
                 rec.reasons.append(type(err).__name__)
                 report.skipped += 1

@@ -11,7 +11,9 @@ each checked, inverted and contracted in one numpy call; a target whose
 components are all literals is checked and inverted once per field.  The
 MetricPoints of K fields of one shape, each at its own point, share one
 pass of their stacked component grids (share_metric).  The passes of g
-and h stop at the gradient, which is all these quantities read.
+and h stop at the gradient, which is all these quantities read.  Each
+quantity of a point or a field is kept: built on first read, or the error
+of POINT_ERRORS its build raised, which every later read raises again.
 Fields are immutable and all operations pure, so sweeps can run concurrently.
 
 Points where positivity fails abort with an error instead of being
@@ -20,8 +22,6 @@ meaningless.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +35,8 @@ __all__ = [
     "TargetNotKaehler",
     "SPD_EPS",
     "KAEHLER_TOL",
+    "POINT_ERRORS",
+    "kept",
     "MetricField",
     "MetricPoint",
     "HermitianMetricField",
@@ -53,9 +55,6 @@ SPD_EPS = 1e-10
 # is not at most this carries a forged flag.
 KAEHLER_TOL = 1e-10
 
-# Errors a jet pass raises at a point.
-PASS_ERRORS = (ArithmeticError, VariableIndexOutOfRange)
-
 
 class GeometryError(ValueError):
     pass
@@ -73,9 +72,41 @@ class TargetNotKaehler(GeometryError):
     """Operation requires the target metric's Kaehler flag."""
 
 
-# Errors a quantity computed over a set of points raises at some point; see
-# _share_rows.
-SET_ERRORS = (GeometryError, np.linalg.LinAlgError, *PASS_ERRORS)
+# Errors of an operation at a point: a failed check (the f-structure's skip
+# reasons subclass GeometryError), a singular matrix, an arithmetic error of
+# a jet pass (DivisionNearZero, OverflowError, ...) or a variable outside the
+# domain.  A report records each on its point; none is fatal.
+POINT_ERRORS = (GeometryError, np.linalg.LinAlgError, ArithmeticError,
+                VariableIndexOutOfRange)
+
+
+class kept:
+    """A quantity of a point or a field: the method builds it on first read
+    and the value is kept in the instance dict under its own name, which
+    shadows this non-data descriptor, so plain assignment gives a value
+    too.  An error of POINT_ERRORS that the build raises is kept and raised
+    again, with a fresh traceback, on every later read; any other error
+    propagates and is not kept."""
+
+    def __init__(self, build):
+        self.build, self.__doc__ = build, build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name, self.error = name, f"{name} error"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        state = vars(obj)
+        err = state.get(self.error)
+        if err is not None:
+            raise err.with_traceback(None)
+        try:
+            value = state[self.name] = self.build(obj)
+        except POINT_ERRORS as exc:
+            state[self.error] = exc
+            raise
+        return value
 
 
 def _per_point(x):
@@ -187,16 +218,14 @@ def _share_rows(whole, parts, names) -> None:
     """Give each of parts, the lone objects of the points of whole in order,
     its row of each quantity of names that whole computes over the set, and
     of whole's jets once made.  A quantity whose computation raises one of
-    SET_ERRORS at some point gives no rows: each part computes it alone on
+    POINT_ERRORS at some point gives no rows: each part computes it alone on
     first use, so the error lands on the points where it occurs, with the
-    type and message it has there.  The names read one jet pass, so a pass
-    that fails ends the set's work."""
+    type and message it has there.  whole keeps the error, so the names
+    after a failed jet pass raise it again at once."""
     for name in names:
         try:
             getattr(whole, name)
-        except PASS_ERRORS:
-            break
-        except SET_ERRORS:
+        except POINT_ERRORS:
             pass
     for name in ("_jets", *names):
         if name in vars(whole):
@@ -209,33 +238,33 @@ class MetricPoint:
     """g at a point p (m,), or at each point of a set p (N, m) with a
     leading point axis on every quantity, from one jet pass of its
     components: the checked matrix gm, its checked inverse ginv, its
-    partials dg and the Levi-Civita symbols gamma, each computed on first
-    use; one that fails raises in its readers only.  A lone point may hold
-    rows of a set (see maps.share_pass)."""
+    partials dg and the Levi-Civita symbols gamma, each kept, with the error
+    of one that fails, which raises in its readers only.  A lone point may
+    hold rows of a set (see maps.share_pass)."""
 
     def __init__(self, g: MetricField, p):
         self.g, self.p = g, np.asarray(p, dtype=float)
 
-    @cached_property
+    @kept
     def _jets(self) -> jet.Jet2:
         return self.g.jets(self.p)
 
-    @cached_property
+    @kept
     def gm(self) -> np.ndarray:
         gm = _real_part(self._jets.value, self.p)
         _check_spd(gm, self.p)
         return gm
 
-    @cached_property
+    @kept
     def ginv(self) -> np.ndarray:
         return _inverse_checked(self.gm, "domain metric")
 
-    @cached_property
+    @kept
     def dg(self) -> np.ndarray:
         """The partials d_l g_ij, indexed [..., l, i, j]."""
         return np.ascontiguousarray(np.moveaxis(self._jets.grad.real, -1, -3))
 
-    @cached_property
+    @kept
     def gamma(self) -> np.ndarray:
         """Levi-Civita symbols, indexed [..., k, i, j]; see
         christoffel_domain."""
@@ -312,7 +341,7 @@ class HermitianMetricField:
         """h(z) as a Hermitian PD matrix; raises MetricNotPD otherwise."""
         return HermitianPoint(self, z).hm
 
-    @cached_property
+    @kept
     def constant_matrix(self) -> np.ndarray | None:
         """The checked matrix, built once, when every component is a
         literal; None otherwise.  A constant metric has zero symbols."""
@@ -322,7 +351,7 @@ class HermitianMetricField:
                 np.zeros(self.cdim, dtype=complex))
         return None
 
-    @cached_property
+    @kept
     def _constant_inverse(self) -> np.ndarray:
         return _inverse_checked(self.constant_matrix, "target metric")
 
@@ -337,19 +366,19 @@ class HermitianPoint:
     """h at a chart point z (n,), or at each point of a set z (N, n) with a
     leading point axis on every quantity, from one jet pass: the checked
     symmetrised hm, checked hinv, dh[..., b, c, d] = d_{z^b} h_{c dbar},
-    gamma (christoffel_kaehler) and kaehler (kaehler_residual), each on
-    first use; one that fails raises in its readers only.  A constant field
+    gamma (christoffel_kaehler) and kaehler (kaehler_residual), each kept
+    as MetricPoint's are, with the error of one that fails.  A constant field
     makes no pass: every point reads its one checked matrix and inverse,
     and its symbols and Kaehler residual are zero."""
 
     def __init__(self, h: HermitianMetricField, z):
         self.h, self.z = h, z
 
-    @cached_property
+    @kept
     def _jets(self) -> jet.Jet2:
         return self.h.jets(self.z)
 
-    @cached_property
+    @kept
     def _constant(self) -> bool:
         # a literal matrix that fails its check is checked at each point,
         # so each raises with its own z
@@ -362,19 +391,19 @@ class HermitianPoint:
         """A read-only view of matrix at every point."""
         return np.broadcast_to(matrix, np.shape(self.z)[:-1] + matrix.shape)
 
-    @cached_property
+    @kept
     def hm(self) -> np.ndarray:
         if self._constant:
             return self._each(self.h.constant_matrix)
         return _check_hermitian_pd(self._jets.value, self.z)
 
-    @cached_property
+    @kept
     def hinv(self) -> np.ndarray:
         if self._constant:
             return self._each(self.h._constant_inverse)
         return _inverse_checked(self.hm, "target metric")
 
-    @cached_property
+    @kept
     def dh(self) -> np.ndarray:
         if self._constant:
             return self._each(np.zeros((self.h.cdim,) * 3, dtype=complex))
@@ -382,11 +411,11 @@ class HermitianPoint:
         d_z = jet.wirtinger(self._jets.grad)[..., :self.h.cdim]
         return np.ascontiguousarray(np.moveaxis(d_z, -1, -3))
 
-    @cached_property
+    @kept
     def gamma(self) -> np.ndarray:
         return np.einsum("...bcd,...da->...abc", self.dh, self.hinv)
 
-    @cached_property
+    @kept
     def kaehler(self):
         return _per_point(np.max(np.abs(
             self.dh - np.einsum("...abc->...bac", self.dh)), axis=(-3, -2, -1)))

@@ -29,13 +29,12 @@ embarrassingly parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import jet
 from .geometry import (
-    PASS_ERRORS,
+    POINT_ERRORS,
     TARGET_ROWS,
     HermitianMetricField,
     HermitianPoint,
@@ -44,6 +43,7 @@ from .geometry import (
     TargetNotKaehler,
     _per_point,
     _share_rows,
+    kept,
 )
 from .jet import Expr, Jet2, as_expr, eval_jet2
 
@@ -107,9 +107,9 @@ class PointData(MetricPoint):
     quantity.
 
     The MetricPoint of g at p plus one jet pass of phi, the Gram matrix and
-    the HermitianPoint of h at phi(p).  Each attribute is evaluated on first
-    use and then shared by every residual that reads it; one that fails
-    raises in those only.
+    the HermitianPoint of h at phi(p).  Each attribute is kept
+    (geometry.kept) and shared by every residual that reads it; one that
+    fails keeps its error, which raises in those only.
     """
 
     def __init__(self, phi: SmoothMap, g: MetricField, p,
@@ -117,17 +117,17 @@ class PointData(MetricPoint):
         super().__init__(g, p)
         self.phi, self.h = phi, h
 
-    @cached_property
+    @kept
     def diff(self) -> Jet2:
         return differential(self.phi, self.p)
 
-    @cached_property
+    @kept
     def gram(self) -> np.ndarray:
         """(2,0) Gram matrix M_ab = g^ij d_i phi^a d_j phi^b."""
         dphi = self.diff.grad
         return dphi @ self.ginv @ np.swapaxes(dphi, -1, -2)
 
-    @cached_property
+    @kept
     def target(self) -> HermitianPoint:
         return HermitianPoint(self.h, self.diff.value)
 
@@ -141,7 +141,7 @@ def share_differential(pds: list[PointData],
     use, so the error lands on the points where it occurs."""
     try:
         diff = differential(pds[0].phi, np.array([pd.p for pd in pds]), order)
-    except PASS_ERRORS:
+    except POINT_ERRORS:
         return None
     for k, pd in enumerate(pds):
         pd.diff = diff[k]
@@ -152,25 +152,21 @@ def share_pass(pds: list[PointData]) -> None:
     """Compute the quantities of pds, point data of one phi, g and h, once
     each over all their points, and give each point its rows.
 
-    One PointData over the set makes one jet pass each of g, phi and h at
+    One PointData over the set makes one jet pass each of phi, g and h at
     the images; its checked gm, ginv, gamma and gram, and h's checked hm,
     hinv, gamma and kaehler, are each computed in one numpy call.  A pass or
-    a check that raises at some point gives no rows of what it computes:
-    each point then computes that alone on first use, as a lone PointData
-    does, so the error lands on the points where it occurs.
+    a check that raises at some point gives no rows of what it computes
+    (geometry._share_rows): each point then computes that alone on first
+    use, as a lone PointData does, so the error lands on the points where
+    it occurs.
     """
     if not pds:
         return
     first = pds[0]
     whole = PointData(first.phi, first.g, [pd.p for pd in pds], first.h)
-    diff = share_differential(pds)
-    if diff is None:         # phi at each point alone, on first use
-        _share_rows(whole, pds, ("gm", "ginv", "gamma"))
-        return
-    whole.diff = diff
-    _share_rows(whole, pds, ("gm", "ginv", "gamma", "gram"))
-    if first.h is not None:
-        for pd, z in zip(pds, diff.value):
+    _share_rows(whole, pds, ("diff", "gm", "ginv", "gamma", "gram"))
+    if first.h is not None and "diff" in vars(whole):
+        for pd, z in zip(pds, whole.diff.value):
             pd.target = HermitianPoint(first.h, z)
         _share_rows(whole.target, [pd.target for pd in pds], TARGET_ROWS)
 

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import traceback
 
 import numpy as np
 import pytest
@@ -356,6 +358,44 @@ def test_run_checks_builds_a_failing_f_once_per_point(monkeypatch):
     monkeypatch.setattr(fstruct.CheckPoint, "fp", property(build))
     assert emit_report(run_checks(manifest, count=4)) == emit_report(report)
     assert len(calls) == 4
+
+
+def test_a_failing_metric_is_checked_once_per_point(monkeypatch):
+    # g = diag(x1, 1) is not SPD on the box: the set's check fails, then
+    # each point checks its own g once and every check there reads that
+    # kept error
+    manifest = parse_manifest(manifest_text(
+        domain={"dim": 2, "metric": [["x1", "0"], ["0", "1"]]},
+        checks=list(cli.CHECK_NAMES),
+        sample={"count": 4, "seed": 3, "box": [[-2, -1], [0, 1]]}))
+    check, calls = geometry._check_spd, []
+
+    def counted(gm, p):
+        calls.append(p)
+        return check(gm, p)
+    monkeypatch.setattr(geometry, "_check_spd", counted)
+    report = run_checks(manifest)
+    assert len(calls) == 1 + 4
+    errors = [rec["error"] for rec in report["records"] if "error" in rec]
+    assert len(errors) == 4 * 11     # pluriharmonic reads no g
+    assert all(e.startswith("MetricNotSPD: domain metric not SPD at ")
+               for e in errors)
+    # the bytes of the report when every read built g again
+    assert hashlib.sha256(emit_report(report)).hexdigest() == (
+        "fa51c90e2b71bbaa299c1f73d56bf00fb00afaed0c0d94cc1aaa5194f9233677")
+
+    # a kept error is raised again with a fresh traceback, which does not
+    # grow from read to read
+    pt = fstruct.CheckPoint(manifest.phi, manifest.g, (-1.5, 0.5), manifest.h)
+    raised, depth = [], []
+    for _ in range(4):
+        with pytest.raises(geometry.MetricNotSPD) as info:
+            pt.dF
+        raised.append(info.value)
+        depth.append(len(traceback.extract_tb(info.value.__traceback__)))
+    assert all(err is raised[0] for err in raised)
+    assert len(calls) == 1 + 4 + 1
+    assert depth[1:] == [depth[1]] * 3
 
 
 @pytest.fixture

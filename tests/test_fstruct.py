@@ -657,13 +657,19 @@ def test_theorem_suite_skips_non_phwc():
 
     rng = np.random.default_rng(26)
     bad = SmoothMap(2, 2, [Var(0), Var(1)])
-    report = theorem_suite([SuiteSample(
-        "chart_map", bad, G2, HermitianMetricField.flat(2),
-        catalog.sample_points(rng, 4, [[-1, 1]] * 2))])
-    assert report.counterexamples == 0
-    assert report.skipped == 4
-    assert all(r.status == "skipped" and r.reasons == ["NotPHWCAtPoint"]
-               for r in report.records)
+    # x3 on R^2 fails phi's jet pass, an error phwc check records per point
+    beyond = SmoothMap(2, 1, [parse_expr("x1 + i*x3")])
+    for phi, points, reason in [
+            (bad, catalog.sample_points(rng, 4, [[-1, 1]] * 2),
+             "NotPHWCAtPoint"),
+            (beyond, [(0.1, 0.2)], "VariableIndexOutOfRange")]:
+        report = theorem_suite([SuiteSample(
+            "non_phwc", phi, G2, HermitianMetricField.flat(phi.target_cdim),
+            points)])
+        assert (report.checked, report.skipped, report.counterexamples) == \
+            (0, len(points), 0)
+        assert all(r.status == "skipped" and r.reasons == [reason]
+                   for r in report.records)
 
 
 def test_theorem_suite_detects_forged_kaehler_flag():

@@ -1,8 +1,10 @@
 """Seeded manifest fuzz: manifests drawn from the expression grammar and the
-manifest schema go through ``phwc.cli.main``.  Whatever is drawn, main
-returns 0, 1 or 2 and nothing escapes it; a report holds finite numbers
-only, and no RuntimeWarning is raised (the pytest configuration turns one
-into an error).  Most well-formed draws run their checks or their flow."""
+manifest schema go through ``phwc.cli.main``, as ``check`` (plain or with a
+``--tol`` override), ``sweep`` with ``--points`` and ``--seed``, or
+``flow``.  Whatever is drawn, main returns 0, 1 or 2 and nothing escapes
+it; a report holds finite numbers only, and no RuntimeWarning is raised
+(the pytest configuration turns one into an error).  Most well-formed draws
+run their checks or their flow."""
 
 import json
 
@@ -49,6 +51,20 @@ def spd(rng, size: int, nvars: int):
              else "0" for b in range(size)] for a in range(size)]
 
 
+def gram(rng, size: int, nvars: int, real: bool):
+    """A metric matrix, positive definite by construction and full off the
+    diagonal: I + E E^T of real E, or I + A A^H of complex A, written out
+    entry by entry, each (j, i) the mirror of (i, j)."""
+    e = [[expression(rng, nvars, real, depth=2) for _ in range(size)]
+         for _ in range(size)]
+    star = "({})*({})" if real else "({})*conj({})"
+
+    def entry(i, j):
+        terms = [star.format(e[i][k], e[j][k]) for k in range(size)]
+        return " + ".join(["1"] * (i == j) + terms)
+    return [[entry(i, j) for j in range(size)] for i in range(size)]
+
+
 def draw(rng) -> tuple[dict, bool]:
     """A manifest, and whether it is well formed."""
     dim, cdim = int(rng.integers(1, 5)), int(rng.integers(1, 4))
@@ -57,10 +73,14 @@ def draw(rng) -> tuple[dict, bool]:
                       "kaehler": bool(rng.random() < 0.8)},
            "map": {"components": [expression(rng, dim)
                                   for _ in range(cdim)]}}
-    if rng.random() < 0.4:
-        raw["domain"]["metric"] = spd(rng, dim, dim)
-    if rng.random() < 0.4:
-        raw["target"]["hermitian"] = spd(rng, cdim, 2 * cdim)
+    k = rng.random()
+    if k < 0.6:
+        raw["domain"]["metric"] = (spd(rng, dim, dim) if k < 0.4 else
+                                   gram(rng, dim, dim, real=True))
+    k = rng.random()
+    if k < 0.6:
+        raw["target"]["hermitian"] = (spd(rng, cdim, 2 * cdim) if k < 0.4
+                                      else gram(rng, cdim, 2 * cdim, False))
     if rng.random() < 0.3:
         grid = [int(n) for n in rng.integers(4, 9, rng.integers(1, 3))]
         raw["flow"] = {
@@ -87,6 +107,19 @@ def draw(rng) -> tuple[dict, bool]:
     return raw, False
 
 
+def arguments(rng, raw: dict, path) -> list:
+    """The command line that runs the manifest raw, stored at path."""
+    if "flow" in raw:
+        return ["flow", str(path)]
+    k = rng.integers(3)
+    if k == 1:
+        return ["sweep", str(path), "--points", str(rng.integers(1, 6)),
+                "--seed", str(rng.integers(1000))]
+    if k == 2:
+        return ["check", str(path), "--tol", f"{raw['checks'][0]}=1e-3"]
+    return ["check", str(path)]
+
+
 def finite(text: str):
     def refuse(name):
         raise AssertionError(f"{name} in a JSON report")
@@ -101,8 +134,7 @@ def test_drawn_manifests_exit_cleanly(tmp_path, capsys, seed):
         raw, ok = draw(rng)
         path, out = tmp_path / f"m{k}.json", tmp_path / f"r{k}.json"
         path.write_text(json.dumps(raw))
-        command = "flow" if "flow" in raw else "check"
-        code = cli.main([command, str(path), "--out", str(out)])
+        code = cli.main([*arguments(rng, raw, path), "--out", str(out)])
         err = capsys.readouterr().err
         assert code in (0, 1, 2), raw
         if code == 2:

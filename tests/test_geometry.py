@@ -9,11 +9,13 @@ from phwc.geometry import (
     MetricNotPD,
     MetricNotSPD,
     MetricPoint,
+    POINT_ERRORS,
     christoffel_domain,
     christoffel_kaehler,
     kaehler_residual,
     laplace_beltrami,
     _inverse_checked,
+    kept,
 )
 from phwc.jet import Const, Var, conj, eval_jet2, exp, parse_expr, re
 from phwc.maps import PointData, differential, tension
@@ -361,3 +363,38 @@ def test_laplacian_matches_divergence_form():
             g, lambda q: differential(phi, q).grad, p)
         got = tension(PointData(phi, g, p, HermitianMetricField.flat(2))).tau
         assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, *np.abs(want))
+
+
+def test_kept_builds_once_and_keeps_point_errors_only():
+    class Point:
+        def __init__(self, raises=None):
+            self.raises, self.builds = raises, 0
+
+        @kept
+        def value(self):
+            """The value."""
+            self.builds += 1
+            if self.raises is not None:
+                raise self.raises
+            return [self.builds]
+
+    assert Point.value.__doc__ == "The value."
+    pt = Point()
+    assert pt.value is pt.value and pt.builds == 1
+    pt = Point()
+    pt.value = "given"           # a plain assignment is the kept value
+    assert pt.value == "given" and pt.builds == 0
+    for err in (MetricNotSPD("at p"), ZeroDivisionError("0"),
+                np.linalg.LinAlgError("singular")):
+        assert isinstance(err, POINT_ERRORS)
+        pt = Point(err)
+        for _ in range(3):
+            with pytest.raises(type(err)) as info:
+                pt.value
+            assert info.value is err
+        assert pt.builds == 1
+    pt = Point(TypeError("not a point error"))   # propagates, not kept
+    for _ in range(3):
+        with pytest.raises(TypeError):
+            pt.value
+    assert pt.builds == 3

@@ -93,7 +93,7 @@ def lone_records(manifest, report):
         try:
             with np.errstate(all="ignore"):
                 value, _ = cli.CHECKS[rec["check"]][1](pt)
-        except cli.OPERATION_ERRORS as err:
+        except geometry.POINT_ERRORS as err:
             want.append(f"{type(err).__name__}: {err}")
         else:
             want.append(value)
