@@ -22,18 +22,21 @@ The layers, bottom up:
 - ``maps``: smooth maps, the point inputs ``PointData`` (a ``MetricPoint``
   plus phi's jets, the Gram matrix and the ``HermitianPoint`` at phi(p)),
   whose rows ``share_pass`` gives each point of a set from one
-  ``PointData`` over all of them (``share_differential`` phi's rows
-  alone), and the residuals that read them (three
-  equivalent PHWC forms, horizontal weak conformality fit, tension,
-  pluriharmonicity; the coordinate form, the fit and tension also over a
-  point axis), and composition with +/-holomorphic maps;
-- ``fstruct``: the associated f-structure, its algebra, ``CheckPoint``
-  (a ``PointData`` that holds F, ``fp``, and F's exact first derivatives,
-  ``dF``, read off its own jets) with ``CHECKS``, the table of checks that
-  read it; f-holomorphy, the 0-eigenspace kernel, Nijenhuis and
-  parallelism defects and the fundamental 2-form conditions, each a
-  residual of the one point; and the theorem implication harness, which
-  reads ``CHECKS`` as ``phwc check`` does;
+  ``PointData`` over all of them, which it returns (``share_differential``
+  gives phi's rows alone and returns nothing), and the residuals that read
+  them (three equivalent PHWC forms, horizontal weak conformality fit,
+  tension, pluriharmonicity; each also over a point axis), and composition
+  with +/-holomorphic maps;
+- ``fstruct``: the associated f-structure, at a point or over a set
+  (``fp[k]`` is point k), its algebra, ``CheckPoint`` (a ``PointData`` of
+  one point or a set that holds F, ``fp``, and, at one point, F's exact
+  first derivatives, ``dF``, read off its own jets; ``share_f`` gives each
+  point of a set its row of the set's F) with ``CHECKS``, the
+  table of checks that read it; f-holomorphy, the 0-eigenspace kernel
+  (both also over a set), Nijenhuis and parallelism defects and the
+  fundamental 2-form conditions, each a residual of the ``CheckPoint``;
+  and the theorem implication harness, which reads ``CHECKS`` as ``phwc
+  check`` does;
 - ``flow``: explicit-Euler tension flow on flat torus grids;
 - ``paper``: the sections of the verify-paper bundle, one per group of the
   paper's claims;

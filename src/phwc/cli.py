@@ -57,7 +57,8 @@ from .flow import (
     save_snapshot,
     stable_dt_bound,
 )
-from .fstruct import CHECKS, CheckPoint, verdict
+from .fstruct import (CHECKS, DERIVATIVE_CHECKS, CheckPoint, share_f,
+                      verdict)
 from .geometry import (KAEHLER_TOL, POINT_ERRORS, HermitianMetricField,
                        MetricField)
 from .jet import ParseError
@@ -452,16 +453,27 @@ def _check_finite(name: str, value, extra: dict) -> None:
             raise FloatingPointError(f"{name} {key} is {v}")
 
 
+def _row_of(result: tuple, k: int) -> tuple:
+    """The value and extra at point k of a check evaluated over a set."""
+    value, extra = result
+    return float(value[k]), {key: float(v[k]) if isinstance(v, np.ndarray)
+                             else v for key, v in extra.items()}
+
+
 def run_checks(manifest: Manifest, seed: int | None = None,
                count: int | None = None,
                tol_overrides: dict | None = None) -> dict:
     """Execute every requested check of a built manifest at seeded sample
     points.
 
-    An error of geometry.POINT_ERRORS at a point, a residual that is not
-    finite among them, is recorded on the offending record (pass = false)
-    and never aborts the sweep.  count, when given, overrides
-    sample.count; as there, checks need at least one point.
+    Each check that reads no derivative of F is evaluated once over the
+    whole sample, one CheckPoint of the set, and its records are the rows;
+    where that raises one of geometry.POINT_ERRORS, the check runs point by
+    point.  The derivative checks run point by point, each point reading
+    its row of the set's F.  An error of geometry.POINT_ERRORS at a point, a
+    residual that is not finite among them, is recorded on the offending
+    record (pass = false) and never aborts the sweep.  count, when given,
+    overrides sample.count; as there, checks need at least one point.
     """
     use_seed = manifest.seed if seed is None else seed
     use_count = manifest.count if count is None else count
@@ -483,7 +495,7 @@ def run_checks(manifest: Manifest, seed: int | None = None,
     # what overflows in the set pass, the gate or a check is an error or a
     # value that is not finite, which the points record (_check_finite)
     with np.errstate(all="ignore"):
-        share_pass(pts)
+        whole = share_pass(pts)
         # a target that claims to be Kaehler is gated on sampled images; a
         # point where the gate cannot be evaluated is left to its checks
         for pt in pts[:10] if manifest.h.kaehler else []:
@@ -497,17 +509,30 @@ def run_checks(manifest: Manifest, seed: int | None = None,
                     f"metric claims Kaehler but the closedness residual is "
                     f"{kr:.3e} at the image of {pt.p.tolist()}")
 
-        for p_idx, pt in enumerate(pts):
+        names = dict.fromkeys(name for name, *_ in entries)
+        if any(name in DERIVATIVE_CHECKS for name in names):
+            share_f(whole, pts)
+        over_set = {}
+        for name in names:
+            if name not in DERIVATIVE_CHECKS:
+                try:
+                    over_set[name] = CHECKS[name][1](whole)
+                except POINT_ERRORS:
+                    pass
+
+        for p_idx, (pt, point) in enumerate(zip(pts, points.tolist())):
             for name, tol, negate, rank in entries:
                 rec = {
                     "point_index": p_idx,
-                    "point": [float(x) for x in pt.p],
+                    "point": list(point),
                     "check": name,
                     "tol": tol,
                     "negate": negate,
                 }
                 try:
-                    value, extra = CHECKS[name][1](pt)
+                    value, extra = (_row_of(over_set[name], p_idx)
+                                    if name in over_set
+                                    else CHECKS[name][1](pt))
                     _check_finite(name, value, extra)
                 except POINT_ERRORS as err:
                     rec["error"] = f"{type(err).__name__}: {err}"

@@ -21,12 +21,17 @@ and g's gradient, which the point's own second-order pass of phi and
 first-order pass of g already hold.  Rank pivoting is discontinuous, so the
 pivots are chosen once, at p; where the rank changes next to p the
 derivative is meaningless, and guards report it rather than return a
-number.  A CheckPoint holds the point data of one sample point with its F
-(fp) and F's first derivatives (dF), each kept (geometry.kept), with the
-error of one that fails, and read by every check there.  Every residual
-below takes that one point and reads fp, dF, g's partials dg, the symbols
-gamma and phi's differential diff off it; the implication harness and
-``phwc check`` both read them through one table of checks, CHECKS.
+number.  A CheckPoint holds the point data of one sample point, or of a set
+of them with a leading point axis, with its F (fp) and, at one point, F's
+first derivatives (dF), each kept (geometry.kept), with the error of one
+that fails, and read by every check there.  F is built over a set in one
+pass, each point pivoting on its own norms, and fp[k] is what point k
+builds alone; a lone point may hold that row.  Every residual below takes
+the CheckPoint and reads fp, dF, g's partials dg, the symbols gamma and
+phi's differential diff off it; those that read no derivative of F
+(f-holomorphy, the kernel check and the algebra) give one value per point
+of a set.  The implication harness and ``phwc check`` both read them
+through one table of checks, CHECKS.
 
 Pointwise constructions are pure; the implication harness processes its
 samples independently and keeps diagnostics ordered by sample for
@@ -40,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (KAEHLER_TOL, POINT_ERRORS, GeometryError,
-                       HermitianMetricField, MetricField, _inverse_checked,
-                       kept)
+                       HermitianMetricField, MetricField, _at,
+                       _inverse_checked, _per_point, kept)
 from .jet import differentiate, eval_jet2
 from .maps import (PointData, SmoothMap, hwc_report, isotropy_residual,
                    phwc_residual_commutator, phwc_residual_coord,
@@ -53,6 +58,7 @@ __all__ = [
     "RankJumpOnStencil",
     "FStructurePoint",
     "CheckPoint",
+    "share_f",
     "TwoFormPoint",
     "associated_f_structure",
     "f_holomorphy_residual",
@@ -97,7 +103,8 @@ class RankJumpOnStencil(GeometryError):
 
 @dataclass
 class FStructurePoint:
-    """Associated f-structure at a point.
+    """Associated f-structure at a point, or with a leading point axis on
+    every array at a set of points of one rank (fp[k] is point k).
 
     F is real with eigenvalues +i, -i, 0; Pplus/Pminus/Pzero are the
     eigenprojectors (g-orthogonal, not Euclidean-orthogonal), and rank is the
@@ -114,19 +121,30 @@ class FStructurePoint:
     basis_plus: np.ndarray   # (m, k) columns spanning the +i eigenspace
     basis_zero: np.ndarray   # (m, m-rank) real columns spanning ker F
     pivots: tuple = ()       # the differentials whose raised vectors span
-                             # the -i eigenspace, in pivot order
+                             # the -i eigenspace, in pivot order; over a set,
+                             # the list of every point's pivot per step
 
     @property
     def m(self) -> int:
-        return self.F.shape[0]
+        return self.F.shape[-1]
 
-    def algebra_residual(self) -> float:
-        """Worst violation of the defining algebra of an f-structure."""
+    def __getitem__(self, k) -> "FStructurePoint":
+        """The structure at point k of a set."""
+        return FStructurePoint(
+            F=self.F[k], Pplus=self.Pplus[k], Pminus=self.Pminus[k],
+            Pzero=self.Pzero[k], rank=self.rank, gm=self.gm[k],
+            ginv=self.ginv[k], basis_plus=self.basis_plus[k],
+            basis_zero=self.basis_zero[k],
+            pivots=tuple(step[k] for step in self.pivots))
+
+    def algebra_residual(self):
+        """Worst violation of the defining algebra of an f-structure: a
+        float at one point, an array over a point axis."""
         eye = np.eye(self.m)
         gf = self.gm @ self.F
         checks = [
             self.F @ self.F @ self.F + self.F,
-            gf + gf.T,
+            gf + np.swapaxes(gf, -1, -2),
             self.Pplus + self.Pminus + self.Pzero - eye,
             self.Pplus @ self.Pplus - self.Pplus,
             self.Pminus @ self.Pminus - self.Pminus,
@@ -138,7 +156,8 @@ class FStructurePoint:
             self.F - np.real(1j * (self.Pplus - self.Pminus)),
             self.Pminus - np.conj(self.Pplus),
         ]
-        return float(max(np.max(np.abs(c)) for c in checks))
+        return _per_point(np.max([np.max(np.abs(c), axis=(-2, -1))
+                                  for c in checks], axis=0))
 
     @classmethod
     def from_matrix(cls, F: np.ndarray, gm: np.ndarray) -> "FStructurePoint":
@@ -158,14 +177,17 @@ class FStructurePoint:
 
 
 def _column_space(a: np.ndarray, k: int) -> np.ndarray:
+    """k columns spanning the column space of a (m, m), or of each matrix
+    of a (..., m, m)."""
     if k == 0:
-        return np.zeros((a.shape[0], 0), dtype=a.dtype)
+        return np.zeros(a.shape[:-1] + (0,), dtype=a.dtype)
     u, s, _ = np.linalg.svd(a)
-    return u[:, :k]
+    return u[..., :k]
 
 
 def associated_f_structure(pd: PointData) -> FStructurePoint:
-    """Build F at p from the isotropic span of the raised differentials.
+    """Build F at p from the isotropic span of the raised differentials, or
+    at each point of a set with a leading point axis.
 
     The raised vectors v_a = g^{-1} (d phi^a) are orthonormalised by pivoted
     Gram-Schmidt under the Hermitian product <X, Y> = g(X, conj Y); their
@@ -174,46 +196,62 @@ def associated_f_structure(pd: PointData) -> FStructurePoint:
     with multiplication by i on the target).  Points whose PHWC residual
     exceeds PHWC_GATE raise NotPHWCAtPoint.  Pivot norms below RANK_TOL/10
     are dropped; norms inside [RANK_TOL/10, RANK_TOL] raise
-    RankDeficiencyAmbiguous rather than silently deciding the rank.
+    RankDeficiencyAmbiguous rather than silently deciding the rank.  Each
+    point pivots on the largest of its own norms, and every step is the same
+    contraction at every point, so a set's rows are what each point builds
+    alone; a set whose points stop at different ranks raises GeometryError,
+    and each point is then built alone.
     """
     p = pd.p
     resid = phwc_residual_coord(pd)
-    if not resid <= PHWC_GATE:
-        raise NotPHWCAtPoint(f"PHWC residual {resid:.3e} exceeds the gate "
-                             f"{PHWC_GATE:.1e} at {p}")
+    bad = np.logical_not(resid <= PHWC_GATE)   # a NaN fails too
+    if np.any(bad):
+        raise NotPHWCAtPoint(f"PHWC residual {_at(bad, resid):.3e} exceeds "
+                             f"the gate {PHWC_GATE:.1e} at {_at(bad, p)}")
     gm = pd.gm
-    vectors = [pd.ginv @ row for row in pd.diff.grad]
-    m = gm.shape[0]
-
-    def hnorm(x):
-        return float(np.sqrt(max(np.real(np.conj(x) @ gm @ x), 0.0)))
+    # the raised vectors v_a at [..., a, :]
+    work = (pd.ginv[..., None, :, :]
+            @ pd.diff.grad[..., None])[..., 0].astype(complex)
+    m = gm.shape[-1]
+    left = np.ones(work.shape[:-1], dtype=bool)   # not yet a pivot
 
     basis: list[np.ndarray] = []
     pivots = []
-    work = [(a, v.astype(complex)) for a, v in enumerate(vectors)]
-    while work:
-        norms = [hnorm(w) for _, w in work]
-        imax = int(np.argmax(norms))
-        top = norms[imax]
-        if top < RANK_TOL / 10:
+    for _ in range(work.shape[-2]):
+        # sqrt(g(w, conj w)) of each vector left, one contraction per vector
+        q = np.conj(work)[..., None, :] @ gm[..., None, :, :]
+        norms = np.sqrt(np.maximum(np.real((q @ work[..., None])[..., 0, 0]),
+                                   0.0))
+        norms = np.where(left, norms, -np.inf)
+        imax = np.argmax(norms, axis=-1)
+        top = np.take_along_axis(norms, imax[..., None], -1)[..., 0]
+        done = top < RANK_TOL / 10
+        if np.all(done):
             break
-        if top < RANK_TOL:
+        if np.any(done):
+            raise GeometryError("the f-structure rank differs across the "
+                                "points of the set")
+        bad = top < RANK_TOL
+        if np.any(bad):
             raise RankDeficiencyAmbiguous(
-                f"pivot norm {top:.3e} inside [{RANK_TOL / 10:.1e}, "
-                f"{RANK_TOL:.1e}] at {p}")
-        a, w = work.pop(imax)
-        e = w / top
-        pivots.append(a)
+                f"pivot norm {_at(bad, top):.3e} inside [{RANK_TOL / 10:.1e}, "
+                f"{RANK_TOL:.1e}] at {_at(bad, p)}")
+        e = np.take_along_axis(work, imax[..., None, None], -2)[..., 0, :] \
+            / top[..., None]
+        np.put_along_axis(left, imax[..., None], False, -1)
+        pivots.append(imax.tolist())
         basis.append(e)
-        work = [(b, w - (np.conj(e) @ gm @ w) * e) for b, w in work]
+        q = np.conj(e)[..., None, :] @ gm
+        work = work - (q[..., None, :, :] @ work[..., None])[..., 0] \
+            * e[..., None, :]
 
     k = len(basis)
     if k:
-        emat = np.column_stack(basis)
-        pminus = emat @ np.conj(emat).T @ gm
+        emat = np.stack(basis, axis=-1)
+        pminus = emat @ np.swapaxes(np.conj(emat), -1, -2) @ gm
     else:
-        emat = np.zeros((m, 0), dtype=complex)
-        pminus = np.zeros((m, m), dtype=complex)
+        emat = np.zeros(work.shape[:-2] + (m, 0), dtype=complex)
+        pminus = np.zeros(work.shape[:-2] + (m, m), dtype=complex)
     pplus = np.conj(pminus)
     pzero = np.eye(m) - pplus - pminus
     f_mat = 2.0 * np.imag(pminus)          # equals real(i (P+ - P-)) exactly
@@ -224,18 +262,22 @@ def associated_f_structure(pd: PointData) -> FStructurePoint:
                            basis_zero=basis_zero, pivots=tuple(pivots))
 
 
-def f_holomorphy_residual(pt: CheckPoint) -> float:
-    """max | (dphi . F)^a_j - i (dphi)^a_j | on the holomorphic rows.
+def f_holomorphy_residual(pt: CheckPoint):
+    """max | (dphi . F)^a_j - i (dphi)^a_j | on the holomorphic rows, at
+    the point or over its point axis.
 
     Zero means dphi intertwines F with the complex structure of the chart.
     """
     dphi = pt.diff.grad
-    return float(np.max(np.abs(dphi @ pt.fp.F - 1j * dphi)))
+    return _per_point(np.max(np.abs(dphi @ pt.fp.F - 1j * dphi),
+                             axis=(-2, -1)))
 
 
-def dphi_kernel_residual(pt: CheckPoint) -> float:
-    """max | dphi . Pzero |: the differential must kill the 0-eigenspace."""
-    return float(np.max(np.abs(pt.diff.grad @ pt.fp.Pzero)))
+def dphi_kernel_residual(pt: CheckPoint):
+    """max | dphi . Pzero |: the differential must kill the 0-eigenspace;
+    at the point or over its point axis."""
+    return _per_point(np.max(np.abs(pt.diff.grad @ pt.fp.Pzero),
+                             axis=(-2, -1)))
 
 
 def _f_jet(pt: CheckPoint) -> np.ndarray:
@@ -300,10 +342,11 @@ def _f_jet(pt: CheckPoint) -> np.ndarray:
 
 
 class CheckPoint(PointData):
-    """The PointData of one sample point with the associated f-structure fp
-    and its first derivatives dF, kept as every quantity of the point is:
-    built on first read from the point's own jets, or the error that
-    building raised, and then read by every check at the point."""
+    """The PointData of one sample point, or of a set of them, with the
+    associated f-structure fp and, at one point, its first derivatives dF,
+    kept as every quantity of the point is: built on first read from the
+    point's own jets, or the error that building raised, and then read by
+    every check there.  A lone point may hold its row of a set's fp."""
 
     @kept
     def fp(self) -> FStructurePoint:
@@ -315,6 +358,19 @@ class CheckPoint(PointData):
         """dF[l, k, j] = d_l F^k_j of fp (see _f_jet); raises what building
         it or fp raised."""
         return _f_jet(self)
+
+
+def share_f(whole: CheckPoint, pts: list[CheckPoint]) -> None:
+    """Give each of pts, the lone points of whole in order, its row of
+    whole's F.  Where building the set's F raises one of POINT_ERRORS (a
+    point off the gate, or ranks that differ), no point gets a row: each
+    builds its own on first read, so the error lands on its own point."""
+    try:
+        fp = whole.fp
+    except POINT_ERRORS:
+        return
+    for k, pt in enumerate(pts):
+        pt.fp = fp[k]
 
 
 def _hwc(pt: CheckPoint):
@@ -517,7 +573,8 @@ def theorem_suite(samples) -> TheoremSuiteReport:
     for sample in samples:
         pts = [CheckPoint(sample.phi, sample.g, point, sample.h) for point
                in np.atleast_2d(np.asarray(sample.points, dtype=float))]
-        share_pass(pts)
+        if pts:
+            share_f(share_pass(pts), pts)
         for pt in pts:
             rec = SuiteRecord(sample=sample.name, point=list(pt.p),
                               status="ok", reasons=[], residuals={})

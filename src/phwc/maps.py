@@ -6,10 +6,11 @@ partials ``grad`` (n, m) and second partials ``second`` (n, m, m), with a
 leading point axis at a set of points.  Every residual below is evaluated
 pointwise from second-order jets, or from first-order ones where it reads
 no second partials (reading ``second`` of a first-order pass raises
-HessianNotComputed).  phwc_residual_coord, hwc_report and tension also take
-the PointData of a set of points and give one value per point, from one
-numpy call per quantity; the other residuals read one point, which may
-hold its rows of a set (share_pass, share_differential).  The pseudo
+HessianNotComputed).  Every residual of a PointData also takes the
+PointData of a set of points and gives one value per point, from one numpy
+call per quantity (the commutator and the hwc fit take a 2-D norm per
+point); a lone point may hold its rows of a set (share_pass,
+share_differential).  The pseudo
 horizontal weak conformality condition comes in three equivalent forms
 (coordinate Gram, isotropy through the dual metric, commutator with the
 complex structure) that are kept as independent code paths so they can
@@ -132,25 +133,24 @@ class PointData(MetricPoint):
         return HermitianPoint(self.h, self.diff.value)
 
 
-def share_differential(pds: list[PointData],
-                       order: int = 2) -> Jet2 | None:
+def share_differential(pds: list[PointData], order: int = 2) -> None:
     """Give each of pds, point data of one phi, its rows of phi's
     differential at all their points, from one pass (to first order when
-    order is 1), and return that differential.  A pass that raises gives
-    no rows and returns None: each point then evaluates phi alone on first
-    use, so the error lands on the points where it occurs."""
+    order is 1).  A pass that raises gives no rows: each point then
+    evaluates phi alone on first use, so the error lands on the points
+    where it occurs."""
     try:
         diff = differential(pds[0].phi, np.array([pd.p for pd in pds]), order)
     except POINT_ERRORS:
-        return None
+        return
     for k, pd in enumerate(pds):
         pd.diff = diff[k]
-    return diff
 
 
-def share_pass(pds: list[PointData]) -> None:
+def share_pass(pds: list[PointData]) -> PointData | None:
     """Compute the quantities of pds, point data of one phi, g and h, once
-    each over all their points, and give each point its rows.
+    each over all their points, give each point its rows, and return the
+    point data of the set, of the type of pds[0] (None for no points).
 
     One PointData over the set makes one jet pass each of phi, g and h at
     the images; its checked gm, ginv, gamma and gram, and h's checked hm,
@@ -161,14 +161,15 @@ def share_pass(pds: list[PointData]) -> None:
     it occurs.
     """
     if not pds:
-        return
+        return None
     first = pds[0]
-    whole = PointData(first.phi, first.g, [pd.p for pd in pds], first.h)
+    whole = type(first)(first.phi, first.g, [pd.p for pd in pds], first.h)
     _share_rows(whole, pds, ("diff", "gm", "ginv", "gamma", "gram"))
     if first.h is not None and "diff" in vars(whole):
         for pd, z in zip(pds, whole.diff.value):
             pd.target = HermitianPoint(first.h, z)
         _share_rows(whole.target, [pd.target for pd in pds], TARGET_ROWS)
+    return whole
 
 
 def phwc_residual_coord(pd: PointData):
@@ -177,35 +178,45 @@ def phwc_residual_coord(pd: PointData):
     return _per_point(np.max(np.abs(pd.gram), axis=(-2, -1)))
 
 
-def isotropy_residual(pd: PointData) -> float:
-    """Isotropy of V = span{(dphi)*(dz^a)} under the dual metric g*.
+def _frobenius(a: np.ndarray):
+    """The Frobenius norm of a matrix, or one per matrix of a stack, each a
+    2-D norm, whose rounding a stacked norm does not keep."""
+    norms = [np.linalg.norm(x) for x in a.reshape((-1,) + a.shape[-2:])]
+    return _per_point(np.reshape(norms, a.shape[:-2]))
+
+
+def isotropy_residual(pd: PointData):
+    """Isotropy of V = span{(dphi)*(dz^a)} under the dual metric g*, at the
+    point or over its point axis.
 
     Computes g(v_a, v_b) for the raised vectors v_a = g^{-1} dphi^a, which is
     the same Gram matrix as :func:`phwc_residual_coord` assembled through a
     different contraction path.
     """
-    v = pd.ginv @ pd.diff.grad.T           # columns are the raised covectors
-    gram = v.T @ pd.gm @ v
-    return float(np.max(np.abs(gram)))
+    # columns are the raised covectors
+    v = pd.ginv @ np.swapaxes(pd.diff.grad, -1, -2)
+    gram = np.swapaxes(v, -1, -2) @ pd.gm @ v
+    return _per_point(np.max(np.abs(gram), axis=(-2, -1)))
 
 
-def phwc_residual_commutator(pd: PointData) -> float:
-    """Frobenius norm of [dphi o (dphi)*, J] on the complexified target.
+def phwc_residual_commutator(pd: PointData):
+    """Frobenius norm of [dphi o (dphi)*, J] on the complexified target, at
+    the point or over its point axis.
 
     The adjoint is taken with respect to g on the domain and the bilinear
     extension of the target metric; J acts as +i / -i on the (1,0) / (0,1)
     parts.
     """
-    ginv = pd.ginv
-    d = np.vstack([pd.diff.grad, np.conj(pd.diff.grad)])  # rows d/dz, d/dzbar
+    ginv, dphi = pd.ginv, pd.diff.grad
+    d = np.concatenate([dphi, np.conj(dphi)], axis=-2)   # rows d/dz, d/dzbar
     n = pd.h.cdim
-    gc = np.zeros((2 * n, 2 * n), dtype=complex)
-    gc[:n, n:] = 0.5 * pd.target.hm
-    gc[n:, :n] = 0.5 * pd.target.hm.T
-    p_op = d @ ginv @ d.T @ gc
+    hm = pd.target.hm
+    gc = np.zeros(hm.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    gc[..., :n, n:] = 0.5 * hm
+    gc[..., n:, :n] = 0.5 * np.swapaxes(hm, -1, -2)
+    p_op = d @ ginv @ np.swapaxes(d, -1, -2) @ gc
     jmat = np.diag(np.concatenate([1j * np.ones(n), -1j * np.ones(n)]))
-    comm = p_op @ jmat - jmat @ p_op
-    return float(np.linalg.norm(comm))
+    return _frobenius(p_op @ jmat - jmat @ p_op)
 
 
 @dataclass
@@ -236,12 +247,8 @@ def hwc_report(pd: PointData) -> HWCReport:
     tt = np.real(np.sum(t * np.conj(t), axis=(-2, -1)))
     lam = np.real(np.sum(s * np.conj(t), axis=(-2, -1))) / tt
     lam = np.where(0.0 > lam, 0.0, lam)
-    # a 2-D norm at each point, whose rounding a stacked norm does not keep
-    defect = [np.linalg.norm(s_k - lam_k * t_k) for s_k, lam_k, t_k in zip(
-        s.reshape((-1,) + s.shape[-2:]), lam.reshape(-1),
-        t.reshape((-1,) + t.shape[-2:]))]
     return HWCReport(lambda_sq=_per_point(lam),
-                     defect=_per_point(np.reshape(defect, lam.shape)))
+                     defect=_frobenius(s - lam[..., None, None] * t))
 
 
 @dataclass
@@ -278,8 +285,9 @@ def tension(pd: PointData) -> TensionPoint:
                                     pd.gram))
 
 
-def pluriharmonic_residual(pd: PointData) -> float:
-    """max over components and (a, b) of | d2 phi / dz^a dzbar^b + correction |.
+def pluriharmonic_residual(pd: PointData):
+    """max over components and (a, b) of | d2 phi / dz^a dzbar^b + correction |,
+    at the point or over its point axis.
 
     phi is defined on the real chart of C^k (interleaved coordinates) and p
     is a chart point.  On a Kaehler source the mixed Hessian is already
@@ -289,14 +297,14 @@ def pluriharmonic_residual(pd: PointData) -> float:
     """
     k = pd.phi.domain_dim // 2
     hess = jet.wirtinger(np.swapaxes(jet.wirtinger(pd.diff.second), -1, -2))
-    resid = hess[:, k:, :k]        # d2 phi^c / dzbar^b dz^a at [c, b, a]
+    resid = hess[..., k:, :k]      # d2 phi^c / dzbar^b dz^a at [c, b, a]
     if pd.h is not None:
         if not pd.h.kaehler:
             raise TargetNotKaehler("target correction requires a Kaehler metric")
         d = jet.wirtinger(pd.diff.grad)
-        resid = resid + np.einsum("cde,da,eb->cba", pd.target.gamma,
-                                  d[:, :k], d[:, k:])
-    return float(np.max(np.abs(resid)))
+        resid = resid + np.einsum("...cde,...da,...eb->...cba",
+                                  pd.target.gamma, d[..., :k], d[..., k:])
+    return _per_point(np.max(np.abs(resid), axis=(-3, -2, -1)))
 
 
 def compose(psi: SmoothMap, phi: SmoothMap) -> SmoothMap:

@@ -337,8 +337,8 @@ def test_run_checks_evaluates_phi_and_g_once_per_point(monkeypatch):
 
 
 def test_run_checks_builds_a_failing_f_once_per_point(monkeypatch):
-    # F fails the PHWC gate at every point; each check that reads F gets
-    # the error of the point's one build
+    # F fails the PHWC gate at every point; the set's build raises, and
+    # each check that reads F gets the error of the point's one build
     raw = dict(BUILTIN_MANIFESTS["example1"],
                map={"components": ["x1", "x1 + i*x2", "x1 + i*x2"]},
                checks=["fstructure", "f_holomorphy", "nijenhuis"])
@@ -350,14 +350,14 @@ def test_run_checks_builds_a_failing_f_once_per_point(monkeypatch):
         return build(pd)
     monkeypatch.setattr(fstruct, "associated_f_structure", counted)
     report = run_checks(manifest, count=4)
-    assert len(calls) == 4
+    assert len(calls) == 1 + 4 and calls[0].p.shape == (4, 2)
     assert len(report["records"]) == 4 * 3
     assert all(rec["error"].startswith("NotPHWCAtPoint")
                for rec in report["records"])
     # the same bytes as building F afresh for every check
     monkeypatch.setattr(fstruct.CheckPoint, "fp", property(build))
     assert emit_report(run_checks(manifest, count=4)) == emit_report(report)
-    assert len(calls) == 4
+    assert len(calls) == 1 + 4
 
 
 def test_a_failing_metric_is_checked_once_per_point(monkeypatch):

@@ -617,6 +617,14 @@ def test_theorem_suite_builds_one_f_per_point(monkeypatch):
     assert len(calls) == 1     # the center; its derivatives build no F
 
 
+def test_theorem_suite_of_a_sample_without_points_is_empty():
+    from phwc.geometry import HermitianMetricField
+
+    report = theorem_suite([SuiteSample(
+        "none", EX2, G4, HermitianMetricField.flat(2), np.zeros((0, 4)))])
+    assert (report.records, report.checked, report.skipped) == ([], 0, 0)
+
+
 def test_theorem_suite_evaluates_g_once_per_point(monkeypatch):
     from phwc.geometry import HermitianMetricField
 

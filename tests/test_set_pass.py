@@ -24,6 +24,7 @@ from phwc.maps import (
     share_pass,
     tension,
 )
+from test_fstruct import FAMILIES
 
 N = 50
 
@@ -39,26 +40,48 @@ def random_set(target: str, seed: int = 4):
 
 SET_RESIDUALS = {
     "phwc": lambda pd: phwc_residual_coord(pd),
+    "isotropy": isotropy_residual,
+    "commutator": phwc_residual_commutator,
     "lambda_sq": lambda pd: hwc_report(pd).lambda_sq,
     "defect": lambda pd: hwc_report(pd).defect,
     "tension": lambda pd: tension(pd).tau,
     "harmonic": lambda pd: tension(pd).harmonic_residual,
     "laplacian": lambda pd: pd.laplacian(pd.diff.grad, pd.diff.second),
-}
-POINT_RESIDUALS = {
-    **SET_RESIDUALS,
-    "isotropy": isotropy_residual,
-    "commutator": phwc_residual_commutator,
     "pluriharmonic": pluriharmonic_residual,
+    "fstructure": lambda pt: pt.fp.algebra_residual(),
+    "rank": lambda pt: pt.fp.rank,
+    "dphi_pzero": fstruct.dphi_kernel_residual,
+    "f_holomorphy": fstruct.f_holomorphy_residual,
 }
+FP_FIELDS = ("F", "Pplus", "Pminus", "Pzero", "gm", "ginv", "basis_plus",
+             "basis_zero")
 
 
-@pytest.mark.parametrize("target", ["flat", "kaehler"])
-def test_set_rows_equal_each_lone_point(target):
-    phi, g, h, points = random_set(target)
-    whole = PointData(phi, g, points, h)
-    lone = [PointData(phi, g, p, h) for p in points]
-    shared = [PointData(phi, g, p, h) for p in points]
+def family_set(family: str, seed: int = 4):
+    phi, g, _ = FAMILIES[family]
+    rng = np.random.default_rng(seed)
+    return (phi, g, HermitianMetricField.flat(phi.target_cdim),
+            rng.uniform(-1, 1, (N, phi.domain_dim)))
+
+
+SETS = {"flat": lambda: random_set("flat"),
+        "kaehler": lambda: random_set("kaehler"),
+        **{family: lambda family=family: family_set(family)
+           for family in FAMILIES}}
+
+
+# F exists only where the PHWC gate holds: the random maps are off it at
+# every point, the FAMILIES on it
+F_RESIDUALS = ("fstructure", "rank", "dphi_pzero", "f_holomorphy")
+OFF_GATE = ("flat", "kaehler")
+
+
+@pytest.mark.parametrize("case", SETS)
+def test_set_rows_equal_each_lone_point(case):
+    phi, g, h, points = SETS[case]()
+    whole = fstruct.CheckPoint(phi, g, points, h)
+    lone = [fstruct.CheckPoint(phi, g, p, h) for p in points]
+    shared = [fstruct.CheckPoint(phi, g, p, h) for p in points]
     share_pass(shared)
     for k in range(N):
         for name in ("gm", "ginv", "gamma", "gram"):
@@ -69,13 +92,57 @@ def test_set_rows_equal_each_lone_point(target):
             want = getattr(lone[k].target, name)
             assert np.array_equal(getattr(whole.target, name)[k], want), name
             assert np.array_equal(getattr(shared[k].target, name), want), name
-        for name, residual in SET_RESIDUALS.items():
-            assert np.array_equal(residual(whole)[k], residual(lone[k])), name
-        for name, residual in POINT_RESIDUALS.items():
-            assert np.array_equal(residual(shared[k]),
-                                  residual(lone[k])), name
+    for name, residual in SET_RESIDUALS.items():
+        if name in F_RESIDUALS and case in OFF_GATE:
+            for pt in (whole, *lone, *shared):
+                with pytest.raises(fstruct.NotPHWCAtPoint):
+                    residual(pt)
+            continue
+        over_set = residual(whole)
+        for k, pt in enumerate(lone):
+            want = residual(pt)
+            row = over_set[k] if isinstance(over_set, np.ndarray) else over_set
+            assert np.array_equal(row, want), name
+            assert type(residual(shared[k])) is type(want), name
+            assert np.array_equal(residual(shared[k]), want), name
     assert isinstance(phwc_residual_coord(lone[0]), float)
     assert isinstance(shared[0].target.kaehler, float)
+
+
+@pytest.mark.parametrize("case", [*FAMILIES, "example1", "example2"])
+def test_the_rows_of_a_set_f_equal_each_lone_build(case):
+    if case in FAMILIES:
+        phi, g, h, points = family_set(case)
+    else:
+        manifest = cli.validate_manifest(cli.BUILTIN_MANIFESTS[case])
+        phi, g, h = manifest.phi, manifest.g, manifest.h
+        points = sampled(N, 42, manifest.box)
+    fp = fstruct.CheckPoint(phi, g, points, h).fp
+    assert type(fp.rank) is int
+    for k, p in enumerate(points):
+        row, want = fp[k], fstruct.CheckPoint(phi, g, p, h).fp
+        for name in FP_FIELDS:
+            assert getattr(row, name).tobytes() == \
+                getattr(want, name).tobytes(), name
+            assert getattr(row, name).shape == getattr(want, name).shape
+        assert row.rank == want.rank
+        assert row.pivots == want.pivots
+        assert all(type(a) is int for a in row.pivots)
+        assert row.algebra_residual() == want.algebra_residual()
+
+
+def test_a_set_whose_ranks_differ_is_built_point_by_point():
+    # z^2 is holomorphic, so PHWC everywhere; F has rank 0 at z = 0, where
+    # its differential vanishes, and rank 2 elsewhere
+    phi = SmoothMap(2, 1, [parse_expr("(x1 + i*x2)^2")])
+    g, h = MetricField.euclidean(2), HermitianMetricField.flat(1)
+    points = np.array([[0.5, 0.5], [0.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(geometry.GeometryError, match="rank differs"):
+        fstruct.CheckPoint(phi, g, points, h).fp
+    pts = [fstruct.CheckPoint(phi, g, p, h) for p in points]
+    fstruct.share_f(share_pass(pts), pts)
+    assert "fp" not in vars(pts[0])
+    assert [pt.fp.rank for pt in pts] == [2, 0, 2]
 
 
 def sampled(count, seed, box):
@@ -154,8 +221,9 @@ def test_a_failing_pass_over_a_set_is_made_once(monkeypatch):
         # so is phi's first-order pass alone, which gives no rows if it fails
         pds = [PointData(SmoothMap(2, 1, [phi]), g, p, h) for p in points]
         passes.clear()
-        shared = share_differential(pds, order=1)
-        assert passes == ["SmoothMap"] and (shared is None) == fails
+        share_differential(pds, order=1)
+        assert passes == ["SmoothMap"]
+        assert all(("diff" not in vars(pd)) == fails for pd in pds)
 
 
 def counted(monkeypatch, module, name, calls):
@@ -403,22 +471,71 @@ def test_run_checks_builds_the_stencils_of_a_sample_in_one_pass(monkeypatch):
         assert rec.get("error", rec.get("value")) == want
 
 
-def test_run_checks_builds_f_once_per_point(monkeypatch):
-    # fstructure reads F at each sample point, nijenhuis its stencil, whose
-    # center is that same F and whose derivatives build no F of their own
-    raw = dict(cli.BUILTIN_MANIFESTS["example2"],
-               checks=["fstructure", "nijenhuis"])
-    raw["sample"] = dict(raw["sample"], count=4)
+def counted_f_builds(monkeypatch) -> list:
+    """The points of every F build from now on."""
     builds = []
     build = fstruct.associated_f_structure
 
     def counted(pd):
         builds.append(pd.p)
         return build(pd)
+    monkeypatch.setattr(fstruct, "associated_f_structure", counted)
+    return builds
 
-    for module in (fstruct, cli):    # wherever the name is bound
-        if getattr(module, "associated_f_structure", None) is build:
-            monkeypatch.setattr(module, "associated_f_structure", counted)
+
+def test_run_checks_builds_f_once_per_sample_set(monkeypatch):
+    # fstructure reads the set's F, nijenhuis each point's row of it, whose
+    # derivatives build no F of their own
+    raw = dict(cli.BUILTIN_MANIFESTS["example2"],
+               checks=["fstructure", "nijenhuis"])
+    raw["sample"] = dict(raw["sample"], count=4)
+    builds = counted_f_builds(monkeypatch)
     report = cli.run_checks(cli.validate_manifest(raw))
     assert all(rec["pass"] for rec in report["records"])
-    assert len(builds) == 4
+    assert [p.shape for p in builds] == [(4, 4)]
+    # no check that reads F, no F
+    builds.clear()
+    cli.run_checks(cli.validate_manifest(dict(raw, checks=["phwc", "hwc"])))
+    assert builds == []
+
+
+# x1^12 moves the map off PHWC as x1 grows: the gate holds on part of the
+# box and fails on the rest
+MIXED_GATE = {
+    "domain": {"dim": 2, "metric": "euclidean"},
+    "target": {"cdim": 1, "hermitian": "flat", "kaehler": True},
+    "map": {"components": ["x1 + i*x2 + x1^12"]},
+    "checks": ["phwc", "fstructure", "f_holomorphy", "nijenhuis", "tension"],
+    "sample": {"count": 20, "seed": 3, "box": [[0, 1], [-1, 1]]},
+}
+
+
+def test_a_gate_that_fails_at_some_points_runs_f_point_by_point(monkeypatch):
+    manifest = cli.validate_manifest(MIXED_GATE)
+    builds = counted_f_builds(monkeypatch)
+    report = cli.run_checks(manifest)
+    # the set's build raises, so each point builds its own F once
+    assert [p.shape for p in builds] == [(20, 2)] + [(2,)] * 20
+    monkeypatch.undo()
+    gate = {}
+    for rec in report["records"]:
+        if rec["check"] in ("fstructure", "f_holomorphy", "nijenhuis"):
+            kind = rec.get("error", "pass").split(":")[0]
+            gate[rec["check"], kind] = gate.get((rec["check"], kind), 0) + 1
+            assert rec["pass"] == (kind == "pass")
+    assert gate == {("fstructure", "pass"): 4,
+                    ("fstructure", "NotPHWCAtPoint"): 16,
+                    ("f_holomorphy", "pass"): 4,
+                    ("f_holomorphy", "NotPHWCAtPoint"): 16,
+                    ("nijenhuis", "pass"): 3,
+                    ("nijenhuis", "NotPHWCAtPoint"): 17}
+    for rec, want in zip(report["records"], lone_records(manifest, report)):
+        assert rec.get("error", rec.get("value")) == want
+    for rec in report["records"]:
+        if rec["check"] == "fstructure" and rec["pass"]:
+            pt = fstruct.CheckPoint(manifest.phi, manifest.g,
+                                    np.array(rec["point"]), manifest.h)
+            assert rec["extra"] == {
+                "rank": pt.fp.rank,
+                "dphi_pzero": fstruct.dphi_kernel_residual(pt)}
+            assert type(rec["extra"]["rank"]) is int
