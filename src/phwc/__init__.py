@@ -16,22 +16,21 @@ The layers, bottom up:
   jet pass (``MetricPoint``), h, h^-1, Gamma and the Kaehler residual from
   one pass of h (``HermitianPoint``), at one point or, with a leading point
   axis, at a set of points, each quantity checked, inverted and contracted
-  in one numpy call; a target of literals is checked once per field and
-  makes no pass; ``share_metric`` gives points of metrics of one shape
-  (or of one metric) their rows of one pass of the stacked grids;
+  in one numpy call; point k of a set, ``pt[k]``, is made on demand and
+  holds its row of what the set has built; a target of literals is checked
+  once per field and makes no pass; ``share_metric`` gives points of
+  metrics of one shape (or of one metric) their rows of one pass of the
+  stacked grids;
 - ``maps``: smooth maps, the point inputs ``PointData`` (a ``MetricPoint``
-  plus phi's jets, the Gram matrix and the ``HermitianPoint`` at phi(p)),
-  whose rows ``share_pass`` gives each point of a set from one
-  ``PointData`` over all of them, which it returns (``share_differential``
-  gives phi's rows alone and returns nothing), and the residuals that read
-  them (three equivalent PHWC forms, horizontal weak conformality fit,
-  tension, pluriharmonicity; each also over a point axis), and composition
-  with +/-holomorphic maps;
+  plus phi's jets, the Gram matrix and the ``HermitianPoint`` at phi(p);
+  ``share_differential`` gives lone points of one phi their rows of one
+  pass of it), and the residuals that read them (three equivalent PHWC
+  forms, horizontal weak conformality fit, tension, pluriharmonicity; each
+  also over a point axis), and composition with +/-holomorphic maps;
 - ``fstruct``: the associated f-structure, at a point or over a set
   (``fp[k]`` is point k), its algebra, ``CheckPoint`` (a ``PointData`` of
   one point or a set that holds F, ``fp``, and, at one point, F's exact
-  first derivatives, ``dF``, read off its own jets; ``share_f`` gives each
-  point of a set its row of the set's F) with ``CHECKS``, the
+  first derivatives, ``dF``, read off its own jets) with ``CHECKS``, the
   table of checks that read it; f-holomorphy, the 0-eigenspace kernel
   (both also over a set), Nijenhuis and parallelism defects and the
   fundamental 2-form conditions, each a residual of the ``CheckPoint``;
@@ -94,7 +93,6 @@ from .maps import (
     phwc_residual_coord,
     pluriharmonic_residual,
     share_differential,
-    share_pass,
     tension,
 )
 from .fstruct import (

@@ -57,12 +57,11 @@ from .flow import (
     save_snapshot,
     stable_dt_bound,
 )
-from .fstruct import (CHECKS, DERIVATIVE_CHECKS, CheckPoint, share_f,
-                      verdict)
+from .fstruct import CHECKS, DERIVATIVE_CHECKS, CheckPoint, verdict
 from .geometry import (KAEHLER_TOL, POINT_ERRORS, HermitianMetricField,
-                       MetricField)
+                       MetricField, _build)
 from .jet import ParseError
-from .maps import SmoothMap, share_pass
+from .maps import SmoothMap
 
 SCHEMA_VERSION = 1
 
@@ -470,8 +469,9 @@ def run_checks(manifest: Manifest, seed: int | None = None,
     whole sample, one CheckPoint of the set, and its records are the rows;
     where that raises one of geometry.POINT_ERRORS, the check runs point by
     point.  The derivative checks run point by point, each point reading
-    its row of the set's F.  An error of geometry.POINT_ERRORS at a point, a
-    residual that is not finite among them, is recorded on the offending
+    its row of the set's F.  A point is the set's row whole[k], made only
+    where a check runs at it.  An error of geometry.POINT_ERRORS at a point,
+    a residual that is not finite among them, is recorded on the offending
     record (pass = false) and never aborts the sweep.  count, when given,
     overrides sample.count; as there, checks need at least one point.
     """
@@ -487,18 +487,19 @@ def run_checks(manifest: Manifest, seed: int | None = None,
         field = "sample.count" if use_count == manifest.count else "--points"
         raise ValidationError(field, f"{use_count} sample points do not fit "
                                      "in memory") from err
-    pts = [CheckPoint(manifest.phi, manifest.g, point, manifest.h)
-           for point in points]
+    whole = CheckPoint(manifest.phi, manifest.g, points, manifest.h)
     entries = [(name, float((tol_overrides or {}).get(name, tol)), *rest)
                for name, tol, *rest in manifest.checks]
     records = []
     # what overflows in the set pass, the gate or a check is an error or a
     # value that is not finite, which the points record (_check_finite)
     with np.errstate(all="ignore"):
-        whole = share_pass(pts)
         # a target that claims to be Kaehler is gated on sampled images; a
         # point where the gate cannot be evaluated is left to its checks
-        for pt in pts[:10] if manifest.h.kaehler else []:
+        if manifest.h.kaehler:
+            _build(whole, "target.kaehler")
+        for k in range(min(10, len(points)) if manifest.h.kaehler else 0):
+            pt = whole[k]
             try:
                 kr = pt.target.kaehler
             except POINT_ERRORS:
@@ -510,8 +511,6 @@ def run_checks(manifest: Manifest, seed: int | None = None,
                     f"{kr:.3e} at the image of {pt.p.tolist()}")
 
         names = dict.fromkeys(name for name, *_ in entries)
-        if any(name in DERIVATIVE_CHECKS for name in names):
-            share_f(whole, pts)
         over_set = {}
         for name in names:
             if name not in DERIVATIVE_CHECKS:
@@ -519,8 +518,12 @@ def run_checks(manifest: Manifest, seed: int | None = None,
                     over_set[name] = CHECKS[name][1](whole)
                 except POINT_ERRORS:
                     pass
+        if any(name in DERIVATIVE_CHECKS for name in names):
+            _build(whole, "fp", "gamma")   # what their points read as rows
+        alone = len(over_set) < len(names)   # some check runs point by point
 
-        for p_idx, (pt, point) in enumerate(zip(pts, points.tolist())):
+        for p_idx, point in enumerate(points.tolist()):
+            pt = whole[p_idx] if alone else None
             for name, tol, negate, rank in entries:
                 rec = {
                     "point_index": p_idx,

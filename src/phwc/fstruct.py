@@ -26,12 +26,13 @@ of them with a leading point axis, with its F (fp) and, at one point, F's
 first derivatives (dF), each kept (geometry.kept), with the error of one
 that fails, and read by every check there.  F is built over a set in one
 pass, each point pivoting on its own norms, and fp[k] is what point k
-builds alone; a lone point may hold that row.  Every residual below takes
-the CheckPoint and reads fp, dF, g's partials dg, the symbols gamma and
-phi's differential diff off it; those that read no derivative of F
-(f-holomorphy, the kernel check and the algebra) give one value per point
-of a set.  The implication harness and ``phwc check`` both read them
-through one table of checks, CHECKS.
+builds alone; point k of the set, pt[k], holds that row.  Every residual
+below takes the CheckPoint and reads fp, dF, g's partials dg, the symbols
+gamma and phi's differential diff off it; those that read no derivative
+of F (f-holomorphy, the kernel check and the algebra) give one value per
+point of a set.  The implication harness and ``phwc check`` both read
+them through one table of checks, CHECKS, each on one CheckPoint of its
+sample set and on the set's rows.
 
 Pointwise constructions are pure; the implication harness processes its
 samples independently and keeps diagnostics ordered by sample for
@@ -45,12 +46,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (KAEHLER_TOL, POINT_ERRORS, GeometryError,
-                       HermitianMetricField, MetricField, _at,
+                       HermitianMetricField, MetricField, _at, _build,
                        _inverse_checked, _per_point, kept)
 from .jet import differentiate, eval_jet2
 from .maps import (PointData, SmoothMap, hwc_report, isotropy_residual,
                    phwc_residual_commutator, phwc_residual_coord,
-                   pluriharmonic_residual, share_pass, tension)
+                   pluriharmonic_residual, tension)
 
 __all__ = [
     "NotPHWCAtPoint",
@@ -58,7 +59,6 @@ __all__ = [
     "RankJumpOnStencil",
     "FStructurePoint",
     "CheckPoint",
-    "share_f",
     "TwoFormPoint",
     "associated_f_structure",
     "f_holomorphy_residual",
@@ -346,7 +346,8 @@ class CheckPoint(PointData):
     associated f-structure fp and, at one point, its first derivatives dF,
     kept as every quantity of the point is: built on first read from the
     point's own jets, or the error that building raised, and then read by
-    every check there.  A lone point may hold its row of a set's fp."""
+    every check there.  Over a set, pt[k] is point k, which holds its row
+    of the set's fp once the set has built it."""
 
     @kept
     def fp(self) -> FStructurePoint:
@@ -358,19 +359,6 @@ class CheckPoint(PointData):
         """dF[l, k, j] = d_l F^k_j of fp (see _f_jet); raises what building
         it or fp raised."""
         return _f_jet(self)
-
-
-def share_f(whole: CheckPoint, pts: list[CheckPoint]) -> None:
-    """Give each of pts, the lone points of whole in order, its row of
-    whole's F.  Where building the set's F raises one of POINT_ERRORS (a
-    point off the gate, or ranks that differ), no point gets a row: each
-    builds its own on first read, so the error lands on its own point."""
-    try:
-        fp = whole.fp
-    except POINT_ERRORS:
-        return
-    for k, pt in enumerate(pts):
-        pt.fp = fp[k]
 
 
 def _hwc(pt: CheckPoint):
@@ -571,11 +559,12 @@ def theorem_suite(samples) -> TheoremSuiteReport:
     records = []
     report = TheoremSuiteReport(records=records)
     for sample in samples:
-        pts = [CheckPoint(sample.phi, sample.g, point, sample.h) for point
-               in np.atleast_2d(np.asarray(sample.points, dtype=float))]
-        if pts:
-            share_f(share_pass(pts), pts)
-        for pt in pts:
+        whole = CheckPoint(sample.phi, sample.g, np.atleast_2d(
+            np.asarray(sample.points, dtype=float)), sample.h)
+        # F, and what each point reads but F's derivatives, over the set
+        _build(whole, "fp", "gamma", "target.kaehler", "target.gamma")
+        for k in range(len(whole.p)):
+            pt = whole[k]
             rec = SuiteRecord(sample=sample.name, point=list(pt.p),
                               status="ok", reasons=[], residuals={})
             records.append(rec)

@@ -8,13 +8,15 @@ holds g, g^-1, Gamma and Laplace-Beltrami from one jet pass of g, and
 HermitianPoint holds h, h^-1, its symbols and Kaehler residual from one of h.
 Given a set of points (N, m) they hold the same with a leading point axis,
 each checked, inverted and contracted in one numpy call; a target whose
-components are all literals is checked and inverted once per field.  The
-MetricPoints of K fields of one shape, each at its own point, share one
-pass of their stacked component grids (share_metric).  The passes of g
-and h stop at the gradient, which is all these quantities read.  Each
-quantity of a point or a field is kept: built on first read, or the error
-of POINT_ERRORS its build raised, which every later read raises again.
-Fields are immutable and all operations pure, so sweeps can run concurrently.
+components are all literals is checked and inverted once per field.
+Point k of a set, pt[k], is an object of its type made on demand, which
+holds its row of each quantity the set has built and builds the rest
+alone.  The MetricPoints of K fields of one shape, each at its own point,
+share one pass of their stacked component grids (share_metric).  The
+passes of g and h stop at the gradient, which is all these quantities
+read.  Each quantity of a point or a field is kept: built on first read,
+or the error of POINT_ERRORS its build raised, which every later read
+raises again.  Fields are immutable and all operations pure, so sweeps can run concurrently.
 
 Points where positivity fails abort with an error instead of being
 regularised: a residual computed through a repaired metric would be
@@ -22,6 +24,8 @@ meaningless.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 import numpy as np
 
@@ -214,24 +218,31 @@ def _row(value, k):
     return _per_point(value[k]) if isinstance(value, np.ndarray) else value[k]
 
 
-def _share_rows(whole, parts, names) -> None:
-    """Give each of parts, the lone objects of the points of whole in order,
-    its row of each quantity of names that whole computes over the set, and
-    of whole's jets once made.  A quantity whose computation raises one of
-    POINT_ERRORS at some point gives no rows: each part computes it alone on
-    first use, so the error lands on the points where it occurs, with the
-    type and message it has there.  whole keeps the error, so the names
-    after a failed jet pass raise it again at once."""
+def _build(whole, *names) -> None:
+    """Build each quantity of names on whole (a dotted name reads one of an
+    attribute, as "target.kaehler"), so that its points hold their rows of
+    it; one whose build raises one of POINT_ERRORS keeps the error."""
     for name in names:
         try:
-            getattr(whole, name)
+            attrgetter(name)(whole)
         except POINT_ERRORS:
             pass
-    for name in ("_jets", *names):
-        if name in vars(whole):
-            value = vars(whole)[name]
-            for k, part in enumerate(parts):
-                vars(part)[name] = _row(value, k)
+
+
+def _point(whole, k, at: str):
+    """Point k of whole, an object over a set of points: a new object of its
+    type, made without its constructor, that holds its row (_row) of the
+    points (the attribute named at) and of each quantity whole has built,
+    and whole's fields as they are.  An error whole keeps is not passed
+    on: point k builds that quantity alone, so the error lands on the
+    points where it occurs, with the type and message it has there."""
+    part = object.__new__(type(whole))
+    for name, value in vars(whole).items():
+        if name == at or isinstance(getattr(type(whole), name, None), kept):
+            vars(part)[name] = _row(value, k)
+        elif not name.endswith(" error"):
+            vars(part)[name] = value
+    return part
 
 
 class MetricPoint:
@@ -239,11 +250,14 @@ class MetricPoint:
     leading point axis on every quantity, from one jet pass of its
     components: the checked matrix gm, its checked inverse ginv, its
     partials dg and the Levi-Civita symbols gamma, each kept, with the error
-    of one that fails, which raises in its readers only.  A lone point may
-    hold rows of a set (see maps.share_pass)."""
+    of one that fails, which raises in its readers only.  Over a set, pt[k]
+    is point k (see _point)."""
 
     def __init__(self, g: MetricField, p):
         self.g, self.p = g, np.asarray(p, dtype=float)
+
+    def __getitem__(self, k):
+        return _point(self, k, "p")
 
     @kept
     def _jets(self) -> jet.Jet2:
@@ -369,16 +383,20 @@ class HermitianPoint:
     gamma (christoffel_kaehler) and kaehler (kaehler_residual), each kept
     as MetricPoint's are, with the error of one that fails.  A constant field
     makes no pass: every point reads its one checked matrix and inverse,
-    and its symbols and Kaehler residual are zero."""
+    and its symbols and Kaehler residual are zero.  Over a set, hp[k] is
+    point k, as for MetricPoint."""
 
     def __init__(self, h: HermitianMetricField, z):
         self.h, self.z = h, z
+
+    def __getitem__(self, k):
+        return _point(self, k, "z")
 
     @kept
     def _jets(self) -> jet.Jet2:
         return self.h.jets(self.z)
 
-    @kept
+    @property
     def _constant(self) -> bool:
         # a literal matrix that fails its check is checked at each point,
         # so each raises with its own z
@@ -421,24 +439,23 @@ class HermitianPoint:
             self.dh - np.einsum("...abc->...bac", self.dh)), axis=(-3, -2, -1)))
 
 
-# The quantities of HermitianPoint that maps.share_pass computes once over
-# a set of points.
-TARGET_ROWS = ("hm", "hinv", "gamma", "kaehler")
-
-
 def share_metric(points: list[MetricPoint]) -> None:
     """Give each of points, MetricPoints at one point each, its rows of the
     checked gm and ginv of one MetricPoint over all of them, whose field
     stacks the component grids of their fields (jet.stack), which must be
     of one shape; a field stacked with itself gives its own bits, and a
-    mirrored entry stays one node.  Errors stay on their points, as
-    _share_rows says."""
+    mirrored entry stays one node.  Errors stay on their points, as _point
+    says; each point keeps its own field."""
     dim = points[0].g.dim
     flat = jet.stack([[e for row in pt.g.components for e in row]
                       for pt in points])
     g = MetricField(dim, [flat[i * dim:(i + 1) * dim] for i in range(dim)])
-    _share_rows(MetricPoint(g, np.array([pt.p for pt in points])), points,
-                ("gm", "ginv"))
+    whole = MetricPoint(g, np.array([pt.p for pt in points]))
+    _build(whole, "gm", "ginv")
+    for k, pt in enumerate(points):
+        row = vars(whole[k])
+        del row["g"], row["p"]
+        vars(pt).update(row)
 
 
 def christoffel_domain(g: MetricField, p) -> np.ndarray:

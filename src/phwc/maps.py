@@ -8,13 +8,12 @@ pointwise from second-order jets, or from first-order ones where it reads
 no second partials (reading ``second`` of a first-order pass raises
 HessianNotComputed).  Every residual of a PointData also takes the
 PointData of a set of points and gives one value per point, from one numpy
-call per quantity (the commutator and the hwc fit take a 2-D norm per
-point); a lone point may hold its rows of a set (share_pass,
-share_differential).  The pseudo
-horizontal weak conformality condition comes in three equivalent forms
-(coordinate Gram, isotropy through the dual metric, commutator with the
-complex structure) that are kept as independent code paths so they can
-cross-check each other.
+call per quantity; pd[k] is point k of the set (geometry.MetricPoint), and
+share_differential gives lone points of one phi their rows of one pass of
+it.  The pseudo horizontal weak conformality condition comes in three
+equivalent forms (coordinate Gram, isotropy through the dual metric,
+commutator with the complex structure) that are kept as independent code
+paths so they can cross-check each other.
 
 Conventions for the complexified target tangent space: the frame is
 (d/dz^1 .. d/dz^n, d/dzbar^1 .. d/dzbar^n); the real metric induced by the
@@ -36,14 +35,12 @@ import numpy as np
 from . import jet
 from .geometry import (
     POINT_ERRORS,
-    TARGET_ROWS,
     HermitianMetricField,
     HermitianPoint,
     MetricField,
     MetricPoint,
     TargetNotKaehler,
     _per_point,
-    _share_rows,
     kept,
 )
 from .jet import Expr, Jet2, as_expr, eval_jet2
@@ -52,7 +49,6 @@ __all__ = [
     "DimensionMismatch",
     "SmoothMap",
     "PointData",
-    "share_pass",
     "share_differential",
     "HWCReport",
     "TensionPoint",
@@ -147,31 +143,6 @@ def share_differential(pds: list[PointData], order: int = 2) -> None:
         pd.diff = diff[k]
 
 
-def share_pass(pds: list[PointData]) -> PointData | None:
-    """Compute the quantities of pds, point data of one phi, g and h, once
-    each over all their points, give each point its rows, and return the
-    point data of the set, of the type of pds[0] (None for no points).
-
-    One PointData over the set makes one jet pass each of phi, g and h at
-    the images; its checked gm, ginv, gamma and gram, and h's checked hm,
-    hinv, gamma and kaehler, are each computed in one numpy call.  A pass or
-    a check that raises at some point gives no rows of what it computes
-    (geometry._share_rows): each point then computes that alone on first
-    use, as a lone PointData does, so the error lands on the points where
-    it occurs.
-    """
-    if not pds:
-        return None
-    first = pds[0]
-    whole = type(first)(first.phi, first.g, [pd.p for pd in pds], first.h)
-    _share_rows(whole, pds, ("diff", "gm", "ginv", "gamma", "gram"))
-    if first.h is not None and "diff" in vars(whole):
-        for pd, z in zip(pds, whole.diff.value):
-            pd.target = HermitianPoint(first.h, z)
-        _share_rows(whole.target, [pd.target for pd in pds], TARGET_ROWS)
-    return whole
-
-
 def phwc_residual_coord(pd: PointData):
     """max_{a,b} | g^ij d_i phi^a d_j phi^b |; zero exactly on PHWC maps.
     A float at one point, an array over a point axis."""
@@ -179,10 +150,13 @@ def phwc_residual_coord(pd: PointData):
 
 
 def _frobenius(a: np.ndarray):
-    """The Frobenius norm of a matrix, or one per matrix of a stack, each a
-    2-D norm, whose rounding a stacked norm does not keep."""
-    norms = [np.linalg.norm(x) for x in a.reshape((-1,) + a.shape[-2:])]
-    return _per_point(np.reshape(norms, a.shape[:-2]))
+    """The Frobenius norm of a matrix, or one per matrix of a stack: the
+    square root of re.re + im.im, each one matmul dot over the matrix
+    flattened in C order, as np.linalg.norm computes it, bit for bit."""
+    x = a.reshape(a.shape[:-2] + (1, -1))
+    re, im = x.real, x.imag
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return _per_point(np.sqrt(sq[..., 0, 0]))
 
 
 def isotropy_residual(pd: PointData):

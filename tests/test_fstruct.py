@@ -628,9 +628,9 @@ def test_theorem_suite_of_a_sample_without_points_is_empty():
 def test_theorem_suite_evaluates_g_once_per_point(monkeypatch):
     from phwc.geometry import HermitianMetricField
 
-    jets, phi_orders, centers = [], [], []
-    g_jets, phi_jets, pd_init = MetricField.jets, SmoothMap.jets, \
-        PointData.__init__
+    jets, phi_orders, inits, centers = [], [], [], []
+    g_jets, phi_jets, pd_init, point_of = MetricField.jets, SmoothMap.jets, \
+        PointData.__init__, MetricPoint.__getitem__
     points = [P4, (0.2, -0.7, 1.1, 0.4)]
 
     def counted_jets(self, p):
@@ -643,12 +643,17 @@ def test_theorem_suite_evaluates_g_once_per_point(monkeypatch):
 
     def counted_init(self, *args, **kwargs):
         pd_init(self, *args, **kwargs)
-        if any(np.array_equal(self.p, q) for q in points):
-            centers.append(tuple(self.p))
+        inits.append(self.p.shape)
+
+    def counted_rows(self, k):
+        row = point_of(self, k)
+        centers.append(tuple(row.p))
+        return row
 
     monkeypatch.setattr(MetricField, "jets", counted_jets)
     monkeypatch.setattr(SmoothMap, "jets", counted_phi_jets)
     monkeypatch.setattr(PointData, "__init__", counted_init)
+    monkeypatch.setattr(MetricPoint, "__getitem__", counted_rows)
     report = theorem_suite([SuiteSample(
         "linear_c2", EX2, G4, HermitianMetricField.flat(2), points)])
     assert report.checked == 2
@@ -656,7 +661,9 @@ def test_theorem_suite_evaluates_g_once_per_point(monkeypatch):
     # points: tension and F's derivatives read nothing else
     assert [len(batch) for batch in jets] == [2]
     assert phi_orders == [(2, 2)]
-    # kaehler, phwc, tension, F and its derivatives share one PointData
+    # kaehler, phwc, tension, F and its derivatives of a point share one
+    # row of the one PointData of the sample
+    assert inits == [(2, 4)]
     assert sorted(centers) == sorted(tuple(map(float, q)) for q in points)
 
 

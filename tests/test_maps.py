@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phwc import catalog
+from phwc import catalog, maps
 from phwc.geometry import (
     HermitianMetricField,
     MetricField,
@@ -455,3 +455,18 @@ def test_chain_rule_identity():
         hess = wirtinger(wirtinger(jf.hess).T)
         trace_term = np.einsum("AB,Ai,Bi->", hess, dphi_full, dphi_full)
         assert abs(lhs - (df_term + trace_term)) < 1e-9
+
+
+def test_the_stacked_frobenius_norm_is_each_matrix_norm_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for n in range(2, 9):
+        for decade in range(-5, 6):
+            shape = (30, n, n)
+            stack = (rng.standard_normal(shape) + 1j * rng.standard_normal(
+                shape)) * 10.0 ** decade * rng.uniform(0.5, 2, (30, 1, 1))
+            norms = maps._frobenius(stack)
+            assert norms.shape == (30,)
+            for a, norm in zip(stack, norms):
+                assert norm == np.linalg.norm(a)
+                one = maps._frobenius(a)
+                assert type(one) is float and one == np.linalg.norm(a)

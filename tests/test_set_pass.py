@@ -21,7 +21,6 @@ from phwc.maps import (
     phwc_residual_coord,
     pluriharmonic_residual,
     share_differential,
-    share_pass,
     tension,
 )
 from test_fstruct import FAMILIES
@@ -81,8 +80,17 @@ def test_set_rows_equal_each_lone_point(case):
     phi, g, h, points = SETS[case]()
     whole = fstruct.CheckPoint(phi, g, points, h)
     lone = [fstruct.CheckPoint(phi, g, p, h) for p in points]
-    shared = [fstruct.CheckPoint(phi, g, p, h) for p in points]
-    share_pass(shared)
+    # the set builds what its rows then hold; F raises off the gate
+    for name, residual in SET_RESIDUALS.items():
+        if not (name in F_RESIDUALS and case in OFF_GATE):
+            residual(whole)
+    shared = [whole[k] for k in range(N)]
+    for pt in shared:
+        assert type(pt) is fstruct.CheckPoint
+        for name in ("_jets", "diff", "gm", "ginv", "gamma", "gram",
+                     "target"):
+            assert name in vars(pt), name
+        assert {"hm", "hinv", "gamma"} <= set(vars(pt.target))
     for k in range(N):
         for name in ("gm", "ginv", "gamma", "gram"):
             want = getattr(lone[k], name)
@@ -92,6 +100,8 @@ def test_set_rows_equal_each_lone_point(case):
             want = getattr(lone[k].target, name)
             assert np.array_equal(getattr(whole.target, name)[k], want), name
             assert np.array_equal(getattr(shared[k].target, name), want), name
+        assert np.array_equal(shared[k].p, lone[k].p)
+        assert np.array_equal(shared[k].target.z, lone[k].target.z)
     for name, residual in SET_RESIDUALS.items():
         if name in F_RESIDUALS and case in OFF_GATE:
             for pt in (whole, *lone, *shared):
@@ -137,10 +147,11 @@ def test_a_set_whose_ranks_differ_is_built_point_by_point():
     phi = SmoothMap(2, 1, [parse_expr("(x1 + i*x2)^2")])
     g, h = MetricField.euclidean(2), HermitianMetricField.flat(1)
     points = np.array([[0.5, 0.5], [0.0, 0.0], [0.0, 1.0]])
+    whole = fstruct.CheckPoint(phi, g, points, h)
     with pytest.raises(geometry.GeometryError, match="rank differs"):
-        fstruct.CheckPoint(phi, g, points, h).fp
-    pts = [fstruct.CheckPoint(phi, g, p, h) for p in points]
-    fstruct.share_f(share_pass(pts), pts)
+        whole.fp
+    # a point does not inherit the set's error: each builds its own F
+    pts = [whole[k] for k in range(len(points))]
     assert "fp" not in vars(pts[0])
     assert [pt.fp.rank for pt in pts] == [2, 0, 2]
 
@@ -197,6 +208,59 @@ def test_an_error_at_one_point_lands_on_its_records_only(where):
         assert "error" not in rec or rec["pass"] is False
 
 
+def test_a_set_check_that_fails_at_one_point_leaves_the_others_their_rows(
+        monkeypatch):
+    passes = []
+    g_jets = MetricField.jets
+
+    def counted(self, p):
+        passes.append(len(np.atleast_2d(p)))
+        return g_jets(self, p)
+
+    monkeypatch.setattr(MetricField, "jets", counted)
+    # g = diag(x1, 1) is SPD where x1 > 0 only
+    g = MetricField(2, [[parse_expr("x1"), 0], [0, 1]])
+    points = np.array([[0.5, 0.1], [-0.5, 0.3], [1.25, -1.0], [2.0, 0.0]])
+    whole = MetricPoint(g, points)
+    with pytest.raises(geometry.MetricNotSPD):
+        whole.gm
+    assert passes == [4]
+    for k, p in enumerate(points):
+        row = whole[k]
+        assert "gm" not in vars(row) and "_jets" in vars(row)
+        if k == 1:
+            with pytest.raises(geometry.MetricNotSPD,
+                               match=re.escape(f"not SPD at {p}")):
+                row.gm
+        else:
+            assert row.gm.tobytes() == MetricPoint(g, p).gm.tobytes()
+    # the rows read the set's one pass; only the lone points made their own
+    assert passes == [4, 1, 1, 1]
+
+
+@pytest.mark.parametrize("case", ["example1", "example2"])
+def test_run_checks_of_an_example_makes_one_set_and_at_most_ten_rows(
+        case, monkeypatch):
+    inits, rows = [], []
+    pd_init, point_of = PointData.__init__, MetricPoint.__getitem__
+
+    def counted_init(self, *args, **kwargs):
+        inits.append(type(self))
+        pd_init(self, *args, **kwargs)
+
+    def counted_rows(self, k):
+        rows.append(type(self))
+        return point_of(self, k)
+
+    monkeypatch.setattr(PointData, "__init__", counted_init)
+    monkeypatch.setattr(MetricPoint, "__getitem__", counted_rows)
+    report = cli.run_checks(cli.validate_manifest(cli.BUILTIN_MANIFESTS[case]))
+    assert len(report["records"]) == 700
+    assert inits == [fstruct.CheckPoint]
+    # the rows are the Kaehler gate's: every check runs over the set
+    assert rows == [fstruct.CheckPoint] * 10
+
+
 def test_a_failing_pass_over_a_set_is_made_once(monkeypatch):
     passes = []
     for cls in (SmoothMap, MetricField, HermitianMetricField):
@@ -211,10 +275,13 @@ def test_a_failing_pass_over_a_set_is_made_once(monkeypatch):
             (parse_expr("1/x1"), True, ["SmoothMap", "MetricField"]),
             (parse_expr("x1"), False, ["SmoothMap", "MetricField",
                                        "HermitianMetricField"])):
-        pds = [PointData(SmoothMap(2, 1, [phi]), g, p, h) for p in points]
+        whole = PointData(SmoothMap(2, 1, [phi]), g, points, h)
         passes.clear()
-        share_pass(pds)
+        geometry._build(whole, "diff", "gm", "ginv", "gamma", "gram",
+                        "target.hm", "target.hinv", "target.gamma",
+                        "target.kaehler")
         assert passes == made
+        pds = [whole[k] for k in range(len(points))]
         with pytest.raises(DivisionNearZero):
             pds[1].gm
         assert pds[0].gm[1, 1] == 1.0 and pds[2].gm[0, 0] == 5.0
@@ -242,10 +309,12 @@ def test_a_constant_target_is_checked_once_per_field(monkeypatch):
     for n in (1, 2):
         phi = catalog.random_polynomial_map(np.random.default_rng(n), 2, n)
         h = HermitianMetricField.flat(n)
-        pds = [PointData(phi, MetricField.euclidean(2), p, h)
-               for p in sampled(8, n, [[-1, 1]] * 2)]
-        share_pass(pds)
-        for pd in pds:
+        whole = PointData(phi, MetricField.euclidean(2),
+                          sampled(8, n, [[-1, 1]] * 2), h)
+        for residual in (hwc_report, tension, pluriharmonic_residual,
+                         phwc_residual_commutator):
+            residual(whole)
+        for pd in (whole[k] for k in range(8)):
             hwc_report(pd)
             tension(pd)
             pluriharmonic_residual(pd)
@@ -260,10 +329,13 @@ def test_a_literal_target_that_fails_its_check_fails_at_each_point():
     h = HermitianMetricField(1, [[Const(-1.0)]], kaehler=True)
     zs = np.array([[0.5j], [2.0]])
     phi = SmoothMap(2, 1, [parse_expr("x1 + i*x2")])
-    pds = [PointData(phi, MetricField.euclidean(2), p, h)
-           for p in ([0.0, 0.5], [2.0, 0.0])]
-    share_pass(pds)
-    for pd, z in zip(pds, zs):
+    whole = PointData(phi, MetricField.euclidean(2),
+                      [[0.0, 0.5], [2.0, 0.0]], h)
+    with pytest.raises(geometry.MetricNotPD,
+                       match=re.escape(f"z={zs[0]}")):
+        whole.target.hm
+    assert np.array_equal(whole.target.kaehler, [0.0, 0.0])
+    for pd, z in zip((whole[0], whole[1]), zs):
         assert np.array_equal(pd.target.z, z)
         with pytest.raises(geometry.MetricNotPD, match=re.escape(f"z={z}")):
             pd.target.hm
