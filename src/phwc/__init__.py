@@ -22,20 +22,19 @@ The layers, bottom up:
   metrics of one shape (or of one metric) their rows of one pass of the
   stacked grids;
 - ``maps``: smooth maps, the point inputs ``PointData`` (a ``MetricPoint``
-  plus phi's jets, the Gram matrix and the ``HermitianPoint`` at phi(p);
-  ``share_differential`` gives lone points of one phi their rows of one
-  pass of it), and the residuals that read them (three equivalent PHWC
-  forms, horizontal weak conformality fit, tension, pluriharmonicity; each
-  also over a point axis), and composition with +/-holomorphic maps;
+  plus phi's jets, the Gram matrix and the ``HermitianPoint`` at phi(p)),
+  and the residuals that read them (three equivalent PHWC forms,
+  horizontal weak conformality fit, tension, pluriharmonicity; each also
+  over a point axis), and composition with +/-holomorphic maps;
 - ``fstruct``: the associated f-structure, at a point or over a set
   (``fp[k]`` is point k), its algebra, ``CheckPoint`` (a ``PointData`` of
   one point or a set that holds F, ``fp``, and, at one point, F's exact
   first derivatives, ``dF``, read off its own jets) with ``CHECKS``, the
-  table of checks that read it; f-holomorphy, the 0-eigenspace kernel
-  (both also over a set), Nijenhuis and parallelism defects and the
-  fundamental 2-form conditions, each a residual of the ``CheckPoint``;
-  and the theorem implication harness, which reads ``CHECKS`` as ``phwc
-  check`` does;
+  table of checks that read it, and the set rule by which they are read;
+  f-holomorphy, the 0-eigenspace kernel (both also over a set), Nijenhuis
+  and parallelism defects and the fundamental 2-form conditions, each a
+  residual of the ``CheckPoint``; and the theorem implication harness,
+  which reads ``CHECKS`` as ``phwc check`` does;
 - ``flow``: explicit-Euler tension flow on flat torus grids;
 - ``paper``: the sections of the verify-paper bundle, one per group of the
   paper's claims;
@@ -92,7 +91,6 @@ from .maps import (
     phwc_residual_commutator,
     phwc_residual_coord,
     pluriharmonic_residual,
-    share_differential,
     tension,
 )
 from .fstruct import (

@@ -57,7 +57,7 @@ from .flow import (
     save_snapshot,
     stable_dt_bound,
 )
-from .fstruct import CHECKS, DERIVATIVE_CHECKS, CheckPoint, verdict
+from .fstruct import CHECKS, CheckPoint, check_at, check_sets, verdict
 from .geometry import (KAEHLER_TOL, POINT_ERRORS, HermitianMetricField,
                        MetricField, _build)
 from .jet import ParseError
@@ -452,28 +452,21 @@ def _check_finite(name: str, value, extra: dict) -> None:
             raise FloatingPointError(f"{name} {key} is {v}")
 
 
-def _row_of(result: tuple, k: int) -> tuple:
-    """The value and extra at point k of a check evaluated over a set."""
-    value, extra = result
-    return float(value[k]), {key: float(v[k]) if isinstance(v, np.ndarray)
-                             else v for key, v in extra.items()}
-
-
 def run_checks(manifest: Manifest, seed: int | None = None,
                count: int | None = None,
                tol_overrides: dict | None = None) -> dict:
     """Execute every requested check of a built manifest at seeded sample
     points.
 
-    Each check that reads no derivative of F is evaluated once over the
-    whole sample, one CheckPoint of the set, and its records are the rows;
-    where that raises one of geometry.POINT_ERRORS, the check runs point by
-    point.  The derivative checks run point by point, each point reading
-    its row of the set's F.  A point is the set's row whole[k], made only
-    where a check runs at it.  An error of geometry.POINT_ERRORS at a point,
-    a residual that is not finite among them, is recorded on the offending
-    record (pass = false) and never aborts the sweep.  count, when given,
-    overrides sample.count; as there, checks need at least one point.
+    The checks are read by fstruct's set rule (check_sets, check_at): one
+    that reads no derivative of F runs once over the sample, one CheckPoint
+    of the set, and its records are the rows; where that raises one of
+    geometry.POINT_ERRORS, and for the derivative checks, it runs on the
+    set's row whole[k], made only where a check runs there.  An error of
+    geometry.POINT_ERRORS at a point, a residual that is not finite among
+    them, is recorded on the offending record (pass = false) and never
+    aborts the sweep.  count, when given, overrides sample.count; as there,
+    checks need at least one point.
     """
     use_seed = manifest.seed if seed is None else seed
     use_count = manifest.count if count is None else count
@@ -511,16 +504,8 @@ def run_checks(manifest: Manifest, seed: int | None = None,
                     f"{kr:.3e} at the image of {pt.p.tolist()}")
 
         names = dict.fromkeys(name for name, *_ in entries)
-        over_set = {}
-        for name in names:
-            if name not in DERIVATIVE_CHECKS:
-                try:
-                    over_set[name] = CHECKS[name][1](whole)
-                except POINT_ERRORS:
-                    pass
-        if any(name in DERIVATIVE_CHECKS for name in names):
-            _build(whole, "fp", "gamma")   # what their points read as rows
-        alone = len(over_set) < len(names)   # some check runs point by point
+        sets = check_sets(whole, names)
+        alone = len(sets) < len(names)   # some check runs point by point
 
         for p_idx, point in enumerate(points.tolist()):
             pt = whole[p_idx] if alone else None
@@ -533,9 +518,7 @@ def run_checks(manifest: Manifest, seed: int | None = None,
                     "negate": negate,
                 }
                 try:
-                    value, extra = (_row_of(over_set[name], p_idx)
-                                    if name in over_set
-                                    else CHECKS[name][1](pt))
+                    value, extra = check_at(sets, name, p_idx, pt)
                     _check_finite(name, value, extra)
                 except POINT_ERRORS as err:
                     rec["error"] = f"{type(err).__name__}: {err}"

@@ -31,8 +31,10 @@ below takes the CheckPoint and reads fp, dF, g's partials dg, the symbols
 gamma and phi's differential diff off it; those that read no derivative
 of F (f-holomorphy, the kernel check and the algebra) give one value per
 point of a set.  The implication harness and ``phwc check`` both read
-them through one table of checks, CHECKS, each on one CheckPoint of its
-sample set and on the set's rows.
+them through one table of checks, CHECKS, and one set rule (check_sets,
+check_at): a check that reads no derivative of F runs once over the
+sample set and point k reads its row, and where that raises one of
+POINT_ERRORS, and for the derivative checks, it runs on the row whole[k].
 
 Pointwise constructions are pure; the implication harness processes its
 samples independently and keeps diagnostics ordered by sample for
@@ -65,6 +67,8 @@ __all__ = [
     "dphi_kernel_residual",
     "CHECKS",
     "DERIVATIVE_CHECKS",
+    "check_sets",
+    "check_at",
     "verdict",
     "nijenhuis_residual",
     "parallel_residual",
@@ -395,6 +399,34 @@ CHECKS = {
 DERIVATIVE_CHECKS = ("parallel", "nijenhuis", "met", "domega12")
 
 
+def check_sets(whole: CheckPoint, names) -> dict:
+    """The checks of names that read no derivative of F, each evaluated
+    once over the set whole, as name: (value, extra) for each that raised
+    none of POINT_ERRORS.  When a derivative check is among names, F and the
+    symbols are built on whole too, so that its points read them as rows."""
+    sets = {}
+    for name in names:
+        if name not in DERIVATIVE_CHECKS:
+            try:
+                sets[name] = CHECKS[name][1](whole)
+            except POINT_ERRORS:
+                pass
+    if any(name in DERIVATIVE_CHECKS for name in names):
+        _build(whole, "fp", "gamma")
+    return sets
+
+
+def check_at(sets: dict, name: str, k: int, pt) -> tuple:
+    """The value and extra of check name at point k of a set: row k of its
+    evaluation over the set (check_sets), or else the check run on pt, the
+    set's row whole[k]."""
+    if name not in sets:
+        return CHECKS[name][1](pt)
+    value, extra = sets[name]
+    return float(value[k]), {key: float(v[k]) if isinstance(v, np.ndarray)
+                             else v for key, v in extra.items()}
+
+
 def verdict(value, tol: float, negate: bool) -> bool:
     """A residual passes at most tol, or, negated, above it."""
     return bool((value > tol) if negate else (value <= tol))
@@ -559,10 +591,11 @@ def theorem_suite(samples) -> TheoremSuiteReport:
     records = []
     report = TheoremSuiteReport(records=records)
     for sample in samples:
-        whole = CheckPoint(sample.phi, sample.g, np.atleast_2d(
-            np.asarray(sample.points, dtype=float)), sample.h)
-        # F, and what each point reads but F's derivatives, over the set
-        _build(whole, "fp", "gamma", "target.kaehler", "target.gamma")
+        whole = CheckPoint(sample.phi, sample.g, np.reshape(
+            np.asarray(sample.points, dtype=float),
+            (-1, sample.phi.domain_dim)), sample.h)
+        _build(whole, "target.kaehler")
+        sets = check_sets(whole, ("phwc", *DERIVATIVE_CHECKS, "tension"))
         for k in range(len(whole.p)):
             pt = whole[k]
             rec = SuiteRecord(sample=sample.name, point=list(pt.p),
@@ -576,10 +609,11 @@ def theorem_suite(samples) -> TheoremSuiteReport:
                         rec.reasons.append("kaehler_flag_violation")
                         report.counterexamples += 1
                         continue
-                pt.dF            # a skip reason is raised before any residual
-                resid = {name: CHECKS[name][1](pt)[0]
+                # each derivative residual reads fp, whose gate reads phwc,
+                # and then dF: the first error is the one F or dF raised
+                resid = {name: check_at(sets, name, k, pt)[0]
                          for name in ("phwc", *DERIVATIVE_CHECKS)}
-                resid["harmonic"] = CHECKS["tension"][1](pt)[0]
+                resid["harmonic"] = check_at(sets, "tension", k, pt)[0]
             except POINT_ERRORS as err:
                 rec.status = "skipped"
                 rec.reasons.append(type(err).__name__)

@@ -8,9 +8,8 @@ pointwise from second-order jets, or from first-order ones where it reads
 no second partials (reading ``second`` of a first-order pass raises
 HessianNotComputed).  Every residual of a PointData also takes the
 PointData of a set of points and gives one value per point, from one numpy
-call per quantity; pd[k] is point k of the set (geometry.MetricPoint), and
-share_differential gives lone points of one phi their rows of one pass of
-it.  The pseudo horizontal weak conformality condition comes in three
+call per quantity; pd[k] is point k of the set (geometry.MetricPoint).
+The pseudo horizontal weak conformality condition comes in three
 equivalent forms (coordinate Gram, isotropy through the dual metric,
 commutator with the complex structure) that are kept as independent code
 paths so they can cross-check each other.
@@ -34,7 +33,6 @@ import numpy as np
 
 from . import jet
 from .geometry import (
-    POINT_ERRORS,
     HermitianMetricField,
     HermitianPoint,
     MetricField,
@@ -49,7 +47,6 @@ __all__ = [
     "DimensionMismatch",
     "SmoothMap",
     "PointData",
-    "share_differential",
     "HWCReport",
     "TensionPoint",
     "differential",
@@ -127,20 +124,6 @@ class PointData(MetricPoint):
     @kept
     def target(self) -> HermitianPoint:
         return HermitianPoint(self.h, self.diff.value)
-
-
-def share_differential(pds: list[PointData], order: int = 2) -> None:
-    """Give each of pds, point data of one phi, its rows of phi's
-    differential at all their points, from one pass (to first order when
-    order is 1).  A pass that raises gives no rows: each point then
-    evaluates phi alone on first use, so the error lands on the points
-    where it occurs."""
-    try:
-        diff = differential(pds[0].phi, np.array([pd.p for pd in pds]), order)
-    except POINT_ERRORS:
-        return
-    for k, pd in enumerate(pds):
-        pd.diff = diff[k]
 
 
 def phwc_residual_coord(pd: PointData):

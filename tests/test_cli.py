@@ -26,6 +26,7 @@ from phwc.fstruct import SuiteSample, theorem_suite
 from phwc.geometry import HermitianMetricField, MetricField
 from phwc.jet import ParseError, parse_expr
 from phwc.maps import PointData, SmoothMap, phwc_residual_coord, tension
+from test_fstruct import set_calls
 
 MANIFESTS = pathlib.Path(__file__).resolve().parent.parent / "manifests"
 
@@ -277,15 +278,31 @@ def test_verify_paper_loops_make_one_pass_per_point_set(monkeypatch):
                if module == "phwc.geometry")
     assert all(size > 1 for _, size, _ in passes)
     # the sweep: each of its 200 cases is in exactly one first-order pass
-    # of its map and one of its metric; ex1 and ex2 make one pass each
-    # over their cases and every other map one at its point; g2, g4 and
-    # the random metrics of each dimension 2, 3, 4 one pass each
+    # of its map and one of its metric; the sets of the ex1 and of the ex2
+    # cases make one pass each of their map and of their metric (g2, g4),
+    # and every other map one at its point; the composites make one
+    # stacked pass of g2, and the random metrics of each dimension 2, 3, 4
+    # one each
     assert all(order == 1 for _, _, order in sweep)
     phi = [size for module, size, _ in sweep if module == "phwc.maps"]
     g = [size for module, size, _ in sweep if module == "phwc.geometry"]
     assert sum(phi) == sum(g) == 200
     assert len([size for size in phi if size > 1]) == 2
-    assert len(g) == 5
+    assert len(g) == 6
+
+
+def test_equivalence_reads_ex1_and_ex2_as_two_sets(monkeypatch):
+    calls = set_calls(monkeypatch, paper, "phwc_residual_coord",
+                      "isotropy_residual", "phwc_residual_commutator")
+    paper.equivalence(np.random.default_rng(42))
+    # each residual runs on the ex1 set (m = 2) and the ex2 set (m = 4),
+    # and on a lone point for every other of the 200 cases
+    for shapes in calls:
+        sets = [shape for shape in shapes if len(shape) == 2]
+        assert [m for _, m in sets] == [2, 4]
+        assert all(len(shape) == 1 for shape in shapes[2:])
+        assert sum(n for n, _ in sets) + len(shapes) - 2 == 200
+    assert calls[0] == calls[1] == calls[2]
 
 
 def test_paper_does_not_import_the_command_line():

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from phwc import catalog
+from phwc import catalog, fstruct
 from phwc.fstruct import (
     CheckPoint,
     FStructurePoint,
@@ -620,9 +620,66 @@ def test_theorem_suite_builds_one_f_per_point(monkeypatch):
 def test_theorem_suite_of_a_sample_without_points_is_empty():
     from phwc.geometry import HermitianMetricField
 
+    for points in (np.zeros((0, 4)), []):
+        report = theorem_suite([SuiteSample(
+            "none", EX2, G4, HermitianMetricField.flat(2), points)])
+        assert (report.records, report.checked, report.skipped) == \
+            ([], 0, 0)
+
+
+def set_calls(monkeypatch, module, *names):
+    """The shapes of the points each of names, wrapped in module's namespace
+    where its callers look them up, is called on, one list per name."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def wrapper(pd, _orig=getattr(module, name), _calls=calls[name]):
+            _calls.append(np.shape(pd.p))
+            return _orig(pd)
+        monkeypatch.setattr(module, name, wrapper)
+    return [calls[name] for name in names]
+
+
+def test_theorem_suite_reads_phwc_and_tension_off_the_set(monkeypatch):
+    # CHECKS looks the residuals up in fstruct's namespace
+    tensions, phwcs = set_calls(monkeypatch, fstruct, "tension",
+                                "phwc_residual_coord")
+    points = [P4, (0.2, -0.7, 1.1, 0.4)]
     report = theorem_suite([SuiteSample(
-        "none", EX2, G4, HermitianMetricField.flat(2), np.zeros((0, 4)))])
-    assert (report.records, report.checked, report.skipped) == ([], 0, 0)
+        "linear_c2", EX2, G4, HermitianMetricField.flat(2), points)])
+    assert report.checked == 2
+    # one tension of the set; phwc once as the check and once as F's gate,
+    # both on the set: every point reads its rows
+    assert tensions == [(2, 4)]
+    assert phwcs == [(2, 4)] * 2
+    for rec, p in zip(report.records, points):
+        (lone,) = theorem_suite([SuiteSample(
+            "linear_c2", EX2, G4, HermitianMetricField.flat(2), [p])]).records
+        assert rec.residuals == lone.residuals
+
+
+def test_theorem_suite_checks_the_points_where_the_set_tension_fails(
+        monkeypatch):
+    # h = 1 - x1^2 is not positive definite at the image of (1.5, 0), so the
+    # set's tension raises there; the gate reads no h^-1 and passes
+    h = HermitianMetricField(1, [[parse_expr("1 - x1^2")]], kaehler=True)
+    phi = SmoothMap(2, 1, [parse_expr("x1 + i*x2")])
+    # CHECKS looks the residuals up in fstruct's namespace
+    tensions, phwcs = set_calls(monkeypatch, fstruct, "tension",
+                                "phwc_residual_coord")
+    report = theorem_suite([SuiteSample(
+        "not_pd_h", phi, G2, h, [(0.5, 0.0), (1.5, 0.0), (0.2, 0.3)])])
+    assert [(r.status, r.reasons) for r in report.records] == [
+        ("ok", []), ("skipped", ["MetricNotPD"]), ("ok", [])]
+    assert (report.checked, report.skipped, report.counterexamples) == \
+        (2, 1, 0)
+    # the set's tension fails, so each point runs its own; phwc and F are
+    # still read off the set's rows
+    assert tensions == [(3, 2)] + [(2,)] * 3
+    assert phwcs == [(3, 2)] * 2
+    for rec in (report.records[0], report.records[2]):
+        assert rec.residuals["harmonic"] == 0.0
+        assert rec.residuals["phwc"] == 0.0
+        assert rec.residuals["parallel"] <= 1e-12
 
 
 def test_theorem_suite_evaluates_g_once_per_point(monkeypatch):

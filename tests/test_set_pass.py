@@ -15,12 +15,12 @@ from phwc.jet import Const, DivisionNearZero, Var, parse_expr
 from phwc.maps import (
     PointData,
     SmoothMap,
+    differential,
     hwc_report,
     isotropy_residual,
     phwc_residual_commutator,
     phwc_residual_coord,
     pluriharmonic_residual,
-    share_differential,
     tension,
 )
 from test_fstruct import FAMILIES
@@ -271,10 +271,10 @@ def test_a_failing_pass_over_a_set_is_made_once(monkeypatch):
     g = MetricField(2, [[parse_expr("1/x2"), 0], [0, 1]])
     h = HermitianMetricField(1, [[parse_expr("1/x1")]], kaehler=True)
     points = [(0.5, 0.1), (0.0, 0.0), (0.3, 0.2)]
-    for phi, fails, made in (
-            (parse_expr("1/x1"), True, ["SmoothMap", "MetricField"]),
-            (parse_expr("x1"), False, ["SmoothMap", "MetricField",
-                                       "HermitianMetricField"])):
+    for phi, made in (
+            (parse_expr("1/x1"), ["SmoothMap", "MetricField"]),
+            (parse_expr("x1"), ["SmoothMap", "MetricField",
+                                "HermitianMetricField"])):
         whole = PointData(SmoothMap(2, 1, [phi]), g, points, h)
         passes.clear()
         geometry._build(whole, "diff", "gm", "ginv", "gamma", "gram",
@@ -285,12 +285,6 @@ def test_a_failing_pass_over_a_set_is_made_once(monkeypatch):
         with pytest.raises(DivisionNearZero):
             pds[1].gm
         assert pds[0].gm[1, 1] == 1.0 and pds[2].gm[0, 0] == 5.0
-        # so is phi's first-order pass alone, which gives no rows if it fails
-        pds = [PointData(SmoothMap(2, 1, [phi]), g, p, h) for p in points]
-        passes.clear()
-        share_differential(pds, order=1)
-        assert passes == ["SmoothMap"]
-        assert all(("diff" not in vars(pd)) == fails for pd in pds)
 
 
 def counted(monkeypatch, module, name, calls):
@@ -428,9 +422,10 @@ def test_stacked_metric_rows_equal_each_lone_point():
 
 def test_first_order_rows_equal_each_lone_point():
     phi, g, h, points = random_set("flat")
-    shared = [PointData(phi, g, p, h) for p in points]
-    share_differential(shared, order=1)
-    for pd in shared:
+    whole = PointData(phi, g, points, h)
+    whole.diff = differential(phi, points, order=1)
+    for k in range(len(points)):
+        pd = whole[k]
         lone = PointData(phi, g, pd.p, h)
         for name in ("value", "grad"):
             assert getattr(pd.diff, name).tobytes() == \
