@@ -26,6 +26,8 @@ __all__ = [
     "sample_points",
 ]
 
+MAX_DEGREE = 3      # highest total degree of a holomorphic_polynomial term
+
 
 def zvar(a: int) -> Expr:
     """Chart coordinate z^{a+1} as an expression in interleaved real vars."""
@@ -54,16 +56,16 @@ def linear_r4_c2() -> SmoothMap:
     return SmoothMap(4, 2, [comp, comp])
 
 
-def holomorphic_polynomial(rng, nvars: int, max_degree: int = 3) -> Expr:
-    """Random holomorphic polynomial in z^1..z^nvars; each coefficient has
-    real and imaginary parts in [-1, 1]."""
+def holomorphic_polynomial(rng, nvars: int) -> Expr:
+    """Random holomorphic polynomial in z^1..z^nvars of degree at most
+    MAX_DEGREE; each coefficient has real and imaginary parts in [-1, 1]."""
     nterms = int(rng.integers(2, 5))
     e: Expr = Const(rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
     for _ in range(nterms):
         c = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
-        powers = rng.integers(0, max_degree + 1, size=nvars)
-        while powers.sum() == 0 or powers.sum() > max_degree:
-            powers = rng.integers(0, max_degree + 1, size=nvars)
+        powers = rng.integers(0, MAX_DEGREE + 1, size=nvars)
+        while powers.sum() == 0 or powers.sum() > MAX_DEGREE:
+            powers = rng.integers(0, MAX_DEGREE + 1, size=nvars)
         term: Expr = Const(c)
         for a in range(nvars):
             if powers[a]:

@@ -41,6 +41,7 @@ import argparse
 import hashlib
 import json
 import math
+import pathlib
 import sys
 from dataclasses import dataclass
 
@@ -68,40 +69,11 @@ SCHEMA_VERSION = 1
 # Largest domain.dim and target.cdim: dim x dim metric trees are built first
 MAX_DIM = 64
 
-CHECK_NAMES = tuple(CHECKS)
-
+# The built-in manifests, each read from its one copy under manifests/
 BUILTIN_MANIFESTS = {
-    "example1": {
-        "domain": {"dim": 2, "metric": "euclidean"},
-        "target": {"cdim": 3, "hermitian": "flat", "kaehler": True},
-        "map": {"components": ["x1 + i*x2", "x1 + i*x2", "x1 + i*x2"]},
-        "checks": [
-            {"name": "phwc", "tol": 1e-12},
-            {"name": "isotropy", "tol": 1e-12},
-            {"name": "commutator", "tol": 1e-10},
-            {"name": "tension", "tol": 1e-12},
-            {"name": "hwc", "tol": 0.5, "negate": True},
-            {"name": "fstructure", "tol": 1e-10, "rank": 2},
-            {"name": "f_holomorphy", "tol": 1e-9},
-        ],
-        "sample": {"count": 100, "seed": 7, "box": [[-2, 2], [-2, 2]]},
-    },
-    "example2": {
-        "domain": {"dim": 4, "metric": "euclidean"},
-        "target": {"cdim": 2, "hermitian": "flat", "kaehler": True},
-        "map": {"components": ["i*(x1 + x2) + x3 + x4",
-                               "i*(x1 + x2) + x3 + x4"]},
-        "checks": [
-            {"name": "phwc", "tol": 1e-12},
-            {"name": "isotropy", "tol": 1e-12},
-            {"name": "commutator", "tol": 1e-10},
-            {"name": "tension", "tol": 1e-12},
-            {"name": "hwc", "tol": 1.0, "negate": True},
-            {"name": "fstructure", "tol": 1e-10, "rank": 2},
-            {"name": "f_holomorphy", "tol": 1e-9},
-        ],
-        "sample": {"count": 100, "seed": 11, "box": [[-2, 2]] * 4},
-    },
+    name: json.loads((pathlib.Path(__file__).parent / "manifests"
+                      / f"{name}.json").read_text(encoding="utf-8"))
+    for name in ("example1", "example2")
 }
 
 
@@ -272,10 +244,10 @@ def validate_manifest(raw: dict) -> Manifest:
         if isinstance(entry, str):
             entry = {"name": entry}
         name = entry.get("name") if isinstance(entry, dict) else None
-        if name not in CHECK_NAMES:
+        if not isinstance(name, str) or name not in CHECKS:
             raise ValidationError(
                 f"checks[{idx}]", f"unknown check {name!r}; valid names: "
-                + ", ".join(CHECK_NAMES))
+                + ", ".join(CHECKS))
         _known_keys(entry, f"checks[{idx}]", ("name", "tol", "negate", "rank"))
         if name == "pluriharmonic" and dim % 2:
             raise ValidationError(
@@ -700,9 +672,8 @@ def verify_paper(seed: int = 42) -> dict:
     rng = np.random.default_rng(seed)
     records = []
 
-    for name in ("example1", "example2"):
-        sub = run_checks(validate_manifest(BUILTIN_MANIFESTS[name]),
-                         seed=seed)
+    for name, raw in BUILTIN_MANIFESTS.items():
+        sub = run_checks(validate_manifest(raw), seed=seed)
         for rec in sub["records"]:
             rec = dict(rec)
             rec["check"] = f"{name}.{rec['check']}"
@@ -711,7 +682,7 @@ def verify_paper(seed: int = 42) -> dict:
         records += section(rng)
 
     meta = {"bundle": "verify-paper", "seed": seed,
-            "examples": ["example1", "example2"]}
+            "examples": list(BUILTIN_MANIFESTS)}
     return _assemble_report(meta, seed, records)
 
 
@@ -725,7 +696,7 @@ def _parse_tol_overrides(pairs):
         if "=" not in pair:
             raise ValidationError("--tol", f"expected check=value, got {pair!r}")
         name, _, value = pair.partition("=")
-        if name not in CHECK_NAMES:
+        if name not in CHECKS:
             raise ValidationError("--tol", f"unknown check {name!r}")
         try:
             tol = float(value)

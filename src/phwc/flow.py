@@ -113,14 +113,6 @@ class GridMap:
         return _cell_volume(self.dims)
 
     @property
-    def shifts(self):
-        """The float-pair values v (dims + (2n,)) shifted periodically by
-        one node along each axis, read-only, shape (m, 2) + dims + (2n,):
-        along axis i, shifts[i, 0][.., j, ..] = v[.., j + 1, ..] and
-        shifts[i, 1][.., j, ..] = v[.., j - 1, ..], gathered in one take."""
-        return self._shifts.swapaxes(0, 1)
-
-    @property
     def gradients(self):
         """Central differences along every axis, stacked: a read-only
         complex array of shape (m,) + dims + (n,)."""

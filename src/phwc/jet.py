@@ -128,12 +128,6 @@ class Jet2:
 
     __iter__ = None     # one jet, not a sequence of its rows
 
-    def conj(self) -> "Jet2":
-        # Differentiation variables are real, so conjugation commutes with
-        # every partial derivative.
-        return Jet2(np.conj(self.value), np.conj(self.grad),
-                    None if self.hess is None else np.conj(self.hess))
-
 
 class _Jet:
     """The jet of one node inside an evaluation.

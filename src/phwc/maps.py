@@ -220,13 +220,6 @@ class TensionPoint:
         """max_a |tau^a|: a float at one point, an array over a point axis."""
         return _per_point(np.max(np.abs(self.tau), axis=-1, initial=0.0))
 
-    def real_components(self) -> np.ndarray:
-        """Real tangent components of tau, interleaved (re, im) per chart dim."""
-        out = np.empty(self.tau.shape[:-1] + (2 * self.tau.shape[-1],))
-        out[..., 0::2] = self.tau.real
-        out[..., 1::2] = self.tau.imag
-        return out
-
 
 def tension(pd: PointData) -> TensionPoint:
     """tau^a = g^ij (d2_ij phi^a - Gamma^k_ij d_k phi^a) + Gamma^a_bc M_bc,
@@ -283,16 +276,16 @@ def compose(psi: SmoothMap, phi: SmoothMap) -> SmoothMap:
                      [c.substitute(mapping) for c in psi.components])
 
 
-def holomorphy_residual(psi: SmoothMap, z) -> float:
-    """max |d psi^a / dzbar^b| at a chart point; zero iff psi is holomorphic
-    to first order there."""
+def holomorphy_residual(psi: SmoothMap, z):
+    """max |d psi^a / dzbar^b| at a chart point, or one value per point of a
+    set of them; zero iff psi is holomorphic to first order there."""
     x = HermitianMetricField.real_coords(z)
     d = jet.wirtinger(differential(psi, x).grad)
-    return float(np.max(np.abs(d[:, psi.domain_dim // 2:])))
+    return _per_point(np.max(np.abs(d[..., psi.domain_dim // 2:]), (-2, -1)))
 
 
-def antiholomorphy_residual(psi: SmoothMap, z) -> float:
-    """max |d psi^a / dz^b| at a chart point."""
+def antiholomorphy_residual(psi: SmoothMap, z):
+    """max |d psi^a / dz^b| at a chart point or over a set of them."""
     x = HermitianMetricField.real_coords(z)
     d = jet.wirtinger(differential(psi, x).grad)
-    return float(np.max(np.abs(d[:, :psi.domain_dim // 2])))
+    return _per_point(np.max(np.abs(d[..., :psi.domain_dim // 2]), (-2, -1)))

@@ -53,11 +53,15 @@ def test_builtin_manifests_validate():
         assert parsed.raw == raw and parsed.phi.domain_dim in (2, 4)
 
 
-def test_builtin_manifests_equal_their_files():
-    # verify-paper runs the built-in copies; the README points at the files
-    for name in ("example1", "example2"):
-        text = (MANIFESTS / f"{name}.json").read_text()
-        assert BUILTIN_MANIFESTS[name] == parse_manifest(text).raw
+def test_a_builtin_name_and_its_packaged_file_write_the_same_report(
+        tmp_path):
+    # the package's manifests/ folder holds the one copy of each example
+    for name in BUILTIN_MANIFESTS:
+        path = pathlib.Path(cli.__file__).parent / "manifests" / f"{name}.json"
+        by_name, by_path = tmp_path / "by_name.json", tmp_path / "by_path.json"
+        assert main(["check", name, "--out", str(by_name)]) == 0
+        assert main(["check", str(path), "--out", str(by_path)]) == 0
+        assert by_name.read_bytes() == by_path.read_bytes()
 
 
 @pytest.mark.parametrize("args, parses", [
@@ -383,7 +387,7 @@ def test_a_failing_metric_is_checked_once_per_point(monkeypatch):
     # kept error
     manifest = parse_manifest(manifest_text(
         domain={"dim": 2, "metric": [["x1", "0"], ["0", "1"]]},
-        checks=list(cli.CHECK_NAMES),
+        checks=list(cli.CHECKS),
         sample={"count": 4, "seed": 3, "box": [[-2, -1], [0, 1]]}))
     check, calls = geometry._check_spd, []
 
@@ -938,6 +942,10 @@ def test_a_size_beyond_numpy_exits_2(tmp_path, capsys, command, field):
     ("checks[0].rank", "checks", -1, []),
     ("checks[0].rank", "checks", 2.0, []),
     ("checks[0].rank", "checks", None, []),
+    # a check name that is no string, hashable or not, is refused
+    ("checks[0]", "checks", {"name": ["phwc"]}, []),
+    ("checks[0]", "checks", {"name": {"phwc": 1}}, []),
+    ("checks[0]", "checks", {"name": 1}, []),
     # a rank on a check other than fstructure is not ignored
     ("checks[0].rank", "checks", {"name": "phwc", "rank": 5}, []),
     # a key no block knows, a misspelt one above all, is refused

@@ -118,16 +118,8 @@ def test_stencils_equal_the_roll_formulas(dims, n):
     got = u.gradients
     assert got.shape == (len(dims),) + vals.shape
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, grads))
-    shifts = u.shifts
-    assert shifts.shape == (len(dims), 2) + dims + (2 * n,)
-    for i, pair in enumerate(shifts):
-        for step, shifted in zip((-1, 1), pair):
-            rolled = np.roll(vals, step, i)
-            assert shifted.tobytes() == np.ascontiguousarray(
-                rolled.view(float)).tobytes()
-    for kept in (got, shifts):
-        with pytest.raises(ValueError):
-            kept[(0,) * kept.ndim] = 1.0
+    with pytest.raises(ValueError):
+        got[(0,) * got.ndim] = 1.0
     assert flow._laplacian(u).tobytes() == lap.tobytes()
 
 

@@ -88,7 +88,7 @@ def draw(rng) -> tuple[dict, bool]:
             "dt": float(rng.uniform(0.1, 0.9) * stable_dt_bound(grid)),
             "initial": [expression(rng, len(grid)) for _ in range(cdim)]}
     else:
-        names = [name for name in cli.CHECK_NAMES
+        names = [name for name in cli.CHECKS
                  if name != "pluriharmonic" or dim % 2 == 0]
         raw["checks"] = [str(name) for name in
                          rng.choice(names, rng.integers(1, len(names) + 1),

@@ -148,16 +148,6 @@ def test_real_expression_stays_real():
     assert j.value.imag == 0
     assert np.all(j.grad.imag == 0)
     assert np.all(j.hess.imag == 0)
-    assert j.conj().value == j.value
-
-
-def test_conj_jet():
-    e = Var(0) + Const(1j) * Var(1)
-    j = eval_jet2(e, (1.0, 2.0))
-    cj = j.conj()
-    assert np.allclose(cj.grad, [1.0, -1j])
-    back = cj.conj()
-    assert back.value == j.value and np.array_equal(back.grad, j.grad)
 
 
 def test_division_guard():

@@ -143,7 +143,7 @@ def test_hwc_zero_differential_point():
 def test_hwc_implies_phwc_threshold():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        f = catalog.holomorphic_polynomial(rng, 1, max_degree=3)
+        f = catalog.holomorphic_polynomial(rng, 1)
         phi = SmoothMap(2, 1, [f])
         p = rng.uniform(-1, 1, 2)
         pd = PointData(phi, G2, p, H1)
@@ -266,14 +266,6 @@ def test_tension_requires_kaehler_flag():
         tension(PointData(EX2, G4, (0.0, 0.0, 0.0, 0.0), h))
 
 
-def test_tension_real_reconstruction():
-    phi = catalog.random_polynomial_map(np.random.default_rng(6), 3, 2)
-    g = catalog.random_polynomial_metric(np.random.default_rng(7), 3)
-    t = tension(PointData(phi, g, (0.1, 0.2, -0.3), H2))
-    v = t.real_components()
-    assert v.dtype == float and len(v) == 4
-
-
 # --------------------------------------------------------------------------
 # pluriharmonicity
 # --------------------------------------------------------------------------
@@ -381,6 +373,24 @@ def test_holomorphy_residuals():
     assert holomorphy_residual(bar, z) == 1.0
 
 
+@pytest.mark.parametrize("psi", [
+    # more components than chart dimensions, and fewer
+    SmoothMap(2, 3, [catalog.zvar(0) ** 2, conj(catalog.zvar(0)),
+                     catalog.zvar(0) * conj(catalog.zvar(0))]),
+    SmoothMap(4, 1, [conj(catalog.zvar(0)) * catalog.zvar(1)]),
+])
+def test_holomorphy_residuals_of_a_set_are_each_points(psi):
+    # at a set of chart points, one value per point: the lone point's bits
+    k = psi.domain_dim // 2
+    rng = np.random.default_rng(8)
+    z = rng.uniform(-1, 1, (4, k)) + 1j * rng.uniform(-1, 1, (4, k))
+    for residual in (holomorphy_residual, antiholomorphy_residual):
+        got = residual(psi, z)
+        lone = [residual(psi, zk) for zk in z]
+        assert got.shape == (4,) and all(isinstance(v, float) for v in lone)
+        assert all(got[i] == lone[i] for i in range(4)) and min(lone) > 0
+
+
 # --------------------------------------------------------------------------
 # pullback and chain-rule properties
 # --------------------------------------------------------------------------
@@ -434,7 +444,7 @@ def test_chain_rule_identity():
     rng = np.random.default_rng(15)
     for _ in range(10):
         phi = catalog.random_polynomial_map(rng, 2, 2)
-        fz = catalog.holomorphic_polynomial(rng, 2, max_degree=2)
+        fz = catalog.holomorphic_polynomial(rng, 2)
         f = SmoothMap(4, 1, [fz * conj(catalog.zvar(0)) + re(catalog.zvar(1))])
         pulled = compose(f, phi)
         p = rng.uniform(-0.8, 0.8, 2)

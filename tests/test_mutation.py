@@ -26,9 +26,11 @@ RESIDUALS = {
     "phwc_residual_coord": maps,
 }
 
-# No PHWC family in the repo makes domega12 nonzero, and the only one on
-# which the Nijenhuis tensor is not zero (example2 under a varying metric)
-# is not yet a sample of the bundle.
+# Zeroing either of these goes unnoticed: conformal_f_structure.json expects
+# nijenhuis and domega12 to vanish, and every sample the bundle's theorem
+# harness checks is harmonic, so implication (b) holds whatever they return.
+# The families on which N or domega12 is not zero (FAMILIES in
+# test_fstruct.py) are not samples of the bundle yet.
 KNOWN_GAPS = {"nijenhuis_residual", "domega_12_residual"}
 
 
